@@ -1,10 +1,10 @@
 """Streaming of dynamic light-probe volumes from a server to thin clients.
 
-The package splits into the probe data model (`volume`), bit-exact layout
-transforms (`packing`), a lossless temporal frame codec (`codec`), per-client
-probe selection (`selection`), the server and client endpoints (`server`,
-`client`), a reliable channelised transport over a simulated network
-(`transport`), and the experiment harness (`harness`).
+The package splits into the probe data model (`volume`), per-client probe
+selection (`selection`), bit-exact layout transforms and the update-atlas
+slot allocator (`packing`), and a lossless temporal frame codec (`codec`,
+with its varint coding in `varint`). The benchmark in `streambench/` wires
+them into a server and a thin client.
 """
 
 from probestream.volume import (

@@ -9,31 +9,64 @@ lookahead: every frame is emitted as soon as it is presented. Encoding is
 closed-loop lossless, so encoder and decoder reconstructions are
 bit-identical after every frame.
 
+Wire format (`FRAME_MAGIC` ``LPF1``, byte for byte that of the original
+block-at-a-time coder, which `tests/test_codec_golden.py` keeps as its
+reference). A payload holds the planes in order; a plane holds its blocks
+in raster order, edge blocks clipped, never padded. A block is its mode
+byte, then for DELTA and RAW the varint length of its entropy-coded bytes
+and those bytes. RAW codes the block's elements as little-endian bytes in
+row order. DELTA codes the zig-zag varints of the element-wise residual
+against the predictor: the reference block in a P-frame, the left neighbour
+block in an I-frame. A block is DELTA only when it has a predictor and its
+DELTA bytes are strictly shorter than its RAW bytes.
+
 Entropy coding is zero-run-length over byte streams with varint headers:
 token ``(length << 1) | 1`` emits `length` zero bytes, token ``length << 1``
-is followed by `length` literal bytes.
+is followed by `length` literal bytes. Zero runs shorter than
+`MIN_ZERO_RUN` ride along as literals, and no token crosses a block.
+
+Both directions work in array passes, never block by block. The encoder
+takes a band of `BAND_BLOCK_ROWS` block rows at a time; block rows are
+independent under both predictors, and the band bounds the temporaries. It
+finds SKIP blocks with one blockwise `any`, builds one RAW byte stream and
+one DELTA varint stream over the candidate blocks (an I-frame's predictor
+is the plane shifted by one block column, which holds because the
+reconstruction equals the input), tokenises each whole stream with a cut at
+every block boundary, sums the per-block coded lengths, picks the modes
+and writes the band with one scatter. The decoder walks the block headers
+of the frame once, parses the tokens of all blocks of one mode in one pass,
+bounding every run by its block's size before anything is allocated, then
+per band expands them into one buffer per mode, decodes the residual
+varints at once and scatters; I-frame DELTA chains resolve one block column
+at a time across all block rows. Malformed input raises `CodecError` and
+nothing else.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from probestream.packing import PlaneKind, PlaneSet
 from probestream.varint import (
+    VarintError,
     decode_uvarint,
     decode_uvarint_array,
-    encode_uvarint,
+    decode_uvarint_at,
     encode_uvarint_array,
     unzigzag,
+    uvarint_sizes,
     zigzag,
 )
 
 BLOCK_SIDE = 16
 MIN_ZERO_RUN = 2
+BAND_BLOCK_ROWS = 8  # block rows per array pass; bounds the temporaries
 
 MODE_SKIP = 0
 MODE_DELTA = 1
@@ -44,6 +77,7 @@ _FRAME_HEADER = struct.Struct("<4sBIIHHBBI")
 _CHECKSUM = struct.Struct("<I")
 
 DEFAULT_GOP_LENGTH = 30
+PLANE_COUNT = 3
 
 
 class CodecError(Exception):
@@ -66,62 +100,196 @@ class DimensionMismatchError(CodecError):
     pass
 
 
-class EntropyDecodeError(CodecError):
+class EntropyDecodeError(CorruptFrameError):
     pass
 
 
-# --- entropy coding ----------------------------------------------------------
+# --- segmented zero-run entropy coding ---------------------------------------
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` of every span."""
+    lengths = lengths.astype(np.int64, copy=False)
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _cover(size: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mask of `size` bytes, set on every span ``[start, start + length)``.
+
+    Spans must be ascending and must not overlap. A mask costs one byte per
+    byte where index arrays cost eight, which matters for long literal runs.
+    """
+    runs = np.empty(2 * starts.size + 1, dtype=np.int64)
+    ends = starts + lengths
+    runs[0] = starts[0] if starts.size else size
+    runs[2:-1:2] = starts[1:] - ends[:-1]
+    runs[1::2] = lengths
+    if starts.size:
+        runs[-1] = size - ends[-1]
+    flags = np.zeros(runs.size, dtype=bool)
+    flags[1::2] = True
+    return np.repeat(flags, runs)
+
+
+class _Tokens(NamedTuple):
+    start: np.ndarray  # first stream byte the token covers
+    length: np.ndarray
+    zero: np.ndarray  # zero run (True) or literal run
+    segment: np.ndarray
+    head: np.ndarray  # header bytes
+    size: np.ndarray  # header plus literal bytes
+
+    def take(self, keep: np.ndarray) -> "_Tokens":
+        return _Tokens(*(a[keep] for a in self))
+
+
+def _tokenise(stream: np.ndarray, cuts: np.ndarray) -> _Tokens:
+    """Zero-run/literal tokens of a byte stream cut into segments.
+
+    `cuts` holds the ascending start offset of every segment, the first one
+    0; no token crosses a cut. Tokens come out in stream order.
+    """
+    n = stream.size
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Tokens(empty, empty, empty.astype(bool), empty, empty, empty)
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[cuts] = True
+    cut[n] = True
+    zero = stream == 0
+    # maximal zero runs within a segment: [run_start, run_end)
+    opens = zero.copy()
+    opens[1:] &= ~zero[:-1] | cut[1:n]
+    closes = zero.copy()
+    closes[:-1] &= ~zero[1:] | cut[1:n]
+    run_start = np.flatnonzero(opens)
+    run_end = np.flatnonzero(closes) + 1
+    long = run_end - run_start >= MIN_ZERO_RUN
+    zstart = run_start[long]
+    bounds = cut
+    bounds[zstart] = True
+    bounds[run_end[long]] = True
+    edges = np.flatnonzero(bounds)
+    start = edges[:-1]
+    length = np.diff(edges)
+    is_zero = np.zeros(n + 1, dtype=bool)
+    is_zero[zstart] = True
+    zero_run = is_zero[start]
+    head = uvarint_sizes(_headers(length, zero_run))
+    size = np.where(zero_run, head, head + length)
+    segment = np.searchsorted(cuts, start, side="right") - 1
+    return _Tokens(start, length, zero_run, segment, head, size)
+
+
+def _headers(length: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    return ((length << 1) | zero).astype(np.uint64)
+
+
+def _coded_lengths(tokens: _Tokens, segments: int) -> np.ndarray:
+    """Coded bytes of every segment."""
+    return np.bincount(tokens.segment, weights=tokens.size, minlength=segments).astype(np.int64)
+
+
+def _write_tokens(out: np.ndarray, at: np.ndarray, stream: np.ndarray, tokens: _Tokens) -> None:
+    """Write each token's header, and a literal's bytes, to `out` at `at`."""
+    headers = encode_uvarint_array(_headers(tokens.length, tokens.zero))
+    out[_spans(at, tokens.head)] = np.frombuffer(headers, np.uint8)
+    lit = ~tokens.zero
+    length = tokens.length[lit]
+    dest = _cover(out.size, at[lit] + tokens.head[lit], length)
+    out[dest] = stream[_cover(stream.size, tokens.start[lit], length)]
+
+
+class _Runs(NamedTuple):
+    """Parsed tokens of coded segments, grouped by segment in stream order."""
+
+    segment: np.ndarray
+    offset: np.ndarray  # where the run's output starts within its segment
+    body: np.ndarray  # first literal byte in the coded data
+    length: np.ndarray
+    zero: np.ndarray
+
+    def take(self, keep) -> "_Runs":
+        return _Runs(*(a[keep] for a in self))
+
+
+def _parse_runs(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: np.ndarray
+) -> tuple[_Runs, np.ndarray]:
+    """Parse the tokens of every segment ``data[start : start + length]``.
+
+    Returns the runs and the output length of every segment. A segment
+    whose output would exceed its `limit` is rejected before any output is
+    allocated, and so is a run of length 0.
+    """
+    ends = starts + lengths
+    pos = starts.copy()
+    produced = np.zeros(starts.size, dtype=np.int64)
+    found = []
+    live = np.flatnonzero(pos < ends)
+    # one token of every unfinished segment per step
+    while live.size:
+        at, end = pos[live], ends[live]
+        try:
+            header, head = decode_uvarint_at(data, at, end)
+        except VarintError as err:
+            raise EntropyDecodeError(str(err)) from err
+        length = (header >> np.uint64(1)).astype(np.int64)
+        zero = (header & np.uint64(1)).astype(bool)
+        body = at + head
+        stop = body + np.where(zero, 0, length)
+        if np.any(length == 0) or np.any(stop > end):
+            raise EntropyDecodeError("malformed run")
+        found.append((live, produced[live], body, length, zero))
+        produced[live] += length
+        if np.any(produced[live] > limit[live]):
+            raise EntropyDecodeError("run overflows its segment")
+        pos[live] = stop
+        live = live[stop < end]
+    if not found:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Runs(empty, empty, empty, empty, empty.astype(bool)), produced
+    runs = _Runs(*(np.concatenate(a) for a in zip(*found)))
+    return runs.take(np.argsort(runs.segment, kind="stable")), produced
+
+
+def _expand_runs(
+    data: np.ndarray, runs: _Runs, produced: np.ndarray, first: int
+) -> np.ndarray:
+    """Output of consecutive segments `first`, `first + 1`, ... whose runs
+    and output lengths are given."""
+    out = np.zeros(int(produced.sum()), dtype=np.uint8)
+    lit = ~runs.zero
+    if lit.any():
+        length, body = runs.length[lit], runs.body[lit]
+        dest = (np.cumsum(produced) - produced)[runs.segment[lit] - first] + runs.offset[lit]
+        lo, hi = body[0], body[-1] + length[-1]
+        out[_cover(out.size, dest, length)] = data[lo:hi][_cover(hi - lo, body - lo, length)]
+    return out
+
+
+def _as_bytes(data) -> np.ndarray:
+    if isinstance(data, np.ndarray):
+        return np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+    return np.frombuffer(bytes(data), np.uint8)
 
 
 def entropy_encode(data) -> bytes:
     """Zero-run-length encode a byte stream; deterministic and lossless."""
-    if isinstance(data, np.ndarray):
-        buf = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-    else:
-        buf = np.frombuffer(bytes(data), np.uint8)
-    n = buf.size
-    if n == 0:
-        return b""
-    padded = np.concatenate([[False], buf == 0, [False]])
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    out = bytearray()
-    pos = 0
-    raw = buf.tobytes()
-    for s, e in zip(starts, ends):
-        if e - s < MIN_ZERO_RUN:
-            continue  # lone zeros ride along as literals
-        if s > pos:
-            out += encode_uvarint((s - pos) << 1)
-            out += raw[pos:s]
-        out += encode_uvarint(((e - s) << 1) | 1)
-        pos = e
-    if pos < n:
-        out += encode_uvarint((n - pos) << 1)
-        out += raw[pos:]
-    return bytes(out)
+    stream = _as_bytes(data)
+    tokens = _tokenise(stream, np.zeros(1, dtype=np.int64))
+    out = np.empty(int(tokens.size.sum()), dtype=np.uint8)
+    _write_tokens(out, _segment_starts(tokens.size), stream, tokens)
+    return out.tobytes()
 
 
 def entropy_decode(data: bytes) -> bytes:
     """Inverse of `entropy_encode`; raises on malformed streams."""
-    out = bytearray()
-    pos = 0
-    end = len(data)
-    while pos < end:
-        try:
-            header, pos = decode_uvarint(data, pos)
-        except ValueError as err:
-            raise EntropyDecodeError(str(err)) from err
-        length = header >> 1
-        if header & 1:
-            out += b"\0" * length
-        else:
-            if length == 0 or pos + length > end:
-                raise EntropyDecodeError("malformed literal run")
-            out += data[pos : pos + length]
-            pos += length
-    return bytes(out)
+    buf = _as_bytes(data)
+    limit = np.array([np.iinfo(np.int64).max])
+    runs, produced = _parse_runs(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), limit)
+    return _expand_runs(buf, runs, produced, 0).tobytes()
 
 
 # --- stream state and frame container ----------------------------------------
@@ -197,136 +365,254 @@ class EncodedFrame:
         (stored,) = _CHECKSUM.unpack_from(data, total - _CHECKSUM.size)
         if zlib.crc32(data[: total - _CHECKSUM.size]) != stored:
             raise CorruptFrameError("frame checksum mismatch")
+        if planes != PLANE_COUNT or bits not in (8, 16):
+            raise CorruptFrameError(f"unsupported layout: {planes} planes of {bits} bits")
         payload = data[_FRAME_HEADER.size : total - _CHECKSUM.size]
         return cls(stream_id, seq, bool(flags & 1), width, height, planes, bits, payload)
 
 
-# --- block coding ------------------------------------------------------------
+# --- block geometry ----------------------------------------------------------
 
 
-def _signed_view(dtype: np.dtype) -> type:
+def _blocks_across(n: int) -> int:
+    return -(-n // BLOCK_SIDE)
+
+
+def _block_counts(rows: int, width: int) -> np.ndarray:
+    """Element count of every block of a ``rows x width`` plane, raster order."""
+
+    def sides(n: int) -> np.ndarray:
+        return np.minimum(BLOCK_SIDE, n - BLOCK_SIDE * np.arange(_blocks_across(n)))
+
+    return np.outer(sides(rows), sides(width)).reshape(-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_order(rows: int, width: int) -> np.ndarray:
+    """Flat element indices of a ``rows x width`` band in block order:
+    row b lists block b's indices in row order, padded with -1 past a
+    clipped edge."""
+    side = BLOCK_SIDE
+    by, bx = _blocks_across(rows), _blocks_across(width)
+    r = np.arange(by * side, dtype=np.int32)[:, None]
+    c = np.arange(bx * side, dtype=np.int32)[None, :]
+    flat = np.where((r < rows) & (c < width), r * width + c, -1)
+    order = flat.reshape(by, side, bx, side).swapaxes(1, 2).reshape(by * bx, side * side)
+    order.flags.writeable = False
+    return order
+
+
+def _elements(order: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Flat indices of the elements of `blocks`, block after block."""
+    idx = order[blocks]
+    return idx[idx >= 0]
+
+
+def _band_bounds(height: int):
+    step = BAND_BLOCK_ROWS * BLOCK_SIDE
+    return ((y, min(y + step, height)) for y in range(0, height, step))
+
+
+def _signed(dtype: np.dtype) -> type:
     return np.int16 if dtype == np.uint16 else np.int8
 
 
-def _encode_delta(cur: np.ndarray, pred: np.ndarray) -> bytes:
-    residual = (cur - pred).view(_signed_view(cur.dtype)).astype(np.int64)
-    return entropy_encode(
-        np.frombuffer(encode_uvarint_array(zigzag(residual.reshape(-1))), np.uint8)
+def _segment_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.cumsum(lengths) - lengths
+
+
+# --- encoder -----------------------------------------------------------------
+
+
+def _encode_band(cur: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
+    """Coded bytes of one band of block rows; `ref` is None in an I-frame."""
+    rows, width = cur.shape
+    order = _block_order(rows, width)
+    counts = _block_counts(rows, width)
+    nblocks = counts.size
+    bx = _blocks_across(width)
+    item = cur.dtype.itemsize
+    flat = cur.reshape(-1)
+    if ref is None:
+        cand = np.arange(nblocks)
+        residual = np.empty_like(cur)
+        residual[:, BLOCK_SIDE:] = cur[:, BLOCK_SIDE:] - cur[:, :-BLOCK_SIDE]
+        pred = np.flatnonzero(cand % bx != 0)  # candidates with a predictor
+    else:
+        changed = np.zeros((_blocks_across(rows) * BLOCK_SIDE, bx * BLOCK_SIDE), dtype=bool)
+        np.not_equal(cur, ref, out=changed[:rows, :width])
+        grid = changed.reshape(-1, BLOCK_SIDE, bx, BLOCK_SIDE).any(axis=(1, 3))
+        cand = np.flatnonzero(grid)
+        residual = cur - ref
+        pred = np.arange(cand.size)
+
+    raw = flat[_elements(order, cand)].astype(cur.dtype.newbyteorder("<"), copy=False)
+    raw = raw.view(np.uint8)
+    raw_tokens = _tokenise(raw, _segment_starts(counts[cand] * item))
+    raw_len = _coded_lengths(raw_tokens, cand.size)
+
+    values = zigzag(residual.reshape(-1)[_elements(order, cand[pred])].view(_signed(cur.dtype)))
+    sizes = uvarint_sizes(values)
+    value_at = _segment_starts(counts[cand[pred]])
+    delta_bytes = np.add.reduceat(sizes, value_at, dtype=np.int64)
+    # every nonzero varint byte is a literal byte, so a block whose count of
+    # them already reaches its RAW length stays RAW without being tokenised
+    nonzero = delta_bytes - np.add.reduceat(values == 0, value_at, dtype=np.int64)
+    maybe = nonzero < raw_len[pred]
+    values = values[np.repeat(maybe, counts[cand[pred]])]
+    delta = np.frombuffer(encode_uvarint_array(values), np.uint8)
+    delta_at = pred[maybe]
+    delta_tokens = _tokenise(delta, _segment_starts(delta_bytes[maybe]))
+    delta_len = _coded_lengths(delta_tokens, delta_at.size)
+
+    use_delta = np.zeros(cand.size, dtype=bool)
+    use_delta[delta_at] = delta_len < raw_len[delta_at]
+    payload = raw_len.copy()
+    payload[use_delta] = delta_len[use_delta[delta_at]]
+
+    # block header: mode byte, then for a coded block its payload length
+    length_bytes = uvarint_sizes(payload)
+    head = np.ones(nblocks, dtype=np.int64)
+    head[cand] += length_bytes
+    body = np.zeros(nblocks, dtype=np.int64)
+    body[cand] = payload
+    block_at = _segment_starts(head + body)
+    out = np.empty(int(block_at[-1] + head[-1] + body[-1]), dtype=np.uint8)
+    out[block_at] = MODE_SKIP
+    out[block_at[cand]] = np.where(use_delta, MODE_DELTA, MODE_RAW)
+    out[_spans(block_at[cand] + 1, length_bytes)] = np.frombuffer(
+        encode_uvarint_array(payload), np.uint8
     )
+    payload_at = block_at + head
 
-
-def _decode_delta(data: bytes, pred: np.ndarray) -> np.ndarray:
-    stream = entropy_decode(data)
-    values, used = decode_uvarint_array(stream, pred.size)
-    if used != len(stream):
-        raise CorruptFrameError("trailing bytes in delta block")
-    residual = unzigzag(values).astype(_signed_view(pred.dtype)).reshape(pred.shape)
-    return pred + residual.view(pred.dtype)
-
-
-def _encode_raw(cur: np.ndarray) -> bytes:
-    return entropy_encode(np.ascontiguousarray(cur).view(np.uint8).reshape(-1))
-
-
-def _decode_raw(data: bytes, shape: tuple[int, int], dtype) -> np.ndarray:
-    stream = entropy_decode(data)
-    expect = shape[0] * shape[1] * np.dtype(dtype).itemsize
-    if len(stream) != expect:
-        raise CorruptFrameError(f"raw block is {len(stream)} bytes, expected {expect}")
-    return np.frombuffer(stream, dtype=dtype).reshape(shape).copy()
+    for stream, tokens, blocks, lengths, chosen in (
+        (raw, raw_tokens, cand, raw_len, ~use_delta),
+        (delta, delta_tokens, cand[delta_at], delta_len, use_delta[delta_at]),
+    ):
+        # a stream's tokens are contiguous per block: move each from its
+        # offset among the chosen tokens of its stream to its block's payload
+        kept = tokens.take(chosen[tokens.segment])
+        shift = payload_at[blocks] - _segment_starts(np.where(chosen, lengths, 0))
+        _write_tokens(out, _segment_starts(kept.size) + shift[kept.segment], stream, kept)
+    return out
 
 
 def block_mode_select(current: np.ndarray, reference: np.ndarray | None) -> int:
-    """Pick SKIP, DELTA or RAW for one block against its temporal reference."""
-    if reference is None:
-        return MODE_RAW
-    if np.array_equal(current, reference):
-        return MODE_SKIP
-    if len(_encode_delta(current, reference)) < len(_encode_raw(current)):
-        return MODE_DELTA
-    return MODE_RAW
+    """Pick SKIP, DELTA or RAW for one block against its temporal reference,
+    by the encoder's own rule."""
+    if current.shape[0] > BLOCK_SIDE or current.shape[1] > BLOCK_SIDE:
+        raise ValueError(f"a block is at most {BLOCK_SIDE}x{BLOCK_SIDE}, got {current.shape}")
+    return int(_encode_band(current, reference)[0])
 
 
-def _block_grid(height: int, width: int) -> list[tuple[int, int, int, int]]:
-    """(y0, x0, h, w) for every block; edge blocks clipped, never padded."""
-    blocks = []
-    for y0 in range(0, height, BLOCK_SIDE):
-        h = min(BLOCK_SIDE, height - y0)
-        for x0 in range(0, width, BLOCK_SIDE):
-            blocks.append((y0, x0, h, min(BLOCK_SIDE, width - x0)))
-    return blocks
+# --- decoder -----------------------------------------------------------------
 
 
-def _encode_plane(
-    cur: np.ndarray, ref: np.ndarray | None, recon: np.ndarray, out: bytearray
-) -> None:
-    height, width = cur.shape
-    changed = None
-    if ref is not None:
-        changed = cur != ref
-    for y0, x0, h, w in _block_grid(height, width):
-        block = cur[y0 : y0 + h, x0 : x0 + w]
-        if ref is not None and not changed[y0 : y0 + h, x0 : x0 + w].any():
-            out.append(MODE_SKIP)
-            recon[y0 : y0 + h, x0 : x0 + w] = block
-            continue
-        if ref is not None:
-            pred = ref[y0 : y0 + h, x0 : x0 + w]
-        elif x0 >= BLOCK_SIDE:
-            # intra prediction from the already reconstructed left neighbour
-            pred = recon[y0 : y0 + h, x0 - BLOCK_SIDE : x0 - BLOCK_SIDE + w]
-        else:
-            pred = None
-        raw_payload = _encode_raw(block)
-        if pred is not None:
-            delta_payload = _encode_delta(block, pred)
-            if len(delta_payload) < len(raw_payload):
-                out.append(MODE_DELTA)
-                out += encode_uvarint(len(delta_payload))
-                out += delta_payload
-                recon[y0 : y0 + h, x0 : x0 + w] = block
-                continue
-        out.append(MODE_RAW)
-        out += encode_uvarint(len(raw_payload))
-        out += raw_payload
-        recon[y0 : y0 + h, x0 : x0 + w] = block
-
-
-def _decode_plane(
-    data: bytes, pos: int, ref: np.ndarray | None, recon: np.ndarray
-) -> int:
-    height, width = recon.shape
-    for y0, x0, h, w in _block_grid(height, width):
-        if pos >= len(data):
+def _walk_blocks(data: bytes, count: int):
+    """Read `count` block headers; returns (modes, payload starts, payload
+    lengths) and checks that the blocks fill `data` exactly."""
+    modes = bytearray(count)
+    starts = [0] * count
+    lengths = [0] * count
+    end = len(data)
+    pos = 0
+    for i in range(count):
+        if pos >= end:
             raise CorruptFrameError("payload ends mid-plane")
         mode = data[pos]
         pos += 1
         if mode == MODE_SKIP:
-            if ref is None:
-                raise CorruptFrameError("SKIP block in a key frame")
-            recon[y0 : y0 + h, x0 : x0 + w] = ref[y0 : y0 + h, x0 : x0 + w]
             continue
+        if mode != MODE_DELTA and mode != MODE_RAW:
+            raise CorruptFrameError(f"unknown block mode {mode}")
         try:
             length, pos = decode_uvarint(data, pos)
-        except ValueError as err:
+        except VarintError as err:
             raise CorruptFrameError(str(err)) from err
-        if pos + length > len(data):
+        if pos + length > end:
             raise CorruptFrameError("block payload overruns frame")
-        payload = data[pos : pos + length]
+        modes[i], starts[i], lengths[i] = mode, pos, length
         pos += length
-        if mode == MODE_DELTA:
-            if ref is not None:
-                pred = ref[y0 : y0 + h, x0 : x0 + w]
-            elif x0 >= BLOCK_SIDE:
-                pred = recon[y0 : y0 + h, x0 - BLOCK_SIDE : x0 - BLOCK_SIDE + w]
-            else:
-                raise CorruptFrameError("DELTA block without a reference")
-            recon[y0 : y0 + h, x0 : x0 + w] = _decode_delta(payload, pred)
-        elif mode == MODE_RAW:
-            recon[y0 : y0 + h, x0 : x0 + w] = _decode_raw(payload, (h, w), recon.dtype)
-        else:
-            raise CorruptFrameError(f"unknown block mode {mode}")
-    return pos
+    if pos != end:
+        raise CorruptFrameError("trailing bytes after last plane")
+    return (
+        np.frombuffer(modes, dtype=np.uint8),
+        np.array(starts, dtype=np.int64),
+        np.array(lengths, dtype=np.int64),
+    )
+
+
+class _Coded(NamedTuple):
+    """The blocks of a frame coded in one mode, with their parsed runs."""
+
+    blocks: np.ndarray
+    runs: _Runs
+    produced: np.ndarray
+
+    def band(self, data: np.ndarray, b0: int, b1: int):
+        """(blocks relative to b0, their decoded bytes, bytes per block) for
+        the blocks in [b0, b1)."""
+        s0, s1 = np.searchsorted(self.blocks, [b0, b1])
+        t0, t1 = np.searchsorted(self.runs.segment, [s0, s1])
+        produced = self.produced[s0:s1]
+        out = _expand_runs(data, self.runs.take(slice(t0, t1)), produced, s0)
+        return self.blocks[s0:s1] - b0, out, produced
+
+
+def _decode_band(
+    data: np.ndarray,
+    raw: _Coded,
+    delta: _Coded,
+    b0: int,
+    ref: np.ndarray | None,
+    recon: np.ndarray,
+) -> None:
+    """Fill one band of `recon` from its blocks, the first of which is frame
+    block `b0`; an I-frame's DELTA blocks get bare residuals."""
+    rows, width = recon.shape
+    order = _block_order(rows, width)
+    counts = _block_counts(rows, width)
+    b1 = b0 + counts.size
+    dtype = recon.dtype
+    flat = recon.reshape(-1)
+    if ref is not None:
+        flat[:] = ref.reshape(-1)
+
+    blocks, buf, _ = raw.band(data, b0, b1)
+    if blocks.size:
+        flat[_elements(order, blocks)] = buf.view(dtype.newbyteorder("<"))
+
+    blocks, buf, produced = delta.band(data, b0, b1)
+    if blocks.size:
+        counts = counts[blocks]
+        # every block must hold exactly its element count of whole varints:
+        # the last terminator of each block's count is the block's last byte
+        ends = np.flatnonzero(buf < 0x80) + 1
+        last = np.cumsum(counts) - 1
+        if ends.size != last[-1] + 1 or np.any(ends[last] != np.cumsum(produced)):
+            raise CorruptFrameError("delta block holds a partial varint")
+        try:
+            values, _ = decode_uvarint_array(buf, ends.size)
+        except VarintError as err:
+            raise CorruptFrameError(str(err)) from err
+        if values.max() > np.iinfo(dtype).max:
+            raise CorruptFrameError("delta residual out of range")
+        residual = unzigzag(values.astype(dtype)).view(dtype)
+        idx = _elements(order, blocks)
+        flat[idx] = residual if ref is None else flat[idx] + residual
+
+
+def _resolve_intra(recon: np.ndarray, delta: np.ndarray) -> None:
+    """Add to each I-frame DELTA block its reconstructed left neighbour."""
+    height, width = recon.shape
+    for bx in range(1, delta.shape[1]):
+        rows = np.repeat(delta[:, bx], BLOCK_SIDE)[:height]
+        x0 = bx * BLOCK_SIDE
+        x1 = min(x0 + BLOCK_SIDE, width)
+        if rows.all():
+            recon[:, x0:x1] += recon[:, x0 - BLOCK_SIDE : x1 - BLOCK_SIDE]
+        elif rows.any():
+            recon[rows, x0:x1] += recon[rows, x0 - BLOCK_SIDE : x1 - BLOCK_SIDE]
 
 
 # --- frame encode / decode ---------------------------------------------------
@@ -346,14 +632,16 @@ def encode_frame(
             f"frame {planes.data.shape} does not match stream {state.reference.data.shape}"
         )
     key = force_key or state.reference is None or state.frame_count % state.gop_length == 0
-    out = bytearray()
-    recon = np.empty_like(planes.data)
+    chunks = []
     for p in range(planes.data.shape[0]):
-        ref = None if key else state.reference.data[p]
-        _encode_plane(planes.data[p], ref, recon[p], out)
+        cur = planes.data[p]
+        for y0, y1 in _band_bounds(planes.height):
+            ref = None if key else state.reference.data[p, y0:y1]
+            chunks.append(_encode_band(cur[y0:y1], ref))
     seq = state.frame_count
     state.frame_count = seq + 1
-    state.reference = PlaneSet(planes.kind, recon)
+    # lossless, so the reconstruction is the input itself
+    state.reference = planes.copy()
     return EncodedFrame(
         stream_id=state.stream_id,
         frame_seq=seq,
@@ -362,7 +650,7 @@ def encode_frame(
         height=planes.height,
         plane_count=planes.data.shape[0],
         element_bits=planes.element_bits,
-        payload=bytes(out),
+        payload=b"".join(chunks),
     )
 
 
@@ -379,16 +667,42 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
             raise SequenceError(
                 f"frame seq {frame.frame_seq}, decoder expected {state.frame_count}"
             )
-        if state.reference.data.shape[1:] != (frame.height, frame.width):
+        if state.reference.data.shape != (frame.plane_count, frame.height, frame.width):
             raise DimensionMismatchError("frame dims do not match stream state")
-    dtype = np.uint16 if frame.element_bits == 16 else np.uint8
+    by, bx = _blocks_across(frame.height), _blocks_across(frame.width)
+    count = frame.plane_count * by * bx
+    if len(frame.payload) < count:
+        # every block costs at least its mode byte; check before allocating
+        raise CorruptFrameError("payload shorter than its block count")
+    modes, starts, lengths = _walk_blocks(frame.payload, count)
+    grid = modes.reshape(frame.plane_count, by, bx)
+    if frame.key:
+        if np.any(grid == MODE_SKIP):
+            raise CorruptFrameError("SKIP block in a key frame")
+        if np.any(grid[:, :, 0] == MODE_DELTA):
+            raise CorruptFrameError("DELTA block without a reference")
+
+    dtype = np.dtype(frame.plane_kind.dtype)
+    counts = np.tile(_block_counts(frame.height, frame.width), frame.plane_count)
+    data = np.frombuffer(frame.payload, dtype=np.uint8)
+    longest = int(uvarint_sizes(np.array([np.iinfo(dtype).max], dtype=dtype))[0])
+    coded = []
+    for mode, limit in ((MODE_RAW, counts * dtype.itemsize), (MODE_DELTA, counts * longest)):
+        blocks = np.flatnonzero(modes == mode)
+        runs, produced = _parse_runs(data, starts[blocks], lengths[blocks], limit[blocks])
+        if mode == MODE_RAW and np.any(produced != limit[blocks]):
+            raise CorruptFrameError("raw block size mismatch")
+        coded.append(_Coded(blocks, runs, produced))
+
     recon = np.empty((frame.plane_count, frame.height, frame.width), dtype=dtype)
-    pos = 0
     for p in range(frame.plane_count):
         ref = None if frame.key else state.reference.data[p]
-        pos = _decode_plane(frame.payload, pos, ref, recon[p])
-    if pos != len(frame.payload):
-        raise CorruptFrameError("trailing bytes after last plane")
+        for y0, y1 in _band_bounds(frame.height):
+            b0 = (p * by + y0 // BLOCK_SIDE) * bx
+            band_ref = None if ref is None else ref[y0:y1]
+            _decode_band(data, *coded, b0, band_ref, recon[p, y0:y1])
+        if frame.key:
+            _resolve_intra(recon[p], grid[p] == MODE_DELTA)
     planes = PlaneSet(frame.plane_kind, recon)
     state.reference = planes.copy()
     state.frame_count = frame.frame_seq + 1

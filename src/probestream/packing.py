@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,25 +292,35 @@ class UpdateAtlasLayout:
             )
         self._tick += 1
         selected_set = set(selected)
+        victims = None
         for probe in selected:
             if probe in self.probe_slot:
                 continue
             if self._free:
                 slot = heapq.heappop(self._free)
             else:
-                slot = self._evict(selected_set)
+                if victims is None:
+                    victims = self._eviction_order(selected_set)
+                slot = self._evict(victims)
             self.probe_slot[probe] = slot
             self.slot_probe[slot] = probe
         for probe in selected:
             self.last_selected[probe] = self._tick
         return sorted((self.probe_slot[p], p) for p in selected)
 
-    def _evict(self, keep: set[int]) -> int:
-        victim = min(
-            (p for p in self.probe_slot if p not in keep),
-            key=lambda p: (self.last_selected.get(p, 0), self.probe_slot[p]),
-            default=None,
+    def _eviction_order(self, keep: set[int]) -> Iterator[int]:
+        """Cached probes outside `keep`, least recently selected first, ties
+        by slot. Selection ticks change only after all evictions of a call,
+        so one sort serves the whole call."""
+        return iter(
+            sorted(
+                (p for p in self.probe_slot if p not in keep),
+                key=lambda p: (self.last_selected.get(p, 0), self.probe_slot[p]),
+            )
         )
+
+    def _evict(self, victims: Iterator[int]) -> int:
+        victim = next(victims, None)
         if victim is None:
             raise SlotOverflowError("no evictable slot")
         slot = self.probe_slot.pop(victim)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from probestream.codec import (
     MODE_DELTA,
     MODE_RAW,
     MODE_SKIP,
+    CodecError,
     CodecStreamState,
     CorruptFrameError,
     DimensionMismatchError,
@@ -267,3 +270,107 @@ class TestFrameCodec:
         planes = color_planes(rng)
         frame = encode_frame(planes, enc)
         assert compression_ratio(planes, frame) == planes.data.nbytes / frame.encoded_size
+
+
+def _key_and_p_frames(kind, h, w, seed):
+    """A key frame and the P-frame after it, plus the reference to decode it."""
+    rng = np.random.default_rng(seed)
+    make = color_planes if kind is PlaneKind.COLOR_10IN16 else vis_planes
+    enc, dec = stream_pair()
+    first = make(rng, h, w)
+    second = first.copy()
+    mutate = rng.random(second.data.shape) < 0.2
+    second.data[mutate] ^= 1
+    key = encode_frame(first, enc)
+    decode_frame(key, dec)
+    return key, encode_frame(second, enc), dec
+
+
+def _decode_peak(frame, state):
+    """Decode `frame` under tracemalloc; returns (error or None, peak bytes)."""
+    tracemalloc.start()
+    try:
+        decode_frame(frame, state)
+        error = None
+    except CodecError as err:
+        error = err
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return error, peak
+
+
+class TestFailClosed:
+    def test_delta_block_without_varint_terminator(self):
+        enc, dec = stream_pair()
+        planes = color_planes(np.random.default_rng(19), BLOCK_SIDE, BLOCK_SIDE)
+        decode_frame(encode_frame(planes, enc), dec)
+        # one literal run of continuation bytes: no varint ever ends
+        block = entropy_encode(b"\x81" * 64)
+        payload = bytes([MODE_DELTA]) + encode_uvarint(len(block)) + block
+        payload += bytes([MODE_SKIP, MODE_SKIP])
+        frame = EncodedFrame(1, 1, False, BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
+        with pytest.raises(CorruptFrameError):
+            decode_frame(EncodedFrame.from_bytes(frame.to_bytes()), dec)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_huge_zero_run_rejected_before_allocation(self, blocks):
+        run = encode_uvarint((10**8 << 1) | 1)
+        payload = (bytes([MODE_RAW]) + encode_uvarint(len(run)) + run) * blocks
+        wire = EncodedFrame(1, 0, True, BLOCK_SIDE, BLOCK_SIDE, 3, 8, payload).to_bytes()
+        if blocks == 1:
+            assert len(wire) == 33
+        error, peak = _decode_peak(EncodedFrame.from_bytes(wire), CodecStreamState(1, "decoder"))
+        assert isinstance(error, CorruptFrameError)
+        assert peak < 1 << 20
+
+    def test_unsupported_layout_rejected(self):
+        for planes, bits in ((2, 8), (3, 12)):
+            wire = EncodedFrame(1, 0, True, 16, 16, planes, bits, b"\0" * 3).to_bytes()
+            with pytest.raises(CorruptFrameError):
+                EncodedFrame.from_bytes(wire)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=6),
+        st.integers(-3, 3),
+    )
+    def test_mutated_payload_fails_closed(self, kind, h, w, use_p, edits, resize):
+        key, p_frame, dec = _key_and_p_frames(kind, h, w, h * 41 + w)
+        frame = p_frame if use_p else key
+        payload = bytearray(frame.payload)
+        for at, value in edits:
+            payload[at % len(payload)] = value
+        payload = payload[: len(payload) + resize] if resize < 0 else payload + b"\0" * resize
+        # a valid checksum, so the damage reaches the decoder
+        wire = EncodedFrame(1, frame.frame_seq, frame.key, w, h, 3, frame.element_bits,
+                            bytes(payload)).to_bytes()
+        error, peak = _decode_peak(EncodedFrame.from_bytes(wire), dec)
+        assert error is None or isinstance(error, CodecError)
+        assert peak <= 16 * frame.raw_bytes + (1 << 20)
+
+
+class TestMemoryBound:
+    """A 2048-slot visibility key frame is the largest frame the pipeline
+    sends; noise makes every block RAW and the payload as large as the
+    planes."""
+
+    LIMIT = 16 << 20
+
+    def test_visibility_key_frame_peak(self):
+        rng = np.random.default_rng(20)
+        planes = vis_planes(rng, 720, 982)
+        enc, dec = stream_pair()
+        tracemalloc.start()
+        frame = encode_frame(planes, enc)
+        _, encode_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        error, decode_peak = _decode_peak(EncodedFrame.from_bytes(frame.to_bytes()), dec)
+        assert error is None
+        assert dec.reference.equals(planes)
+        assert encode_peak <= self.LIMIT
+        assert decode_peak <= self.LIMIT

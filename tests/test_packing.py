@@ -239,6 +239,35 @@ class TestUpdateAtlas:
         for selected in history:
             assert a.assign(selected) == b.assign(list(reversed(selected)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.lists(st.integers(0, 30), max_size=12), min_size=1, max_size=12),
+    )
+    def test_eviction_matches_brute_force_min(self, slots, history):
+        layout = UpdateAtlasLayout(slots, 8)
+        # reference: a fresh `min` over every cached probe for each eviction
+        probe_slot, last, free, tick = {}, {}, list(range(slots)), 0
+        for selected in history:
+            selected = sorted(set(selected))[:slots]
+            tick += 1
+            for probe in selected:
+                if probe in probe_slot:
+                    continue
+                if free:
+                    slot = free.pop(0)
+                else:
+                    victim = min(
+                        (p for p in probe_slot if p not in selected),
+                        key=lambda p: (last.get(p, 0), probe_slot[p]),
+                    )
+                    slot = probe_slot.pop(victim)
+                probe_slot[probe] = slot
+            last.update((p, tick) for p in selected)
+            expect = sorted((probe_slot[p], p) for p in selected)
+            assert layout.assign(selected) == expect
+            assert layout.probe_slot == probe_slot
+
     def test_apply_entries_rebuilds_guard_band(self):
         source = self.make_source()
         layout = UpdateAtlasLayout(8, AtlasKind.COLOR.core_side)
