@@ -61,6 +61,7 @@ from probestream.varint import (
     encode_uvarint_array,
     unzigzag,
     uvarint_sizes,
+    uvarint_width,
     zigzag,
 )
 
@@ -107,18 +108,12 @@ class EntropyDecodeError(CorruptFrameError):
 # --- segmented zero-run entropy coding ---------------------------------------
 
 
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + length)`` of every span."""
-    lengths = lengths.astype(np.int64, copy=False)
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _cover(size: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Mask of `size` bytes, set on every span ``[start, start + length)``.
 
-    Spans must be ascending and must not overlap. A mask costs one byte per
-    byte where index arrays cost eight, which matters for long literal runs.
+    Spans must be ascending and must not overlap. Indexing with the mask
+    visits the spans' bytes in order; the mask costs one byte per byte where
+    an index array costs eight, which matters for long literal runs.
     """
     runs = np.empty(2 * starts.size + 1, dtype=np.int64)
     ends = starts + lengths
@@ -194,7 +189,7 @@ def _coded_lengths(tokens: _Tokens, segments: int) -> np.ndarray:
 def _write_tokens(out: np.ndarray, at: np.ndarray, stream: np.ndarray, tokens: _Tokens) -> None:
     """Write each token's header, and a literal's bytes, to `out` at `at`."""
     headers = encode_uvarint_array(_headers(tokens.length, tokens.zero))
-    out[_spans(at, tokens.head)] = np.frombuffer(headers, np.uint8)
+    out[_cover(out.size, at, tokens.head)] = np.frombuffer(headers, np.uint8)
     lit = ~tokens.zero
     length = tokens.length[lit]
     dest = _cover(out.size, at[lit] + tokens.head[lit], length)
@@ -480,7 +475,7 @@ def _encode_band(cur: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
     out = np.empty(int(block_at[-1] + head[-1] + body[-1]), dtype=np.uint8)
     out[block_at] = MODE_SKIP
     out[block_at[cand]] = np.where(use_delta, MODE_DELTA, MODE_RAW)
-    out[_spans(block_at[cand] + 1, length_bytes)] = np.frombuffer(
+    out[_cover(out.size, block_at[cand] + 1, length_bytes)] = np.frombuffer(
         encode_uvarint_array(payload), np.uint8
     )
     payload_at = block_at + head
@@ -685,7 +680,7 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
     dtype = np.dtype(frame.plane_kind.dtype)
     counts = np.tile(_block_counts(frame.height, frame.width), frame.plane_count)
     data = np.frombuffer(frame.payload, dtype=np.uint8)
-    longest = int(uvarint_sizes(np.array([np.iinfo(dtype).max], dtype=dtype))[0])
+    longest = uvarint_width(dtype)
     coded = []
     for mode, limit in ((MODE_RAW, counts * dtype.itemsize), (MODE_DELTA, counts * longest)):
         blocks = np.flatnonzero(modes == mode)

@@ -75,16 +75,16 @@ def _unsigned(values) -> np.ndarray:
     return v if v.dtype.kind == "u" else v.astype(np.uint64)
 
 
-def _width(dtype: np.dtype) -> int:
+def uvarint_width(dtype) -> int:
     """Bytes of the longest array varint a value of `dtype` can need."""
-    return min(ARRAY_MAX_BYTES, -(-dtype.itemsize * 8 // 7))
+    return min(ARRAY_MAX_BYTES, -(-np.dtype(dtype).itemsize * 8 // 7))
 
 
 def uvarint_sizes(values: np.ndarray) -> np.ndarray:
     """Encoded length in bytes of each value of an unsigned array, as uint8."""
     v = _unsigned(values)
     sizes = np.ones(v.shape, dtype=np.uint8)
-    for i in range(1, _width(v.dtype)):
+    for i in range(1, uvarint_width(v.dtype)):
         sizes += v >= v.dtype.type(1 << (7 * i))
     return sizes
 
@@ -101,7 +101,7 @@ def encode_uvarint_array(values: np.ndarray) -> bytes:
     # row i holds value i's 7-bit groups; `more` marks the groups that are
     # followed by another one, so it is both continuation bit and keep mask
     # (kept by index: a boolean mask this irregular indexes slower)
-    width = _width(v.dtype)
+    width = uvarint_width(v.dtype)
     groups = np.empty((v.size, width), dtype=np.uint8)
     keep = np.empty((v.size, width), dtype=bool)
     keep[:, 0] = True
