@@ -34,12 +34,12 @@ is the plane shifted by one block column, which holds because the
 reconstruction equals the input), tokenises each whole stream with a cut at
 every block boundary, sums the per-block coded lengths, picks the modes
 and writes the band with one scatter. The decoder walks the block headers
-of the frame once, parses the tokens of all blocks of one mode in one pass,
-bounding every run by its block's size before anything is allocated, then
-per band expands them into one buffer per mode, decodes the residual
-varints at once and scatters; I-frame DELTA chains resolve one block column
-at a time across all block rows. Malformed input raises `CodecError` and
-nothing else.
+of the frame once. Then, band by band, it parses the tokens of each mode's
+blocks, one token of every unfinished block per step, bounding every run by
+its block's size before anything is allocated; expands them into one buffer
+per mode; decodes the residual varints at once and scatters. I-frame DELTA
+chains resolve one block column at a time across all block rows. Malformed
+input raises `CodecError` and nothing else.
 """
 
 from __future__ import annotations
@@ -196,36 +196,23 @@ def _write_tokens(out: np.ndarray, at: np.ndarray, stream: np.ndarray, tokens: _
     out[dest] = stream[_cover(stream.size, tokens.start[lit], length)]
 
 
-class _Runs(NamedTuple):
-    """Parsed tokens of coded segments, grouped by segment in stream order."""
-
-    segment: np.ndarray
-    offset: np.ndarray  # where the run's output starts within its segment
-    body: np.ndarray  # first literal byte in the coded data
-    length: np.ndarray
-    zero: np.ndarray
-
-    def take(self, keep) -> "_Runs":
-        return _Runs(*(a[keep] for a in self))
-
-
-def _parse_runs(
+def _expand(
     data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: np.ndarray
-) -> tuple[_Runs, np.ndarray]:
-    """Parse the tokens of every segment ``data[start : start + length]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the tokens of every segment ``data[start : start + length]``.
 
-    Returns the runs and the output length of every segment. A segment
+    Returns the concatenated output and its length per segment. A segment
     whose output would exceed its `limit` is rejected before any output is
     allocated, and so is a run of length 0.
     """
     ends = starts + lengths
-    pos = starts.copy()
     produced = np.zeros(starts.size, dtype=np.int64)
     found = []
-    live = np.flatnonzero(pos < ends)
+    # unfinished segments: index, read position, end, output so far, limit
+    seg = np.flatnonzero(starts < ends)
+    at, end, done, cap = starts[seg], ends[seg], produced[seg], limit[seg]
     # one token of every unfinished segment per step
-    while live.size:
-        at, end = pos[live], ends[live]
+    while seg.size:
         try:
             header, head = decode_uvarint_at(data, at, end)
         except VarintError as err:
@@ -233,35 +220,27 @@ def _parse_runs(
         length = (header >> np.uint64(1)).astype(np.int64)
         zero = (header & np.uint64(1)).astype(bool)
         body = at + head
-        stop = body + np.where(zero, 0, length)
-        if np.any(length == 0) or np.any(stop > end):
-            raise EntropyDecodeError("malformed run")
-        found.append((live, produced[live], body, length, zero))
-        produced[live] += length
-        if np.any(produced[live] > limit[live]):
-            raise EntropyDecodeError("run overflows its segment")
-        pos[live] = stop
-        live = live[stop < end]
-    if not found:
-        empty = np.zeros(0, dtype=np.int64)
-        return _Runs(empty, empty, empty, empty, empty.astype(bool)), produced
-    runs = _Runs(*(np.concatenate(a) for a in zip(*found)))
-    return runs.take(np.argsort(runs.segment, kind="stable")), produced
-
-
-def _expand_runs(
-    data: np.ndarray, runs: _Runs, produced: np.ndarray, first: int
-) -> np.ndarray:
-    """Output of consecutive segments `first`, `first + 1`, ... whose runs
-    and output lengths are given."""
+        stop = np.where(zero, body, body + length)
+        found.append((seg, done, body, length, zero))
+        done = done + length
+        if ((length == 0) | (stop > end) | (done > cap)).any():
+            raise EntropyDecodeError("run is empty or overflows its block")
+        produced[seg] = done
+        more = stop < end
+        seg, at, end, done, cap = seg[more], stop[more], end[more], done[more], cap[more]
     out = np.zeros(int(produced.sum()), dtype=np.uint8)
-    lit = ~runs.zero
-    if lit.any():
-        length, body = runs.length[lit], runs.body[lit]
-        dest = (np.cumsum(produced) - produced)[runs.segment[lit] - first] + runs.offset[lit]
-        lo, hi = body[0], body[-1] + length[-1]
-        out[_cover(out.size, dest, length)] = data[lo:hi][_cover(hi - lo, body - lo, length)]
-    return out
+    if found:
+        segment, offset, body, length, zero = (np.concatenate(a) for a in zip(*found))
+        # literal runs in stream order, so that both masks visit them in turn
+        lit = np.flatnonzero(~zero)
+        lit = lit[np.argsort(segment[lit], kind="stable")]
+        body, length = body[lit], length[lit]
+        dest = (np.cumsum(produced) - produced)[segment[lit]] + offset[lit]
+        if body.size:
+            lo, hi = body[0], body[-1] + length[-1]
+            src = data[lo:hi][_cover(hi - lo, body - lo, length)]
+            out[_cover(out.size, dest, length)] = src
+    return out, produced
 
 
 def _as_bytes(data) -> np.ndarray:
@@ -283,8 +262,8 @@ def entropy_decode(data: bytes) -> bytes:
     """Inverse of `entropy_encode`; raises on malformed streams."""
     buf = _as_bytes(data)
     limit = np.array([np.iinfo(np.int64).max])
-    runs, produced = _parse_runs(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), limit)
-    return _expand_runs(buf, runs, produced, 0).tobytes()
+    out, _ = _expand(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), limit)
+    return out.tobytes()
 
 
 # --- stream state and frame container ----------------------------------------
@@ -537,49 +516,37 @@ def _walk_blocks(data: bytes, count: int):
     )
 
 
-class _Coded(NamedTuple):
-    """The blocks of a frame coded in one mode, with their parsed runs."""
-
-    blocks: np.ndarray
-    runs: _Runs
-    produced: np.ndarray
-
-    def band(self, data: np.ndarray, b0: int, b1: int):
-        """(blocks relative to b0, their decoded bytes, bytes per block) for
-        the blocks in [b0, b1)."""
-        s0, s1 = np.searchsorted(self.blocks, [b0, b1])
-        t0, t1 = np.searchsorted(self.runs.segment, [s0, s1])
-        produced = self.produced[s0:s1]
-        out = _expand_runs(data, self.runs.take(slice(t0, t1)), produced, s0)
-        return self.blocks[s0:s1] - b0, out, produced
-
-
 def _decode_band(
     data: np.ndarray,
-    raw: _Coded,
-    delta: _Coded,
-    b0: int,
+    modes: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
     ref: np.ndarray | None,
     recon: np.ndarray,
 ) -> None:
-    """Fill one band of `recon` from its blocks, the first of which is frame
-    block `b0`; an I-frame's DELTA blocks get bare residuals."""
+    """Fill one band of `recon` from the headers of its blocks; an
+    I-frame's DELTA blocks get bare residuals."""
     rows, width = recon.shape
     order = _block_order(rows, width)
     counts = _block_counts(rows, width)
-    b1 = b0 + counts.size
     dtype = recon.dtype
     flat = recon.reshape(-1)
     if ref is not None:
         flat[:] = ref.reshape(-1)
 
-    blocks, buf, _ = raw.band(data, b0, b1)
-    if blocks.size:
-        flat[_elements(order, blocks)] = buf.view(dtype.newbyteorder("<"))
+    raw = np.flatnonzero(modes == MODE_RAW)
+    if raw.size:
+        size = counts[raw] * dtype.itemsize
+        buf, produced = _expand(data, starts[raw], lengths[raw], size)
+        if np.any(produced != size):
+            raise CorruptFrameError("raw block size mismatch")
+        flat[_elements(order, raw)] = buf.view(dtype.newbyteorder("<"))
 
-    blocks, buf, produced = delta.band(data, b0, b1)
-    if blocks.size:
-        counts = counts[blocks]
+    delta = np.flatnonzero(modes == MODE_DELTA)
+    if delta.size:
+        counts = counts[delta]
+        limit = counts * uvarint_width(dtype)
+        buf, produced = _expand(data, starts[delta], lengths[delta], limit)
         # every block must hold exactly its element count of whole varints:
         # the last terminator of each block's count is the block's last byte
         ends = np.flatnonzero(buf < 0x80) + 1
@@ -593,7 +560,7 @@ def _decode_band(
         if values.max() > np.iinfo(dtype).max:
             raise CorruptFrameError("delta residual out of range")
         residual = unzigzag(values.astype(dtype)).view(dtype)
-        idx = _elements(order, blocks)
+        idx = _elements(order, delta)
         flat[idx] = residual if ref is None else flat[idx] + residual
 
 
@@ -677,25 +644,16 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
         if np.any(grid[:, :, 0] == MODE_DELTA):
             raise CorruptFrameError("DELTA block without a reference")
 
-    dtype = np.dtype(frame.plane_kind.dtype)
-    counts = np.tile(_block_counts(frame.height, frame.width), frame.plane_count)
     data = np.frombuffer(frame.payload, dtype=np.uint8)
-    longest = uvarint_width(dtype)
-    coded = []
-    for mode, limit in ((MODE_RAW, counts * dtype.itemsize), (MODE_DELTA, counts * longest)):
-        blocks = np.flatnonzero(modes == mode)
-        runs, produced = _parse_runs(data, starts[blocks], lengths[blocks], limit[blocks])
-        if mode == MODE_RAW and np.any(produced != limit[blocks]):
-            raise CorruptFrameError("raw block size mismatch")
-        coded.append(_Coded(blocks, runs, produced))
-
-    recon = np.empty((frame.plane_count, frame.height, frame.width), dtype=dtype)
+    recon = np.empty((frame.plane_count, frame.height, frame.width), dtype=frame.plane_kind.dtype)
     for p in range(frame.plane_count):
         ref = None if frame.key else state.reference.data[p]
         for y0, y1 in _band_bounds(frame.height):
-            b0 = (p * by + y0 // BLOCK_SIDE) * bx
+            band = slice((p * by + y0 // BLOCK_SIDE) * bx, (p * by + _blocks_across(y1)) * bx)
             band_ref = None if ref is None else ref[y0:y1]
-            _decode_band(data, *coded, b0, band_ref, recon[p, y0:y1])
+            _decode_band(
+                data, modes[band], starts[band], lengths[band], band_ref, recon[p, y0:y1]
+            )
         if frame.key:
             _resolve_intra(recon[p], grid[p] == MODE_DELTA)
     planes = PlaneSet(frame.plane_kind, recon)

@@ -147,20 +147,22 @@ def decode_uvarint_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode the varint that starts at each `pos[i]` and must end before
     `end[i]`; returns (values, encoded sizes)."""
-    values = np.zeros(pos.size, dtype=np.uint64)
-    sizes = np.zeros(pos.size, dtype=np.int64)
-    live = np.arange(pos.size)
-    for i in range(ARRAY_MAX_BYTES):
+    if (pos >= end).any():
+        raise VarintError("truncated varint")
+    first = buf[pos]
+    values = (first & 0x7F).astype(np.uint64)
+    sizes = np.ones(pos.size, dtype=np.int64)
+    live = np.flatnonzero(first >= 0x80)
+    for i in range(1, ARRAY_MAX_BYTES):
         if not live.size:
             return values, sizes
         at = pos[live] + i
-        if np.any(at >= end[live]):
+        if (at >= end[live]).any():
             raise VarintError("truncated varint")
         b = buf[at]
         values[live] |= (b & 0x7F).astype(np.uint64) << np.uint64(7 * i)
-        done = b < 0x80
-        sizes[live[done]] = i + 1
-        live = live[~done]
+        sizes[live] += 1
+        live = live[b >= 0x80]
     if live.size:
         raise VarintError(f"array varint longer than {ARRAY_MAX_BYTES} bytes")
     return values, sizes

@@ -324,6 +324,26 @@ class TestFailClosed:
         assert isinstance(error, CorruptFrameError)
         assert peak < 1 << 20
 
+    def test_dense_runs_parse_in_bounded_memory(self):
+        # every block of a large P-frame alternates 1-byte literals and
+        # 2-byte zero runs: the most runs a block can carry, parsed a band
+        # at a time
+        h, w = 720, 982
+        enc, dec = stream_pair()
+        blank = PlaneSet(PlaneKind.VISIBILITY_BYTES, np.zeros((3, h, w), np.uint8))
+        decode_frame(encode_frame(blank, enc), dec)
+        payload = bytearray()
+        for _ in range(3):
+            for y in range(0, h, BLOCK_SIDE):
+                for x in range(0, w, BLOCK_SIDE):
+                    count = min(BLOCK_SIDE, h - y) * min(BLOCK_SIDE, w - x)
+                    block = b"\x02\x07\x05" * (2 * count // 3)
+                    payload += bytes([MODE_DELTA]) + encode_uvarint(len(block)) + block
+        frame = EncodedFrame(1, 1, False, w, h, 3, 8, bytes(payload))
+        error, peak = _decode_peak(frame, dec)
+        assert isinstance(error, CorruptFrameError)
+        assert peak <= 16 * frame.raw_bytes + (1 << 20)
+
     def test_unsupported_layout_rejected(self):
         for planes, bits in ((2, 8), (3, 12)):
             wire = EncodedFrame(1, 0, True, 16, 16, planes, bits, b"\0" * 3).to_bytes()
