@@ -300,6 +300,24 @@ def _decode_peak(frame, state):
     return error, peak
 
 
+def test_multi_band_frames_match_per_block_reference():
+    # planes taller than one band of block rows, clipped on both edges, with
+    # smooth content so that intra DELTA chains cross band boundaries
+    from test_codec_golden import _smooth, reference_payload
+
+    rng = np.random.default_rng(21)
+    for kind in (PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES):
+        enc, dec = stream_pair(gop=3)
+        planes, previous = PlaneSet(kind, _smooth(rng, (300, 70), kind.dtype, 1.0)), None
+        for _ in range(4):
+            mutate = rng.random(planes.data.shape) < 0.02
+            planes.data[mutate] ^= 1
+            frame = encode_frame(planes.copy(), enc)
+            assert frame.payload == reference_payload(planes, None if frame.key else previous)
+            assert decode_frame(frame, dec).equals(planes)
+            previous = planes.copy()
+
+
 class TestFailClosed:
     def test_delta_block_without_varint_terminator(self):
         enc, dec = stream_pair()
