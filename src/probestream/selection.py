@@ -8,11 +8,22 @@ the camera position and collecting the probe cages of every hit point; rays
 that escape the scene contribute the cage at the point where they leave the
 probe volume, and the camera's own cell is always included so open scenes
 never produce an empty selection.
-"""
 
+The ray cast is exact but culled. Every box and triangle gets a bounding
+sphere once per scene. Rays go `RAY_CHUNK` at a time; per chunk, two
+matmuls give each sphere centre's projection on each ray and its squared
+distance from the ray's line, and only the (ray, primitive) pairs whose
+line passes within the sphere, inflated to cover the exact tests' RAY_EPS
+tolerances and rounding, and not wholly behind the origin, go on to the
+slab and Moller-Trumbore tests. Those tests are the same elementwise
+float64 expressions a dense all-pairs cast evaluates, so the surviving
+pairs get bit-identical t values, and no pair the tests would accept is
+culled (the inflation is derived in `SceneGeometry._cull`). The nearest hit
+per ray breaks ties toward the lowest primitive, boxes numbered before
+triangles. Temporaries stay O(`RAY_CHUNK` x primitives).
+"""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +31,9 @@ import numpy as np
 from probestream.volume import ProbeAtlas, ProbeVolume
 
 RAY_EPS = 1e-6
+RAY_CHUNK = 1024  # rays per cull pass; bounds the (rays x primitives) temporaries
+CULL_SLACK = 1e-12  # relative slack on the cull's squared lengths, see `SceneGeometry._cull`
+TRI_SLACK = 1e-11  # Moller-Trumbore rounding allowance, see `SceneGeometry._cull`
 
 
 class LayoutMismatchError(ValueError):
@@ -30,7 +44,11 @@ class LayoutMismatchError(ValueError):
 
 
 class SceneGeometry:
-    """Axis-aligned boxes plus triangles with a nearest-hit ray query."""
+    """Axis-aligned boxes plus triangles with a nearest-hit ray query.
+
+    Primitives are numbered boxes first, then triangles; ties between equally
+    near hits go to the lowest number.
+    """
 
     def __init__(self, boxes=None, triangles=None) -> None:
         self.boxes = (
@@ -45,23 +63,21 @@ class SceneGeometry:
             if triangles is not None and len(triangles)
             else np.zeros((0, 3, 3))
         )
-
-    @property
-    def primitive_count(self) -> int:
-        return len(self.boxes) + len(self.triangles)
-
-    def translated(self, offset) -> "SceneGeometry":
-        off = np.asarray(offset, dtype=np.float64)
-        return SceneGeometry(
-            self.boxes + off if len(self.boxes) else None,
-            self.triangles + off if len(self.triangles) else None,
+        e1 = self.triangles[:, 1] - self.triangles[:, 0]
+        e2 = self.triangles[:, 2] - self.triangles[:, 0]
+        face_n = np.cross(e1, e2)
+        self._face_normals = face_n / np.maximum(
+            np.linalg.norm(face_n, axis=1, keepdims=True), 1e-30
         )
-
-    def merged(self, other: "SceneGeometry") -> "SceneGeometry":
-        return SceneGeometry(
-            np.concatenate([self.boxes, other.boxes]),
-            np.concatenate([self.triangles, other.triangles]),
-        )
+        # bounding spheres: a box's centre and half diagonal, a triangle's
+        # centroid and farthest vertex
+        box_c = self.boxes.mean(axis=1)
+        tri_c = self.triangles.mean(axis=1)
+        self._centres = np.concatenate([box_c, tri_c])
+        self._radii = np.concatenate([
+            0.5 * np.linalg.norm(self.boxes[:, 1] - self.boxes[:, 0], axis=1),
+            np.linalg.norm(self.triangles - tri_c[:, None], axis=2).max(axis=1),
+        ])
 
     def raycast(
         self, origins: np.ndarray, directions: np.ndarray
@@ -69,106 +85,190 @@ class SceneGeometry:
         """Nearest hits for a batch of rays.
 
         Returns (hit mask, t, points, normals); t is inf where rays miss.
-        Normals face against the incoming ray.
+        Normals face against the incoming ray. The rays go through the cull
+        and the exact tests `RAY_CHUNK` at a time.
         """
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        if o.shape[0] == 1 and d.shape[0] > 1:
-            o = np.broadcast_to(o, d.shape)
+        o = np.broadcast_to(np.atleast_2d(np.asarray(origins, dtype=np.float64)), d.shape)
+        safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
         n = d.shape[0]
         best_t = np.full(n, np.inf)
         best_normal = np.zeros((n, 3))
-        if len(self.boxes):
-            t, normal = self._raycast_boxes(o, d)
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_normal[closer] = normal[closer]
-        if len(self.triangles):
-            t, normal = self._raycast_triangles(o, d)
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_normal[closer] = normal[closer]
+        for lo in range(0, n, RAY_CHUNK):
+            rows = slice(lo, lo + RAY_CHUNK)
+            oc, dc, sc = o[rows], d[rows], safe_d[rows]
+            ray, prim = self._cull(oc, dc, sc)
+            t, axis = self._intersect(oc[ray], dc[ray], sc[ray], prim)
+            win = _first_nearest(ray, t)
+            ray, prim = ray[win], prim[win]
+            best_t[lo + ray] = t[win]
+            best_normal[lo + ray] = self._normals(dc[ray], prim, axis[win])
         hit = np.isfinite(best_t)
         points = o + d * np.where(hit, best_t, 0.0)[:, None]
         return hit, best_t, points, best_normal
 
-    def _raycast_boxes(self, o, d):
-        safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
+    def _cull(self, o, d, safe_d):
+        """(ray, primitive) pairs the exact tests might accept, grouped by
+        ray with primitives ascending.
+
+        A pair is kept when some point ``o + u * tau``, tau >= 0, on the
+        ray's unit direction u lies within the inflated radius R of the
+        primitive's bounding-sphere centre c. With s = u . (c - o) that is
+        ``max(s, 0)**2 >= |c - o|**2 - R**2``: in front (s >= 0) the line
+        must pass within R, behind it the origin must lie within R.
+
+        Why no pair the exact tests accept is dropped:
+
+        - Boxes. The slab test runs on `safe_d`, so the cull takes u along
+          `safe_d` too. The test accepts when ``tnear <= tfar + RAY_EPS``
+          and ``tnear > RAY_EPS``, or when ``tnear <= RAY_EPS < tfar``. In
+          the first case every slab's interval, its far end widened by
+          RAY_EPS, holds tnear, so ``o + safe_d * tnear`` lies within
+          ``RAY_EPS * |safe_d|`` of the box; in the second ``o + safe_d *
+          tfar`` lies in the box. Both points are ahead of the origin, so
+          ``R = r + RAY_EPS * |safe_d|`` suffices.
+        - Triangles. Moller-Trumbore runs on d and accepts barycentrics
+          b_i >= -RAY_EPS. The point ``sum b_i v_i`` then has
+          ``sum |b_i| <= 1 + 4 RAY_EPS``, so it lies within
+          ``r (1 + 4 RAY_EPS)`` of c. A zero d never hits (det is 0); its u
+          is 0 and the cull may keep or drop it.
+        - Rounding in the slab test. Each slab bound is within 3 ulps of
+          exact, which moves the accepted point by a few ulps of its
+          distance from the origin. That, the rounding of the sphere
+          centres and radii, and the rounding of the expansion below each
+          stay under 20 ulps of ``|c|**2 + |o|**2 + R**2``; the cull lowers
+          ``|c - o|**2 - R**2`` by `CULL_SLACK` (about 9000 ulps) times that
+          sum.
+        - Rounding in Moller-Trumbore. It divides by det, which need only
+          exceed RAY_EPS, so its barycentrics and t may be off by up to
+          about ``800 ulps * |d| r**2 (|c - o| + 5 r) / RAY_EPS`` in length
+          (edges at most 2r, |o - v0| at most |c - o| + r; first order, for
+          ``|d| r**2`` far below ``RAY_EPS / ulp``, about 1e10). Triangles
+          add ``TRI_SLACK * |d| r**2 / RAY_EPS`` (TRI_SLACK is about 90000
+          ulps) per unit of ``|c| + |o| + 5 r``, which bounds
+          ``|c - o| + 5 r``.
+
+        R is thus ``a + b |o|`` per pair, with a and b per primitive and
+        ``|d|``, ``|safe_d|`` taken at their chunk maximum. The expansion
+        ``|c - o|**2 = |c|**2 - 2 o . c + |o|**2`` makes both s and the
+        slackened ``|c - o|**2 - R**2`` one matmul each, for a shared or a
+        per-ray origin alike.
+        """
+        nb = len(self.boxes)
+        c, r = self._centres, self._radii
+        d_len = np.linalg.norm(d, axis=1)
+        safe_len = np.linalg.norm(safe_d, axis=1)
+        u_box = safe_d / safe_len[:, None]
+        u_tri = d / np.where(d_len > 0.0, d_len, np.inf)[:, None]
+        ray_s = np.column_stack(
+            [u_box, u_tri, -np.sum(u_box * o, axis=1), -np.sum(u_tri * o, axis=1)]
+        )
+        prim_s = np.zeros((len(r), 8))
+        prim_s[:nb, 0:3] = c[:nb]
+        prim_s[nb:, 3:6] = c[nb:]
+        prim_s[:nb, 6] = 1.0
+        prim_s[nb:, 7] = 1.0
+        s = ray_s @ prim_s.T
+
+        a = r + RAY_EPS * safe_len.max()
+        b = np.zeros_like(r)
+        b[nb:] = TRI_SLACK * d_len.max() * r[nb:] ** 2 / RAY_EPS
+        a[nb:] = r[nb:] * (1.0 + 4.0 * RAY_EPS) + b[nb:] * (
+            np.linalg.norm(c[nb:], axis=1) + 5.0 * r[nb:]
+        )
+        oo = np.sum(o * o, axis=1)
+        g = CULL_SLACK
+        ray_f = np.column_stack([o, np.ones(len(o)), np.sqrt(oo), oo])
+        prim_f = np.column_stack([
+            -2.0 * c,
+            (1.0 - g) * np.sum(c * c, axis=1) - (1.0 + g) * a * a,
+            -2.0 * (1.0 + g) * a * b,
+            (1.0 - g) - (1.0 + g) * b * b,
+        ])
+        gap = ray_f @ prim_f.T  # |c - o|**2 - R**2, lowered by the slack
+
+        np.maximum(s, 0.0, out=s)
+        s *= s
+        # row-major flat indices, so pairs come grouped by ray
+        return np.divmod(np.flatnonzero(s >= gap), len(r))
+
+    def _intersect(self, o, d, safe_d, prim):
+        """Exact t per (ray, primitive) pair, inf on a miss, and the box
+        wall axis a box hit crosses."""
+        nb = len(self.boxes)
+        t = np.full(len(prim), np.inf)
+        axis = np.zeros(len(prim), dtype=np.intp)
+        box = prim < nb
+        tri = ~box
+        if box.any():
+            t[box], axis[box] = self._slab(o[box], safe_d[box], prim[box])
+        if tri.any():
+            t[tri] = self._moller_trumbore(o[tri], d[tri], prim[tri] - nb)
+        return t, axis
+
+    def _slab(self, o, safe_d, box):
         inv = 1.0 / safe_d
-        lo = self.boxes[None, :, 0, :]  # (1, m, 3)
-        hi = self.boxes[None, :, 1, :]
-        t1 = (lo - o[:, None, :]) * inv[:, None, :]
-        t2 = (hi - o[:, None, :]) * inv[:, None, :]
+        lo = self.boxes[box, 0]
+        hi = self.boxes[box, 1]
+        t1 = (lo - o) * inv
+        t2 = (hi - o) * inv
         tmin = np.minimum(t1, t2)
         tmax = np.maximum(t1, t2)
-        near_ax = np.argmax(tmin, axis=2)
-        far_ax = np.argmin(tmax, axis=2)
-        tnear = np.take_along_axis(tmin, near_ax[..., None], 2)[..., 0]
-        tfar = np.take_along_axis(tmax, far_ax[..., None], 2)[..., 0]
+        near_ax = np.argmax(tmin, axis=1)
+        far_ax = np.argmin(tmax, axis=1)
+        tnear = np.take_along_axis(tmin, near_ax[:, None], 1)[:, 0]
+        tfar = np.take_along_axis(tmax, far_ax[:, None], 1)[:, 0]
         valid = tnear <= tfar + RAY_EPS
         # entering hit from outside, or interior hit on the exit wall
         t_entry = np.where(valid & (tnear > RAY_EPS), tnear, np.inf)
         t_exit = np.where(valid & (tnear <= RAY_EPS) & (tfar > RAY_EPS), tfar, np.inf)
         t = np.minimum(t_entry, t_exit)
-        axis = np.where(np.isfinite(t_entry), near_ax, far_ax)
-        best = np.argmin(t, axis=1)
-        rows = np.arange(len(o))
-        t_best = t[rows, best]
-        ax_best = axis[rows, best]
-        normal = np.zeros((len(o), 3))
-        sign = -np.sign(np.take_along_axis(d, ax_best[:, None], 1))[:, 0]
-        normal[rows, ax_best] = np.where(sign == 0.0, 1.0, sign)
-        return t_best, normal
+        return t, np.where(np.isfinite(t_entry), near_ax, far_ax)
 
-    def _raycast_triangles(self, o, d):
-        v0 = self.triangles[None, :, 0, :]
-        e1 = self.triangles[None, :, 1, :] - v0
-        e2 = self.triangles[None, :, 2, :] - v0
-        dv = d[:, None, :]
-        ov = o[:, None, :]
-        pvec = np.cross(dv, e2)
-        det = np.sum(e1 * pvec, axis=2)
+    def _moller_trumbore(self, o, d, tri):
+        v0 = self.triangles[tri, 0]
+        e1 = self.triangles[tri, 1] - v0
+        e2 = self.triangles[tri, 2] - v0
+        pvec = np.cross(d, e2)
+        det = np.sum(e1 * pvec, axis=1)
         ok = np.abs(det) > RAY_EPS
         inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = ov - v0
-        u = np.sum(tvec * pvec, axis=2) * inv_det
+        tvec = o - v0
+        u = np.sum(tvec * pvec, axis=1) * inv_det
         qvec = np.cross(tvec, e1)
-        v = np.sum(dv * qvec, axis=2) * inv_det
-        t = np.sum(e2 * qvec, axis=2) * inv_det
+        v = np.sum(d * qvec, axis=1) * inv_det
+        t = np.sum(e2 * qvec, axis=1) * inv_det
         ok &= (u >= -RAY_EPS) & (v >= -RAY_EPS) & (u + v <= 1.0 + RAY_EPS)
         ok &= t > RAY_EPS
-        t = np.where(ok, t, np.inf)
-        best = np.argmin(t, axis=1)
-        rows = np.arange(len(o))
-        t_best = t[rows, best]
-        face_n = np.cross(e1[0], e2[0])
-        face_n = face_n / np.maximum(np.linalg.norm(face_n, axis=1, keepdims=True), 1e-30)
-        normal = face_n[best]
-        flip = np.sum(normal * d, axis=1) > 0
-        normal[flip] *= -1.0
-        return t_best, normal
+        return np.where(ok, t, np.inf)
 
-    def to_dict(self) -> dict:
-        return {
-            "boxes": [
-                {"min": list(b[0]), "max": list(b[1])} for b in self.boxes.tolist()
-            ],
-            "triangles": [t for t in self.triangles.tolist()],
-        }
+    def _normals(self, d, prim, axis):
+        """Unit normals, against the ray, of the primitives the rays hit."""
+        nb = len(self.boxes)
+        normal = np.zeros((len(prim), 3))
+        box = np.flatnonzero(prim < nb)
+        sign = -np.sign(d[box, axis[box]])
+        normal[box, axis[box]] = np.where(sign == 0.0, 1.0, sign)
+        tri = prim >= nb
+        face_n = self._face_normals[prim[tri] - nb]
+        flip = np.sum(face_n * d[tri], axis=1) > 0
+        face_n[flip] *= -1.0
+        normal[tri] = face_n
+        return normal
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneGeometry":
-        boxes = [(b["min"], b["max"]) for b in data.get("boxes", [])]
-        return cls(boxes or None, data.get("triangles") or None)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "SceneGeometry":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+def _first_nearest(ray: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per ray, the first of its pairs with the least finite t; pairs are
+    grouped by ray, so the first is the lowest primitive."""
+    hit = np.flatnonzero(np.isfinite(t))
+    if not hit.size:
+        return hit
+    ray, t = ray[hit], t[hit]
+    starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+    t_min = np.minimum.reduceat(t, starts)
+    best = np.flatnonzero(t == np.repeat(t_min, np.diff(np.r_[starts, t.size])))
+    first = np.r_[True, ray[best[1:]] != ray[best[:-1]]]
+    return hit[best[first]]
 
 
 # --- camera -------------------------------------------------------------------
@@ -201,26 +301,6 @@ class CameraPose:
         r = r / np.linalg.norm(r)
         u = np.cross(r, f)
         return f, r, u
-
-    def to_dict(self) -> dict:
-        return {
-            "position": list(self.position),
-            "forward": list(self.forward),
-            "up": list(self.up),
-            "fov_y_deg": self.fov_y_deg,
-            "aspect": self.aspect,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CameraPose":
-        return cls(
-            position=data["position"],
-            forward=data["forward"],
-            up=data.get("up", [0.0, 1.0, 0.0]),
-            fov_y_deg=data.get("fov_y_deg", 90.0),
-            aspect=data.get("aspect", 1.0),
-        )
-
 
 def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
     """Unit ray directions through a cols x rows grid over the view frustum."""
@@ -351,11 +431,6 @@ def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
     return corners
 
 
-def probes_for_point(point, volume: ProbeVolume) -> set[int]:
-    """Set form of `cage_probes` for a single point."""
-    return set(int(p) for p in cage_probes(np.asarray(point), volume)[0])
-
-
 def _volume_exit_points(
     origin: np.ndarray, dirs: np.ndarray, volume: ProbeVolume
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -394,13 +469,9 @@ def pvs_probes(
     mask = np.zeros(volume.probe_count, dtype=bool)
     if len(rays):
         hit, _, points, _ = scene.raycast(pose.position, rays)
-        if hit.any():
-            mask[np.unique(cage_probes(points[hit], volume))] = True
-        misses = ~hit
-        if misses.any():
-            ok, exits = _volume_exit_points(pose.position, rays[misses], volume)
-            if ok.any():
-                mask[np.unique(cage_probes(exits[ok], volume))] = True
+        mask[cage_probes(points[hit], volume)] = True
+        ok, exits = _volume_exit_points(pose.position, rays[~hit], volume)
+        mask[cage_probes(exits[ok], volume)] = True
     # the camera's own cell always contributes, so open scenes stay covered
     mask[cage_probes(pose.position, volume)[0]] = True
     mask &= volume.active

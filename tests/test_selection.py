@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,74 @@ def test_raycast_reference_cases_hit():
     assert box_hits > 50 and triangle_hits > 20
 
 
+def _tangent_rays(seed: int):
+    """Rays that pass just outside a primitive's bounding sphere where the
+    primitive touches it, within the exact tests' RAY_EPS tolerance: past a
+    box corner along its diagonal, and along a triangle's normal just beyond
+    its farthest vertex."""
+    rng = np.random.default_rng(seed)
+    boxes = rng.uniform(-4.0, 0.0, size=(6, 1, 3)) + np.array([[0.0] * 3, [0.0] * 3])
+    boxes[:, 1] += rng.uniform(0.2, 3.0, size=(6, 3))
+    # small triangles too, where RAY_EPS outweighs the rounding allowance
+    tris = rng.uniform(-4.0, 4.0, size=(6, 1, 3)) + rng.uniform(-1.0, 1.0, size=(6, 3, 3)) * np.array(
+        [[[1.0]], [[1.0]], [[1.0]], [[0.01]], [[0.01]], [[0.01]]]
+    )
+    origins, dirs = [], []
+    for lo, hi in boxes:
+        c = (lo + hi) / 2.0
+        w = (hi - c) / np.linalg.norm(hi - c)
+        for push in rng.uniform(0.05, 0.5, size=6) * RAY_EPS:
+            d = rng.normal(size=3)
+            d -= (d @ w) * w
+            d /= np.linalg.norm(d)
+            origins.append(hi + push * w - 5.0 * d)
+            dirs.append(d)
+    for tri in tris:
+        c = tri.mean(axis=0)
+        far = tri[np.argmax(np.linalg.norm(tri - c, axis=1))]
+        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        n /= np.linalg.norm(n)
+        for grow in rng.uniform(1.0, 2.9, size=6) * RAY_EPS:
+            origins.append(c + (1.0 + grow) * (far - c) - 5.0 * n)
+            dirs.append(n)
+    return boxes, tris, np.array(origins), np.array(dirs)
+
+
+@pytest.mark.parametrize("case", ["random", "tangent"])
+def test_cull_keeps_every_accepted_pair(case):
+    # the exact tests on every (ray, primitive) pair against the cull's pairs
+    outside = 0
+    for seed in range(40):
+        if case == "random":
+            boxes, tris, origins, dirs = _scene_case(seed, seed % 2 == 0)
+        else:
+            boxes, tris, origins, dirs = _tangent_rays(seed)
+        scene = SceneGeometry(boxes, tris)
+        d = np.atleast_2d(dirs)
+        o = np.broadcast_to(np.atleast_2d(origins), d.shape)
+        safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
+        m = len(boxes) + len(tris)
+        ray, prim = np.divmod(np.arange(len(d) * m), m)
+        t, _ = scene._intersect(o[ray], d[ray], safe_d[ray], prim)
+        accepted = np.isfinite(t).reshape(len(d), m)
+        kept = np.zeros_like(accepted)
+        kept[scene._cull(o, d, safe_d)] = True
+        assert not (accepted & ~kept).any()
+        # accepted pairs whose line misses the bare bounding sphere
+        centres = np.concatenate([boxes.mean(axis=1), tris.mean(axis=1)])
+        radii = np.concatenate([
+            np.linalg.norm(boxes[:, 1] - boxes[:, 0], axis=1) / 2,
+            np.linalg.norm(tris - tris.mean(axis=1, keepdims=True), axis=2).max(axis=1),
+        ])
+        u = d / np.linalg.norm(d, axis=1, keepdims=True)
+        rel = centres[None] - o[:, None]
+        along = np.sum(rel * u[:, None], axis=2)
+        perp = np.linalg.norm(rel - along[..., None] * u[:, None], axis=2)
+        outside += int((accepted & (perp > radii * (1 + 1e-9))).sum())
+    if case == "tangent":
+        assert outside > 100
+
+
 def test_raycast_edge_cases():
     box = [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))]
     scene = SceneGeometry(box)
@@ -252,6 +321,21 @@ def test_pvs_golden():
         ids = pvs_probes(pose, scene, volume, SelectionParams())
         digest.update(ids.astype("<i8").tobytes())
     assert digest.hexdigest() == "655ec87a90a531766da18a0ec57bf78a010d39769192585a2541d2f0166f0581"
+
+
+def test_pvs_memory_bounded():
+    # 5120 rays against 90 boxes; the rays go through the cull a chunk at a time
+    volume, scene, poses = _pvs_scene(seed=5, boxes=90)
+    params = SelectionParams()
+    assert len(pvs_rays(poses[0], params)) == 5120
+    pvs_probes(poses[0], scene, volume, params)
+    tracemalloc.start()
+    try:
+        pvs_probes(poses[0], scene, volume, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_pvs_covers_every_hit_cage():
