@@ -55,7 +55,6 @@ import numpy as np
 from probestream.packing import PlaneKind, PlaneSet
 from probestream.varint import (
     VarintError,
-    decode_uvarint,
     decode_uvarint_array,
     decode_uvarint_at,
     encode_uvarint_array,
@@ -258,11 +257,14 @@ def entropy_encode(data) -> bytes:
     return out.tobytes()
 
 
-def entropy_decode(data: bytes) -> bytes:
-    """Inverse of `entropy_encode`; raises on malformed streams."""
+def entropy_decode(data: bytes, size: int) -> bytes:
+    """Inverse of `entropy_encode` for a stream that decodes to `size`
+    bytes; raises `EntropyDecodeError` on malformed streams, before
+    allocating past `size`."""
     buf = _as_bytes(data)
-    limit = np.array([np.iinfo(np.int64).max])
-    out, _ = _expand(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), limit)
+    out, produced = _expand(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), np.array([size]))
+    if produced[0] != size:
+        raise EntropyDecodeError(f"stream decodes to {produced[0]} bytes, not {size}")
     return out.tobytes()
 
 
@@ -499,10 +501,19 @@ def _walk_blocks(data: bytes, count: int):
             continue
         if mode != MODE_DELTA and mode != MODE_RAW:
             raise CorruptFrameError(f"unknown block mode {mode}")
-        try:
-            length, pos = decode_uvarint(data, pos)
-        except VarintError as err:
-            raise CorruptFrameError(str(err)) from err
+        # the payload length, an unsigned varint read in place
+        length = shift = 0
+        while True:
+            if pos >= end:
+                raise CorruptFrameError("truncated varint")
+            byte = data[pos]
+            pos += 1
+            length |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift > 63:
+                raise CorruptFrameError("varint too long")
         if pos + length > end:
             raise CorruptFrameError("block payload overruns frame")
         modes[i], starts[i], lengths[i] = mode, pos, length

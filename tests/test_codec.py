@@ -89,33 +89,47 @@ class TestEntropy:
     def test_zeros_collapse(self):
         encoded = entropy_encode(b"\0" * 4096)
         assert len(encoded) <= 8
-        assert entropy_decode(encoded) == b"\0" * 4096
+        assert entropy_decode(encoded, 4096) == b"\0" * 4096
 
     def test_random_expansion_bounded(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, size=65536, dtype=np.uint8).tobytes()
         encoded = entropy_encode(data)
         assert len(encoded) <= len(data) * 1.03
-        assert entropy_decode(encoded) == data
+        assert entropy_decode(encoded, len(data)) == data
 
     def test_empty(self):
         assert entropy_encode(b"") == b""
-        assert entropy_decode(b"") == b""
+        assert entropy_decode(b"", 0) == b""
 
     def test_lone_zeros_stay_literal(self):
         data = b"\x01\x00\x02\x00\x03"
-        assert entropy_decode(entropy_encode(data)) == data
+        assert entropy_decode(entropy_encode(data), len(data)) == data
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=2048))
     def test_round_trip_property(self, data):
-        assert entropy_decode(entropy_encode(data)) == data
+        assert entropy_decode(entropy_encode(data), len(data)) == data
 
     def test_malformed_stream_rejected(self):
         with pytest.raises(EntropyDecodeError):
-            entropy_decode(encode_uvarint(100 << 1) + b"short")
+            entropy_decode(encode_uvarint(100 << 1) + b"short", 100)
         with pytest.raises(EntropyDecodeError):
-            entropy_decode(b"\xff")  # truncated varint
+            entropy_decode(b"\xff", 1)  # truncated varint
+        with pytest.raises(EntropyDecodeError):
+            entropy_decode(entropy_encode(b"abc"), 4)  # decodes short
+
+    def test_huge_zero_run_rejected_before_allocation(self):
+        run = encode_uvarint((10**7 << 1) | 1)
+        assert len(run) == 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(EntropyDecodeError):
+                entropy_decode(run, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBlockModes:
