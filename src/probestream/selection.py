@@ -22,6 +22,7 @@ culled (the inflation is derived in `SceneGeometry._cull`). The nearest hit
 per ray breaks ties toward the lowest primitive, boxes numbered before
 triangles. Temporaries stay O(`RAY_CHUNK` x primitives).
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field

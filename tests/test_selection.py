@@ -215,12 +215,11 @@ def _tangent_rays(seed: int):
     box corner along its diagonal, and along a triangle's normal just beyond
     its farthest vertex."""
     rng = np.random.default_rng(seed)
-    boxes = rng.uniform(-4.0, 0.0, size=(6, 1, 3)) + np.array([[0.0] * 3, [0.0] * 3])
-    boxes[:, 1] += rng.uniform(0.2, 3.0, size=(6, 3))
+    lo = rng.uniform(-4.0, 0.0, size=(6, 3))
+    boxes = np.stack([lo, lo + rng.uniform(0.2, 3.0, size=(6, 3))], axis=1)
     # small triangles too, where RAY_EPS outweighs the rounding allowance
-    tris = rng.uniform(-4.0, 4.0, size=(6, 1, 3)) + rng.uniform(-1.0, 1.0, size=(6, 3, 3)) * np.array(
-        [[[1.0]], [[1.0]], [[1.0]], [[0.01]], [[0.01]], [[0.01]]]
-    )
+    scale = np.array([1.0, 1.0, 1.0, 0.01, 0.01, 0.01])[:, None, None]
+    tris = rng.uniform(-4.0, 4.0, size=(6, 1, 3)) + scale * rng.uniform(-1.0, 1.0, size=(6, 3, 3))
     origins, dirs = [], []
     for lo, hi in boxes:
         c = (lo + hi) / 2.0
@@ -263,16 +262,11 @@ def test_cull_keeps_every_accepted_pair(case):
         kept[scene._cull(o, d, safe_d)] = True
         assert not (accepted & ~kept).any()
         # accepted pairs whose line misses the bare bounding sphere
-        centres = np.concatenate([boxes.mean(axis=1), tris.mean(axis=1)])
-        radii = np.concatenate([
-            np.linalg.norm(boxes[:, 1] - boxes[:, 0], axis=1) / 2,
-            np.linalg.norm(tris - tris.mean(axis=1, keepdims=True), axis=2).max(axis=1),
-        ])
         u = d / np.linalg.norm(d, axis=1, keepdims=True)
-        rel = centres[None] - o[:, None]
+        rel = scene._centres[None] - o[:, None]
         along = np.sum(rel * u[:, None], axis=2)
         perp = np.linalg.norm(rel - along[..., None] * u[:, None], axis=2)
-        outside += int((accepted & (perp > radii * (1 + 1e-9))).sum())
+        outside += int((accepted & (perp > scene._radii * (1 + 1e-9))).sum())
     if case == "tangent":
         assert outside > 100
 
@@ -290,6 +284,14 @@ def test_raycast_edge_cases():
     # entering through the corner (1, 1, 1)
     hit, t, _, _ = scene.raycast(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0, -1.0]))
     assert hit[0] and t[0] == 1.0
+    # equally near hits go to the lower primitive: box a is entered through
+    # its x wall, box b through its y wall, both at t = 1
+    a = ((0.0, -5.0, 0.0), (1.0, 1.0, 1.0))
+    b = ((-5.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    o2, d2 = np.array([-1.0, -1.0, 0.5]), np.array([[1.0, 1.0, 0.0]])
+    for order, normal in (((a, b), [-1.0, 0.0, 0.0]), ((b, a), [0.0, -1.0, 0.0])):
+        hit, t, _, normals = SceneGeometry(order).raycast(o2, d2)
+        assert t[0] == 1.0 and np.array_equal(normals[0], normal)
     # an empty scene misses everything
     hit, t, points, normals = SceneGeometry().raycast(o, np.array([[1.0, 0.0, 0.0]]))
     assert not hit.any() and t[0] == INF and np.array_equal(points[0], o)
