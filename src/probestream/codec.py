@@ -55,6 +55,7 @@ import numpy as np
 from probestream.packing import PlaneKind, PlaneSet
 from probestream.varint import (
     VarintError,
+    decode_uvarint,
     decode_uvarint_array,
     decode_uvarint_at,
     encode_uvarint_array,
@@ -501,19 +502,10 @@ def _walk_blocks(data: bytes, count: int):
             continue
         if mode != MODE_DELTA and mode != MODE_RAW:
             raise CorruptFrameError(f"unknown block mode {mode}")
-        # the payload length, an unsigned varint read in place
-        length = shift = 0
-        while True:
-            if pos >= end:
-                raise CorruptFrameError("truncated varint")
-            byte = data[pos]
-            pos += 1
-            length |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise CorruptFrameError("varint too long")
+        try:
+            length, pos = decode_uvarint(data, pos)
+        except VarintError as err:
+            raise CorruptFrameError(str(err)) from err
         if pos + length > end:
             raise CorruptFrameError("block payload overruns frame")
         modes[i], starts[i], lengths[i] = mode, pos, length

@@ -9,18 +9,19 @@ that escape the scene contribute the cage at the point where they leave the
 probe volume, and the camera's own cell is always included so open scenes
 never produce an empty selection.
 
-The ray cast is exact but culled. Every box and triangle gets a bounding
-sphere once per scene. Rays go `RAY_CHUNK` at a time; per chunk, two
-matmuls give each sphere centre's projection on each ray and its squared
-distance from the ray's line, and only the (ray, primitive) pairs whose
-line passes within the sphere, inflated to cover the exact tests' RAY_EPS
-tolerances and rounding, and not wholly behind the origin, go on to the
-slab and Moller-Trumbore tests. Those tests are the same elementwise
-float64 expressions a dense all-pairs cast evaluates, so the surviving
-pairs get bit-identical t values, and no pair the tests would accept is
-culled (the inflation is derived in `SceneGeometry._cull`). The nearest hit
-per ray breaks ties toward the lowest primitive, boxes numbered before
-triangles. Temporaries stay O(`RAY_CHUNK` x primitives).
+The ray cast is exact but culled. Every box gets a bounding sphere once
+per scene. Rays go `RAY_CHUNK` at a time; per chunk, two matmuls give each
+sphere centre's projection on each ray and its squared distance from the
+ray's line, and only the (ray, box) pairs whose line passes within the
+sphere, inflated to cover the slab test's RAY_EPS tolerances and rounding,
+and not wholly behind the origin, go on to the slab test. Triangles are not
+culled: every (ray, triangle) pair goes to the Moller-Trumbore test. Both
+tests are the same elementwise float64 expressions a dense all-pairs cast
+evaluates, so the surviving pairs get bit-identical t values, and no pair
+the tests would accept is culled (the inflation is derived in
+`SceneGeometry._cull`). The nearest hit per ray breaks ties toward the
+lowest primitive, boxes numbered before triangles. Temporaries stay
+O(`RAY_CHUNK` x primitives).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from probestream.volume import ProbeAtlas, ProbeVolume
 RAY_EPS = 1e-6
 RAY_CHUNK = 1024  # rays per cull pass; bounds the (rays x primitives) temporaries
 CULL_SLACK = 1e-12  # relative slack on the cull's squared lengths, see `SceneGeometry._cull`
-TRI_SLACK = 1e-11  # Moller-Trumbore rounding allowance, see `SceneGeometry._cull`
 
 
 class LayoutMismatchError(ValueError):
@@ -70,15 +70,9 @@ class SceneGeometry:
         self._face_normals = face_n / np.maximum(
             np.linalg.norm(face_n, axis=1, keepdims=True), 1e-30
         )
-        # bounding spheres: a box's centre and half diagonal, a triangle's
-        # centroid and farthest vertex
-        box_c = self.boxes.mean(axis=1)
-        tri_c = self.triangles.mean(axis=1)
-        self._centres = np.concatenate([box_c, tri_c])
-        self._radii = np.concatenate([
-            0.5 * np.linalg.norm(self.boxes[:, 1] - self.boxes[:, 0], axis=1),
-            np.linalg.norm(self.triangles - tri_c[:, None], axis=2).max(axis=1),
-        ])
+        # a box's bounding sphere: its centre and half diagonal
+        self._centres = self.boxes.mean(axis=1)
+        self._radii = 0.5 * np.linalg.norm(self.boxes[:, 1] - self.boxes[:, 0], axis=1)
 
     def raycast(
         self, origins: np.ndarray, directions: np.ndarray
@@ -98,7 +92,7 @@ class SceneGeometry:
         for lo in range(0, n, RAY_CHUNK):
             rows = slice(lo, lo + RAY_CHUNK)
             oc, dc, sc = o[rows], d[rows], safe_d[rows]
-            ray, prim = self._cull(oc, dc, sc)
+            ray, prim = self._cull(oc, sc)
             t, axis = self._intersect(oc[ray], dc[ray], sc[ray], prim)
             win = _first_nearest(ray, t)
             ray, prim = ray[win], prim[win]
@@ -108,90 +102,61 @@ class SceneGeometry:
         points = o + d * np.where(hit, best_t, 0.0)[:, None]
         return hit, best_t, points, best_normal
 
-    def _cull(self, o, d, safe_d):
+    def _cull(self, o, safe_d):
         """(ray, primitive) pairs the exact tests might accept, grouped by
-        ray with primitives ascending.
+        ray with primitives ascending. Every (ray, triangle) pair is kept.
 
-        A pair is kept when some point ``o + u * tau``, tau >= 0, on the
-        ray's unit direction u lies within the inflated radius R of the
-        primitive's bounding-sphere centre c. With s = u . (c - o) that is
+        A (ray, box) pair is kept when some point ``o + u * tau``, tau >= 0,
+        on the ray's unit direction u lies within the inflated radius R of
+        the box's bounding-sphere centre c. With s = u . (c - o) that is
         ``max(s, 0)**2 >= |c - o|**2 - R**2``: in front (s >= 0) the line
         must pass within R, behind it the origin must lie within R.
 
-        Why no pair the exact tests accept is dropped:
+        Why no pair the slab test accepts is dropped:
 
-        - Boxes. The slab test runs on `safe_d`, so the cull takes u along
-          `safe_d` too. The test accepts when ``tnear <= tfar + RAY_EPS``
-          and ``tnear > RAY_EPS``, or when ``tnear <= RAY_EPS < tfar``. In
-          the first case every slab's interval, its far end widened by
-          RAY_EPS, holds tnear, so ``o + safe_d * tnear`` lies within
-          ``RAY_EPS * |safe_d|`` of the box; in the second ``o + safe_d *
-          tfar`` lies in the box. Both points are ahead of the origin, so
-          ``R = r + RAY_EPS * |safe_d|`` suffices.
-        - Triangles. Moller-Trumbore runs on d and accepts barycentrics
-          b_i >= -RAY_EPS. The point ``sum b_i v_i`` then has
-          ``sum |b_i| <= 1 + 4 RAY_EPS``, so it lies within
-          ``r (1 + 4 RAY_EPS)`` of c. A zero d never hits (det is 0); its u
-          is 0 and the cull may keep or drop it.
-        - Rounding in the slab test. Each slab bound is within 3 ulps of
-          exact, which moves the accepted point by a few ulps of its
-          distance from the origin. That, the rounding of the sphere
-          centres and radii, and the rounding of the expansion below each
-          stay under 20 ulps of ``|c|**2 + |o|**2 + R**2``; the cull lowers
-          ``|c - o|**2 - R**2`` by `CULL_SLACK` (about 9000 ulps) times that
-          sum.
-        - Rounding in Moller-Trumbore. It divides by det, which need only
-          exceed RAY_EPS, so its barycentrics and t may be off by up to
-          about ``800 ulps * |d| r**2 (|c - o| + 5 r) / RAY_EPS`` in length
-          (edges at most 2r, |o - v0| at most |c - o| + r; first order, for
-          ``|d| r**2`` far below ``RAY_EPS / ulp``, about 1e10). Triangles
-          add ``TRI_SLACK * |d| r**2 / RAY_EPS`` (TRI_SLACK is about 90000
-          ulps) per unit of ``|c| + |o| + 5 r``, which bounds
-          ``|c - o| + 5 r``.
+        - Tolerance. The slab test runs on `safe_d`, so the cull takes u
+          along `safe_d` too. The test accepts when ``tnear <= tfar +
+          RAY_EPS`` and ``tnear > RAY_EPS``, or when ``tnear <= RAY_EPS <
+          tfar``. In the first case every slab's interval, its far end
+          widened by RAY_EPS, holds tnear, so ``o + safe_d * tnear`` lies
+          within ``RAY_EPS * |safe_d|`` of the box; in the second ``o +
+          safe_d * tfar`` lies in the box. Both points are ahead of the
+          origin, so ``R = r + RAY_EPS * |safe_d|`` suffices, with
+          ``|safe_d|`` taken at its chunk maximum.
+        - Rounding. Each slab bound is within 3 ulps of exact, which moves
+          the accepted point by a few ulps of its distance from the origin.
+          That, the rounding of the sphere centres and radii, and the
+          rounding of the expansion below each stay under 20 ulps of
+          ``|c|**2 + |o|**2 + R**2``; the cull lowers ``|c - o|**2 - R**2``
+          by `CULL_SLACK` (about 9000 ulps) times that sum.
 
-        R is thus ``a + b |o|`` per pair, with a and b per primitive and
-        ``|d|``, ``|safe_d|`` taken at their chunk maximum. The expansion
-        ``|c - o|**2 = |c|**2 - 2 o . c + |o|**2`` makes both s and the
-        slackened ``|c - o|**2 - R**2`` one matmul each, for a shared or a
-        per-ray origin alike.
+        The expansion ``|c - o|**2 = |c|**2 - 2 o . c + |o|**2`` makes both
+        s and the slackened ``|c - o|**2 - R**2`` one matmul each, for a
+        shared or a per-ray origin alike.
         """
-        nb = len(self.boxes)
-        c, r = self._centres, self._radii
-        d_len = np.linalg.norm(d, axis=1)
+        nb, nt = len(self.boxes), len(self.triangles)
+        c = self._centres
         safe_len = np.linalg.norm(safe_d, axis=1)
-        u_box = safe_d / safe_len[:, None]
-        u_tri = d / np.where(d_len > 0.0, d_len, np.inf)[:, None]
-        ray_s = np.column_stack(
-            [u_box, u_tri, -np.sum(u_box * o, axis=1), -np.sum(u_tri * o, axis=1)]
-        )
-        prim_s = np.zeros((len(r), 8))
-        prim_s[:nb, 0:3] = c[:nb]
-        prim_s[nb:, 3:6] = c[nb:]
-        prim_s[:nb, 6] = 1.0
-        prim_s[nb:, 7] = 1.0
-        s = ray_s @ prim_s.T
-
-        a = r + RAY_EPS * safe_len.max()
-        b = np.zeros_like(r)
-        b[nb:] = TRI_SLACK * d_len.max() * r[nb:] ** 2 / RAY_EPS
-        a[nb:] = r[nb:] * (1.0 + 4.0 * RAY_EPS) + b[nb:] * (
-            np.linalg.norm(c[nb:], axis=1) + 5.0 * r[nb:]
-        )
-        oo = np.sum(o * o, axis=1)
+        u = safe_d / safe_len[:, None]
+        s = np.column_stack([u, -np.sum(u * o, axis=1)]) @ np.column_stack(
+            [c, np.ones(nb)]
+        ).T
+        a = self._radii + RAY_EPS * safe_len.max()
         g = CULL_SLACK
-        ray_f = np.column_stack([o, np.ones(len(o)), np.sqrt(oo), oo])
+        ray_f = np.column_stack([o, np.ones(len(o)), np.sum(o * o, axis=1)])
         prim_f = np.column_stack([
             -2.0 * c,
             (1.0 - g) * np.sum(c * c, axis=1) - (1.0 + g) * a * a,
-            -2.0 * (1.0 + g) * a * b,
-            (1.0 - g) - (1.0 + g) * b * b,
+            np.full(nb, 1.0 - g),
         ])
         gap = ray_f @ prim_f.T  # |c - o|**2 - R**2, lowered by the slack
 
         np.maximum(s, 0.0, out=s)
         s *= s
+        keep = np.ones((len(o), nb + nt), dtype=bool)
+        np.greater_equal(s, gap, out=keep[:, :nb])
         # row-major flat indices, so pairs come grouped by ray
-        return np.divmod(np.flatnonzero(s >= gap), len(r))
+        return np.divmod(np.flatnonzero(keep), nb + nt)
 
     def _intersect(self, o, d, safe_d, prim):
         """Exact t per (ray, primitive) pair, inf on a miss, and the box
