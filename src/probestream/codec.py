@@ -25,26 +25,35 @@ token ``(length << 1) | 1`` emits `length` zero bytes, token ``length << 1``
 is followed by `length` literal bytes. Zero runs shorter than
 `MIN_ZERO_RUN` ride along as literals, and no token crosses a block.
 
-Both directions work in array passes, never block by block. The encoder
-takes a band of `BAND_BLOCK_ROWS` block rows at a time; block rows are
-independent under both predictors, and the band bounds the temporaries. It
-finds SKIP blocks with one blockwise `any`, builds one RAW byte stream and
-one DELTA varint stream over the candidate blocks (an I-frame's predictor
-is the plane shifted by one block column, which holds because the
-reconstruction equals the input), tokenises each whole stream with a cut at
-every block boundary, sums the per-block coded lengths, picks the modes
-and writes the band with one scatter. The decoder walks the block headers
-of the frame once. Then, band by band, it parses the tokens of each mode's
-blocks, one token of every unfinished block per step, bounding every run by
-its block's size before anything is allocated; expands them into one buffer
-per mode; decodes the residual varints at once and scatters. I-frame DELTA
-chains resolve one block column at a time across all block rows. Malformed
-input raises `CodecError` and nothing else.
+Both directions work in array passes, never block by block. A P-frame
+starts with one changed-block grid over all three planes, reduced along the
+rows of each block first and then along the 16-wide column groups of that
+16x smaller result. The encoder then takes a band of `BAND_BLOCK_ROWS`
+block rows at a time; block rows are independent under both predictors,
+and the band bounds the temporaries. A band with no changed block is its
+block count of SKIP mode bytes. In any other band the candidates are the
+grid's changed blocks (in an I-frame, every block): the encoder builds one
+RAW byte stream and one DELTA varint stream over them (an I-frame's
+predictor is the plane shifted by one block column, which holds because
+the reconstruction equals the input), tokenises each whole stream with a
+cut at every block boundary, sums the per-block coded lengths, picks the
+modes and writes the band with one scatter. The decoder walks the block
+headers of the frame once, passing over each run of SKIP mode bytes with
+one scan for the next coded one, so its Python loop turns once per coded
+block. A P-frame's reconstruction starts as a copy of the reference, and
+only bands holding a DELTA or RAW block are decoded: band by band, the
+decoder parses the tokens of each mode's blocks, one token of every
+unfinished block per step, bounding every run by its block's size before
+anything is allocated; expands them into one buffer per mode; decodes the
+residual varints at once and scatters. I-frame DELTA chains resolve one
+block column at a time across all block rows. Malformed input raises
+`CodecError` and nothing else, and leaves the stream state as it was.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -401,8 +410,23 @@ def _segment_starts(lengths: np.ndarray) -> np.ndarray:
 # --- encoder -----------------------------------------------------------------
 
 
-def _encode_band(cur: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
-    """Coded bytes of one band of block rows; `ref` is None in an I-frame."""
+def _changed_blocks(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Which blocks of `cur` differ from `ref`; shape (..., block rows,
+    block columns). The rows of each block are reduced first, then the
+    16-wide column groups of that 16x smaller result."""
+    *lead, height, width = cur.shape
+    by, bx = _blocks_across(height), _blocks_across(width)
+    changed = np.zeros((*lead, by * BLOCK_SIDE, width), dtype=bool)
+    np.not_equal(cur, ref, out=changed[..., :height, :])
+    rows = np.zeros((*lead, by, bx * BLOCK_SIDE), dtype=bool)
+    rows[..., :width] = changed.reshape(*lead, by, BLOCK_SIDE, width).any(axis=-2)
+    return rows.reshape(*lead, by, bx, BLOCK_SIDE).any(axis=-1)
+
+
+def _encode_band(cur: np.ndarray, ref: np.ndarray | None, cand: np.ndarray) -> np.ndarray:
+    """Coded bytes of one band of block rows. In an I-frame `ref` is None
+    and `cand` lists every block; in a P-frame `cand` lists the changed
+    blocks and the others are SKIP."""
     rows, width = cur.shape
     order = _block_order(rows, width)
     counts = _block_counts(rows, width)
@@ -410,25 +434,22 @@ def _encode_band(cur: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
     bx = _blocks_across(width)
     item = cur.dtype.itemsize
     flat = cur.reshape(-1)
+    idx = _elements(order, cand)
+    elements = flat[idx]
     if ref is None:
-        cand = np.arange(nblocks)
         residual = np.empty_like(cur)
         residual[:, BLOCK_SIDE:] = cur[:, BLOCK_SIDE:] - cur[:, :-BLOCK_SIDE]
         pred = np.flatnonzero(cand % bx != 0)  # candidates with a predictor
+        residual = residual.reshape(-1)[_elements(order, cand[pred])]
     else:
-        changed = np.zeros((_blocks_across(rows) * BLOCK_SIDE, bx * BLOCK_SIDE), dtype=bool)
-        np.not_equal(cur, ref, out=changed[:rows, :width])
-        grid = changed.reshape(-1, BLOCK_SIDE, bx, BLOCK_SIDE).any(axis=(1, 3))
-        cand = np.flatnonzero(grid)
-        residual = cur - ref
+        residual = elements - ref.reshape(-1)[idx]
         pred = np.arange(cand.size)
 
-    raw = flat[_elements(order, cand)].astype(cur.dtype.newbyteorder("<"), copy=False)
-    raw = raw.view(np.uint8)
+    raw = elements.astype(cur.dtype.newbyteorder("<"), copy=False).view(np.uint8)
     raw_tokens = _tokenise(raw, _segment_starts(counts[cand] * item))
     raw_len = _coded_lengths(raw_tokens, cand.size)
 
-    values = zigzag(residual.reshape(-1)[_elements(order, cand[pred])].view(_signed(cur.dtype)))
+    values = zigzag(residual.view(_signed(cur.dtype)))
     sizes = uvarint_sizes(values)
     value_at = _segment_starts(counts[cand[pred]])
     delta_bytes = np.add.reduceat(sizes, value_at, dtype=np.int64)
@@ -479,44 +500,60 @@ def block_mode_select(current: np.ndarray, reference: np.ndarray | None) -> int:
     by the encoder's own rule."""
     if current.shape[0] > BLOCK_SIDE or current.shape[1] > BLOCK_SIDE:
         raise ValueError(f"a block is at most {BLOCK_SIDE}x{BLOCK_SIDE}, got {current.shape}")
-    return int(_encode_band(current, reference)[0])
+    if reference is None:
+        cand = np.zeros(1, dtype=np.int64)
+    else:
+        cand = np.flatnonzero(_changed_blocks(current, reference))
+    return int(_encode_band(current, reference, cand)[0])
 
 
 # --- decoder -----------------------------------------------------------------
 
 
+_CODED_MODE = re.compile(rb"[^\x00]")  # any mode byte but MODE_SKIP
+
+
 def _walk_blocks(data: bytes, count: int):
     """Read `count` block headers; returns (modes, payload starts, payload
-    lengths) and checks that the blocks fill `data` exactly."""
+    lengths) and checks that the blocks fill `data` exactly. Each run of
+    SKIP blocks is passed over by one scan for the next coded mode byte."""
     modes = bytearray(count)
-    starts = [0] * count
-    lengths = [0] * count
+    coded, starts, lengths = [], [], []
     end = len(data)
-    pos = 0
-    for i in range(count):
+    pos = block = 0
+    while block < count:
         if pos >= end:
             raise CorruptFrameError("payload ends mid-plane")
         mode = data[pos]
-        pos += 1
         if mode == MODE_SKIP:
+            # a run of SKIP blocks, no longer than the blocks left
+            stop = pos + count - block
+            found = _CODED_MODE.search(data, pos, stop)
+            after = found.start() if found else min(stop, end)
+            block += after - pos
+            pos = after
             continue
         if mode != MODE_DELTA and mode != MODE_RAW:
             raise CorruptFrameError(f"unknown block mode {mode}")
         try:
-            length, pos = decode_uvarint(data, pos)
+            length, pos = decode_uvarint(data, pos + 1)
         except VarintError as err:
             raise CorruptFrameError(str(err)) from err
         if pos + length > end:
             raise CorruptFrameError("block payload overruns frame")
-        modes[i], starts[i], lengths[i] = mode, pos, length
+        modes[block] = mode
+        coded.append(block)
+        starts.append(pos)
+        lengths.append(length)
         pos += length
+        block += 1
     if pos != end:
         raise CorruptFrameError("trailing bytes after last plane")
-    return (
-        np.frombuffer(modes, dtype=np.uint8),
-        np.array(starts, dtype=np.int64),
-        np.array(lengths, dtype=np.int64),
-    )
+    block_starts = np.zeros(count, dtype=np.int64)
+    block_lengths = np.zeros(count, dtype=np.int64)
+    block_starts[coded] = starts
+    block_lengths[coded] = lengths
+    return np.frombuffer(modes, dtype=np.uint8), block_starts, block_lengths
 
 
 def _decode_band(
@@ -524,18 +561,17 @@ def _decode_band(
     modes: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
-    ref: np.ndarray | None,
+    intra: bool,
     recon: np.ndarray,
 ) -> None:
-    """Fill one band of `recon` from the headers of its blocks; an
-    I-frame's DELTA blocks get bare residuals."""
+    """Fill the coded blocks of one band of `recon` from their headers. In a
+    P-frame `recon` holds the reference; an I-frame's DELTA blocks get bare
+    residuals."""
     rows, width = recon.shape
     order = _block_order(rows, width)
     counts = _block_counts(rows, width)
     dtype = recon.dtype
     flat = recon.reshape(-1)
-    if ref is not None:
-        flat[:] = ref.reshape(-1)
 
     raw = np.flatnonzero(modes == MODE_RAW)
     if raw.size:
@@ -564,7 +600,7 @@ def _decode_band(
             raise CorruptFrameError("delta residual out of range")
         residual = unzigzag(values.astype(dtype)).view(dtype)
         idx = _elements(order, delta)
-        flat[idx] = residual if ref is None else flat[idx] + residual
+        flat[idx] = residual if intra else flat[idx] + residual
 
 
 def _resolve_intra(recon: np.ndarray, delta: np.ndarray) -> None:
@@ -597,12 +633,21 @@ def encode_frame(
             f"frame {planes.data.shape} does not match stream {state.reference.data.shape}"
         )
     key = force_key or state.reference is None or state.frame_count % state.gop_length == 0
+    by, bx = _blocks_across(planes.height), _blocks_across(planes.width)
+    if key:
+        changed = np.ones((planes.data.shape[0], by, bx), dtype=bool)
+    else:
+        changed = _changed_blocks(planes.data, state.reference.data)
     chunks = []
     for p in range(planes.data.shape[0]):
         cur = planes.data[p]
         for y0, y1 in _band_bounds(planes.height):
-            ref = None if key else state.reference.data[p, y0:y1]
-            chunks.append(_encode_band(cur[y0:y1], ref))
+            band = changed[p, y0 // BLOCK_SIDE : _blocks_across(y1)]
+            if band.any():
+                ref = None if key else state.reference.data[p, y0:y1]
+                chunks.append(_encode_band(cur[y0:y1], ref, np.flatnonzero(band)))
+            else:
+                chunks.append(bytes([MODE_SKIP]) * band.size)
     seq = state.frame_count
     state.frame_count = seq + 1
     # lossless, so the reconstruction is the input itself
@@ -632,8 +677,11 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
             raise SequenceError(
                 f"frame seq {frame.frame_seq}, decoder expected {state.frame_count}"
             )
-        if state.reference.data.shape != (frame.plane_count, frame.height, frame.width):
-            raise DimensionMismatchError("frame dims do not match stream state")
+        if (
+            state.reference.data.shape != (frame.plane_count, frame.height, frame.width)
+            or state.reference.kind != frame.plane_kind
+        ):
+            raise DimensionMismatchError("frame layout does not match stream state")
     by, bx = _blocks_across(frame.height), _blocks_across(frame.width)
     count = frame.plane_count * by * bx
     if len(frame.payload) < count:
@@ -648,14 +696,19 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
             raise CorruptFrameError("DELTA block without a reference")
 
     data = np.frombuffer(frame.payload, dtype=np.uint8)
-    recon = np.empty((frame.plane_count, frame.height, frame.width), dtype=frame.plane_kind.dtype)
+    if frame.key:
+        recon = np.empty((frame.plane_count, frame.height, frame.width), frame.plane_kind.dtype)
+    else:
+        recon = state.reference.data.copy()  # SKIP blocks are decoded already
+    coded_rows = (grid != MODE_SKIP).any(axis=2)
     for p in range(frame.plane_count):
-        ref = None if frame.key else state.reference.data[p]
         for y0, y1 in _band_bounds(frame.height):
-            band = slice((p * by + y0 // BLOCK_SIDE) * bx, (p * by + _blocks_across(y1)) * bx)
-            band_ref = None if ref is None else ref[y0:y1]
+            r0, r1 = y0 // BLOCK_SIDE, _blocks_across(y1)
+            if not coded_rows[p, r0:r1].any():
+                continue
+            band = slice((p * by + r0) * bx, (p * by + r1) * bx)
             _decode_band(
-                data, modes[band], starts[band], lengths[band], band_ref, recon[p, y0:y1]
+                data, modes[band], starts[band], lengths[band], frame.key, recon[p, y0:y1]
             )
         if frame.key:
             _resolve_intra(recon[p], grid[p] == MODE_DELTA)

@@ -4,7 +4,9 @@ Four families of transforms live here, all lossless by construction:
 
 * color texels <-> three 16-bit YUV planes carrying 10-bit values,
 * visibility texels (pairs of raw float16 halves) <-> three 8-bit YUV planes
-  via byte distribution, with rows widened to ceil(4x/3) elements,
+  via byte distribution, with rows widened to ceil(4x/3) elements: each
+  row's big-endian byte stream goes to the planes as three strided copies,
+  every third byte to each,
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule),
 * probe-group texel interleaving (the atlas arrangement experiment).
@@ -121,17 +123,14 @@ def pack_visibility(texels: np.ndarray) -> PlaneSet:
     if t.ndim != 3 or t.shape[2] != 2:
         raise ValueError("visibility texel region must be (h, w, 2)")
     h, w, _ = t.shape
+    stream = t.astype(">u2").view(np.uint8).reshape(h, 4 * w)
     wide = widened_width(w)
-    stream = np.zeros((h, 3 * wide), dtype=np.uint8)
-    # byte stream per row: hi/lo of R then hi/lo of G, texel by texel
-    interleaved = np.empty((h, w, 4), dtype=np.uint8)
-    interleaved[..., 0] = t[..., 0] >> 8
-    interleaved[..., 1] = t[..., 0] & 0xFF
-    interleaved[..., 2] = t[..., 1] >> 8
-    interleaved[..., 3] = t[..., 1] & 0xFF
-    stream[:, : 4 * w] = interleaved.reshape(h, 4 * w)
-    planes = stream.reshape(h, wide, 3).transpose(2, 0, 1)
-    return PlaneSet(PlaneKind.VISIBILITY_BYTES, np.ascontiguousarray(planes))
+    planes = np.empty((3, h, wide), dtype=np.uint8)
+    for c in range(3):
+        used = stream[:, c::3]
+        planes[c, :, : used.shape[1]] = used
+        planes[c, :, used.shape[1] :] = 0
+    return PlaneSet(PlaneKind.VISIBILITY_BYTES, planes)
 
 
 def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
@@ -144,12 +143,11 @@ def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
             f"{texel_width} texels per row"
         )
     h = planes.height
-    stream = planes.data.transpose(1, 2, 0).reshape(h, 3 * planes.width)
-    raw = stream[:, : 4 * texel_width].reshape(h, texel_width, 4)
-    out = np.empty((h, texel_width, 2), dtype=np.uint16)
-    out[..., 0] = (raw[..., 0].astype(np.uint16) << 8) | raw[..., 1]
-    out[..., 1] = (raw[..., 2].astype(np.uint16) << 8) | raw[..., 3]
-    return out
+    stream = np.empty((h, 3 * planes.width), dtype=np.uint8)
+    for c in range(3):
+        stream[:, c::3] = planes.data[c]
+    raw = stream[:, : 4 * texel_width].view(">u2").reshape(h, texel_width, 2)
+    return raw.astype(np.uint16)
 
 
 def pack_texels(texels: np.ndarray, kind: AtlasKind) -> PlaneSet:

@@ -26,6 +26,7 @@ O(`RAY_CHUNK` x primitives).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,15 +285,20 @@ def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=8)
 def fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic, near-uniform unit directions on the sphere."""
+    """Deterministic, near-uniform unit directions on the sphere; the array
+    is shared between calls and read-only."""
     if count < 1:
-        return np.zeros((0, 3))
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
-    return np.stack([radius * np.cos(theta), radius * np.sin(theta), z], axis=1)
+        dirs = np.zeros((0, 3))
+    else:
+        i = np.arange(count) + 0.5
+        z = 1.0 - 2.0 * i / count
+        radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        theta = np.pi * (1.0 + np.sqrt(5.0)) * i
+        dirs = np.stack([radius * np.cos(theta), radius * np.sin(theta), z], axis=1)
+    dirs.flags.writeable = False
+    return dirs
 
 
 # --- selection parameters -----------------------------------------------------
@@ -372,6 +378,10 @@ def detect_changed(
 # --- probe cages and the potentially visible set ------------------------------
 
 
+# (di, dj, dk) of the 8 cage corners, di fastest
+_CAGE_OFFSETS = np.array([(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)])
+
+
 def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
     """The 8 cell-corner probe ids enclosing each point; shape (n, 8).
 
@@ -383,18 +393,11 @@ def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
     low = np.clip(
         np.floor(rel).astype(np.int64), 0, np.maximum(dims - 2, 0)
     )
-    corners = np.empty((len(p), 8), dtype=np.int64)
     nx, ny, _ = volume.dims
-    idx = 0
-    for dk in (0, 1):
-        for dj in (0, 1):
-            for di in (0, 1):
-                i = np.minimum(low[:, 0] + di, dims[0] - 1)
-                j = np.minimum(low[:, 1] + dj, dims[1] - 1)
-                k = np.minimum(low[:, 2] + dk, dims[2] - 1)
-                corners[:, idx] = i + nx * (j + ny * k)
-                idx += 1
-    return corners
+    # a corner steps past `low` only along axes of two or more probes
+    offsets = (_CAGE_OFFSETS * (dims > 1)) @ np.array([1, nx, nx * ny])
+    base = low[:, 0] + nx * (low[:, 1] + ny * low[:, 2])
+    return base[:, None] + offsets
 
 
 def _volume_exit_points(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probestream.codec import (
+    BAND_BLOCK_ROWS,
     BLOCK_SIDE,
     MODE_DELTA,
     MODE_RAW,
@@ -404,6 +405,111 @@ class TestFailClosed:
         error, peak = _decode_peak(EncodedFrame.from_bytes(wire), dec)
         assert error is None or isinstance(error, CodecError)
         assert peak <= 16 * frame.raw_bytes + (1 << 20)
+
+
+class TestHeaderWalk:
+    """SKIP runs are passed over whole; a run never stands for more blocks
+    than are left, and a payload must end exactly after the last block."""
+
+    def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
+        enc, dec = stream_pair()
+        decode_frame(encode_frame(color_planes(np.random.default_rng(22), h, w), enc), dec)
+        return EncodedFrame(1, 1, False, w, h, 3, 16, payload), dec
+
+    def test_skip_run_past_block_count(self):
+        for extra in (1, 5):
+            frame, dec = self._p_frame(bytes([MODE_SKIP]) * (6 + extra))
+            with pytest.raises(CorruptFrameError, match="trailing"):
+                decode_frame(frame, dec)
+
+    def test_coded_block_after_last_skip_run(self):
+        block = entropy_encode(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
+        tail = bytes([MODE_RAW]) + encode_uvarint(len(block)) + block
+        frame, dec = self._p_frame(bytes([MODE_SKIP]) * 6 + tail)
+        with pytest.raises(CorruptFrameError, match="trailing"):
+            decode_frame(frame, dec)
+
+    def test_payload_ends_inside_skip_run(self):
+        block = entropy_encode(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
+        head = bytes([MODE_RAW]) + encode_uvarint(len(block)) + block
+        assert len(head) + 3 >= 6  # long enough to reach the header walk
+        frame, dec = self._p_frame(head + bytes([MODE_SKIP]) * 3)
+        with pytest.raises(CorruptFrameError, match="mid-plane"):
+            decode_frame(frame, dec)
+
+    def test_skip_in_key_frame_rejected(self):
+        payload = bytes([MODE_SKIP]) * 6
+        frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
+        with pytest.raises(CorruptFrameError, match="SKIP block in a key frame"):
+            decode_frame(frame, CodecStreamState(1, role="decoder"))
+
+
+class TestLossRecovery:
+    """A P-frame the decoder cannot use leaves its state as it was, and the
+    next key frame resyncs it."""
+
+    def _snapshot(self, state):
+        return state.reference.data.copy(), state.frame_count
+
+    def _assert_unchanged(self, state, snapshot):
+        reference, count = snapshot
+        assert np.array_equal(state.reference.data, reference)
+        assert state.frame_count == count
+
+    def test_dropped_p_frame_then_forced_key(self):
+        rng = np.random.default_rng(24)
+        enc, dec = stream_pair()
+        planes = color_planes(rng, 40, 56)
+        for _ in range(2):
+            planes = planes.copy()
+            planes.data[:, 5:9, 20:30] += 1
+            decode_frame(encode_frame(planes, enc), dec)
+        encode_frame(planes, enc)  # dropped on the way
+        planes = planes.copy()
+        planes.data[:, 30:35, 3:7] += 1
+        late = encode_frame(planes, enc)
+        assert not late.key
+        before = self._snapshot(dec)
+        with pytest.raises(SequenceError):
+            decode_frame(late, dec)
+        self._assert_unchanged(dec, before)
+        planes = planes.copy()
+        planes.data[:, 0, 0] += 1
+        key = encode_frame(planes, enc, force_key=True)
+        assert key.key
+        assert decode_frame(EncodedFrame.from_bytes(key.to_bytes()), dec).equals(planes)
+        assert np.array_equal(dec.reference.data, enc.reference.data)
+        planes = planes.copy()
+        planes.data[:, 12:14, 40:50] += 1
+        assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
+
+    def test_corrupt_p_frame_leaves_state(self):
+        # a valid RAW block in the first band, then a DELTA block with no
+        # varint terminator in the second: the first band is decoded before
+        # the second fails
+        h, w = (BAND_BLOCK_ROWS + 1) * BLOCK_SIDE, BLOCK_SIDE
+        enc, dec = stream_pair()
+        decode_frame(encode_frame(color_planes(np.random.default_rng(25), h, w), enc), dec)
+        raw = entropy_encode(bytes(range(256)) * 2)
+        bad = entropy_encode(b"\x81" * 64)
+        plane = bytes([MODE_RAW]) + encode_uvarint(len(raw)) + raw
+        plane += bytes([MODE_SKIP]) * (BAND_BLOCK_ROWS - 1)
+        plane += bytes([MODE_DELTA]) + encode_uvarint(len(bad)) + bad
+        payload = plane + bytes([MODE_SKIP]) * (2 * (BAND_BLOCK_ROWS + 1))
+        wire = EncodedFrame(1, 1, False, w, h, 3, 16, payload).to_bytes()
+        before = self._snapshot(dec)
+        with pytest.raises(CorruptFrameError):
+            decode_frame(EncodedFrame.from_bytes(wire), dec)
+        self._assert_unchanged(dec, before)
+
+    def test_p_frame_of_another_plane_kind_rejected(self):
+        enc, dec = stream_pair()
+        decode_frame(encode_frame(color_planes(np.random.default_rng(26), 16, 16), enc), dec)
+        frame = EncodedFrame(1, 1, False, 16, 16, 3, 8, bytes([MODE_SKIP]) * 3)
+        before = self._snapshot(dec)
+        with pytest.raises(DimensionMismatchError):
+            decode_frame(frame, dec)
+        self._assert_unchanged(dec, before)
 
 
 class TestMemoryBound:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probestream.codec import (
+    BAND_BLOCK_ROWS,
     BLOCK_SIDE,
     MODE_DELTA,
     MODE_RAW,
@@ -222,3 +223,74 @@ def test_encoder_matches_per_block_reference(case):
         assert frame.payload == reference_payload(planes, None if frame.key else previous)
         assert decode_frame(frame, dec).equals(planes)
         previous = planes
+
+
+# --- sparse P-frames: the frame-wide change grid and SKIP bands -------------
+
+BAND_ROWS = BAND_BLOCK_ROWS * BLOCK_SIDE
+
+
+@st.composite
+def sparse_p_frames(draw):
+    """A plane set and a copy with a few blocks changed, placed by one rule."""
+    kind = draw(st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]))
+    # one band, or two with the last one short
+    h = draw(st.one_of(st.integers(1, 40), st.integers(BAND_ROWS + 1, 2 * BAND_ROWS + 40)))
+    w = draw(st.integers(1, 3 * BLOCK_SIDE + 9))
+    by, bx = -(-h // BLOCK_SIDE), -(-w // BLOCK_SIDE)
+    last_band = (by - 1) // BAND_BLOCK_ROWS * BAND_BLOCK_ROWS
+    where = draw(st.sampled_from(["one_band", "last_band", "right_edge", "bottom_edge", "band_edge"]))
+    band = draw(st.integers(0, (by - 1) // BAND_BLOCK_ROWS))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        row, col = draw(st.integers(0, by - 1)), draw(st.integers(0, bx - 1))
+        if where == "one_band":
+            row = min(band * BAND_BLOCK_ROWS + row % BAND_BLOCK_ROWS, by - 1)
+        elif where == "last_band":
+            row = last_band + row % (by - last_band)
+        elif where == "right_edge":
+            col = bx - 1
+        elif where == "bottom_edge":
+            row = by - 1
+        else:  # the block rows either side of a band boundary
+            row = min(BAND_BLOCK_ROWS - 1 + row % 2, by - 1)
+        blocks.append((draw(st.integers(0, 2)), row, col))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = np.iinfo(kind.dtype).max if draw(st.booleans()) else (1023 if kind.dtype == np.uint16 else 255)
+    before = _smooth(rng, (h, w), kind.dtype, draw(st.sampled_from([0.0, 2.0])))
+    after = before.copy()
+    for plane, row, col in blocks:
+        y0, x0 = row * BLOCK_SIDE, col * BLOCK_SIDE
+        region = after[plane, y0 : y0 + BLOCK_SIDE, x0 : x0 + BLOCK_SIDE]
+        hit = rng.random(region.shape) < draw(st.sampled_from([0.02, 0.3, 1.0]))
+        hit.flat[rng.integers(hit.size)] = True  # the block does change
+        region[hit] += rng.integers(1, top, size=int(hit.sum()), dtype=kind.dtype, endpoint=True)
+    return kind, before, after
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_p_frames())
+def test_sparse_p_frames_match_per_block_reference(case):
+    kind, before, after = case
+    enc = CodecStreamState(1, role="encoder")
+    dec = CodecStreamState(1, role="decoder")
+    previous, planes = PlaneSet(kind, before), PlaneSet(kind, after)
+    decode_frame(encode_frame(previous, enc), dec)
+    frame = encode_frame(planes, enc)
+    assert not frame.key
+    assert frame.payload == reference_payload(planes, previous)
+    assert decode_frame(frame, dec).equals(planes)
+
+
+@pytest.mark.parametrize("kind", [PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES])
+@pytest.mark.parametrize("shape", [(9, 5), (2 * BAND_ROWS + 7, 3 * BLOCK_SIDE + 1)])
+def test_all_skip_p_frame(kind, shape):
+    rng = np.random.default_rng(3)
+    planes = PlaneSet(kind, _smooth(rng, shape, kind.dtype, 2.0))
+    enc = CodecStreamState(1, role="encoder")
+    dec = CodecStreamState(1, role="decoder")
+    decode_frame(encode_frame(planes, enc), dec)
+    frame = encode_frame(planes.copy(), enc)
+    blocks = 3 * -(-shape[0] // BLOCK_SIDE) * -(-shape[1] // BLOCK_SIDE)
+    assert frame.payload == reference_payload(planes, planes) == bytes([MODE_SKIP]) * blocks
+    assert decode_frame(frame, dec).equals(planes)

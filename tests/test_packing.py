@@ -130,6 +130,42 @@ class TestVisibilityPacking:
         assert np.array_equal(unpack_visibility(pack_visibility(texels), w), texels)
 
 
+def _reference_visibility_planes(texels):
+    """Byte distribution one texel and one byte at a time: per row the
+    stream s holds each half most significant byte first, and
+    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2], padded with zeros."""
+    h, w, _ = texels.shape
+    wide = math.ceil(4 * w / 3)
+    planes = np.zeros((3, h, wide), dtype=np.uint8)
+    for y in range(h):
+        s = []
+        for x in range(w):
+            for half in texels[y, x]:
+                s += [int(half) >> 8, int(half) & 0xFF]
+        s += [0] * (3 * wide - len(s))
+        for p in range(wide):
+            for c in range(3):
+                planes[c, y, p] = s[3 * p + c]
+    return planes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(1, 4),
+    w=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 26)),
+    seed=st.integers(0, 2**20),
+)
+def test_visibility_packing_matches_scalar_reference(h, w, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([0x0000, 0x00FF, 0xFF00, 0xFFFF], dtype=np.uint16)
+    texels = rng.choice(values, size=(h, w, 2))
+    planes = pack_visibility(texels)
+    assert planes.data.dtype == np.uint8
+    assert np.array_equal(planes.data, _reference_visibility_planes(texels))
+    out = unpack_visibility(planes, w)
+    assert out.dtype == np.uint16 and out.shape == (h, w, 2)
+    assert np.array_equal(out, texels)
+
 class TestGuardBand:
     def test_color_reduction_is_36_percent(self):
         rng = np.random.default_rng(2)

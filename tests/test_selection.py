@@ -330,6 +330,31 @@ def test_pvs_memory_bounded():
     assert peak <= 8 * 2**20
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 5)] * 3),
+    st.integers(0, 2**20),
+)
+def test_cage_probes_match_scalar_reference(dims, seed):
+    # axes of one probe included, where a cage repeats its corners
+    rng = np.random.default_rng(seed)
+    volume = ProbeVolume(dims, origin=(0.5, -1.0, 0.25), spacing=(0.7, 1.3, 2.0))
+    points = rng.uniform(-4.0, 12.0, size=(40, 3))
+    expected = []
+    for point in points:
+        low = [
+            min(max(math.floor((point[a] - volume.origin[a]) / volume.spacing[a]), 0), max(dims[a] - 2, 0))
+            for a in range(3)
+        ]
+        corners = []
+        for dk in (0, 1):
+            for dj in (0, 1):
+                for di in (0, 1):
+                    i, j, k = (min(low[a] + d, dims[a] - 1) for a, d in enumerate((di, dj, dk)))
+                    corners.append(i + dims[0] * (j + dims[1] * k))
+        expected.append(corners)
+    assert cage_probes(points, volume).tolist() == expected
+
 def test_pvs_covers_every_hit_cage():
     volume, scene, poses = _pvs_scene(seed=3)
     rng = np.random.default_rng(0)
