@@ -256,7 +256,7 @@ def sparse_p_frames(draw):
             row = min(BAND_BLOCK_ROWS - 1 + row % 2, by - 1)
         blocks.append((draw(st.integers(0, 2)), row, col))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    top = np.iinfo(kind.dtype).max if draw(st.booleans()) else (1023 if kind.dtype == np.uint16 else 255)
+    top = int(np.iinfo(kind.dtype).max)
     before = _smooth(rng, (h, w), kind.dtype, draw(st.sampled_from([0.0, 2.0])))
     after = before.copy()
     for plane, row, col in blocks:
