@@ -1,6 +1,6 @@
 """Lossless temporal frame codec over plane sets.
 
-Reference software codec standing behind a pluggable interface: I-frames are
+The package's one codec, a block codec written in numpy: I-frames are
 self-contained, P-frames predict 16x16-element blocks from the previous
 reconstructed frame (SKIP for bit-identical blocks, DELTA for entropy-coded
 residuals, RAW otherwise), and I-frames may predict a block from its left
@@ -313,10 +313,6 @@ class EncodedFrame:
     def plane_kind(self) -> PlaneKind:
         return PlaneKind.COLOR_10IN16 if self.element_bits == 16 else PlaneKind.VISIBILITY_BYTES
 
-    @property
-    def raw_bytes(self) -> int:
-        return self.plane_count * self.width * self.height * (self.element_bits // 8)
-
     def to_bytes(self) -> bytes:
         header = _FRAME_HEADER.pack(
             FRAME_MAGIC,
@@ -493,18 +489,6 @@ def _encode_band(cur: np.ndarray, ref: np.ndarray | None, cand: np.ndarray) -> n
         shift = payload_at[blocks] - _segment_starts(np.where(chosen, lengths, 0))
         _write_tokens(out, _segment_starts(kept.size) + shift[kept.segment], stream, kept)
     return out
-
-
-def block_mode_select(current: np.ndarray, reference: np.ndarray | None) -> int:
-    """Pick SKIP, DELTA or RAW for one block against its temporal reference,
-    by the encoder's own rule."""
-    if current.shape[0] > BLOCK_SIDE or current.shape[1] > BLOCK_SIDE:
-        raise ValueError(f"a block is at most {BLOCK_SIDE}x{BLOCK_SIDE}, got {current.shape}")
-    if reference is None:
-        cand = np.zeros(1, dtype=np.int64)
-    else:
-        cand = np.flatnonzero(_changed_blocks(current, reference))
-    return int(_encode_band(current, reference, cand)[0])
 
 
 # --- decoder -----------------------------------------------------------------
@@ -716,7 +700,3 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
     state.reference = planes.copy()
     state.frame_count = frame.frame_seq + 1
     return planes
-
-
-def compression_ratio(planes: PlaneSet, frame: EncodedFrame) -> float:
-    return planes.data.nbytes / frame.encoded_size

@@ -1,6 +1,6 @@
 """Bit-exact layout transforms between probe atlases and codec plane sets.
 
-Four families of transforms live here, all lossless by construction:
+Three families of transforms live here, all lossless by construction:
 
 * color texels <-> three 16-bit YUV planes carrying 10-bit values,
 * visibility texels (pairs of raw float16 halves) <-> three 8-bit YUV planes
@@ -8,8 +8,7 @@ Four families of transforms live here, all lossless by construction:
   row's big-endian byte stream goes to the planes as three strided copies,
   every third byte to each,
 * probe block <-> core block (guard band strip / reconstruct by the
-  octahedral wrap rule),
-* probe-group texel interleaving (the atlas arrangement experiment).
+  octahedral wrap rule).
 
 Plus the update-atlas slot allocator with per-probe slot caching.
 """
@@ -195,12 +194,6 @@ def reconstruct_guard_band(core: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def guard_band_valid(block: np.ndarray) -> bool:
-    """True when the border equals the wrap-rule reconstruction of the core."""
-    core = block[1:-1, 1:-1]
-    return bool(np.array_equal(reconstruct_guard_band(core), block))
-
-
 def guard_band_reduction(kind: AtlasKind) -> float:
     """Fractional size saved by stripping the guard band from one probe."""
     return 1.0 - (kind.core_side**2) / (kind.block_side**2)
@@ -239,17 +232,14 @@ class UpdateAtlasLayout:
     assignments from probe ids alone.
     """
 
-    def __init__(
-        self, slot_count: int, core_side: int, slots_per_row: int | None = None
-    ) -> None:
+    def __init__(self, slot_count: int, core_side: int) -> None:
         if slot_count < 1:
             raise ValueError("slot_count must be >= 1")
         self.slot_count = slot_count
         self.core_side = core_side
-        self.slots_per_row = slots_per_row or math.ceil(math.sqrt(slot_count))
+        self.slots_per_row = math.ceil(math.sqrt(slot_count))
         self.slot_rows = math.ceil(slot_count / self.slots_per_row)
         self.probe_slot: dict[int, int] = {}
-        self.slot_probe: dict[int, int] = {}
         self.last_selected: dict[int, int] = {}
         self._free: list[int] = list(range(slot_count))
         heapq.heapify(self._free)
@@ -301,7 +291,6 @@ class UpdateAtlasLayout:
                     victims = self._eviction_order(selected_set)
                 slot = self._evict(victims)
             self.probe_slot[probe] = slot
-            self.slot_probe[slot] = probe
         for probe in selected:
             self.last_selected[probe] = self._tick
         return sorted((self.probe_slot[p], p) for p in selected)
@@ -321,9 +310,7 @@ class UpdateAtlasLayout:
         victim = next(victims, None)
         if victim is None:
             raise SlotOverflowError("no evictable slot")
-        slot = self.probe_slot.pop(victim)
-        del self.slot_probe[slot]
-        return slot
+        return self.probe_slot.pop(victim)
 
 
 def build_update_atlas(
@@ -357,54 +344,3 @@ def apply_update_entries(
     for slot, probe in entries:
         core = layout.slot_region(update_texels, slot)
         reconstruct_guard_band(core, out=target.probe_block(probe))
-
-
-# --- atlas arrangement experiment --------------------------------------------
-
-
-def interleave_layout(texels: np.ndarray, block_side: int, group: int) -> np.ndarray:
-    """Interleave texels of `group` x `group` neighbouring probe blocks.
-
-    With group k, the k*k blocks of a group are merged so that the k*k texels
-    sharing one direction sit adjacently. k = 1 is the identity.
-    """
-    if group not in (1, 2, 4):
-        raise ValueError("group must be 1, 2 or 4")
-    if group == 1:
-        return texels.copy()
-    h, w = texels.shape[:2]
-    if h % block_side or w % block_side:
-        raise ValueError("texel dims must be a multiple of the block side")
-    rows, cols = h // block_side, w // block_side
-    if rows % group or cols % group:
-        raise ValueError(
-            f"probe grid {rows}x{cols} not divisible by group {group}"
-        )
-    rest = texels.shape[2:]
-    a = texels.reshape(
-        rows // group, group, block_side, cols // group, group, block_side, *rest
-    )
-    out = a.transpose(0, 2, 1, 3, 5, 4, *range(6, 6 + len(rest)))
-    return np.ascontiguousarray(out).reshape(texels.shape)
-
-
-def deinterleave_layout(texels: np.ndarray, block_side: int, group: int) -> np.ndarray:
-    """Inverse of `interleave_layout`."""
-    if group not in (1, 2, 4):
-        raise ValueError("group must be 1, 2 or 4")
-    if group == 1:
-        return texels.copy()
-    h, w = texels.shape[:2]
-    if h % block_side or w % block_side:
-        raise ValueError("texel dims must be a multiple of the block side")
-    rows, cols = h // block_side, w // block_side
-    if rows % group or cols % group:
-        raise ValueError(
-            f"probe grid {rows}x{cols} not divisible by group {group}"
-        )
-    rest = texels.shape[2:]
-    a = texels.reshape(
-        rows // group, block_side, group, cols // group, block_side, group, *rest
-    )
-    out = a.transpose(0, 2, 1, 3, 5, 4, *range(6, 6 + len(rest)))
-    return np.ascontiguousarray(out).reshape(texels.shape)

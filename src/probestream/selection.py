@@ -306,17 +306,13 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 @dataclass
 class SelectionParams:
-    change_threshold: float = 0.0  # 0 means exact texel comparison
     sphere_rays: int = 1024
     raster_cols: int = 64
     raster_rows: int = 64
-    budget: int | None = None  # max probes per update; None = unbounded
 
     def __post_init__(self) -> None:
         if self.raster_cols * self.raster_rows < 1 and self.sphere_rays < 1:
             raise ValueError("at least one ray is required")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0")
 
 
 # --- change detection ---------------------------------------------------------
@@ -465,13 +461,12 @@ def select_for_client(
     away stay changed relative to their last transmitted state, so they are
     reconsidered on the next update.
     """
-    pvs_set = set(int(p) for p in pvs)
-    ids = [
-        int(p)
-        for p in sorted(set(int(p) for p in changed))
-        if p in pvs_set and volume.active[p]
-    ]
-    ids.sort(key=lambda p: (-(current_seq - int(last_sent_seq[p])), p))
-    if budget is not None:
-        ids = ids[:budget]
-    return ids
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    ids = np.intersect1d(np.asarray(changed, np.int64), np.asarray(pvs, np.int64))
+    ids = ids[volume.active[ids]]
+    # staleness current_seq - last_sent_seq, highest first, is the order of
+    # last_sent_seq lowest first, which needs no subtraction that could wrap;
+    # the stable sort keeps ascending ids within a tie
+    ids = ids[np.argsort(np.asarray(last_sent_seq)[ids], kind="stable")]
+    return ids[:budget].tolist()

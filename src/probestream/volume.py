@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 KILOBIT = 1024
 MEGABIT = 1024 * 1024
-
-SNAPSHOT_MAGIC = b"PBV1"
 
 
 class AtlasKind(enum.Enum):
@@ -52,10 +49,6 @@ class AtlasKind(enum.Enum):
     @property
     def bits_per_probe(self) -> int:
         return self.block_side * self.block_side * self.bits_per_texel
-
-    @property
-    def channel_name(self) -> str:
-        return self.value
 
 
 def default_probes_per_row(probe_count: int) -> int:
@@ -102,35 +95,11 @@ class ProbeVolume:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    @property
-    def active_count(self) -> int:
-        return int(self.active.sum())
-
-    def active_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.active)
-
-    def grid_to_index(self, i: int, j: int, k: int) -> int:
-        nx, ny, nz = self.dims
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise IndexError(f"grid coords ({i},{j},{k}) outside dims {self.dims}")
-        return i + nx * (j + ny * k)
-
-    def index_to_grid(self, index: int) -> tuple[int, int, int]:
-        nx, ny, _ = self.dims
-        if not (0 <= index < self.probe_count):
-            raise IndexError(f"probe index {index} outside [0, {self.probe_count})")
-        i = index % nx
-        j = (index // nx) % ny
-        k = index // (nx * ny)
-        return (i, j, k)
-
-    def probe_position(self, index: int) -> np.ndarray:
-        i, j, k = self.index_to_grid(index)
-        return np.asarray(self.origin) + np.asarray(self.spacing) * (i, j, k)
-
     def probe_positions(self, indices: np.ndarray) -> np.ndarray:
         """World positions for an array of probe indices, shape (n, 3)."""
         indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.probe_count):
+            raise IndexError(f"probe index outside [0, {self.probe_count})")
         nx, ny, _ = self.dims
         ijk = np.stack(
             [indices % nx, (indices // nx) % ny, indices // (nx * ny)], axis=-1
@@ -214,38 +183,6 @@ class ProbeAtlas:
         side = self.kind.block_side
         return self.texels[y + 1 : y + side - 1, x + 1 : x + side - 1]
 
-    def blocks_equal(self, other: "ProbeAtlas", probe: int) -> bool:
-        return bool(np.array_equal(self.probe_block(probe), other.probe_block(probe)))
-
-
-def pack_color_texel(r: int, g: int, b: int) -> int:
-    """Pack three 10-bit channels into one 32-bit texel (alpha bits zero)."""
-    for name, v in (("r", r), ("g", g), ("b", b)):
-        if not 0 <= v < 1024:
-            raise ValueError(f"channel {name}={v} outside 10-bit range")
-    return r | (g << 10) | (b << 20)
-
-
-def color_channels(texels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split packed color texels into (R, G, B) uint16 arrays."""
-    t = np.asarray(texels, dtype=np.uint32)
-    r = (t & 0x3FF).astype(np.uint16)
-    g = ((t >> 10) & 0x3FF).astype(np.uint16)
-    b = ((t >> 20) & 0x3FF).astype(np.uint16)
-    return r, g, b
-
-
-def pack_color_channels(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inverse of `color_channels`; alpha bits come out zero."""
-    for name, c in (("r", r), ("g", g), ("b", b)):
-        if np.any(np.asarray(c) > 1023):
-            raise ValueError(f"channel {name} exceeds 10-bit range")
-    return (
-        np.asarray(r, dtype=np.uint32)
-        | (np.asarray(g, dtype=np.uint32) << 10)
-        | (np.asarray(b, dtype=np.uint32) << 20)
-    )
-
 
 # --- octahedral direction mapping ------------------------------------------
 #
@@ -259,7 +196,7 @@ def _sign_not_zero(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0, -1.0)
 
 
-def oct_encode(direction: np.ndarray, validate: bool = True) -> np.ndarray:
+def oct_encode(direction: np.ndarray) -> np.ndarray:
     """Map unit direction(s) to octahedral uv in the unit square.
 
     Accepts shape (3,) or (n, 3); returns matching (2,) or (n, 2).
@@ -268,11 +205,10 @@ def oct_encode(direction: np.ndarray, validate: bool = True) -> np.ndarray:
     single = d.ndim == 1
     d = np.atleast_2d(d)
     norms = np.linalg.norm(d, axis=-1)
-    if validate:
-        if np.any(norms < 1e-12):
-            raise ValueError("zero direction cannot be octahedrally encoded")
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("directions must be unit length within 1e-6")
+    if np.any(norms < 1e-12):
+        raise ValueError("zero direction cannot be octahedrally encoded")
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        raise ValueError("directions must be unit length within 1e-6")
     d = d / norms[..., None]
     denom = np.abs(d[..., 0]) + np.abs(d[..., 1]) + np.abs(d[..., 2])
     p = d[..., :2] / denom[..., None]
@@ -314,17 +250,6 @@ def texel_directions(core_side: int) -> np.ndarray:
     return oct_decode(uv).reshape(core_side, core_side, 3)
 
 
-def direction_to_core_texel(
-    direction: np.ndarray, core_side: int, validate: bool = True
-) -> np.ndarray:
-    """Nearest core texel (row, col) for unit direction(s)."""
-    uv = oct_encode(direction, validate=validate)
-    uv = np.atleast_2d(uv)
-    idx = np.clip((uv * core_side).astype(np.int64), 0, core_side - 1)
-    rc = idx[..., ::-1]  # (v, u) -> (row, col)
-    return rc[0] if np.asarray(direction).ndim == 1 else rc
-
-
 # --- size and throughput arithmetic -----------------------------------------
 
 
@@ -348,48 +273,3 @@ def throughput_bps(rate_hz: float, n_probes: int, kind: AtlasKind) -> float:
 
 def bits_to_mbps(bits_per_second: float) -> float:
     return bits_per_second / MEGABIT
-
-
-def bits_to_megabytes(bits: float) -> float:
-    return bits / 8 / (1024 * 1024)
-
-
-# --- binary atlas snapshots --------------------------------------------------
-#
-# Golden-test snapshot layout (little-endian):
-#   "PBV1" | u32 nx | u32 ny | u32 nz | u8 kind (0 color, 1 visibility)
-#   | u16 probes_per_row | raw texel payload
-# Color payload is H*W u32 texels; visibility payload is H*W*2 u16 halves.
-
-_SNAPSHOT_HEADER = struct.Struct("<4sIIIBH")
-
-
-def save_atlas_snapshot(atlas: ProbeAtlas, dims: tuple[int, int, int]) -> bytes:
-    nx, ny, nz = dims
-    if nx * ny * nz != atlas.probe_count:
-        raise ValueError("dims do not match atlas probe count")
-    kind_tag = 0 if atlas.kind is AtlasKind.COLOR else 1
-    header = _SNAPSHOT_HEADER.pack(
-        SNAPSHOT_MAGIC, nx, ny, nz, kind_tag, atlas.probes_per_row
-    )
-    payload = np.ascontiguousarray(atlas.texels).astype(
-        atlas.texels.dtype.newbyteorder("<")
-    )
-    return header + payload.tobytes()
-
-
-def load_atlas_snapshot(data: bytes) -> tuple[ProbeAtlas, tuple[int, int, int]]:
-    if len(data) < _SNAPSHOT_HEADER.size:
-        raise ValueError("snapshot truncated")
-    magic, nx, ny, nz, kind_tag, ppr = _SNAPSHOT_HEADER.unpack_from(data, 0)
-    if magic != SNAPSHOT_MAGIC:
-        raise ValueError(f"bad snapshot magic {magic!r}")
-    kind = AtlasKind.COLOR if kind_tag == 0 else AtlasKind.VISIBILITY
-    atlas = ProbeAtlas(kind, nx * ny * nz, probes_per_row=ppr)
-    raw = data[_SNAPSHOT_HEADER.size :]
-    expect = atlas.texels.nbytes
-    if len(raw) != expect:
-        raise ValueError(f"snapshot payload {len(raw)} bytes, expected {expect}")
-    texels = np.frombuffer(raw, dtype=atlas.texels.dtype.newbyteorder("<"))
-    atlas.texels = texels.reshape(atlas.texels.shape).astype(atlas.texels.dtype)
-    return atlas, (nx, ny, nz)

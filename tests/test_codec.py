@@ -19,8 +19,6 @@ from probestream.codec import (
     EntropyDecodeError,
     MissingReferenceError,
     SequenceError,
-    block_mode_select,
-    compression_ratio,
     decode_frame,
     encode_frame,
     entropy_decode,
@@ -133,23 +131,39 @@ class TestEntropy:
         assert peak < 1 << 20
 
 
+def first_block_mode(block, reference=None):
+    """Mode byte the encoder writes for one 16x16 block: byte 0 of the
+    payload of a frame whose three planes all hold `block`, coded as a key
+    frame, or as the P-frame after a key frame of `reference`."""
+
+    def planes(b):
+        return PlaneSet(PlaneKind.COLOR_10IN16, np.stack([b, b, b]))
+
+    enc, _ = stream_pair()
+    if reference is not None:
+        encode_frame(planes(reference), enc)
+    frame = encode_frame(planes(block), enc)
+    assert frame.key == (reference is None)
+    return frame.payload[0]
+
+
 class TestBlockModes:
     def test_identical_blocks_skip(self):
         rng = np.random.default_rng(1)
         block = rng.integers(0, 1024, size=(16, 16), dtype=np.uint16)
-        assert block_mode_select(block, block.copy()) == MODE_SKIP
+        assert first_block_mode(block, block.copy()) == MODE_SKIP
 
     def test_constant_offset_prefers_delta(self):
         rng = np.random.default_rng(2)
         ref = rng.integers(0, 512, size=(16, 16), dtype=np.uint16)
         cur = ref + 3
-        assert block_mode_select(cur, ref) == MODE_DELTA
+        assert first_block_mode(cur, ref) == MODE_DELTA
 
     def test_no_reference_never_skip(self):
         rng = np.random.default_rng(3)
         block = rng.integers(0, 1024, size=(16, 16), dtype=np.uint16)
-        assert block_mode_select(block, None) == MODE_RAW
-        assert block_mode_select(block, block.copy()) == MODE_SKIP
+        assert first_block_mode(block) == MODE_RAW
+        assert first_block_mode(block, block.copy()) == MODE_SKIP
 
 
 class TestFrameCodec:
@@ -279,13 +293,6 @@ class TestFrameCodec:
         planes = color_planes(rng, BLOCK_SIDE + 5, BLOCK_SIDE + 3)
         assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
-    def test_ratio_helper(self):
-        rng = np.random.default_rng(18)
-        enc, _ = stream_pair()
-        planes = color_planes(rng)
-        frame = encode_frame(planes, enc)
-        assert compression_ratio(planes, frame) == planes.data.nbytes / frame.encoded_size
-
 
 def _key_and_p_frames(kind, h, w, seed):
     """A key frame and the P-frame after it, plus the reference to decode it."""
@@ -299,6 +306,11 @@ def _key_and_p_frames(kind, h, w, seed):
     key = encode_frame(first, enc)
     decode_frame(key, dec)
     return key, encode_frame(second, enc), dec
+
+
+def _plane_bytes(frame):
+    """Bytes of the raw planes the frame header declares."""
+    return frame.plane_count * frame.width * frame.height * (frame.element_bits // 8)
 
 
 def _decode_peak(frame, state):
@@ -375,7 +387,7 @@ class TestFailClosed:
         frame = EncodedFrame(1, 1, False, w, h, 3, 8, bytes(payload))
         error, peak = _decode_peak(frame, dec)
         assert isinstance(error, CorruptFrameError)
-        assert peak <= 16 * frame.raw_bytes + (1 << 20)
+        assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
 
     def test_unsupported_layout_rejected(self):
         for planes, bits in ((2, 8), (3, 12)):
@@ -404,7 +416,7 @@ class TestFailClosed:
                             bytes(payload)).to_bytes()
         error, peak = _decode_peak(EncodedFrame.from_bytes(wire), dec)
         assert error is None or isinstance(error, CodecError)
-        assert peak <= 16 * frame.raw_bytes + (1 << 20)
+        assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
 
 
 class TestHeaderWalk:

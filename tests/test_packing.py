@@ -11,10 +11,7 @@ from probestream.packing import (
     UpdateAtlasLayout,
     apply_update_entries,
     build_update_atlas,
-    deinterleave_layout,
     guard_band_reduction,
-    guard_band_valid,
-    interleave_layout,
     overall_reduction,
     pack_color,
     pack_visibility,
@@ -191,7 +188,6 @@ class TestGuardBand:
         core = rng.integers(0, 2**30, size=(8, 8), dtype=np.uint32)
         block = reconstruct_guard_band(core)
         assert np.array_equal(reconstruct_guard_band(strip_guard_band(block)), block)
-        assert guard_band_valid(block)
 
     def test_wrap_rule_detail(self):
         core = np.arange(16, dtype=np.uint32).reshape(4, 4)
@@ -313,52 +309,6 @@ class TestUpdateAtlas:
         for probe in (3, 11):
             expect = reconstruct_guard_band(strip_guard_band(source.probe_block(probe)))
             assert np.array_equal(target.probe_block(probe), expect)
-            assert guard_band_valid(target.probe_block(probe))
-
-
-class TestInterleave:
-    def test_identity_for_group_1(self):
-        rng = np.random.default_rng(1)
-        texels = random_color_texels(rng, 8, 8)
-        assert np.array_equal(interleave_layout(texels, 2, 1), texels)
-
-    def test_group2_permutation_oracle(self):
-        # 2x2 probes with 2x2 cores; brute-force the expected permutation
-        s, k = 2, 2
-        texels = np.arange(16, dtype=np.uint32).reshape(4, 4)
-        out = interleave_layout(texels, s, k)
-        expected = np.empty_like(texels)
-        for gr_ty in range(4):
-            for gc_tx in range(4):
-                ty, pr = divmod(gr_ty, k)
-                tx, pc = divmod(gc_tx, k)
-                expected[gr_ty, gc_tx] = texels[pr * s + ty, pc * s + tx]
-        assert np.array_equal(out, expected)
-        # the four probes' (0, 0) texels become the top-left 2x2 patch
-        assert sorted(out[:2, :2].ravel()) == [
-            int(texels[0, 0]),
-            int(texels[0, 2]),
-            int(texels[2, 0]),
-            int(texels[2, 2]),
-        ]
-
-    @settings(max_examples=30, deadline=None)
-    @given(group=st.sampled_from([2, 4]), seed=st.integers(0, 2**20))
-    def test_round_trip(self, group, seed):
-        rng = np.random.default_rng(seed)
-        texels = random_color_texels(rng, 8 * group, 8 * group)
-        out = deinterleave_layout(interleave_layout(texels, 8, group), 8, group)
-        assert np.array_equal(out, texels)
-
-    def test_round_trip_with_channels(self):
-        rng = np.random.default_rng(8)
-        texels = random_visibility_texels(rng, 32, 32)
-        out = deinterleave_layout(interleave_layout(texels, 16, 2), 16, 2)
-        assert np.array_equal(out, texels)
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_layout(np.zeros((24, 24), dtype=np.uint32), 8, 2)
 
 
 class TestPlaneSet:

@@ -458,3 +458,44 @@ def test_select_defers_past_budget_to_the_next_update():
     # the deferred probes were never sent, so they outrank the fresh change to 0
     assert sent == [[0, 1], [2, 3], [4, 5]]
     assert select_for_client(sorted(changed), range(6), volume, last, 3, budget=2) == [0]
+
+
+def _select_reference(changed, pvs, volume, last_sent_seq, current_seq, budget=None):
+    """The selection rule one probe at a time, in Python integers."""
+    visible = set(int(p) for p in pvs)
+    ids = [p for p in sorted(set(int(p) for p in changed)) if p in visible and volume.active[p]]
+    ids.sort(key=lambda p: (-(current_seq - int(last_sent_seq[p])), p))
+    return ids if budget is None else ids[:budget]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.integers(1, 40),
+    st.integers(-1, 6),
+    st.one_of(st.none(), st.integers(0, 45)),
+    st.booleans(),
+)
+def test_select_matches_scalar_reference(data, n, seq_hi, budget, pvs_as_range):
+    active = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    volume = ProbeVolume((n, 1, 1), active=active)
+    ids = st.integers(0, n - 1)
+    changed = data.draw(st.lists(ids, max_size=2 * n))  # duplicates, any order
+    if pvs_as_range:
+        lo = data.draw(ids)
+        pvs = range(lo, data.draw(st.integers(lo, n)))
+    else:
+        pvs = data.draw(st.lists(ids, max_size=2 * n))
+    # a narrow range of sequence numbers, so that staleness ties are common
+    last = np.array(data.draw(st.lists(st.integers(-1, seq_hi), min_size=n, max_size=n)))
+    current = seq_hi + 1
+    got = select_for_client(changed, pvs, volume, last, current, budget)
+    assert got == _select_reference(changed, pvs, volume, last, current, budget)
+    assert all(type(p) is int for p in got)
+
+
+def test_select_rejects_negative_budget():
+    volume = ProbeVolume((8, 1, 1))
+    last = np.full(8, -1)
+    with pytest.raises(ValueError):
+        select_for_client([1, 2, 3], range(8), volume, last, 5, budget=-1)

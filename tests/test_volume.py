@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probestream.packing import pack_color, unpack_color
 from probestream.volume import (
     MEGABIT,
     AtlasKind,
     ProbeAtlas,
     ProbeVolume,
     bits_to_mbps,
-    color_channels,
     default_probes_per_row,
-    load_atlas_snapshot,
     oct_decode,
     oct_encode,
-    pack_color_channels,
-    pack_color_texel,
     raw_bits,
-    save_atlas_snapshot,
     texel_directions,
     throughput_bps,
 )
@@ -32,9 +28,12 @@ def uniform_sphere(n: int, seed: int = 0) -> np.ndarray:
 
 
 class TestGridIndex:
+    """Probe positions follow the row-major grid order, i fastest; with unit
+    spacing at the origin, a probe's position is its (i, j, k)."""
+
     def test_origin(self):
         vol = ProbeVolume((16, 8, 16))
-        assert vol.grid_to_index(0, 0, 0) == 0
+        np.testing.assert_array_equal(vol.probe_positions([0]), [[0, 0, 0]])
 
     def test_far_corner_matches_row_major_oracle(self):
         vol = ProbeVolume((16, 8, 16))
@@ -43,20 +42,18 @@ class TestGridIndex:
             (i, j, k) for k in range(16) for j in range(8) for i in range(16)
         ]
         assert order.index((15, 7, 15)) == 2047
-        assert vol.grid_to_index(15, 7, 15) == 2047
+        np.testing.assert_array_equal(vol.probe_positions([2047]), [[15, 7, 15]])
 
     def test_minimal_grid(self):
         vol = ProbeVolume((2, 2, 2))
-        assert vol.grid_to_index(1, 0, 0) == 1
+        np.testing.assert_array_equal(vol.probe_positions([1]), [[1, 0, 0]])
 
     def test_out_of_range_rejected(self):
         vol = ProbeVolume((4, 4, 4))
         with pytest.raises(IndexError):
-            vol.grid_to_index(4, 0, 0)
+            vol.probe_positions([64])
         with pytest.raises(IndexError):
-            vol.grid_to_index(0, -1, 0)
-        with pytest.raises(IndexError):
-            vol.index_to_grid(64)
+            vol.probe_positions([3, -1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -68,12 +65,13 @@ class TestGridIndex:
     def test_bijection(self, dims, sample):
         vol = ProbeVolume(dims)
         index = sample % vol.probe_count
-        assert vol.grid_to_index(*vol.index_to_grid(index)) == index
+        i, j, k = vol.probe_positions([index])[0].astype(np.int64)
+        nx, ny, nz = dims
+        assert 0 <= i < nx and 0 <= j < ny and 0 <= k < nz
+        assert i + nx * (j + ny * k) == index
 
     def test_positions(self):
         vol = ProbeVolume((2, 2, 2), origin=(1.0, 2.0, 3.0), spacing=(0.5, 1.0, 2.0))
-        np.testing.assert_allclose(vol.probe_position(0), [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(vol.probe_position(7), [1.5, 3.0, 5.0])
         np.testing.assert_allclose(
             vol.probe_positions(np.array([0, 7])), [[1.0, 2.0, 3.0], [1.5, 3.0, 5.0]]
         )
@@ -171,36 +169,11 @@ class TestAtlas:
         assert np.all(block[1:-1, 1:-1] == 5)
         assert np.all(block[0, :] == 0) and np.all(block[:, 0] == 0)
 
-    def test_color_texel_packing(self):
-        texel = pack_color_texel(1023, 0, 512)
-        r, g, b = color_channels(np.array([texel], dtype=np.uint32))
-        assert (r[0], g[0], b[0]) == (1023, 0, 512)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
     def test_channel_round_trip(self, r, g, b):
-        packed = pack_color_channels(
-            np.array([r], np.uint16), np.array([g], np.uint16), np.array([b], np.uint16)
-        )
-        rr, gg, bb = color_channels(packed)
-        assert (rr[0], gg[0], bb[0]) == (r, g, b)
-
-
-class TestSnapshot:
-    @pytest.mark.parametrize("kind", [AtlasKind.COLOR, AtlasKind.VISIBILITY])
-    def test_round_trip(self, kind):
-        rng = np.random.default_rng(11)
-        vol = ProbeVolume((4, 2, 2))
-        atlas = ProbeAtlas(kind, vol.probe_count, probes_per_row=4)
-        hi = 2**30 if kind is AtlasKind.COLOR else 2**16
-        atlas.texels[:] = rng.integers(0, hi, size=atlas.texels.shape)
-        blob = save_atlas_snapshot(atlas, vol.dims)
-        assert blob[:4] == b"PBV1"
-        loaded, dims = load_atlas_snapshot(blob)
-        assert dims == vol.dims
-        assert loaded.kind == kind
-        assert np.array_equal(loaded.texels, atlas.texels)
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            load_atlas_snapshot(b"XXXX" + b"\0" * 32)
+        # R in bits 0..9, G in 10..19, B in 20..29, as the atlas stores them
+        texels = np.array([[r | (g << 10) | (b << 20)]], dtype=np.uint32)
+        planes = pack_color(texels)
+        assert tuple(planes.data[:, 0, 0]) == (r, g, b)
+        assert np.array_equal(unpack_color(planes), texels)
