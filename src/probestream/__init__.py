@@ -2,9 +2,8 @@
 
 The package splits into the probe data model (`volume`), per-client probe
 selection (`selection`), bit-exact layout transforms and the update-atlas
-slot allocator (`packing`), and a lossless temporal frame codec (`codec`,
-with its varint coding in `varint`). The benchmark in `streambench/` wires
-them into a server and a thin client.
+slot allocator (`packing`), and a lossless temporal frame codec (`codec`).
+The benchmark in `streambench/` wires them into a server and a thin client.
 """
 
 from probestream.volume import (

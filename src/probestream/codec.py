@@ -1,88 +1,62 @@
 """Lossless temporal frame codec over plane sets.
 
-The package's one codec, a block codec written in numpy: I-frames are
-self-contained, P-frames predict 16x16-element blocks from the previous
-reconstructed frame (SKIP for bit-identical blocks, DELTA for entropy-coded
-residuals, RAW otherwise), and I-frames may predict a block from its left
-neighbour. Frames never reference the future, and the encoder has zero
-lookahead: every frame is emitted as soon as it is presented. Encoding is
-closed-loop lossless, so encoder and decoder reconstructions are
-bit-identical after every frame.
+The package's one codec. I-frames (key frames) are self-contained; P-frames
+code only the 16x16-element blocks that changed since the previous
+reconstructed frame, as residuals against it. Frames never reference the
+future, and the encoder has zero lookahead: every frame is emitted as soon
+as it is presented. Encoding is closed-loop lossless, so encoder and decoder
+reconstructions are bit-identical after every frame.
 
-Wire format (`FRAME_MAGIC` ``LPF1``, byte for byte that of the original
-block-at-a-time coder, which `tests/test_codec_golden.py` keeps as its
-reference). A payload holds the planes in order; a plane holds its blocks
-in raster order, edge blocks clipped, never padded. A block is its mode
-byte, then for DELTA and RAW the varint length of its entropy-coded bytes
-and those bytes. RAW codes the block's elements as little-endian bytes in
-row order. DELTA codes the zig-zag varints of the element-wise residual
-against the predictor: the reference block in a P-frame, the left neighbour
-block in an I-frame. A block is DELTA only when it has a predictor and its
-DELTA bytes are strictly shorter than its RAW bytes.
+Wire format (`FRAME_MAGIC` ``LPF2``). A frame is a fixed header, the payload
+and a CRC-32 over both. Every payload ends in one raw deflate stream
+(RFC 1951, no zlib or gzip wrapper, since the frame CRC covers it), written
+at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
 
-Entropy coding is zero-run-length over byte streams with varint headers:
-token ``(length << 1) | 1`` emits `length` zero bytes, token ``length << 1``
-is followed by `length` literal bytes. Zero runs shorter than
-`MIN_ZERO_RUN` ride along as literals, and no token crosses a block.
+* 8-bit values are written as they are. A run of 16-bit values is zig-zag
+  mapped (read as int16: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...) and
+  written as the low bytes of all its values, then their high bytes.
+* Key frame, 8-bit planes: the plane bytes, plane after plane, row order.
+* Key frame, 16-bit planes: per plane, one run holding the gradient
+  residual r = x - left - up + up-left (mod 2**16, neighbours outside the
+  plane read as 0) of every element in row order. The decoder inverts it
+  with two running sums mod 2**16, one along each axis.
+* P-frame: the payload starts with the changed-block bitmap and the stream
+  follows it. The bitmap holds one bit per block over (plane, block row,
+  block column) in raster order, most significant bit first, padded with
+  zero bits to a whole byte; blocks are clipped at the right and bottom
+  edges, never padded. The stream holds the residuals cur - ref
+  (mod 2**bits) of the changed blocks in bitmap order, each block's
+  elements in row order; in 16-bit planes they form one run.
 
-Both directions work in array passes, never block by block. A P-frame
-starts with one changed-block grid over all three planes, reduced along the
-rows of each block first and then along the 16-wide column groups of that
-16x smaller result. The encoder then takes a band of `BAND_BLOCK_ROWS`
-block rows at a time; block rows are independent under both predictors,
-and the band bounds the temporaries. A band with no changed block is its
-block count of SKIP mode bytes. In any other band the candidates are the
-grid's changed blocks (in an I-frame, every block): the encoder builds one
-RAW byte stream and one DELTA varint stream over them (an I-frame's
-predictor is the plane shifted by one block column, which holds because
-the reconstruction equals the input), tokenises each whole stream with a
-cut at every block boundary, sums the per-block coded lengths, picks the
-modes and writes the band with one scatter. The decoder walks the block
-headers of the frame once, passing over each run of SKIP mode bytes with
-one scan for the next coded one, so its Python loop turns once per coded
-block. A P-frame's reconstruction starts as a copy of the reference, and
-only bands holding a DELTA or RAW block are decoded: band by band, the
-decoder parses the tokens of each mode's blocks, one token of every
-unfinished block per step, bounding every run by its block's size before
-anything is allocated; expands them into one buffer per mode; decodes the
-residual varints at once and scatters. I-frame DELTA chains resolve one
-block column at a time across all block rows. Malformed input raises
-`CodecError` and nothing else, and leaves the stream state as it was.
+The decoder knows the inflated size before inflating: the header's plane
+bytes for a key frame, the changed blocks' elements for a P-frame. It lets
+zlib produce at most one byte more, and raises `CorruptFrameError` for a
+stream that is not deflate, inflates past or short of that size, stops
+before its final block or has bytes after it, and for a bitmap with a pad
+bit set or a payload shorter than its bitmap; all of this before any plane
+is allocated. Malformed input raises `CodecError` and nothing else, and
+leaves the stream state as it was.
+
+The deflate bytes may differ between zlib builds; what they inflate to does
+not, and that alone is the format.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from probestream.packing import PlaneKind, PlaneSet
-from probestream.varint import (
-    VarintError,
-    decode_uvarint,
-    decode_uvarint_array,
-    decode_uvarint_at,
-    encode_uvarint_array,
-    unzigzag,
-    uvarint_sizes,
-    uvarint_width,
-    zigzag,
-)
 
 BLOCK_SIDE = 16
-MIN_ZERO_RUN = 2
-BAND_BLOCK_ROWS = 8  # block rows per array pass; bounds the temporaries
+DEFLATE_LEVEL = 1
+_RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
-MODE_SKIP = 0
-MODE_DELTA = 1
-MODE_RAW = 2
-
-FRAME_MAGIC = b"LPF1"
+FRAME_MAGIC = b"LPF2"
 _FRAME_HEADER = struct.Struct("<4sBIIHHBBI")
 _CHECKSUM = struct.Struct("<I")
 
@@ -108,174 +82,6 @@ class SequenceError(CodecError):
 
 class DimensionMismatchError(CodecError):
     pass
-
-
-class EntropyDecodeError(CorruptFrameError):
-    pass
-
-
-# --- segmented zero-run entropy coding ---------------------------------------
-
-
-def _cover(size: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mask of `size` bytes, set on every span ``[start, start + length)``.
-
-    Spans must be ascending and must not overlap. Indexing with the mask
-    visits the spans' bytes in order; the mask costs one byte per byte where
-    an index array costs eight, which matters for long literal runs.
-    """
-    runs = np.empty(2 * starts.size + 1, dtype=np.int64)
-    ends = starts + lengths
-    runs[0] = starts[0] if starts.size else size
-    runs[2:-1:2] = starts[1:] - ends[:-1]
-    runs[1::2] = lengths
-    if starts.size:
-        runs[-1] = size - ends[-1]
-    flags = np.zeros(runs.size, dtype=bool)
-    flags[1::2] = True
-    return np.repeat(flags, runs)
-
-
-class _Tokens(NamedTuple):
-    start: np.ndarray  # first stream byte the token covers
-    length: np.ndarray
-    zero: np.ndarray  # zero run (True) or literal run
-    segment: np.ndarray
-    head: np.ndarray  # header bytes
-    size: np.ndarray  # header plus literal bytes
-
-    def take(self, keep: np.ndarray) -> "_Tokens":
-        return _Tokens(*(a[keep] for a in self))
-
-
-def _tokenise(stream: np.ndarray, cuts: np.ndarray) -> _Tokens:
-    """Zero-run/literal tokens of a byte stream cut into segments.
-
-    `cuts` holds the ascending start offset of every segment, the first one
-    0; no token crosses a cut. Tokens come out in stream order.
-    """
-    n = stream.size
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return _Tokens(empty, empty, empty.astype(bool), empty, empty, empty)
-    cut = np.zeros(n + 1, dtype=bool)
-    cut[cuts] = True
-    cut[n] = True
-    zero = stream == 0
-    # maximal zero runs within a segment: [run_start, run_end)
-    opens = zero.copy()
-    opens[1:] &= ~zero[:-1] | cut[1:n]
-    closes = zero.copy()
-    closes[:-1] &= ~zero[1:] | cut[1:n]
-    run_start = np.flatnonzero(opens)
-    run_end = np.flatnonzero(closes) + 1
-    long = run_end - run_start >= MIN_ZERO_RUN
-    zstart = run_start[long]
-    bounds = cut
-    bounds[zstart] = True
-    bounds[run_end[long]] = True
-    edges = np.flatnonzero(bounds)
-    start = edges[:-1]
-    length = np.diff(edges)
-    is_zero = np.zeros(n + 1, dtype=bool)
-    is_zero[zstart] = True
-    zero_run = is_zero[start]
-    head = uvarint_sizes(_headers(length, zero_run))
-    size = np.where(zero_run, head, head + length)
-    segment = np.searchsorted(cuts, start, side="right") - 1
-    return _Tokens(start, length, zero_run, segment, head, size)
-
-
-def _headers(length: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    return ((length << 1) | zero).astype(np.uint64)
-
-
-def _coded_lengths(tokens: _Tokens, segments: int) -> np.ndarray:
-    """Coded bytes of every segment."""
-    return np.bincount(tokens.segment, weights=tokens.size, minlength=segments).astype(np.int64)
-
-
-def _write_tokens(out: np.ndarray, at: np.ndarray, stream: np.ndarray, tokens: _Tokens) -> None:
-    """Write each token's header, and a literal's bytes, to `out` at `at`."""
-    headers = encode_uvarint_array(_headers(tokens.length, tokens.zero))
-    out[_cover(out.size, at, tokens.head)] = np.frombuffer(headers, np.uint8)
-    lit = ~tokens.zero
-    length = tokens.length[lit]
-    dest = _cover(out.size, at[lit] + tokens.head[lit], length)
-    out[dest] = stream[_cover(stream.size, tokens.start[lit], length)]
-
-
-def _expand(
-    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode the tokens of every segment ``data[start : start + length]``.
-
-    Returns the concatenated output and its length per segment. A segment
-    whose output would exceed its `limit` is rejected before any output is
-    allocated, and so is a run of length 0.
-    """
-    ends = starts + lengths
-    produced = np.zeros(starts.size, dtype=np.int64)
-    found = []
-    # unfinished segments: index, read position, end, output so far, limit
-    seg = np.flatnonzero(starts < ends)
-    at, end, done, cap = starts[seg], ends[seg], produced[seg], limit[seg]
-    # one token of every unfinished segment per step
-    while seg.size:
-        try:
-            header, head = decode_uvarint_at(data, at, end)
-        except VarintError as err:
-            raise EntropyDecodeError(str(err)) from err
-        length = (header >> np.uint64(1)).astype(np.int64)
-        zero = (header & np.uint64(1)).astype(bool)
-        body = at + head
-        stop = np.where(zero, body, body + length)
-        found.append((seg, done, body, length, zero))
-        done = done + length
-        if ((length == 0) | (stop > end) | (done > cap)).any():
-            raise EntropyDecodeError("run is empty or overflows its block")
-        produced[seg] = done
-        more = stop < end
-        seg, at, end, done, cap = seg[more], stop[more], end[more], done[more], cap[more]
-    out = np.zeros(int(produced.sum()), dtype=np.uint8)
-    if found:
-        segment, offset, body, length, zero = (np.concatenate(a) for a in zip(*found))
-        # literal runs in stream order, so that both masks visit them in turn
-        lit = np.flatnonzero(~zero)
-        lit = lit[np.argsort(segment[lit], kind="stable")]
-        body, length = body[lit], length[lit]
-        dest = (np.cumsum(produced) - produced)[segment[lit]] + offset[lit]
-        if body.size:
-            lo, hi = body[0], body[-1] + length[-1]
-            src = data[lo:hi][_cover(hi - lo, body - lo, length)]
-            out[_cover(out.size, dest, length)] = src
-    return out, produced
-
-
-def _as_bytes(data) -> np.ndarray:
-    if isinstance(data, np.ndarray):
-        return np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-    return np.frombuffer(bytes(data), np.uint8)
-
-
-def entropy_encode(data) -> bytes:
-    """Zero-run-length encode a byte stream; deterministic and lossless."""
-    stream = _as_bytes(data)
-    tokens = _tokenise(stream, np.zeros(1, dtype=np.int64))
-    out = np.empty(int(tokens.size.sum()), dtype=np.uint8)
-    _write_tokens(out, _segment_starts(tokens.size), stream, tokens)
-    return out.tobytes()
-
-
-def entropy_decode(data: bytes, size: int) -> bytes:
-    """Inverse of `entropy_encode` for a stream that decodes to `size`
-    bytes; raises `EntropyDecodeError` on malformed streams, before
-    allocating past `size`."""
-    buf = _as_bytes(data)
-    out, produced = _expand(buf, np.zeros(1, dtype=np.int64), np.array([buf.size]), np.array([size]))
-    if produced[0] != size:
-        raise EntropyDecodeError(f"stream decodes to {produced[0]} bytes, not {size}")
-    return out.tobytes()
 
 
 # --- stream state and frame container ----------------------------------------
@@ -371,13 +177,14 @@ def _block_counts(rows: int, width: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _block_order(rows: int, width: int) -> np.ndarray:
-    """Flat element indices of a ``rows x width`` band in block order:
+    """Flat element indices of a ``rows x width`` plane in block order:
     row b lists block b's indices in row order, padded with -1 past a
     clipped edge."""
     side = BLOCK_SIDE
     by, bx = _blocks_across(rows), _blocks_across(width)
-    r = np.arange(by * side, dtype=np.int32)[:, None]
-    c = np.arange(bx * side, dtype=np.int32)[None, :]
+    dtype = np.int32 if rows * width < 2**31 else np.int64
+    r = np.arange(by * side, dtype=dtype)[:, None]
+    c = np.arange(bx * side, dtype=dtype)[None, :]
     flat = np.where((r < rows) & (c < width), r * width + c, -1)
     order = flat.reshape(by, side, bx, side).swapaxes(1, 2).reshape(by * bx, side * side)
     order.flags.writeable = False
@@ -388,22 +195,6 @@ def _elements(order: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Flat indices of the elements of `blocks`, block after block."""
     idx = order[blocks]
     return idx[idx >= 0]
-
-
-def _band_bounds(height: int):
-    step = BAND_BLOCK_ROWS * BLOCK_SIDE
-    return ((y, min(y + step, height)) for y in range(0, height, step))
-
-
-def _signed(dtype: np.dtype) -> type:
-    return np.int16 if dtype == np.uint16 else np.int8
-
-
-def _segment_starts(lengths: np.ndarray) -> np.ndarray:
-    return np.cumsum(lengths) - lengths
-
-
-# --- encoder -----------------------------------------------------------------
 
 
 def _changed_blocks(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -419,188 +210,85 @@ def _changed_blocks(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return rows.reshape(*lead, by, bx, BLOCK_SIDE).any(axis=-1)
 
 
-def _encode_band(cur: np.ndarray, ref: np.ndarray | None, cand: np.ndarray) -> np.ndarray:
-    """Coded bytes of one band of block rows. In an I-frame `ref` is None
-    and `cand` lists every block; in a P-frame `cand` lists the changed
-    blocks and the others are SKIP."""
-    rows, width = cur.shape
-    order = _block_order(rows, width)
-    counts = _block_counts(rows, width)
-    nblocks = counts.size
-    bx = _blocks_across(width)
-    item = cur.dtype.itemsize
-    flat = cur.reshape(-1)
-    idx = _elements(order, cand)
-    elements = flat[idx]
-    if ref is None:
-        residual = np.empty_like(cur)
-        residual[:, BLOCK_SIDE:] = cur[:, BLOCK_SIDE:] - cur[:, :-BLOCK_SIDE]
-        pred = np.flatnonzero(cand % bx != 0)  # candidates with a predictor
-        residual = residual.reshape(-1)[_elements(order, cand[pred])]
-    else:
-        residual = elements - ref.reshape(-1)[idx]
-        pred = np.arange(cand.size)
-
-    raw = elements.astype(cur.dtype.newbyteorder("<"), copy=False).view(np.uint8)
-    raw_tokens = _tokenise(raw, _segment_starts(counts[cand] * item))
-    raw_len = _coded_lengths(raw_tokens, cand.size)
-
-    values = zigzag(residual.view(_signed(cur.dtype)))
-    sizes = uvarint_sizes(values)
-    value_at = _segment_starts(counts[cand[pred]])
-    delta_bytes = np.add.reduceat(sizes, value_at, dtype=np.int64)
-    # every nonzero varint byte is a literal byte, so a block whose count of
-    # them already reaches its RAW length stays RAW without being tokenised
-    nonzero = delta_bytes - np.add.reduceat(values == 0, value_at, dtype=np.int64)
-    maybe = nonzero < raw_len[pred]
-    values = values[np.repeat(maybe, counts[cand[pred]])]
-    delta = np.frombuffer(encode_uvarint_array(values), np.uint8)
-    delta_at = pred[maybe]
-    delta_tokens = _tokenise(delta, _segment_starts(delta_bytes[maybe]))
-    delta_len = _coded_lengths(delta_tokens, delta_at.size)
-
-    use_delta = np.zeros(cand.size, dtype=bool)
-    use_delta[delta_at] = delta_len < raw_len[delta_at]
-    payload = raw_len.copy()
-    payload[use_delta] = delta_len[use_delta[delta_at]]
-
-    # block header: mode byte, then for a coded block its payload length
-    length_bytes = uvarint_sizes(payload)
-    head = np.ones(nblocks, dtype=np.int64)
-    head[cand] += length_bytes
-    body = np.zeros(nblocks, dtype=np.int64)
-    body[cand] = payload
-    block_at = _segment_starts(head + body)
-    out = np.empty(int(block_at[-1] + head[-1] + body[-1]), dtype=np.uint8)
-    out[block_at] = MODE_SKIP
-    out[block_at[cand]] = np.where(use_delta, MODE_DELTA, MODE_RAW)
-    out[_cover(out.size, block_at[cand] + 1, length_bytes)] = np.frombuffer(
-        encode_uvarint_array(payload), np.uint8
-    )
-    payload_at = block_at + head
-
-    for stream, tokens, blocks, lengths, chosen in (
-        (raw, raw_tokens, cand, raw_len, ~use_delta),
-        (delta, delta_tokens, cand[delta_at], delta_len, use_delta[delta_at]),
-    ):
-        # a stream's tokens are contiguous per block: move each from its
-        # offset among the chosen tokens of its stream to its block's payload
-        kept = tokens.take(chosen[tokens.segment])
-        shift = payload_at[blocks] - _segment_starts(np.where(chosen, lengths, 0))
-        _write_tokens(out, _segment_starts(kept.size) + shift[kept.segment], stream, kept)
-    return out
+# --- residuals and their bytes -----------------------------------------------
 
 
-# --- decoder -----------------------------------------------------------------
+def _gradient_residual(x: np.ndarray) -> np.ndarray:
+    """x - left - up + up-left of every element of each (..., h, w) plane,
+    wrapping in x's unsigned dtype, with 0 outside the plane."""
+    across = x.copy()
+    across[..., 1:] -= x[..., :-1]
+    residual = across.copy()
+    residual[..., 1:, :] -= across[..., :-1, :]
+    return residual
 
 
-_CODED_MODE = re.compile(rb"[^\x00]")  # any mode byte but MODE_SKIP
+def _zigzag(values: np.ndarray) -> np.ndarray:
+    signed = values.view(np.int16)
+    return ((signed << 1) ^ (signed >> 15)).view(np.uint16)
 
 
-def _walk_blocks(data: bytes, count: int):
-    """Read `count` block headers; returns (modes, payload starts, payload
-    lengths) and checks that the blocks fill `data` exactly. Each run of
-    SKIP blocks is passed over by one scan for the next coded mode byte."""
-    modes = bytearray(count)
-    coded, starts, lengths = [], [], []
-    end = len(data)
-    pos = block = 0
-    while block < count:
-        if pos >= end:
-            raise CorruptFrameError("payload ends mid-plane")
-        mode = data[pos]
-        if mode == MODE_SKIP:
-            # a run of SKIP blocks, no longer than the blocks left
-            stop = pos + count - block
-            found = _CODED_MODE.search(data, pos, stop)
-            after = found.start() if found else min(stop, end)
-            block += after - pos
-            pos = after
-            continue
-        if mode != MODE_DELTA and mode != MODE_RAW:
-            raise CorruptFrameError(f"unknown block mode {mode}")
-        try:
-            length, pos = decode_uvarint(data, pos + 1)
-        except VarintError as err:
-            raise CorruptFrameError(str(err)) from err
-        if pos + length > end:
-            raise CorruptFrameError("block payload overruns frame")
-        modes[block] = mode
-        coded.append(block)
-        starts.append(pos)
-        lengths.append(length)
-        pos += length
-        block += 1
-    if pos != end:
-        raise CorruptFrameError("trailing bytes after last plane")
-    block_starts = np.zeros(count, dtype=np.int64)
-    block_lengths = np.zeros(count, dtype=np.int64)
-    block_starts[coded] = starts
-    block_lengths[coded] = lengths
-    return np.frombuffer(modes, dtype=np.uint8), block_starts, block_lengths
+def _unzigzag(codes: np.ndarray) -> np.ndarray:
+    return (codes >> 1) ^ -(codes & 1)
 
 
-def _decode_band(
-    data: np.ndarray,
-    modes: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    intra: bool,
-    recon: np.ndarray,
-) -> None:
-    """Fill the coded blocks of one band of `recon` from their headers. In a
-    P-frame `recon` holds the reference; an I-frame's DELTA blocks get bare
-    residuals."""
-    rows, width = recon.shape
-    order = _block_order(rows, width)
-    counts = _block_counts(rows, width)
-    dtype = recon.dtype
-    flat = recon.reshape(-1)
-
-    raw = np.flatnonzero(modes == MODE_RAW)
-    if raw.size:
-        size = counts[raw] * dtype.itemsize
-        buf, produced = _expand(data, starts[raw], lengths[raw], size)
-        if np.any(produced != size):
-            raise CorruptFrameError("raw block size mismatch")
-        flat[_elements(order, raw)] = buf.view(dtype.newbyteorder("<"))
-
-    delta = np.flatnonzero(modes == MODE_DELTA)
-    if delta.size:
-        counts = counts[delta]
-        limit = counts * uvarint_width(dtype)
-        buf, produced = _expand(data, starts[delta], lengths[delta], limit)
-        # every block must hold exactly its element count of whole varints:
-        # the last terminator of each block's count is the block's last byte
-        ends = np.flatnonzero(buf < 0x80) + 1
-        last = np.cumsum(counts) - 1
-        if ends.size != last[-1] + 1 or np.any(ends[last] != np.cumsum(produced)):
-            raise CorruptFrameError("delta block holds a partial varint")
-        try:
-            values, _ = decode_uvarint_array(buf, ends.size)
-        except VarintError as err:
-            raise CorruptFrameError(str(err)) from err
-        if values.max() > np.iinfo(dtype).max:
-            raise CorruptFrameError("delta residual out of range")
-        residual = unzigzag(values.astype(dtype)).view(dtype)
-        idx = _elements(order, delta)
-        flat[idx] = residual if intra else flat[idx] + residual
+def _low_then_high(codes: np.ndarray) -> np.ndarray:
+    """The low bytes of each run (last axis) of 16-bit values, then its
+    high bytes."""
+    pairs = codes.astype("<u2", copy=False).view(np.uint8).reshape(*codes.shape, 2)
+    return np.ascontiguousarray(pairs.swapaxes(-1, -2))
 
 
-def _resolve_intra(recon: np.ndarray, delta: np.ndarray) -> None:
-    """Add to each I-frame DELTA block its reconstructed left neighbour."""
-    height, width = recon.shape
-    for bx in range(1, delta.shape[1]):
-        rows = np.repeat(delta[:, bx], BLOCK_SIDE)[:height]
-        x0 = bx * BLOCK_SIDE
-        x1 = min(x0 + BLOCK_SIDE, width)
-        if rows.all():
-            recon[:, x0:x1] += recon[:, x0 - BLOCK_SIDE : x1 - BLOCK_SIDE]
-        elif rows.any():
-            recon[rows, x0:x1] += recon[rows, x0 - BLOCK_SIDE : x1 - BLOCK_SIDE]
+def _join_low_high(data: np.ndarray, runs: int) -> np.ndarray:
+    """Inverse of `_low_then_high` over `runs` runs of equal length."""
+    halves = data.reshape(runs, 2, -1)
+    codes = halves[:, 1].astype(np.uint16)
+    codes <<= 8
+    codes |= halves[:, 0]
+    return codes
+
+
+def _deflate(content: np.ndarray) -> bytes:
+    packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE)
+    return packer.compress(content) + packer.flush()
+
+
+def _inflate(stream, size: int) -> np.ndarray:
+    """The `size` bytes `stream` inflates to; any other stream is corrupt."""
+    inflater = zlib.decompressobj(_RAW_DEFLATE)
+    try:
+        # one byte of room past `size` tells a longer stream from an exact one
+        out = inflater.decompress(stream, size + 1)
+    except zlib.error as err:
+        raise CorruptFrameError(f"bad deflate stream: {err}") from err
+    if len(out) > size:
+        raise CorruptFrameError(f"stream inflates past {size} bytes")
+    if not inflater.eof:
+        raise CorruptFrameError("stream ends before its final block")
+    if inflater.unused_data:
+        raise CorruptFrameError("bytes after the stream end")
+    if len(out) < size:
+        raise CorruptFrameError(f"stream inflates to {len(out)} bytes, not {size}")
+    return np.frombuffer(out, np.uint8)
 
 
 # --- frame encode / decode ---------------------------------------------------
+
+
+def _key_content(data: np.ndarray) -> np.ndarray:
+    if data.dtype == np.uint8:
+        return np.ascontiguousarray(data)
+    return _low_then_high(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
+
+
+def _p_content(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    order = _block_order(*cur.shape[1:])
+    parts = []
+    for p, blocks in enumerate(changed.reshape(changed.shape[0], -1)):
+        idx = _elements(order, np.flatnonzero(blocks))
+        parts.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
+    residuals = np.concatenate(parts)
+    return residuals if cur.dtype == np.uint8 else _low_then_high(_zigzag(residuals))
 
 
 def encode_frame(
@@ -617,21 +305,13 @@ def encode_frame(
             f"frame {planes.data.shape} does not match stream {state.reference.data.shape}"
         )
     key = force_key or state.reference is None or state.frame_count % state.gop_length == 0
-    by, bx = _blocks_across(planes.height), _blocks_across(planes.width)
     if key:
-        changed = np.ones((planes.data.shape[0], by, bx), dtype=bool)
+        payload = _deflate(_key_content(planes.data))
     else:
-        changed = _changed_blocks(planes.data, state.reference.data)
-    chunks = []
-    for p in range(planes.data.shape[0]):
-        cur = planes.data[p]
-        for y0, y1 in _band_bounds(planes.height):
-            band = changed[p, y0 // BLOCK_SIDE : _blocks_across(y1)]
-            if band.any():
-                ref = None if key else state.reference.data[p, y0:y1]
-                chunks.append(_encode_band(cur[y0:y1], ref, np.flatnonzero(band)))
-            else:
-                chunks.append(bytes([MODE_SKIP]) * band.size)
+        ref = state.reference.data
+        changed = _changed_blocks(planes.data, ref)
+        bitmap = np.packbits(changed.reshape(-1)).tobytes()
+        payload = bitmap + _deflate(_p_content(planes.data, ref, changed))
     seq = state.frame_count
     state.frame_count = seq + 1
     # lossless, so the reconstruction is the input itself
@@ -644,15 +324,56 @@ def encode_frame(
         height=planes.height,
         plane_count=planes.data.shape[0],
         element_bits=planes.element_bits,
-        payload=b"".join(chunks),
+        payload=payload,
     )
+
+
+def _decode_key(frame: EncodedFrame) -> np.ndarray:
+    shape = (frame.plane_count, frame.height, frame.width)
+    item = frame.element_bits // 8
+    content = _inflate(frame.payload, frame.plane_count * frame.height * frame.width * item)
+    if item == 1:
+        return content.reshape(shape).copy()
+    recon = _unzigzag(_join_low_high(content, frame.plane_count)).reshape(shape)
+    np.cumsum(recon, axis=2, dtype=np.uint16, out=recon)
+    np.cumsum(recon, axis=1, dtype=np.uint16, out=recon)
+    return recon
+
+
+def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
+    planes, height, width = reference.shape
+    blocks = planes * _blocks_across(height) * _blocks_across(width)
+    bitmap_size = -(-blocks // 8)
+    if len(frame.payload) < bitmap_size:
+        raise CorruptFrameError("payload shorter than its bitmap")
+    bitmap = np.frombuffer(frame.payload, np.uint8, count=bitmap_size)
+    if blocks % 8 and bitmap[-1] & (0xFF >> blocks % 8):
+        raise CorruptFrameError("bitmap pad bits set")
+    changed = np.unpackbits(bitmap, count=blocks).view(bool).reshape(planes, -1)
+    # elements of the changed blocks, over all planes
+    elements = int(_block_counts(height, width) @ changed.sum(axis=0))
+    content = _inflate(memoryview(frame.payload)[bitmap_size:], elements * reference.itemsize)
+    if reference.dtype == np.uint8:
+        residuals = content
+    else:
+        residuals = _unzigzag(_join_low_high(content, 1))[0]
+    recon = reference.copy()
+    order = _block_order(height, width)
+    at = 0
+    for p in range(planes):
+        idx = _elements(order, np.flatnonzero(changed[p]))
+        recon[p].reshape(-1)[idx] += residuals[at : at + idx.size]
+        at += idx.size
+    return recon
 
 
 def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
     """Decode one frame, verify sequencing, and advance the stream state."""
     if state.role != "decoder":
         raise CodecError("decode_frame requires a decoder stream state")
-    if not frame.key:
+    if frame.key:
+        recon = _decode_key(frame)
+    else:
         if state.reference is None:
             raise MissingReferenceError(
                 f"P-frame seq {frame.frame_seq} with no prior state"
@@ -666,36 +387,7 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
             or state.reference.kind != frame.plane_kind
         ):
             raise DimensionMismatchError("frame layout does not match stream state")
-    by, bx = _blocks_across(frame.height), _blocks_across(frame.width)
-    count = frame.plane_count * by * bx
-    if len(frame.payload) < count:
-        # every block costs at least its mode byte; check before allocating
-        raise CorruptFrameError("payload shorter than its block count")
-    modes, starts, lengths = _walk_blocks(frame.payload, count)
-    grid = modes.reshape(frame.plane_count, by, bx)
-    if frame.key:
-        if np.any(grid == MODE_SKIP):
-            raise CorruptFrameError("SKIP block in a key frame")
-        if np.any(grid[:, :, 0] == MODE_DELTA):
-            raise CorruptFrameError("DELTA block without a reference")
-
-    data = np.frombuffer(frame.payload, dtype=np.uint8)
-    if frame.key:
-        recon = np.empty((frame.plane_count, frame.height, frame.width), frame.plane_kind.dtype)
-    else:
-        recon = state.reference.data.copy()  # SKIP blocks are decoded already
-    coded_rows = (grid != MODE_SKIP).any(axis=2)
-    for p in range(frame.plane_count):
-        for y0, y1 in _band_bounds(frame.height):
-            r0, r1 = y0 // BLOCK_SIDE, _blocks_across(y1)
-            if not coded_rows[p, r0:r1].any():
-                continue
-            band = slice((p * by + r0) * bx, (p * by + r1) * bx)
-            _decode_band(
-                data, modes[band], starts[band], lengths[band], frame.key, recon[p, y0:y1]
-            )
-        if frame.key:
-            _resolve_intra(recon[p], grid[p] == MODE_DELTA)
+        recon = _decode_p(frame, state.reference.data)
     planes = PlaneSet(frame.plane_kind, recon)
     state.reference = planes.copy()
     state.frame_count = frame.frame_seq + 1

@@ -463,8 +463,11 @@ def select_for_client(
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    ids = np.intersect1d(np.asarray(changed, np.int64), np.asarray(pvs, np.int64))
-    ids = ids[volume.active[ids]]
+    is_changed = np.zeros(volume.active.size, dtype=bool)
+    is_changed[np.asarray(changed, np.int64)] = True
+    is_visible = np.zeros_like(is_changed)
+    is_visible[np.asarray(pvs, np.int64)] = True
+    ids = np.flatnonzero(is_changed & is_visible & volume.active)
     # staleness current_seq - last_sent_seq, highest first, is the order of
     # last_sent_seq lowest first, which needs no subtraction that could wrap;
     # the stable sort keeps ascending ids within a tie

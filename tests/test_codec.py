@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -6,33 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probestream.codec import (
-    BAND_BLOCK_ROWS,
     BLOCK_SIDE,
-    MODE_DELTA,
-    MODE_RAW,
-    MODE_SKIP,
     CodecError,
     CodecStreamState,
     CorruptFrameError,
     DimensionMismatchError,
     EncodedFrame,
-    EntropyDecodeError,
     MissingReferenceError,
     SequenceError,
     decode_frame,
     encode_frame,
-    entropy_decode,
-    entropy_encode,
 )
 from probestream.packing import PlaneKind, PlaneSet
-from probestream.varint import (
-    decode_uvarint,
-    decode_uvarint_array,
-    encode_uvarint,
-    encode_uvarint_array,
-    unzigzag,
-    zigzag,
-)
+from test_codec_golden import _smooth, reference_decode, split_payload
 
 
 def color_planes(rng, h=48, w=48):
@@ -56,114 +45,142 @@ def stream_pair(gop=30):
     )
 
 
-class TestVarint:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**34))
-    def test_scalar_round_trip(self, value):
-        value, offset = decode_uvarint(encode_uvarint(value) + b"xx")
-        assert decode_uvarint(encode_uvarint(value))[0] == value
+def deflate(*chunks, final=True):
+    """A raw deflate stream of `chunks`; without `final` it stops before
+    its final block."""
+    packer = zlib.compressobj(1, zlib.DEFLATED, -15)
+    stream = b"".join(packer.compress(c) for c in chunks)
+    return stream + packer.flush(zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 2**34), max_size=64))
-    def test_array_round_trip(self, values):
-        arr = np.array(values, dtype=np.uint64)
-        blob = encode_uvarint_array(arr)
-        # array path agrees with the scalar path byte for byte
-        assert blob == b"".join(encode_uvarint(int(v)) for v in values)
-        out, used = decode_uvarint_array(blob, len(values))
-        assert used == len(blob)
-        assert np.array_equal(out, arr)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(-(2**30), 2**30), max_size=32))
-    def test_zigzag_round_trip(self, values):
-        arr = np.array(values, dtype=np.int64)
-        assert np.array_equal(unzigzag(zigzag(arr)), arr)
+def bitmap_size(frame):
+    """Bytes of a P-frame's changed-block bitmap."""
+    blocks = frame.plane_count * -(-frame.height // BLOCK_SIDE) * -(-frame.width // BLOCK_SIDE)
+    return -(-blocks // 8)
 
-    def test_zigzag_keeps_small_magnitudes_small(self):
-        assert list(zigzag(np.array([0, -1, 1, -2, 2]))) == [0, 1, 2, 3, 4]
+
+@functools.lru_cache(maxsize=4)
+def zero_bomb(size):
+    """A deflate stream of `size` zero bytes, built a MiB at a time."""
+    chunk = bytes(1 << 20)
+    return deflate(*[chunk] * (size >> 20), bytes(size & ((1 << 20) - 1)))
+
+
+def like(frame, payload):
+    """`frame` with another payload, through the wire and its checksum."""
+    return EncodedFrame.from_bytes(dataclasses.replace(frame, payload=payload).to_bytes())
 
 
 class TestEntropy:
+    """The deflate stage, seen through whole frames."""
+
     def test_zeros_collapse(self):
-        encoded = entropy_encode(b"\0" * 4096)
-        assert len(encoded) <= 8
-        assert entropy_decode(encoded, 4096) == b"\0" * 4096
+        for kind in PlaneKind:
+            planes = PlaneSet(kind, np.zeros((3, 64, 64), kind.dtype))
+            enc, dec = stream_pair()
+            frame = encode_frame(planes, enc)
+            assert len(frame.payload) <= planes.data.nbytes / 100
+            assert decode_frame(frame, dec).equals(planes)
 
     def test_random_expansion_bounded(self):
         rng = np.random.default_rng(0)
-        data = rng.integers(0, 256, size=65536, dtype=np.uint8).tobytes()
-        encoded = entropy_encode(data)
-        assert len(encoded) <= len(data) * 1.03
-        assert entropy_decode(encoded, len(data)) == data
+        planes = vis_planes(rng, 128, 171)
+        enc, dec = stream_pair()
+        frame = encode_frame(planes, enc)
+        assert len(frame.payload) <= planes.data.nbytes * 1.03
+        assert decode_frame(frame, dec).equals(planes)
 
     def test_empty(self):
-        assert entropy_encode(b"") == b""
-        assert entropy_decode(b"", 0) == b""
-
-    def test_lone_zeros_stay_literal(self):
-        data = b"\x01\x00\x02\x00\x03"
-        assert entropy_decode(entropy_encode(data), len(data)) == data
+        # an unchanged P-frame codes nothing, and a frame of no elements
+        # codes nothing at all
+        rng = np.random.default_rng(1)
+        enc, dec = stream_pair()
+        planes = color_planes(rng, 20, 20)
+        decode_frame(encode_frame(planes, enc), dec)
+        frame = encode_frame(planes.copy(), enc)
+        assert split_payload(frame) == (bytes(2), b"")
+        assert decode_frame(frame, dec).equals(planes)
+        for shape in ((3, 0, 7), (3, 5, 0)):
+            enc, dec = stream_pair()
+            empty = PlaneSet(PlaneKind.COLOR_10IN16, np.zeros(shape, np.uint16))
+            for _ in range(2):
+                frame = encode_frame(empty, enc)
+                assert split_payload(frame)[1] == b""
+                assert decode_frame(frame, dec).equals(empty)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.binary(max_size=2048))
-    def test_round_trip_property(self, data):
-        assert entropy_decode(entropy_encode(data), len(data)) == data
+    @given(st.binary(max_size=2048), st.binary(max_size=2048))
+    def test_round_trip_property(self, first, second):
+        width = max(len(first), len(second), 1)
+        enc, dec = stream_pair()
+        for data in (first, second):
+            row = np.frombuffer(data.ljust(width, b"\0"), np.uint8)
+            planes = PlaneSet(PlaneKind.VISIBILITY_BYTES, np.stack([row, row[::-1], row ^ 0x5A])[:, None])
+            assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_malformed_stream_rejected(self):
-        with pytest.raises(EntropyDecodeError):
-            entropy_decode(encode_uvarint(100 << 1) + b"short", 100)
-        with pytest.raises(EntropyDecodeError):
-            entropy_decode(b"\xff", 1)  # truncated varint
-        with pytest.raises(EntropyDecodeError):
-            entropy_decode(entropy_encode(b"abc"), 4)  # decodes short
+        # streams that are not deflate, and a payload with no stream at all
+        rng = np.random.default_rng(2)
+        enc, dec = stream_pair()
+        key = encode_frame(color_planes(rng, 16, 16), enc)
+        decode_frame(key, dec)
+        p_frame = encode_frame(color_planes(rng, 16, 16), enc)
+        bitmap, _ = split_payload(p_frame)
+        for payload in (b"", b"\xff" * 8, b"\x07\x00"):  # block type 3 is reserved
+            with pytest.raises(CorruptFrameError):
+                decode_frame(like(key, payload), CodecStreamState(1, "decoder"))
+            with pytest.raises(CorruptFrameError):
+                decode_frame(like(p_frame, bitmap + payload), dec)
 
     def test_huge_zero_run_rejected_before_allocation(self):
-        run = encode_uvarint((10**7 << 1) | 1)
-        assert len(run) == 4
-        tracemalloc.start()
-        try:
-            with pytest.raises(EntropyDecodeError):
-                entropy_decode(run, 4096)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # 10**7 zero bytes for a 64x64 visibility key frame of 12 KiB
+        frame = EncodedFrame(1, 0, True, 64, 64, 3, 8, zero_bomb(10**7))
+        error, peak = _decode_peak(frame, CodecStreamState(1, "decoder"))
+        assert isinstance(error, CorruptFrameError)
         assert peak < 1 << 20
 
 
-def first_block_mode(block, reference=None):
-    """Mode byte the encoder writes for one 16x16 block: byte 0 of the
-    payload of a frame whose three planes all hold `block`, coded as a key
-    frame, or as the P-frame after a key frame of `reference`."""
+def first_block_p_frame(block, reference):
+    """The P-frame, after a key frame of `reference`, of a frame whose three
+    planes all hold the 16x16 `block`, and its key-frame twin."""
 
     def planes(b):
         return PlaneSet(PlaneKind.COLOR_10IN16, np.stack([b, b, b]))
 
     enc, _ = stream_pair()
-    if reference is not None:
-        encode_frame(planes(reference), enc)
-    frame = encode_frame(planes(block), enc)
-    assert frame.key == (reference is None)
-    return frame.payload[0]
+    encode_frame(planes(reference), enc)
+    p_frame = encode_frame(planes(block), enc)
+    key = encode_frame(planes(block), enc, force_key=True)
+    assert not p_frame.key and key.key
+    return p_frame, key
 
 
 class TestBlockModes:
+    """A P-frame's bitmap skips each unchanged block and codes each changed
+    one as its residual against the reference; a key frame codes all."""
+
     def test_identical_blocks_skip(self):
         rng = np.random.default_rng(1)
         block = rng.integers(0, 1024, size=(16, 16), dtype=np.uint16)
-        assert first_block_mode(block, block.copy()) == MODE_SKIP
+        p_frame, _ = first_block_p_frame(block, block.copy())
+        assert split_payload(p_frame) == (b"\x00", b"")
 
     def test_constant_offset_prefers_delta(self):
         rng = np.random.default_rng(2)
         ref = rng.integers(0, 512, size=(16, 16), dtype=np.uint16)
-        cur = ref + 3
-        assert first_block_mode(cur, ref) == MODE_DELTA
+        p_frame, key = first_block_p_frame(ref + 3, ref)
+        # three changed blocks of residual 3: zig-zag code 6, low bytes first
+        assert split_payload(p_frame) == (b"\xe0", b"\x06" * 768 + b"\x00" * 768)
+        assert len(p_frame.payload) * 10 < len(key.payload)
 
     def test_no_reference_never_skip(self):
         rng = np.random.default_rng(3)
         block = rng.integers(0, 1024, size=(16, 16), dtype=np.uint16)
-        assert first_block_mode(block) == MODE_RAW
-        assert first_block_mode(block, block.copy()) == MODE_SKIP
+        p_frame, key = first_block_p_frame(block, block.copy())
+        # a key frame has no bitmap: its stream codes every element
+        bitmap, content = split_payload(key)
+        assert bitmap == b"" and len(content) == 3 * 16 * 16 * 2
+        assert split_payload(p_frame)[0] == b"\x00"
 
 
 class TestFrameCodec:
@@ -180,8 +197,8 @@ class TestFrameCodec:
         decode_frame(encode_frame(planes, enc), dec)
         frame = encode_frame(planes.copy(), enc)
         assert not frame.key
-        # every block byte is SKIP, nothing else in the payload
-        assert set(frame.payload) == {MODE_SKIP}
+        # no block is marked changed, and the stream codes nothing
+        assert split_payload(frame) == (bytes(6), b"")
         assert frame.encoded_size <= planes.data.nbytes / 100
         assert decode_frame(frame, dec).equals(planes)
 
@@ -327,11 +344,9 @@ def _decode_peak(frame, state):
     return error, peak
 
 
-def test_multi_band_frames_match_per_block_reference():
-    # planes taller than one band of block rows, clipped on both edges, with
-    # smooth content so that intra DELTA chains cross band boundaries
-    from test_codec_golden import _smooth, reference_payload
-
+def test_tall_frames_match_scalar_reference():
+    # planes of many block rows, clipped on both edges, through key frames
+    # and P-frames, against the scalar reference decoder
     rng = np.random.default_rng(21)
     for kind in (PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES):
         enc, dec = stream_pair(gop=3)
@@ -340,53 +355,111 @@ def test_multi_band_frames_match_per_block_reference():
             mutate = rng.random(planes.data.shape) < 0.02
             planes.data[mutate] ^= 1
             frame = encode_frame(planes.copy(), enc)
-            assert frame.payload == reference_payload(planes, None if frame.key else previous)
+            assert np.array_equal(reference_decode(frame, previous), planes.data)
             assert decode_frame(frame, dec).equals(planes)
-            previous = planes.copy()
+            previous = planes.data.copy()
+
+
+def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
+    """A decoder that has taken a key frame, and the valid P-frame after it."""
+    rng = np.random.default_rng(seed)
+    enc, dec = stream_pair()
+    planes = color_planes(rng, h, w)
+    decode_frame(encode_frame(planes, enc), dec)
+    planes = planes.copy()
+    planes.data[:, ::3, ::2] += 1
+    return encode_frame(planes, enc), dec
+
+
+def _stream_case(key):
+    """(frame, decoder state, payload before the stream, inflated stream)."""
+    if key:
+        frame = encode_frame(color_planes(np.random.default_rng(18), 20, 36), stream_pair()[0])
+        return (frame, CodecStreamState(1, "decoder"), *split_payload(frame))
+    frame, dec = _p_frame_case(20, 36)
+    return (frame, dec, *split_payload(frame))
 
 
 class TestFailClosed:
-    def test_delta_block_without_varint_terminator(self):
-        enc, dec = stream_pair()
-        planes = color_planes(np.random.default_rng(19), BLOCK_SIDE, BLOCK_SIDE)
-        decode_frame(encode_frame(planes, enc), dec)
-        # one literal run of continuation bytes: no varint ever ends
-        block = entropy_encode(b"\x81" * 64)
-        payload = bytes([MODE_DELTA]) + encode_uvarint(len(block)) + block
-        payload += bytes([MODE_SKIP, MODE_SKIP])
-        frame = EncodedFrame(1, 1, False, BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
-        with pytest.raises(CorruptFrameError):
-            decode_frame(EncodedFrame.from_bytes(frame.to_bytes()), dec)
+    """A frame whose stream is not exactly its content is rejected, in
+    memory bounded by the size its header declares, and the decoder state
+    stays as it was."""
+
+    def _rejects(self, frame, dec):
+        def state():
+            return dec.frame_count, None if dec.reference is None else dec.reference.data.tobytes()
+
+        before = state()
+        error, peak = _decode_peak(frame, dec)
+        assert isinstance(error, CorruptFrameError)
+        assert state() == before
+        return peak
+
+    @pytest.mark.parametrize("key", [True, False])
+    def test_stream_inflating_past_its_content(self, key):
+        frame, dec, head, content = _stream_case(key)
+        self._rejects(like(frame, head + deflate(content + b"\0")), dec)
+
+    @pytest.mark.parametrize("key", [True, False])
+    def test_truncated_stream(self, key):
+        frame, dec, head, content = _stream_case(key)
+        self._rejects(like(frame, head + deflate(content, final=False)), dec)
+        self._rejects(like(frame, head + deflate(content)[:-1]), dec)
+
+    @pytest.mark.parametrize("key", [True, False])
+    def test_bytes_after_stream_end(self, key):
+        frame, dec, head, content = _stream_case(key)
+        self._rejects(like(frame, head + deflate(content) + b"\0"), dec)
+
+    @pytest.mark.parametrize("key", [True, False])
+    def test_stream_inflating_short(self, key):
+        frame, dec, head, content = _stream_case(key)
+        self._rejects(like(frame, head + deflate(content[:-1])), dec)
+
+    def test_bitmap_pad_bits_rejected(self):
+        # three blocks: the bitmap's last five bits are padding
+        frame, dec = _p_frame_case()
+        bitmap, content = split_payload(frame)
+        assert bitmap == b"\xe0"
+        for pad in (0x01, 0x10):
+            self._rejects(like(frame, bytes([0xE0 | pad]) + deflate(content)), dec)
+
+    def test_payload_shorter_than_bitmap(self):
+        # 3 planes of 9 blocks need a 4-byte bitmap
+        frame, dec = _p_frame_case(BLOCK_SIDE, 9 * BLOCK_SIDE)
+        assert bitmap_size(frame) == 4
+        for size in range(4):
+            self._rejects(like(frame, frame.payload[:size]), dec)
+
+    def test_huge_declared_key_frame_rejected_in_bounded_memory(self):
+        # 12 bytes that start a valid stream, for 3 x 65535 x 65535 16-bit
+        # elements: inflated only as far as the bytes go
+        payload = zero_bomb(10**6)[:12]
+        frame = EncodedFrame(1, 0, True, 65535, 65535, 3, 16, payload)
+        peak = self._rejects(EncodedFrame.from_bytes(frame.to_bytes()), CodecStreamState(1, "decoder"))
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_huge_zero_run_rejected_before_allocation(self, blocks):
-        run = encode_uvarint((10**8 << 1) | 1)
-        payload = (bytes([MODE_RAW]) + encode_uvarint(len(run)) + run) * blocks
-        wire = EncodedFrame(1, 0, True, BLOCK_SIDE, BLOCK_SIDE, 3, 8, payload).to_bytes()
-        if blocks == 1:
-            assert len(wire) == 33
-        error, peak = _decode_peak(EncodedFrame.from_bytes(wire), CodecStreamState(1, "decoder"))
-        assert isinstance(error, CorruptFrameError)
+        # a P-frame whose bitmap marks `blocks` blocks, with 10**8 zero bytes
+        # of residuals in its stream
+        frame, dec = _p_frame_case(BLOCK_SIDE, 3 * BLOCK_SIDE)
+        bitmap = np.packbits(np.arange(9) < blocks).tobytes()
+        peak = self._rejects(like(frame, bitmap + zero_bomb(10**8)), dec)
         assert peak < 1 << 20
 
     def test_dense_runs_parse_in_bounded_memory(self):
-        # every block of a large P-frame alternates 1-byte literals and
-        # 2-byte zero runs: the most runs a block can carry, parsed a band
-        # at a time
+        # every block of a large P-frame is marked changed, and its stream
+        # repeats a 3-byte pattern, one short match after another, far
+        # past those blocks' bytes
         h, w = 720, 982
         enc, dec = stream_pair()
         blank = PlaneSet(PlaneKind.VISIBILITY_BYTES, np.zeros((3, h, w), np.uint8))
         decode_frame(encode_frame(blank, enc), dec)
-        payload = bytearray()
-        for _ in range(3):
-            for y in range(0, h, BLOCK_SIDE):
-                for x in range(0, w, BLOCK_SIDE):
-                    count = min(BLOCK_SIDE, h - y) * min(BLOCK_SIDE, w - x)
-                    block = b"\x02\x07\x05" * (2 * count // 3)
-                    payload += bytes([MODE_DELTA]) + encode_uvarint(len(block)) + block
-        frame = EncodedFrame(1, 1, False, w, h, 3, 8, bytes(payload))
-        error, peak = _decode_peak(frame, dec)
-        assert isinstance(error, CorruptFrameError)
+        frame = EncodedFrame(1, 1, False, w, h, 3, 8, b"")
+        bitmap = np.packbits(np.ones(3 * 45 * 62, bool)).tobytes()
+        stream = deflate(*[b"\x02\x07\x05" * (1 << 20)] * 3)
+        peak = self._rejects(like(frame, bitmap + stream), dec)
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
 
     def test_unsupported_layout_rejected(self):
@@ -417,43 +490,6 @@ class TestFailClosed:
         error, peak = _decode_peak(EncodedFrame.from_bytes(wire), dec)
         assert error is None or isinstance(error, CodecError)
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
-
-
-class TestHeaderWalk:
-    """SKIP runs are passed over whole; a run never stands for more blocks
-    than are left, and a payload must end exactly after the last block."""
-
-    def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
-        enc, dec = stream_pair()
-        decode_frame(encode_frame(color_planes(np.random.default_rng(22), h, w), enc), dec)
-        return EncodedFrame(1, 1, False, w, h, 3, 16, payload), dec
-
-    def test_skip_run_past_block_count(self):
-        for extra in (1, 5):
-            frame, dec = self._p_frame(bytes([MODE_SKIP]) * (6 + extra))
-            with pytest.raises(CorruptFrameError, match="trailing"):
-                decode_frame(frame, dec)
-
-    def test_coded_block_after_last_skip_run(self):
-        block = entropy_encode(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
-        tail = bytes([MODE_RAW]) + encode_uvarint(len(block)) + block
-        frame, dec = self._p_frame(bytes([MODE_SKIP]) * 6 + tail)
-        with pytest.raises(CorruptFrameError, match="trailing"):
-            decode_frame(frame, dec)
-
-    def test_payload_ends_inside_skip_run(self):
-        block = entropy_encode(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
-        head = bytes([MODE_RAW]) + encode_uvarint(len(block)) + block
-        assert len(head) + 3 >= 6  # long enough to reach the header walk
-        frame, dec = self._p_frame(head + bytes([MODE_SKIP]) * 3)
-        with pytest.raises(CorruptFrameError, match="mid-plane"):
-            decode_frame(frame, dec)
-
-    def test_skip_in_key_frame_rejected(self):
-        payload = bytes([MODE_SKIP]) * 6
-        frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
-        with pytest.raises(CorruptFrameError, match="SKIP block in a key frame"):
-            decode_frame(frame, CodecStreamState(1, role="decoder"))
 
 
 class TestLossRecovery:
@@ -496,28 +532,28 @@ class TestLossRecovery:
         assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_corrupt_p_frame_leaves_state(self):
-        # a valid RAW block in the first band, then a DELTA block with no
-        # varint terminator in the second: the first band is decoded before
-        # the second fails
-        h, w = (BAND_BLOCK_ROWS + 1) * BLOCK_SIDE, BLOCK_SIDE
+        # a P-frame with a valid bitmap whose stream stops one byte short:
+        # the whole stream is inflated and checked before any plane is
+        # touched
+        rng = np.random.default_rng(25)
         enc, dec = stream_pair()
-        decode_frame(encode_frame(color_planes(np.random.default_rng(25), h, w), enc), dec)
-        raw = entropy_encode(bytes(range(256)) * 2)
-        bad = entropy_encode(b"\x81" * 64)
-        plane = bytes([MODE_RAW]) + encode_uvarint(len(raw)) + raw
-        plane += bytes([MODE_SKIP]) * (BAND_BLOCK_ROWS - 1)
-        plane += bytes([MODE_DELTA]) + encode_uvarint(len(bad)) + bad
-        payload = plane + bytes([MODE_SKIP]) * (2 * (BAND_BLOCK_ROWS + 1))
-        wire = EncodedFrame(1, 1, False, w, h, 3, 16, payload).to_bytes()
+        planes = color_planes(rng, 9 * BLOCK_SIDE, BLOCK_SIDE)
+        decode_frame(encode_frame(planes, enc), dec)
+        planes = planes.copy()
+        planes.data[:, :BLOCK_SIDE] += 1
+        planes.data[:, -1] += 2
+        frame = encode_frame(planes, enc)
+        assert not frame.key
         before = self._snapshot(dec)
         with pytest.raises(CorruptFrameError):
-            decode_frame(EncodedFrame.from_bytes(wire), dec)
+            decode_frame(like(frame, frame.payload[:-1]), dec)
         self._assert_unchanged(dec, before)
+        assert decode_frame(frame, dec).equals(planes)
 
     def test_p_frame_of_another_plane_kind_rejected(self):
         enc, dec = stream_pair()
         decode_frame(encode_frame(color_planes(np.random.default_rng(26), 16, 16), enc), dec)
-        frame = EncodedFrame(1, 1, False, 16, 16, 3, 8, bytes([MODE_SKIP]) * 3)
+        frame = EncodedFrame(1, 1, False, 16, 16, 3, 8, bytes(1) + deflate(b""))
         before = self._snapshot(dec)
         with pytest.raises(DimensionMismatchError):
             decode_frame(frame, dec)
