@@ -492,6 +492,46 @@ class TestFailClosed:
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
 
 
+class TestHeaderWalk:
+    """A P-frame's bitmap is its block header: a SKIP (unchanged) block is a
+    clear bit. The skip marks never stand for blocks past the frame's block
+    count, and the stream must end exactly after the last changed block."""
+
+    def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
+        enc, dec = stream_pair()
+        decode_frame(encode_frame(color_planes(np.random.default_rng(22), h, w), enc), dec)
+        return like(EncodedFrame(1, 1, False, w, h, 3, 16, b""), payload), dec
+
+    def test_skip_run_past_block_count(self):
+        # six blocks fit one bitmap byte; more skip bytes run into the stream
+        for extra in (1, 5):
+            frame, dec = self._p_frame(bytes(1 + extra) + deflate(b""))
+            with pytest.raises(CorruptFrameError):
+                decode_frame(frame, dec)
+
+    def test_coded_block_after_last_skip_run(self):
+        # every block skipped, yet the stream holds a block's residuals
+        frame, dec = self._p_frame(bytes(1) + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE)))
+        with pytest.raises(CorruptFrameError, match="inflates past 0 bytes"):
+            decode_frame(frame, dec)
+
+    def test_payload_ends_inside_skip_run(self):
+        # 27 blocks need a 4-byte bitmap; only the first block is changed
+        bitmap = np.packbits(np.arange(27) == 0).tobytes()
+        payload = bitmap + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
+        for size in (1, 2, 3):
+            frame, dec = self._p_frame(payload[:size], w=9 * BLOCK_SIDE)
+            with pytest.raises(CorruptFrameError, match="shorter than its bitmap"):
+                decode_frame(frame, dec)
+
+    def test_skip_in_key_frame_rejected(self):
+        # a key frame has no bitmap: skip marks are read as its stream
+        payload = bytes(1) + deflate(b"")
+        frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
+        with pytest.raises(CorruptFrameError):
+            decode_frame(like(frame, payload), CodecStreamState(1, role="decoder"))
+
+
 class TestLossRecovery:
     """A P-frame the decoder cannot use leaves its state as it was, and the
     next key frame resyncs it."""

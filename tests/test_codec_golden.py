@@ -263,7 +263,7 @@ def frame_sequences(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(frame_sequences())
-def test_reference_decoder_reads_encoded_frames(case):
+def test_encoder_matches_per_block_reference(case):
     kind, gop, frames = case
     enc = CodecStreamState(1, role="encoder", gop_length=gop)
     dec = CodecStreamState(1, role="decoder", gop_length=gop)
@@ -318,7 +318,7 @@ def sparse_p_frames(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_p_frames())
-def test_sparse_p_frames_match_scalar_reference(case):
+def test_sparse_p_frames_match_per_block_reference(case):
     kind, before, after, blocks = case
     enc = CodecStreamState(1, role="encoder")
     dec = CodecStreamState(1, role="decoder")
