@@ -333,7 +333,7 @@ def _decode_key(frame: EncodedFrame) -> np.ndarray:
     item = frame.element_bits // 8
     content = _inflate(frame.payload, frame.plane_count * frame.height * frame.width * item)
     if item == 1:
-        return content.reshape(shape).copy()
+        return content.reshape(shape)
     recon = _unzigzag(_join_low_high(content, frame.plane_count)).reshape(shape)
     np.cumsum(recon, axis=2, dtype=np.uint16, out=recon)
     np.cumsum(recon, axis=1, dtype=np.uint16, out=recon)
@@ -368,7 +368,11 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
 
 
 def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
-    """Decode one frame, verify sequencing, and advance the stream state."""
+    """Decode one frame, verify sequencing, and advance the stream state.
+
+    The returned planes are read-only: the stream state keeps the same array
+    as the next frame's reference.
+    """
     if state.role != "decoder":
         raise CodecError("decode_frame requires a decoder stream state")
     if frame.key:
@@ -388,7 +392,7 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
         ):
             raise DimensionMismatchError("frame layout does not match stream state")
         recon = _decode_p(frame, state.reference.data)
-    planes = PlaneSet(frame.plane_kind, recon)
-    state.reference = planes.copy()
+    recon.flags.writeable = False
+    state.reference = PlaneSet(frame.plane_kind, recon)
     state.frame_count = frame.frame_seq + 1
-    return planes
+    return PlaneSet(frame.plane_kind, recon)

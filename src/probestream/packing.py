@@ -10,7 +10,12 @@ Three families of transforms live here, all lossless by construction:
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule).
 
-Plus the update-atlas slot allocator with per-probe slot caching.
+Plus the update-atlas slot allocator with per-probe slot caching. Slot
+copies are batched: `build_update_atlas` gathers the selected cores from
+`ProbeAtlas.blocks()` and scatters them into `UpdateAtlasLayout.slots()`,
+and `apply_update_entries` does the reverse with one
+`reconstruct_guard_band` call, whose axes after the first two are channels,
+so the entry axis rides along as one.
 """
 
 from __future__ import annotations
@@ -169,19 +174,17 @@ def unpack_texels(planes: PlaneSet, kind: AtlasKind, texel_width: int) -> np.nda
 # corners copy the diagonally opposite core corner.
 
 
-def strip_guard_band(block: np.ndarray) -> np.ndarray:
-    if block.shape[0] != block.shape[1] or block.shape[0] < 3:
-        raise ValueError(f"probe block must be square with side >= 3, got {block.shape}")
-    return block[1:-1, 1:-1].copy()
+def reconstruct_guard_band(core: np.ndarray) -> np.ndarray:
+    """Rebuild a full block from a core by the octahedral wrap rule.
 
-
-def reconstruct_guard_band(core: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rebuild a full block from a core by the octahedral wrap rule."""
+    The first two axes are the core's rows and columns; any further axes are
+    channels and ride along, so a batch of cores moved to a trailing axis is
+    rebuilt in one call.
+    """
     n = core.shape[0]
     if core.shape[1] != n or n < 1:
         raise ValueError(f"core must be square, got {core.shape}")
-    if out is None:
-        out = np.empty((n + 2, n + 2) + core.shape[2:], dtype=core.dtype)
+    out = np.empty((n + 2, n + 2) + core.shape[2:], dtype=core.dtype)
     out[1:-1, 1:-1] = core
     out[0, 1:-1] = core[0, ::-1]
     out[-1, 1:-1] = core[-1, ::-1]
@@ -258,16 +261,13 @@ class UpdateAtlasLayout:
             return (self.height, self.width)
         return (self.height, self.width, 2)
 
-    def slot_origin(self, slot: int) -> tuple[int, int]:
-        if not (0 <= slot < self.slot_count):
-            raise IndexError(f"slot {slot} outside [0, {self.slot_count})")
-        row, col = divmod(slot, self.slots_per_row)
-        return row * self.core_side, col * self.core_side
-
-    def slot_region(self, texels: np.ndarray, slot: int) -> np.ndarray:
-        y, x = self.slot_origin(slot)
+    def slots(self, texels: np.ndarray) -> np.ndarray:
+        """Writable (slot row, slot column, y, x, ...) view of update texels;
+        slot s is ``slots(texels)[divmod(s, slots_per_row)]``."""
         s = self.core_side
-        return texels[y : y + s, x : x + s]
+        return texels.reshape(
+            self.slot_rows, s, self.slots_per_row, s, *texels.shape[2:]
+        ).swapaxes(1, 2)
 
     def assign(self, probes) -> list[tuple[int, int]]:
         """Assign slots for a selected probe set; returns (slot, probe) pairs
@@ -313,6 +313,15 @@ class UpdateAtlasLayout:
         return self.probe_slot.pop(victim)
 
 
+def _entry_index(entries, layout: UpdateAtlasLayout, atlas: ProbeAtlas):
+    """`slots()` and `blocks()` indices of (slot, probe) entries; raises
+    IndexError, before anything is written, on a slot or probe out of range."""
+    slots, probes = np.asarray(entries, dtype=np.int64).reshape(-1, 2).T
+    if slots.size and (slots.min() < 0 or slots.max() >= layout.slot_count):
+        raise IndexError(f"slot outside [0, {layout.slot_count})")
+    return np.divmod(slots, layout.slots_per_row), atlas.block_index(probes)
+
+
 def build_update_atlas(
     selected,
     layout: UpdateAtlasLayout,
@@ -328,9 +337,8 @@ def build_update_atlas(
     if update_texels is None:
         update_texels = np.zeros(layout.texel_shape(source.kind), source.texels.dtype)
     entries = layout.assign(selected)
-    for slot, probe in entries:
-        core = strip_guard_band(source.probe_block(probe))
-        layout.slot_region(update_texels, slot)[:] = core
+    (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, source)
+    layout.slots(update_texels)[slot_rows, slot_cols] = source.blocks()[rows, cols, 1:-1, 1:-1]
     return update_texels, entries
 
 
@@ -341,6 +349,7 @@ def apply_update_entries(
     target: ProbeAtlas,
 ) -> None:
     """Copy slot cores into target probe blocks, rebuilding guard bands."""
-    for slot, probe in entries:
-        core = layout.slot_region(update_texels, slot)
-        reconstruct_guard_band(core, out=target.probe_block(probe))
+    (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, target)
+    cores = layout.slots(update_texels)[slot_rows, slot_cols]
+    blocks = reconstruct_guard_band(np.moveaxis(cores, 0, -1))
+    target.blocks()[rows, cols] = np.moveaxis(blocks, -1, 0)

@@ -318,27 +318,13 @@ class SelectionParams:
 # --- change detection ---------------------------------------------------------
 
 
-def _per_probe_blocks(atlas: ProbeAtlas) -> np.ndarray:
-    """(probe, side, side, ...) view in probe-index order, padding included."""
-    side = atlas.kind.block_side
-    rows = atlas.block_rows
-    cols = atlas.probes_per_row
-    rest = atlas.texels.shape[2:]
-    a = atlas.texels.reshape(rows, side, cols, side, *rest)
-    order = (0, 2, 1, 3) + tuple(range(4, 4 + len(rest)))
-    return a.transpose(order).reshape(rows * cols, side, side, *rest)
-
-
 def detect_changed(
-    rendered: ProbeAtlas,
-    last_sent: ProbeAtlas,
-    volume: ProbeVolume,
-    threshold: float = 0.0,
+    rendered: ProbeAtlas, last_sent: ProbeAtlas, volume: ProbeVolume
 ) -> np.ndarray:
     """Probe ids whose blocks differ from their last transmitted state.
 
-    Threshold 0 is an exact comparison: any bit difference marks the probe.
-    Inactive probes are never reported.
+    The comparison is exact: any bit difference marks the probe. Inactive
+    probes are never reported.
     """
     if (
         rendered.kind != last_sent.kind
@@ -348,27 +334,9 @@ def detect_changed(
         raise LayoutMismatchError("atlases do not share a layout")
     if rendered.probe_count != volume.probe_count:
         raise LayoutMismatchError("atlas probe count does not match volume")
-    a = _per_probe_blocks(rendered)[: volume.probe_count]
-    b = _per_probe_blocks(last_sent)[: volume.probe_count]
-    reduce_axes = tuple(range(1, a.ndim))
-    if threshold <= 0.0:
-        changed = (a != b).any(axis=reduce_axes)
-    elif rendered.kind.value == "color":
-        diff = np.zeros(a.shape, dtype=np.int64)
-        for shift in (0, 10, 20):
-            ac = (a >> shift) & 0x3FF
-            bc = (b >> shift) & 0x3FF
-            diff = np.maximum(diff, np.abs(ac.astype(np.int64) - bc.astype(np.int64)))
-        changed = (diff > threshold).any(axis=reduce_axes)
-    else:
-        av = a.view(np.float16).astype(np.float32)
-        bv = b.view(np.float16).astype(np.float32)
-        delta = np.abs(av - bv)
-        changed = ((delta > threshold) | np.isnan(delta) & (a != b)).any(
-            axis=reduce_axes
-        )
-    changed &= volume.active
-    return np.flatnonzero(changed)
+    differs = rendered.blocks() != last_sent.blocks()
+    changed = differs.any(axis=tuple(range(2, differs.ndim))).reshape(-1)
+    return np.flatnonzero(changed[: volume.probe_count] & volume.active)
 
 
 # --- probe cages and the potentially visible set ------------------------------

@@ -116,6 +116,11 @@ class ProbeVolume:
 class ProbeAtlas:
     """2-D texel array holding one block per probe, row-major by probe index.
 
+    `blocks()` is the one view of the blocks: probe p's block is
+    ``blocks()[divmod(p, probes_per_row)]``, and `block_index` turns an array
+    of probe ids into that index, rejecting ids outside the volume. Blocks
+    past the last probe in the final block row are padding.
+
     Color atlases store one packed uint32 per texel (R in bits 0..9,
     G in 10..19, B in 20..29, alpha bits 30..31 unused and kept zero).
     Visibility atlases store raw float16 bit patterns as a (H, W, 2) uint16
@@ -164,24 +169,19 @@ class ProbeAtlas:
             self.kind, self.probe_count, self.probes_per_row, self.texels.copy()
         )
 
-    def block_origin(self, probe: int) -> tuple[int, int]:
-        if not (0 <= probe < self.probe_count):
-            raise IndexError(f"probe {probe} outside [0, {self.probe_count})")
+    def blocks(self) -> np.ndarray:
+        """Writable (block row, block column, y, x, ...) view of the texels."""
         side = self.kind.block_side
-        row, col = divmod(probe, self.probes_per_row)
-        return row * side, col * side
+        return self.texels.reshape(
+            self.block_rows, side, self.probes_per_row, side, *self.texels.shape[2:]
+        ).swapaxes(1, 2)
 
-    def probe_block(self, probe: int) -> np.ndarray:
-        """Writable view of a probe's full block (guard band included)."""
-        y, x = self.block_origin(probe)
-        side = self.kind.block_side
-        return self.texels[y : y + side, x : x + side]
-
-    def probe_core(self, probe: int) -> np.ndarray:
-        """Writable view of a probe's core texels (guard band excluded)."""
-        y, x = self.block_origin(probe)
-        side = self.kind.block_side
-        return self.texels[y + 1 : y + side - 1, x + 1 : x + side - 1]
+    def block_index(self, probes) -> tuple[np.ndarray, np.ndarray]:
+        """(block rows, block columns) of probe ids, to index `blocks()` with."""
+        ids = np.asarray(probes, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.probe_count):
+            raise IndexError(f"probe id outside [0, {self.probe_count})")
+        return np.divmod(ids, self.probes_per_row)
 
 
 # --- octahedral direction mapping ------------------------------------------

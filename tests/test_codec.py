@@ -230,6 +230,22 @@ class TestFrameCodec:
             planes = vis_planes(rng, 36, 44)
             assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
+    @pytest.mark.parametrize("make", [color_planes, vis_planes])
+    def test_decoded_planes_are_read_only(self, make):
+        # the decoder keeps the planes it returns as the next reference
+        rng = np.random.default_rng(12)
+        enc, dec = stream_pair()
+        planes = make(rng)
+        for key in (True, False, False):
+            frame = encode_frame(planes, enc)
+            assert frame.key is key
+            out = decode_frame(frame, dec)
+            assert out.equals(planes)
+            with pytest.raises(ValueError):
+                out.data[0, 0, 0] ^= 1
+            planes = planes.copy()
+            planes.data[:, 5:9, 20:30] ^= 1
+
     def test_gop_boundary_forces_key(self):
         rng = np.random.default_rng(9)
         enc, _ = stream_pair(gop=4)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probestream.packing import (
@@ -17,7 +17,6 @@ from probestream.packing import (
     pack_visibility,
     packed_reduction,
     reconstruct_guard_band,
-    strip_guard_band,
     unpack_color,
     unpack_visibility,
     widened_width,
@@ -163,17 +162,88 @@ def test_visibility_packing_matches_scalar_reference(h, w, seed):
     assert out.dtype == np.uint16 and out.shape == (h, w, 2)
     assert np.array_equal(out, texels)
 
+
+# --- per-probe reference for the batched slot copies ---------------------------
+
+
+def reference_block(atlas, probe):
+    """Probe's block by explicit origin arithmetic, as a writable view."""
+    side = atlas.kind.block_side
+    y, x = side * (probe // atlas.probes_per_row), side * (probe % atlas.probes_per_row)
+    return atlas.texels[y : y + side, x : x + side]
+
+
+def reference_slot(layout, texels, slot):
+    """Slot's core region by explicit origin arithmetic, as a writable view."""
+    s = layout.core_side
+    y, x = s * (slot // layout.slots_per_row), s * (slot % layout.slots_per_row)
+    return texels[y : y + s, x : x + s]
+
+
+def reference_build(selected, layout, source, update_texels):
+    entries = layout.assign(selected)
+    for slot, probe in entries:
+        reference_slot(layout, update_texels, slot)[:] = reference_block(source, probe)[1:-1, 1:-1]
+    return entries
+
+
+def reference_apply(entries, update_texels, layout, target):
+    for slot, probe in entries:
+        core = reference_slot(layout, update_texels, slot)
+        reference_block(target, probe)[:] = reconstruct_guard_band(core)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(AtlasKind)),
+    probe_count=st.integers(1, 30),
+    per_row=st.integers(1, 7),
+    slot_count=st.integers(1, 9),
+    history=st.lists(st.lists(st.integers(0, 10**6), max_size=9), max_size=8),
+    seed=st.integers(0, 2**20),
+)
+# 11 probes in rows of 3 and 7 slots in a 3x3 grid: both end in padding; the
+# second update selects nothing, and the third and fourth evict
+@example(
+    kind=AtlasKind.VISIBILITY, probe_count=11, per_row=3, slot_count=7,
+    history=[[0, 10], [], [1, 2, 3, 4, 5, 6], [7, 8], [10, 2]], seed=0,
+)
+def test_batched_slot_copies_match_per_probe_reference(
+    kind, probe_count, per_row, slot_count, history, seed
+):
+    rng = np.random.default_rng(seed)
+    source = ProbeAtlas(kind, probe_count, probes_per_row=per_row)
+    target = ProbeAtlas(kind, probe_count, probes_per_row=per_row)
+    expect_target = target.copy()
+    layout = UpdateAtlasLayout(slot_count, kind.core_side)
+    twin = UpdateAtlasLayout(slot_count, kind.core_side)
+    texels = np.zeros(layout.texel_shape(kind), source.texels.dtype)
+    expect_texels = texels.copy()
+    for ids in history:
+        # ids folded into the volume, no more than the slots hold
+        selected = sorted({i % probe_count for i in ids})[:slot_count]
+        source.texels[:] = rng.integers(
+            0, np.iinfo(source.texels.dtype).max, source.texels.shape, source.texels.dtype, True
+        )
+        texels, entries = build_update_atlas(selected, layout, source, texels)
+        assert entries == reference_build(selected, twin, source, expect_texels)
+        assert np.array_equal(texels, expect_texels)
+        apply_update_entries(entries, texels, layout, target)
+        reference_apply(entries, expect_texels, twin, expect_target)
+        assert np.array_equal(target.texels, expect_target.texels)
+
+
 class TestGuardBand:
     def test_color_reduction_is_36_percent(self):
         rng = np.random.default_rng(2)
         block = rng.integers(0, 2**30, size=(10, 10), dtype=np.uint32)
-        core = strip_guard_band(block)
+        core = block[1:-1, 1:-1]
         assert core.shape == (8, 8)
         assert 1 - core.size / block.size == pytest.approx(0.36)
         assert guard_band_reduction(AtlasKind.COLOR) == pytest.approx(0.36)
 
     def test_visibility_reduction_is_21_percent(self):
-        core = strip_guard_band(np.zeros((18, 18, 2), dtype=np.uint16))
+        core = np.zeros((18, 18, 2), dtype=np.uint16)[1:-1, 1:-1]
         assert core.shape == (16, 16, 2)
         assert guard_band_reduction(AtlasKind.VISIBILITY) == pytest.approx(
             1 - 256 / 324
@@ -181,13 +251,13 @@ class TestGuardBand:
 
     def test_constant_block_reconstructs_exactly(self):
         block = np.full((10, 10), 77, dtype=np.uint32)
-        assert np.array_equal(reconstruct_guard_band(strip_guard_band(block)), block)
+        assert np.array_equal(reconstruct_guard_band(block[1:-1, 1:-1]), block)
 
     def test_strip_then_reconstruct_identity_on_wrapped_blocks(self):
         rng = np.random.default_rng(4)
         core = rng.integers(0, 2**30, size=(8, 8), dtype=np.uint32)
         block = reconstruct_guard_band(core)
-        assert np.array_equal(reconstruct_guard_band(strip_guard_band(block)), block)
+        assert np.array_equal(reconstruct_guard_band(block[1:-1, 1:-1]), block)
 
     def test_wrap_rule_detail(self):
         core = np.arange(16, dtype=np.uint32).reshape(4, 4)
@@ -199,8 +269,10 @@ class TestGuardBand:
         assert list(block[1:-1, 0]) == [12, 8, 4, 0]
 
     def test_small_block_rejected(self):
-        with pytest.raises(ValueError):
-            strip_guard_band(np.zeros((2, 2), dtype=np.uint32))
+        # a 2x2 block has an empty core; a non-square core is no block's
+        for core in (np.zeros((2, 2))[1:-1, 1:-1], np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                reconstruct_guard_band(core.astype(np.uint32))
 
     def test_combined_reductions(self):
         assert packed_reduction(AtlasKind.COLOR, 0.75) == pytest.approx(0.52)
@@ -212,9 +284,9 @@ class TestGuardBand:
 
 
 class TestUpdateAtlas:
-    def make_source(self, probe_count=16, seed=0):
+    def make_source(self, probe_count=16, seed=0, per_row=4):
         rng = np.random.default_rng(seed)
-        atlas = ProbeAtlas(AtlasKind.COLOR, probe_count, probes_per_row=4)
+        atlas = ProbeAtlas(AtlasKind.COLOR, probe_count, probes_per_row=per_row)
         atlas.texels[:] = rng.integers(0, 2**30, size=atlas.texels.shape)
         return atlas
 
@@ -224,7 +296,7 @@ class TestUpdateAtlas:
         texels, entries = build_update_atlas([5], layout, source)
         assert entries == [(0, 5)]
         assert np.array_equal(
-            layout.slot_region(texels, 0), strip_guard_band(source.probe_block(5))
+            reference_slot(layout, texels, 0), reference_block(source, 5)[1:-1, 1:-1]
         )
 
     def test_cached_probe_keeps_slot(self):
@@ -245,9 +317,9 @@ class TestUpdateAtlas:
         source = self.make_source()
         layout = UpdateAtlasLayout(8, AtlasKind.COLOR.core_side)
         texels, _ = build_update_atlas([5], layout, source)
-        before = layout.slot_region(texels, 0).copy()
+        before = reference_slot(layout, texels, 0).copy()
         build_update_atlas([9], layout, source, texels)
-        assert np.array_equal(layout.slot_region(texels, 0), before)
+        assert np.array_equal(reference_slot(layout, texels, 0), before)
 
     def test_overflow_rejected(self):
         source = self.make_source()
@@ -307,8 +379,29 @@ class TestUpdateAtlas:
         texels, entries = build_update_atlas([3, 11], layout, source)
         apply_update_entries(entries, texels, layout, target)
         for probe in (3, 11):
-            expect = reconstruct_guard_band(strip_guard_band(source.probe_block(probe)))
-            assert np.array_equal(target.probe_block(probe), expect)
+            expect = reconstruct_guard_band(reference_block(source, probe)[1:-1, 1:-1])
+            assert np.array_equal(reference_block(target, probe), expect)
+
+    @pytest.mark.parametrize("probe", [-1, 7])
+    def test_probe_outside_volume_rejected(self, probe):
+        # 7 probes in rows of 3: blocks 7 and 8 are padding
+        source = self.make_source(probe_count=7, per_row=3)
+        layout = UpdateAtlasLayout(4, AtlasKind.COLOR.core_side)
+        texels = np.zeros(layout.texel_shape(AtlasKind.COLOR), np.uint32)
+        with pytest.raises(IndexError):
+            build_update_atlas([2, probe], layout, source, texels)
+        assert not texels.any()
+
+    @pytest.mark.parametrize("slot, probe", [(1, -1), (1, 7), (7, 3), (-1, 3)])
+    def test_apply_out_of_range_leaves_target(self, slot, probe):
+        # 7 probes in rows of 3 and 7 slots in a 3x3 grid: both end in padding
+        source = self.make_source(probe_count=7, per_row=3)
+        layout = UpdateAtlasLayout(7, AtlasKind.COLOR.core_side)
+        texels, _ = build_update_atlas([2, 3], layout, source)
+        target = ProbeAtlas(AtlasKind.COLOR, 7, probes_per_row=3)
+        with pytest.raises(IndexError):
+            apply_update_entries([(0, 2), (slot, probe)], texels, layout, target)
+        assert not target.texels.any()
 
 
 class TestPlaneSet:

@@ -385,33 +385,34 @@ def _atlases(kind, count=6):
     return a, a.copy()
 
 
-def test_detect_color_threshold_per_channel():
+def _core(atlas, probe):
+    """Writable view of a probe's core texels."""
+    return atlas.blocks()[divmod(probe, atlas.probes_per_row)][1:-1, 1:-1]
+
+
+def test_detect_color_exact_per_channel():
     volume = ProbeVolume((6, 1, 1))
     a, b = _atlases(AtlasKind.COLOR)
     for probe, shift in ((1, 0), (3, 10), (5, 20)):
-        block = b.probe_core(probe)
+        block = _core(b, probe)
         channel = int(block[0, 0] >> shift) & 0x3FF
         step = 5 if channel < 1000 else -5
         block[0, 0] = (block[0, 0] & ~np.uint32(0x3FF << shift)) | np.uint32((channel + step) << shift)
     assert list(detect_changed(a, b, volume)) == [1, 3, 5]
-    assert list(detect_changed(a, b, volume, threshold=4)) == [1, 3, 5]
-    assert list(detect_changed(a, b, volume, threshold=5)) == []
 
 
-def test_detect_visibility_threshold_nan_and_signed_zero():
+def test_detect_visibility_exact_nan_and_signed_zero():
     volume = ProbeVolume((6, 1, 1))
     a, b = _atlases(AtlasKind.VISIBILITY)
     f16 = lambda x: np.float16(x).view(np.uint16)  # noqa: E731
-    b.probe_core(0)[0, 0, 1] = f16(1.5 + 0.25)  # mean-square half moved
-    b.probe_core(1)[2, 2, 0] = f16(1.5 - 0.5)  # mean half moved
-    a.probe_core(2)[0, 0, 0] = f16(0.0)
-    b.probe_core(2)[0, 0, 0] = f16(-0.0)  # signed zero
-    a.probe_core(3)[1, 1, 0] = b.probe_core(3)[1, 1, 0] = np.uint16(0x7E00)  # same NaN
-    a.probe_core(4)[1, 1, 1] = np.uint16(0x7E00)  # NaN against a number
-    a.probe_core(5)[1, 1, 1], b.probe_core(5)[1, 1, 1] = np.uint16(0x7E00), np.uint16(0x7E01)
+    _core(b, 0)[0, 0, 1] = f16(1.5 + 0.25)  # mean-square half moved
+    _core(b, 1)[2, 2, 0] = f16(1.5 - 0.5)  # mean half moved
+    _core(a, 2)[0, 0, 0] = f16(0.0)
+    _core(b, 2)[0, 0, 0] = f16(-0.0)  # signed zero
+    _core(a, 3)[1, 1, 0] = _core(b, 3)[1, 1, 0] = np.uint16(0x7E00)  # same NaN
+    _core(a, 4)[1, 1, 1] = np.uint16(0x7E00)  # NaN against a number
+    _core(a, 5)[1, 1, 1], _core(b, 5)[1, 1, 1] = np.uint16(0x7E00), np.uint16(0x7E01)
     assert list(detect_changed(a, b, volume)) == [0, 1, 2, 4, 5]
-    assert list(detect_changed(a, b, volume, threshold=0.3)) == [1, 4, 5]
-    assert list(detect_changed(a, b, volume, threshold=0.5)) == [4, 5]
 
 
 def test_detect_skips_inactive_and_rejects_mismatched_layouts():

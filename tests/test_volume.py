@@ -157,17 +157,31 @@ class TestAtlas:
         atlas = ProbeAtlas(AtlasKind.COLOR, 20, probes_per_row=4)
         atlas.texels[:] = rng.integers(0, 2**30, size=atlas.texels.shape)
         for probe in (0, 7, 19):
-            block = atlas.probe_block(probe).copy()
-            atlas.probe_block(probe)[:] = 0
-            atlas.probe_block(probe)[:] = block
-            assert np.array_equal(atlas.probe_block(probe), block)
+            y, x = 10 * (probe // 4), 10 * (probe % 4)
+            index = atlas.block_index([probe])
+            block = atlas.blocks()[index]
+            assert np.array_equal(block[0], atlas.texels[y : y + 10, x : x + 10])
+            atlas.blocks()[index] = 0
+            assert not atlas.texels[y : y + 10, x : x + 10].any()
+            atlas.blocks()[index] = block
+            assert np.array_equal(atlas.blocks()[index], block)
 
     def test_core_is_interior(self):
         atlas = ProbeAtlas(AtlasKind.VISIBILITY, 4, probes_per_row=2)
-        atlas.probe_core(3)[:] = 5
-        block = atlas.probe_block(3)
+        rows, cols = atlas.block_index([3])
+        atlas.blocks()[rows, cols, 1:-1, 1:-1] = 5
+        block = atlas.texels[18:36, 18:36]
         assert np.all(block[1:-1, 1:-1] == 5)
         assert np.all(block[0, :] == 0) and np.all(block[:, 0] == 0)
+
+    def test_block_index_rejects_ids_outside_the_volume(self):
+        # 18 probes in rows of 4: blocks 18 and 19 are padding
+        atlas = ProbeAtlas(AtlasKind.COLOR, 18, probes_per_row=4)
+        rows, cols = atlas.block_index([0, 5, 17])
+        assert list(rows) == [0, 1, 4] and list(cols) == [0, 1, 1]
+        for probe in (-1, 18, 19):
+            with pytest.raises(IndexError):
+                atlas.block_index([0, probe])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
