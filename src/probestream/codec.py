@@ -26,7 +26,9 @@ at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
   zero bits to a whole byte; blocks are clipped at the right and bottom
   edges, never padded. The stream holds the residuals cur - ref
   (mod 2**bits) of the changed blocks in bitmap order, each block's
-  elements in row order; in 16-bit planes they form one run.
+  elements in row order; in 16-bit planes they form one run. The bitmap's
+  grid is `volume.changed_blocks`, the block-change reduction that
+  `selection.detect_changed` shares.
 
 The decoder knows the inflated size before inflating: the header's plane
 bytes for a key frame, the changed blocks' elements for a P-frame. It lets
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from probestream.packing import PlaneKind, PlaneSet
+from probestream.volume import changed_blocks
 
 BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
@@ -197,19 +200,6 @@ def _elements(order: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return idx[idx >= 0]
 
 
-def _changed_blocks(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Which blocks of `cur` differ from `ref`; shape (..., block rows,
-    block columns). The rows of each block are reduced first, then the
-    16-wide column groups of that 16x smaller result."""
-    *lead, height, width = cur.shape
-    by, bx = _blocks_across(height), _blocks_across(width)
-    changed = np.zeros((*lead, by * BLOCK_SIDE, width), dtype=bool)
-    np.not_equal(cur, ref, out=changed[..., :height, :])
-    rows = np.zeros((*lead, by, bx * BLOCK_SIDE), dtype=bool)
-    rows[..., :width] = changed.reshape(*lead, by, BLOCK_SIDE, width).any(axis=-2)
-    return rows.reshape(*lead, by, bx, BLOCK_SIDE).any(axis=-1)
-
-
 # --- residuals and their bytes -----------------------------------------------
 
 
@@ -309,7 +299,7 @@ def encode_frame(
         payload = _deflate(_key_content(planes.data))
     else:
         ref = state.reference.data
-        changed = _changed_blocks(planes.data, ref)
+        changed = changed_blocks(planes.data, ref, BLOCK_SIDE, BLOCK_SIDE)
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
         payload = bitmap + _deflate(_p_content(planes.data, ref, changed))
     seq = state.frame_count

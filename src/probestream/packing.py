@@ -86,13 +86,12 @@ def pack_color(texels: np.ndarray) -> PlaneSet:
     t = np.asarray(texels, dtype=np.uint32)
     if t.ndim != 2:
         raise ValueError("color texel region must be 2-D")
-    planes = np.stack(
-        [
-            (t & 0x3FF).astype(np.uint16),
-            ((t >> 10) & 0x3FF).astype(np.uint16),
-            ((t >> 20) & 0x3FF).astype(np.uint16),
-        ]
-    )
+    planes = np.empty((3, *t.shape), dtype=np.uint16)
+    # assignment keeps each value's low 16 bits; the mask then keeps 10
+    planes[0] = t
+    planes[1] = t >> 10
+    planes[2] = t >> 20
+    planes &= 0x3FF
     return PlaneSet(PlaneKind.COLOR_10IN16, planes)
 
 
@@ -100,10 +99,15 @@ def unpack_color(planes: PlaneSet) -> np.ndarray:
     """Inverse of `pack_color`; alpha bits come back zero."""
     if planes.kind is not PlaneKind.COLOR_10IN16:
         raise ValueError("expected color plane set")
-    y, u, v = planes.data.astype(np.uint32)
-    if np.any(planes.data > 1023):
+    if planes.data.max(initial=0) > 1023:
         raise ValueError("color plane element exceeds 10-bit range")
-    return y | (u << 10) | (v << 20)
+    y, u, v = planes.data
+    texels = v.astype(np.uint32)
+    texels <<= 10
+    texels |= u
+    texels <<= 10
+    texels |= y
+    return texels
 
 
 # --- visibility packing ------------------------------------------------------
@@ -334,6 +338,7 @@ def build_update_atlas(
     cached probes keep their previous contents so the temporal codec sees a
     stable background. Returns the texel array and the (slot, probe) entries.
     """
+    source.block_index(selected)  # rejects ids outside the volume before the layout changes
     if update_texels is None:
         update_texels = np.zeros(layout.texel_shape(source.kind), source.texels.dtype)
     entries = layout.assign(selected)

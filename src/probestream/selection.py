@@ -9,19 +9,23 @@ that escape the scene contribute the cage at the point where they leave the
 probe volume, and the camera's own cell is always included so open scenes
 never produce an empty selection.
 
-The ray cast is exact but culled. Every box gets a bounding sphere once
-per scene. Rays go `RAY_CHUNK` at a time; per chunk, two matmuls give each
-sphere centre's projection on each ray and its squared distance from the
-ray's line, and only the (ray, box) pairs whose line passes within the
-sphere, inflated to cover the slab test's RAY_EPS tolerances and rounding,
-and not wholly behind the origin, go on to the slab test. Triangles are not
-culled: every (ray, triangle) pair goes to the Moller-Trumbore test. Both
-tests are the same elementwise float64 expressions a dense all-pairs cast
-evaluates, so the surviving pairs get bit-identical t values, and no pair
-the tests would accept is culled (the inflation is derived in
-`SceneGeometry._cull`). The nearest hit per ray breaks ties toward the
-lowest primitive, boxes numbered before triangles. Temporaries stay
-O(`RAY_CHUNK` x primitives).
+Change detection finds the changed probe blocks with
+`volume.changed_blocks`, the block-change reduction the codec also uses,
+over the atlas texels read as one uint32 per texel.
+
+The ray cast is boxes only, exact and culled, and returns the nearest t per
+ray; `pvs_probes` forms the hit points from it. Every box gets a bounding
+sphere once per scene. Rays go `RAY_CHUNK` at a time; per chunk, two
+matmuls give each sphere centre's projection on each ray and its squared
+distance from the ray's line, and only the (ray, box) pairs whose line
+passes within the sphere, inflated to cover the slab test's RAY_EPS
+tolerances and rounding, and not wholly behind the origin, go on to the
+slab test. The slab test is the same elementwise float64 expressions a
+dense all-pairs cast evaluates, so the surviving pairs get bit-identical t
+values, and no pair the test would accept is culled (the inflation is
+derived in `SceneGeometry._cull`). The nearest t of each ray is one
+`np.minimum.reduceat` over its pairs. Temporaries stay O(`RAY_CHUNK` x
+boxes).
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from probestream.volume import ProbeAtlas, ProbeVolume
+from probestream.volume import ProbeAtlas, ProbeVolume, changed_blocks
 
 RAY_EPS = 1e-6
-RAY_CHUNK = 1024  # rays per cull pass; bounds the (rays x primitives) temporaries
+RAY_CHUNK = 1024  # rays per cull pass; bounds the (rays x boxes) temporaries
 CULL_SLACK = 1e-12  # relative slack on the cull's squared lengths, see `SceneGeometry._cull`
 
 
@@ -46,13 +50,13 @@ class LayoutMismatchError(ValueError):
 
 
 class SceneGeometry:
-    """Axis-aligned boxes plus triangles with a nearest-hit ray query.
+    """Axis-aligned boxes with a nearest-t ray query.
 
-    Primitives are numbered boxes first, then triangles; ties between equally
-    near hits go to the lowest number.
+    Only the nearest hit's t comes back, not which box it hit, so equally
+    near boxes need no tie rule.
     """
 
-    def __init__(self, boxes=None, triangles=None) -> None:
+    def __init__(self, boxes=None) -> None:
         self.boxes = (
             np.asarray(boxes, dtype=np.float64).reshape(-1, 2, 3)
             if boxes is not None and len(boxes)
@@ -60,52 +64,34 @@ class SceneGeometry:
         )
         if np.any(self.boxes[:, 0] > self.boxes[:, 1]):
             raise ValueError("box min must be <= box max componentwise")
-        self.triangles = (
-            np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-            if triangles is not None and len(triangles)
-            else np.zeros((0, 3, 3))
-        )
-        e1 = self.triangles[:, 1] - self.triangles[:, 0]
-        e2 = self.triangles[:, 2] - self.triangles[:, 0]
-        face_n = np.cross(e1, e2)
-        self._face_normals = face_n / np.maximum(
-            np.linalg.norm(face_n, axis=1, keepdims=True), 1e-30
-        )
         # a box's bounding sphere: its centre and half diagonal
         self._centres = self.boxes.mean(axis=1)
         self._radii = 0.5 * np.linalg.norm(self.boxes[:, 1] - self.boxes[:, 0], axis=1)
 
-    def raycast(
-        self, origins: np.ndarray, directions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest hits for a batch of rays.
+    def raycast(self, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """The nearest hit's t per ray, inf where a ray misses every box.
 
-        Returns (hit mask, t, points, normals); t is inf where rays miss.
-        Normals face against the incoming ray. The rays go through the cull
-        and the exact tests `RAY_CHUNK` at a time.
+        The rays go through the cull and the slab test `RAY_CHUNK` at a time.
         """
         d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         o = np.broadcast_to(np.atleast_2d(np.asarray(origins, dtype=np.float64)), d.shape)
         safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
-        n = d.shape[0]
-        best_t = np.full(n, np.inf)
-        best_normal = np.zeros((n, 3))
-        for lo in range(0, n, RAY_CHUNK):
+        best_t = np.full(d.shape[0], np.inf)
+        for lo in range(0, d.shape[0], RAY_CHUNK):
             rows = slice(lo, lo + RAY_CHUNK)
-            oc, dc, sc = o[rows], d[rows], safe_d[rows]
-            ray, prim = self._cull(oc, sc)
-            t, axis = self._intersect(oc[ray], dc[ray], sc[ray], prim)
-            win = _first_nearest(ray, t)
-            ray, prim = ray[win], prim[win]
-            best_t[lo + ray] = t[win]
-            best_normal[lo + ray] = self._normals(dc[ray], prim, axis[win])
-        hit = np.isfinite(best_t)
-        points = o + d * np.where(hit, best_t, 0.0)[:, None]
-        return hit, best_t, points, best_normal
+            oc, sc = o[rows], safe_d[rows]
+            ray, box = self._cull(oc, sc)
+            if not ray.size:
+                continue
+            t = self._slab(oc[ray], sc[ray], box)
+            # pairs come grouped by ray, so each group starts where the ray changes
+            starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+            best_t[lo + ray[starts]] = np.minimum.reduceat(t, starts)
+        return best_t
 
     def _cull(self, o, safe_d):
-        """(ray, primitive) pairs the exact tests might accept, grouped by
-        ray with primitives ascending. Every (ray, triangle) pair is kept.
+        """(ray, box) pairs the slab test might accept, grouped by ray with
+        boxes ascending.
 
         A (ray, box) pair is kept when some point ``o + u * tau``, tau >= 0,
         on the ray's unit direction u lies within the inflated radius R of
@@ -135,7 +121,7 @@ class SceneGeometry:
         s and the slackened ``|c - o|**2 - R**2`` one matmul each, for a
         shared or a per-ray origin alike.
         """
-        nb, nt = len(self.boxes), len(self.triangles)
+        nb = len(self.boxes)
         c = self._centres
         safe_len = np.linalg.norm(safe_d, axis=1)
         u = safe_d / safe_len[:, None]
@@ -145,97 +131,28 @@ class SceneGeometry:
         a = self._radii + RAY_EPS * safe_len.max()
         g = CULL_SLACK
         ray_f = np.column_stack([o, np.ones(len(o)), np.sum(o * o, axis=1)])
-        prim_f = np.column_stack([
+        box_f = np.column_stack([
             -2.0 * c,
             (1.0 - g) * np.sum(c * c, axis=1) - (1.0 + g) * a * a,
             np.full(nb, 1.0 - g),
         ])
-        gap = ray_f @ prim_f.T  # |c - o|**2 - R**2, lowered by the slack
+        gap = ray_f @ box_f.T  # |c - o|**2 - R**2, lowered by the slack
 
         np.maximum(s, 0.0, out=s)
         s *= s
-        keep = np.ones((len(o), nb + nt), dtype=bool)
-        np.greater_equal(s, gap, out=keep[:, :nb])
         # row-major flat indices, so pairs come grouped by ray
-        return np.divmod(np.flatnonzero(keep), nb + nt)
-
-    def _intersect(self, o, d, safe_d, prim):
-        """Exact t per (ray, primitive) pair, inf on a miss, and the box
-        wall axis a box hit crosses."""
-        nb = len(self.boxes)
-        t = np.full(len(prim), np.inf)
-        axis = np.zeros(len(prim), dtype=np.intp)
-        box = prim < nb
-        tri = ~box
-        if box.any():
-            t[box], axis[box] = self._slab(o[box], safe_d[box], prim[box])
-        if tri.any():
-            t[tri] = self._moller_trumbore(o[tri], d[tri], prim[tri] - nb)
-        return t, axis
+        return np.divmod(np.flatnonzero(s >= gap), nb)
 
     def _slab(self, o, safe_d, box):
+        """Exact t per (ray, box) pair, inf on a miss: the entering hit from
+        outside, or the exit wall from inside."""
         inv = 1.0 / safe_d
-        lo = self.boxes[box, 0]
-        hi = self.boxes[box, 1]
-        t1 = (lo - o) * inv
-        t2 = (hi - o) * inv
-        tmin = np.minimum(t1, t2)
-        tmax = np.maximum(t1, t2)
-        near_ax = np.argmax(tmin, axis=1)
-        far_ax = np.argmin(tmax, axis=1)
-        tnear = np.take_along_axis(tmin, near_ax[:, None], 1)[:, 0]
-        tfar = np.take_along_axis(tmax, far_ax[:, None], 1)[:, 0]
-        valid = tnear <= tfar + RAY_EPS
-        # entering hit from outside, or interior hit on the exit wall
-        t_entry = np.where(valid & (tnear > RAY_EPS), tnear, np.inf)
-        t_exit = np.where(valid & (tnear <= RAY_EPS) & (tfar > RAY_EPS), tfar, np.inf)
-        t = np.minimum(t_entry, t_exit)
-        return t, np.where(np.isfinite(t_entry), near_ax, far_ax)
-
-    def _moller_trumbore(self, o, d, tri):
-        v0 = self.triangles[tri, 0]
-        e1 = self.triangles[tri, 1] - v0
-        e2 = self.triangles[tri, 2] - v0
-        pvec = np.cross(d, e2)
-        det = np.sum(e1 * pvec, axis=1)
-        ok = np.abs(det) > RAY_EPS
-        inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = o - v0
-        u = np.sum(tvec * pvec, axis=1) * inv_det
-        qvec = np.cross(tvec, e1)
-        v = np.sum(d * qvec, axis=1) * inv_det
-        t = np.sum(e2 * qvec, axis=1) * inv_det
-        ok &= (u >= -RAY_EPS) & (v >= -RAY_EPS) & (u + v <= 1.0 + RAY_EPS)
-        ok &= t > RAY_EPS
-        return np.where(ok, t, np.inf)
-
-    def _normals(self, d, prim, axis):
-        """Unit normals, against the ray, of the primitives the rays hit."""
-        nb = len(self.boxes)
-        normal = np.zeros((len(prim), 3))
-        box = np.flatnonzero(prim < nb)
-        sign = -np.sign(d[box, axis[box]])
-        normal[box, axis[box]] = np.where(sign == 0.0, 1.0, sign)
-        tri = prim >= nb
-        face_n = self._face_normals[prim[tri] - nb]
-        flip = np.sum(face_n * d[tri], axis=1) > 0
-        face_n[flip] *= -1.0
-        normal[tri] = face_n
-        return normal
-
-
-def _first_nearest(ray: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per ray, the first of its pairs with the least finite t; pairs are
-    grouped by ray, so the first is the lowest primitive."""
-    hit = np.flatnonzero(np.isfinite(t))
-    if not hit.size:
-        return hit
-    ray, t = ray[hit], t[hit]
-    starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-    t_min = np.minimum.reduceat(t, starts)
-    best = np.flatnonzero(t == np.repeat(t_min, np.diff(np.r_[starts, t.size])))
-    first = np.r_[True, ray[best[1:]] != ray[best[:-1]]]
-    return hit[best[first]]
+        t1 = (self.boxes[box, 0] - o) * inv
+        t2 = (self.boxes[box, 1] - o) * inv
+        tnear = np.minimum(t1, t2).max(axis=1)
+        tfar = np.maximum(t1, t2).min(axis=1)
+        t = np.where(tnear > RAY_EPS, tnear, tfar)
+        return np.where((tnear <= tfar + RAY_EPS) & (t > RAY_EPS), t, np.inf)
 
 
 # --- camera -------------------------------------------------------------------
@@ -334,8 +251,13 @@ def detect_changed(
         raise LayoutMismatchError("atlases do not share a layout")
     if rendered.probe_count != volume.probe_count:
         raise LayoutMismatchError("atlas probe count does not match volume")
-    differs = rendered.blocks() != last_sent.blocks()
-    changed = differs.any(axis=tuple(range(2, differs.ndim))).reshape(-1)
+    # one uint32 per texel: a visibility texel's two halves compare as one
+    cur, ref = (
+        np.ascontiguousarray(a.texels).view(np.uint32).reshape(a.height, -1)
+        for a in (rendered, last_sent)
+    )
+    side = rendered.kind.block_side
+    changed = changed_blocks(cur, ref, side, side).reshape(-1)
     return np.flatnonzero(changed[: volume.probe_count] & volume.active)
 
 
@@ -401,8 +323,9 @@ def pvs_probes(
         rays = pvs_rays(pose, params)
     mask = np.zeros(volume.probe_count, dtype=bool)
     if len(rays):
-        hit, _, points, _ = scene.raycast(pose.position, rays)
-        mask[cage_probes(points[hit], volume)] = True
+        t = scene.raycast(pose.position, rays)
+        hit = np.isfinite(t)
+        mask[cage_probes(pose.position + rays[hit] * t[hit][:, None], volume)] = True
         ok, exits = _volume_exit_points(pose.position, rays[~hit], volume)
         mask[cage_probes(exits[ok], volume)] = True
     # the camera's own cell always contributes, so open scenes stay covered

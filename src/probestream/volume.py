@@ -1,4 +1,5 @@
-"""Probe volumes, atlas geometry, octahedral mapping, and raw-size arithmetic.
+"""Probe volumes, atlas geometry, block-change detection, octahedral mapping,
+and raw-size arithmetic.
 
 A probe volume is a regular 3-D grid of irradiance probes. Each probe owns a
 small square block of texels in one of two 2-D atlases:
@@ -182,6 +183,20 @@ class ProbeAtlas:
         if ids.size and (ids.min() < 0 or ids.max() >= self.probe_count):
             raise IndexError(f"probe id outside [0, {self.probe_count})")
         return np.divmod(ids, self.probes_per_row)
+
+
+def changed_blocks(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Which ``rows x cols`` blocks of the last two axes of `cur` differ from
+    `ref`; shape (..., block rows, block columns). Blocks are clipped at the
+    right and bottom edges. The rows of each block are reduced first, then
+    the `cols`-wide column groups of that `rows` times smaller result."""
+    *lead, height, width = cur.shape
+    by, bx = -(-height // rows), -(-width // cols)
+    changed = np.zeros((*lead, by * rows, width), dtype=bool)
+    np.not_equal(cur, ref, out=changed[..., :height, :])
+    reduced = np.zeros((*lead, by, bx * cols), dtype=bool)
+    reduced[..., :width] = changed.reshape(*lead, by, rows, width).any(axis=-2)
+    return reduced.reshape(*lead, by, bx, cols).any(axis=-1)
 
 
 # --- octahedral direction mapping ------------------------------------------

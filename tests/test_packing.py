@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from probestream.packing import (
     PlaneKind,
+    PlaneSet,
     SlotOverflowError,
     UpdateAtlasLayout,
     apply_update_entries,
@@ -51,6 +52,13 @@ class TestColorPacking:
     def test_all_zero(self):
         planes = pack_color(np.zeros((8, 8), dtype=np.uint32))
         assert not planes.data.any()
+
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    def test_unpack_rejects_elements_past_10_bits(self, plane):
+        data = np.zeros((3, 2, 3), dtype=np.uint16)
+        data[plane, 1, 2] = 1024
+        with pytest.raises(ValueError):
+            unpack_color(PlaneSet(PlaneKind.COLOR_10IN16, data))
 
     def test_elements_stay_below_1024(self):
         rng = np.random.default_rng(6)
@@ -391,6 +399,23 @@ class TestUpdateAtlas:
         with pytest.raises(IndexError):
             build_update_atlas([2, probe], layout, source, texels)
         assert not texels.any()
+
+    @pytest.mark.parametrize("probe", [-1, 7])
+    def test_probe_outside_volume_leaves_layout(self, probe):
+        # a twin layout that never sees the failed call must still match
+        source = self.make_source(probe_count=7, per_row=3)
+        layout = UpdateAtlasLayout(3, AtlasKind.COLOR.core_side)
+        layout.assign([1, 4])
+        layout.assign([4, 5])
+
+        def state():
+            free = sorted(layout._free)
+            return dict(layout.probe_slot), dict(layout.last_selected), free, layout._tick
+
+        before = state()
+        with pytest.raises(IndexError):
+            build_update_atlas([2, probe], layout, source)
+        assert state() == before
 
     @pytest.mark.parametrize("slot, probe", [(1, -1), (1, 7), (7, 3), (-1, 3)])
     def test_apply_out_of_range_leaves_target(self, slot, probe):

@@ -26,29 +26,12 @@ INF = math.inf
 
 # --- scalar reference ray cast --------------------------------------------------
 #
-# One ray against one primitive at a time, in plain Python floats, with the
-# slab and Moller-Trumbore formulas written out in the order numpy evaluates
-# them (a 3-term sum adds left to right; `np.cross` forms a1*b2 - a2*b1).
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+# One ray against one box at a time, in plain Python floats, with the slab
+# formulas written out as numpy evaluates them.
 
 
 def _ref_box(o, d, lo, hi):
-    """(t, normal) of one ray against one box; t is inf on a miss."""
+    """t of one ray against one box; inf on a miss."""
     inv = [1.0 / (RAY_EPS if abs(c) < RAY_EPS else c) for c in d]
     tmin, tmax = [], []
     for a in range(3):
@@ -56,64 +39,23 @@ def _ref_box(o, d, lo, hi):
         t2 = (hi[a] - o[a]) * inv[a]
         tmin.append(min(t1, t2))
         tmax.append(max(t1, t2))
-    near_ax = max(range(3), key=lambda a: tmin[a])  # first of the ties
-    far_ax = min(range(3), key=lambda a: tmax[a])
-    tnear, tfar = tmin[near_ax], tmax[far_ax]
+    tnear, tfar = max(tmin), min(tmax)
     valid = tnear <= tfar + RAY_EPS
     t_entry = tnear if valid and tnear > RAY_EPS else INF
     t_exit = tfar if valid and tnear <= RAY_EPS and tfar > RAY_EPS else INF
-    t = min(t_entry, t_exit)
-    axis = near_ax if t_entry != INF else far_ax
-    normal = [0.0, 0.0, 0.0]
-    normal[axis] = -1.0 if d[axis] > 0 else 1.0
-    return t, tuple(normal)
+    return min(t_entry, t_exit)
 
 
-def _ref_triangle(o, d, tri):
-    v0, v1, v2 = tri
-    e1, e2 = _sub(v1, v0), _sub(v2, v0)
-    pvec = _cross(d, e2)
-    det = _dot(e1, pvec)
-    ok = abs(det) > RAY_EPS
-    inv_det = 1.0 / det if ok else 0.0
-    tvec = _sub(o, v0)
-    u = _dot(tvec, pvec) * inv_det
-    qvec = _cross(tvec, e1)
-    v = _dot(d, qvec) * inv_det
-    t = _dot(e2, qvec) * inv_det
-    ok = ok and u >= -RAY_EPS and v >= -RAY_EPS and u + v <= 1.0 + RAY_EPS and t > RAY_EPS
-    n = _cross(e1, e2)
-    length = max(math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]), 1e-30)
-    n = tuple(c / length for c in n)
-    if _dot(n, d) > 0:
-        n = tuple(-c for c in n)
-    return (t if ok else INF), n
-
-
-def reference_raycast(origins, directions, boxes, triangles):
-    """Nearest hit per ray: boxes in order, then triangles; a later primitive
-    wins only when strictly closer."""
+def reference_raycast(origins, directions, boxes):
+    """Nearest t per ray over every box, inf on a miss."""
     d_all = np.atleast_2d(directions).tolist()
     o_all = np.atleast_2d(origins).tolist()
-    hit, ts, points, normals = [], [], [], []
+    ts = []
     for i, d in enumerate(d_all):
         o = o_all[i if len(o_all) > 1 else 0]
-        best_t, best_n = INF, (0.0, 0.0, 0.0)
-        for lo, hi in np.asarray(boxes).tolist():
-            t, n = _ref_box(o, d, lo, hi)
-            if t < best_t:
-                best_t, best_n = t, n
-        for tri in np.asarray(triangles).tolist():
-            t, n = _ref_triangle(o, d, tri)
-            if t < best_t:
-                best_t, best_n = t, n
-        h = best_t != INF
-        s = best_t if h else 0.0
-        hit.append(h)
-        ts.append(best_t)
-        points.append([o[a] + d[a] * s for a in range(3)])
-        normals.append(best_n)
-    return np.array(hit), np.array(ts), np.array(points), np.array(normals)
+        box_t = [_ref_box(o, d, lo, hi) for lo, hi in np.asarray(boxes).tolist()]
+        ts.append(min(box_t, default=INF))
+    return np.array(ts)
 
 
 # --- ray-cast oracle -------------------------------------------------------------
@@ -123,16 +65,13 @@ TINY = (0.0, -0.0, 1e-9, -1e-9, 1e-7, -5e-7, 9.99e-7, -9.99e-7, RAY_EPS, -RAY_EP
 
 
 def _scene_case(seed: int, shared_origin: bool):
-    """Random boxes and triangles plus rays aimed at their awkward spots."""
+    """Random boxes plus rays aimed at their awkward spots."""
     rng = np.random.default_rng(seed)
-    nb, nt = rng.integers(0, 6, size=2)
+    nb = rng.integers(0, 6)
     lo = rng.uniform(-4.0, 4.0, size=(nb, 3))
     size = rng.uniform(0.05, 3.0, size=(nb, 3))
     size[rng.random((nb, 3)) < 0.1] = 0.0  # flat boxes
     boxes = np.stack([lo, lo + size], axis=1)
-    tris = rng.uniform(-4.0, 4.0, size=(nt, 3, 3))
-    if nt and rng.random() < 0.3:
-        tris[0, 2] = tris[0, 0] + 1e-3 * (tris[0, 1] - tris[0, 0])  # sliver
 
     centres = boxes.mean(axis=1) if nb else np.zeros((0, 3))
     origin = rng.uniform(-6.0, 6.0, size=3)
@@ -147,22 +86,12 @@ def _scene_case(seed: int, shared_origin: bool):
         targets.append(edge[None])  # grazing an edge
         targets.append(corners[:1] + rng.choice([-1, 1], size=(1, 3)) * 2e-7)  # just off a corner
         targets.append(2.0 * origin - b.mean(axis=0)[None])  # box behind the origin
-    for tri in tris:
-        w = rng.dirichlet(np.ones(3))
-        inside = w @ tri
-        targets.append(tri[rng.integers(3)][None])  # through a vertex
-        targets.append((0.5 * (tri[0] + tri[1]) + 1e-7 * (tri[0] + tri[1] - 2 * tri[2]))[None])  # just off an edge
-        targets.append(inside[None])
     dirs = np.concatenate(targets) - origin
     axis = np.eye(3)[rng.integers(3, size=4)] * rng.choice([-1.0, 1.0], size=(4, 1))
     tiny = dirs[rng.integers(len(dirs), size=6)].copy()
     small = rng.random(tiny.shape) < 0.3
     tiny[small] = rng.choice(TINY, size=int(small.sum()))
     tiny[:, rng.integers(3)] = rng.choice(TINY, size=len(tiny))
-    for tri in tris[:2]:  # nearly parallel to a triangle's plane
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        along = (tri[1] - tri[0]) + rng.choice([-1.0, 1.0]) * 1e-7 * n
-        tiny = np.concatenate([tiny, along[None]])
     dirs = np.concatenate([dirs, axis, tiny])
     dirs *= 10.0 ** rng.uniform(-2.0, 2.0, size=(len(dirs), 1))
     if shared_origin:
@@ -174,39 +103,32 @@ def _scene_case(seed: int, shared_origin: bool):
         if nb:
             inside = rng.random(len(dirs)) < 0.2
             origins[inside] = centres[rng.integers(nb, size=int(inside.sum()))]
-    return boxes, tris, origins, dirs
+    return boxes, origins, dirs
 
 
 def _assert_matches_reference(scene, origins, dirs):
-    hit, t, points, normals = scene.raycast(origins, dirs)
-    ref_hit, ref_t, ref_points, ref_normals = reference_raycast(
-        origins, dirs, scene.boxes, scene.triangles
-    )
-    np.testing.assert_array_equal(hit, ref_hit)
+    t = scene.raycast(origins, dirs)
+    ref_t = reference_raycast(origins, dirs, scene.boxes)
+    np.testing.assert_array_equal(np.isfinite(t), np.isfinite(ref_t))
     np.testing.assert_array_equal(t, ref_t)
-    np.testing.assert_array_equal(points, ref_points)
-    np.testing.assert_array_equal(normals[hit], ref_normals[hit])
-    assert not normals[~hit].any()
-    return hit, t
+    return t
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_raycast_matches_scalar_reference(seed, shared_origin):
-    boxes, tris, origins, dirs = _scene_case(seed, shared_origin)
-    _assert_matches_reference(SceneGeometry(boxes, tris), origins, dirs)
+    boxes, origins, dirs = _scene_case(seed, shared_origin)
+    _assert_matches_reference(SceneGeometry(boxes), origins, dirs)
 
 
 def test_raycast_reference_cases_hit():
-    # the generated cases do exercise hits, on both primitive kinds
-    box_hits = triangle_hits = 0
+    # the generated cases do exercise hits
+    box_hits = 0
     for seed in range(20):
-        boxes, tris, origins, dirs = _scene_case(seed, seed % 2 == 0)
-        hit, t = _assert_matches_reference(SceneGeometry(boxes, tris), origins, dirs)
-        t_boxes = SceneGeometry(boxes, None).raycast(origins, dirs)[1]
-        box_hits += int((hit & (t == t_boxes)).sum())
-        triangle_hits += int((hit & (t != t_boxes)).sum())
-    assert box_hits > 50 and triangle_hits > 20
+        boxes, origins, dirs = _scene_case(seed, seed % 2 == 0)
+        t = _assert_matches_reference(SceneGeometry(boxes), origins, dirs)
+        box_hits += int(np.isfinite(t).sum())
+    assert box_hits > 50
 
 
 def _tangent_rays(seed: int):
@@ -225,38 +147,36 @@ def _tangent_rays(seed: int):
             d /= np.linalg.norm(d)
             origins.append(hi + push * w - 5.0 * d)
             dirs.append(d)
-    return boxes, None, np.array(origins), np.array(dirs)
+    return boxes, np.array(origins), np.array(dirs)
 
 
 @pytest.mark.parametrize("case", ["random", "tangent"])
 def test_cull_keeps_every_accepted_pair(case):
-    # the exact tests on every (ray, primitive) pair against the cull's pairs
+    # the slab test on every (ray, box) pair against the cull's pairs
     outside = 0
     for seed in range(40):
         if case == "random":
-            boxes, tris, origins, dirs = _scene_case(seed, seed % 2 == 0)
+            boxes, origins, dirs = _scene_case(seed, seed % 2 == 0)
         else:
-            boxes, tris, origins, dirs = _tangent_rays(seed)
-        scene = SceneGeometry(boxes, tris)
+            boxes, origins, dirs = _tangent_rays(seed)
+        scene = SceneGeometry(boxes)
         d = np.atleast_2d(dirs)
         o = np.broadcast_to(np.atleast_2d(origins), d.shape)
         safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
         nb = len(scene.boxes)
-        m = nb + len(scene.triangles)
-        ray, prim = np.divmod(np.arange(len(d) * m), m)
-        t, _ = scene._intersect(o[ray], d[ray], safe_d[ray], prim)
-        accepted = np.isfinite(t).reshape(len(d), m)
+        ray, box = np.divmod(np.arange(len(d) * nb), max(nb, 1))
+        t = scene._slab(o[ray], safe_d[ray], box)
+        accepted = np.isfinite(t).reshape(len(d), nb)
         kept = np.zeros_like(accepted)
         kept[scene._cull(o, safe_d)] = True
         assert not (accepted & ~kept).any()
-        assert kept[:, nb:].all()  # triangles are not culled
         if case == "tangent":
-            # accepted box pairs whose line misses the bare bounding sphere
+            # accepted pairs whose line misses the bare bounding sphere
             u = d / np.linalg.norm(d, axis=1, keepdims=True)
             rel = scene._centres[None] - o[:, None]
             along = np.sum(rel * u[:, None], axis=2)
             perp = np.linalg.norm(rel - along[..., None] * u[:, None], axis=2)
-            outside += int((accepted[:, :nb] & (perp > scene._radii * (1 + 1e-9))).sum())
+            outside += int((accepted & (perp > scene._radii * (1 + 1e-9))).sum())
     if case == "tangent":
         assert outside > 100
 
@@ -265,26 +185,29 @@ def test_raycast_edge_cases():
     box = [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))]
     scene = SceneGeometry(box)
     o = np.array([-1.0, 0.5, 0.5])
-    hit, t, points, normals = scene.raycast(o, np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
-    assert list(hit) == [True, False]  # a box behind the origin is missed
-    assert t[0] == 1.0 and np.array_equal(normals[0], [-1.0, 0.0, 0.0])
+    t = scene.raycast(o, np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    assert t[0] == 1.0 and t[1] == INF  # a box behind the origin is missed
     # from inside, the ray hits the exit wall
-    hit, t, _, normals = scene.raycast(np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.0, 2.0]))
-    assert hit[0] and t[0] == 0.25 and np.array_equal(normals[0], [0.0, 0.0, -1.0])
+    t = scene.raycast(np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.0, 2.0]))
+    assert t[0] == 0.25
     # entering through the corner (1, 1, 1)
-    hit, t, _, _ = scene.raycast(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0, -1.0]))
-    assert hit[0] and t[0] == 1.0
-    # equally near hits go to the lower primitive: box a is entered through
-    # its x wall, box b through its y wall, both at t = 1
+    t = scene.raycast(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0, -1.0]))
+    assert t[0] == 1.0
+    # just ahead of the origin, the x slab [1.5e-6, 1 + 1.5e-6] and the y slab
+    # [-1, 0.8e-6] miss each other by less than RAY_EPS: a hit at tnear,
+    # although tfar is below RAY_EPS
+    grazed = SceneGeometry([((0.0, -1.0, 0.0), (1.0, 0.8e-6, 1.0))])
+    t = grazed.raycast(np.array([-1.5e-6, 0.0, 0.5]), np.array([1.0, 1.0, 0.0]))
+    assert t[0] == 1.5e-6
+    # equally near hits: box a is entered through its x wall, box b through
+    # its y wall, both at t = 1
     a = ((0.0, -5.0, 0.0), (1.0, 1.0, 1.0))
     b = ((-5.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     o2, d2 = np.array([-1.0, -1.0, 0.5]), np.array([[1.0, 1.0, 0.0]])
-    for order, normal in (((a, b), [-1.0, 0.0, 0.0]), ((b, a), [0.0, -1.0, 0.0])):
-        hit, t, _, normals = SceneGeometry(order).raycast(o2, d2)
-        assert t[0] == 1.0 and np.array_equal(normals[0], normal)
+    for order in ((a, b), (b, a)):
+        assert SceneGeometry(order).raycast(o2, d2)[0] == 1.0
     # an empty scene misses everything
-    hit, t, points, normals = SceneGeometry().raycast(o, np.array([[1.0, 0.0, 0.0]]))
-    assert not hit.any() and t[0] == INF and np.array_equal(points[0], o)
+    assert SceneGeometry().raycast(o, np.array([[1.0, 0.0, 0.0]]))[0] == INF
 
 
 # --- seeded PVS scene -----------------------------------------------------------
@@ -364,9 +287,11 @@ def test_pvs_covers_every_hit_cage():
     for pose in poses:
         pvs = pvs_probes(pose, scene, volume, params)
         assert volume.active[pvs].all()
-        hit, _, points, _ = scene.raycast(pose.position, pvs_rays(pose, params))
+        rays = pvs_rays(pose, params)
+        t = scene.raycast(pose.position, rays)
+        hit = np.isfinite(t)
         assert hit.any()
-        cages = np.unique(cage_probes(points[hit], volume))
+        cages = np.unique(cage_probes(pose.position + rays[hit] * t[hit][:, None], volume))
         assert np.isin(cages[active[cages]], pvs).all()
         own = cage_probes(pose.position, volume)[0]
         assert np.isin(own[active[own]], pvs).all()
@@ -429,6 +354,25 @@ def test_detect_skips_inactive_and_rejects_mismatched_layouts():
         detect_changed(a, ProbeAtlas(AtlasKind.VISIBILITY, 6), volume)
     with pytest.raises(LayoutMismatchError):
         detect_changed(a, b, ProbeVolume((7, 1, 1)))
+
+
+@pytest.mark.parametrize("kind", list(AtlasKind))
+def test_detect_never_reports_padding_blocks(kind):
+    # 7 probes in rows of 16: blocks 7 to 15 of the only block row are padding
+    volume = ProbeVolume((7, 1, 1))
+    a = ProbeAtlas(kind, 7, probes_per_row=16)
+    b = a.copy()
+    side = kind.block_side
+    b.texels[:, 7 * side :] = 1
+    assert list(detect_changed(a, b, volume)) == []
+    # the last element of the last probe's block, and the first of the first
+    last, first = b.blocks()[0, 6], b.blocks()[0, 0]
+    last[(-1,) * last.ndim] = 1
+    first[(0,) * first.ndim] = 1
+    assert list(detect_changed(a, b, volume)) == [0, 6]
+    # texels in any memory order compare the same
+    fortran = ProbeAtlas(kind, 7, 16, np.asfortranarray(b.texels))
+    assert list(detect_changed(a, fortran, volume)) == [0, 6]
 
 
 # --- budgeted selection ---------------------------------------------------------------

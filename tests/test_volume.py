@@ -12,6 +12,7 @@ from probestream.volume import (
     ProbeAtlas,
     ProbeVolume,
     bits_to_mbps,
+    changed_blocks,
     default_probes_per_row,
     oct_decode,
     oct_encode,
@@ -191,3 +192,60 @@ class TestAtlas:
         planes = pack_color(texels)
         assert tuple(planes.data[:, 0, 0]) == (r, g, b)
         assert np.array_equal(unpack_color(planes), texels)
+
+
+def _reference_changed_blocks(cur, ref, rows, cols):
+    """One block at a time, one element at a time, in Python integers."""
+    *lead, h, w = cur.shape
+    by, bx = -(-h // rows), -(-w // cols)
+    out = np.zeros((*lead, by, bx), dtype=bool)
+    for plane in np.ndindex(*lead):
+        a, b = cur[plane].tolist(), ref[plane].tolist()
+        for r in range(by):
+            for c in range(bx):
+                out[plane + (r, c)] = any(
+                    a[y][x] != b[y][x]
+                    for y in range(r * rows, min(h, (r + 1) * rows))
+                    for x in range(c * cols, min(w, (c + 1) * cols))
+                )
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(), (1,), (3,)]),
+    st.sampled_from([np.uint8, np.uint16, np.uint32]),
+    st.sampled_from([(16, 16), (10, 10), (18, 36)]),
+    st.data(),
+)
+def test_changed_blocks_match_scalar_reference(lead, dtype, block, data):
+    rows, cols = block
+    # whole blocks, or a last block row or column clipped by `cut` elements
+    by, bx = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    h = by * rows - data.draw(st.integers(0, rows - 1))
+    w = bx * cols - data.draw(st.integers(0, cols - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = np.dtype(dtype).itemsize * 8
+    ref = rng.integers(0, 2**bits, size=(*lead, h, w), dtype=dtype)
+    cur = ref.copy()
+    place = st.tuples(
+        st.sampled_from(["first", "last", "any"]),
+        st.integers(0, by - 1),
+        st.integers(0, bx - 1),
+        st.integers(0, lead[0] - 1) if lead else st.just(None),
+        st.integers(0, bits - 1),
+    )
+    for where, r, c, plane, bit in data.draw(st.lists(place, max_size=4)):
+        # the block's first and last element, clipped at the edges
+        y0, x0 = r * rows, c * cols
+        y1, x1 = min(h, y0 + rows) - 1, min(w, x0 + cols) - 1
+        y, x = {
+            "first": (y0, x0),
+            "last": (y1, x1),
+            "any": (data.draw(st.integers(y0, y1)), data.draw(st.integers(x0, x1))),
+        }[where]
+        index = (y, x) if plane is None else (plane, y, x)
+        cur[index] ^= dtype(1 << bit)
+    got = changed_blocks(cur, ref, rows, cols)
+    assert got.shape == (*lead, by, bx)
+    np.testing.assert_array_equal(got, _reference_changed_blocks(cur, ref, rows, cols))
