@@ -342,7 +342,9 @@ def build_update_atlas(
     if update_texels is None:
         update_texels = np.zeros(layout.texel_shape(source.kind), source.texels.dtype)
     entries = layout.assign(selected)
-    (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, source)
+    slots, probes = np.asarray(entries, dtype=np.int64).reshape(-1, 2).T
+    slot_rows, slot_cols = np.divmod(slots, layout.slots_per_row)
+    rows, cols = np.divmod(probes, source.probes_per_row)
     layout.slots(update_texels)[slot_rows, slot_cols] = source.blocks()[rows, cols, 1:-1, 1:-1]
     return update_texels, entries
 

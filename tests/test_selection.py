@@ -13,6 +13,7 @@ from probestream.selection import (
     LayoutMismatchError,
     SceneGeometry,
     SelectionParams,
+    _volume_exit_points,
     cage_probes,
     detect_changed,
     pvs_probes,
@@ -295,6 +296,86 @@ def test_pvs_covers_every_hit_cage():
         assert np.isin(cages[active[cages]], pvs).all()
         own = cage_probes(pose.position, volume)[0]
         assert np.isin(own[active[own]], pvs).all()
+
+
+def _ref_exit(o, d, lo, hi):
+    """Where one ray leaves the box [lo, hi], o + d*tfar; None if it does not."""
+    inv = [1.0 / (RAY_EPS if abs(c) < RAY_EPS else c) for c in d]
+    t1 = [(lo[a] - o[a]) * inv[a] for a in range(3)]
+    t2 = [(hi[a] - o[a]) * inv[a] for a in range(3)]
+    tnear = max(min(t1[a], t2[a]) for a in range(3))
+    tfar = min(max(t1[a], t2[a]) for a in range(3))
+    return [o[a] + d[a] * tfar for a in range(3)] if tnear <= tfar and tfar > 0.0 else None
+
+
+def _reference_pvs(position, rays, boxes, volume):
+    """pvs_probes in Python floats: each ray's hit point o + d*t from the
+    scalar ray cast, or the point where a missing ray leaves the volume's
+    box, then the cages of those points and of the camera, active only."""
+    o = position.tolist()
+    lo, hi = (b.tolist() for b in volume.bounds)
+    points = []
+    for d, t in zip(rays.tolist(), reference_raycast(position, rays, boxes).tolist()):
+        point = [o[a] + d[a] * t for a in range(3)] if t < INF else _ref_exit(o, d, lo, hi)
+        if point is not None:
+            points.append(point)
+    ids = set(cage_probes(np.reshape(points, (-1, 3)), volume).ravel().tolist())
+    ids |= set(cage_probes(position, volume)[0].tolist())
+    return [p for p in sorted(ids) if volume.active[p]]
+
+
+def _grid_wall_scene():
+    """Walls whose faces lie on planes of the probe grid, open towards +z, so
+    hit points fall on cell boundaries: a hit point off by more than rounding
+    lands in the neighbouring cell. One camera sits above the volume, where
+    some rays miss the volume's box."""
+    volume = ProbeVolume((8, 8, 8))
+    far = 20.0
+    walls = [
+        ((-far, -far, -far), (2.0, far, far)),
+        ((5.0, -far, -far), (far, far, far)),
+        ((-far, -far, -far), (far, 1.0, far)),
+        ((-far, 6.0, -far), (far, far, far)),
+        ((-far, -far, -far), (far, far, 3.0)),
+    ]
+    poses = [
+        CameraPose([3.3, 3.6, 4.45], [0.3, -0.2, 1.0]),
+        CameraPose([2.5, 1.75, 6.5], [1.0, 0.5, -0.25]),
+        CameraPose([4.9, 5.1, 3.2], [-1.0, -0.1, 0.1]),
+        CameraPose([3.3, 3.6, 9.0], [0.1, 0.2, -1.0]),  # outside the volume
+    ]
+    return volume, SceneGeometry(walls), poses
+
+
+@pytest.mark.parametrize("case", ["grid_walls", "random", "empty"])
+def test_pvs_matches_scalar_reference(case):
+    # one ray at a time, so that each ray's own cage is compared
+    if case == "random":
+        volume, scene, poses = _pvs_scene(seed=3)
+        active = np.random.default_rng(0).random(volume.probe_count) < 0.8
+        volume = ProbeVolume(volume.dims, active=active)
+        poses = poses[::3]
+    else:
+        volume, scene, poses = _grid_wall_scene()
+        if case == "empty":
+            scene = SceneGeometry()
+    params = SelectionParams(sphere_rays=128, raster_cols=12, raster_rows=8)
+    hits = 0
+    for pose in poses:
+        rays = pvs_rays(pose, params)
+        for ray in rays:
+            got = pvs_probes(pose, scene, volume, params, rays=ray[None])
+            assert got.tolist() == _reference_pvs(pose.position, ray[None], scene.boxes, volume)
+        # exit points lie on the volume's faces, where a cage seldom moves, so
+        # they are compared directly
+        miss = ~np.isfinite(scene.raycast(pose.position, rays))
+        hits += int((~miss).sum())
+        ok, exits = _volume_exit_points(pose.position, rays[miss], volume)
+        lo, hi = (b.tolist() for b in volume.bounds)
+        ref = [_ref_exit(pose.position.tolist(), d, lo, hi) for d in rays[miss].tolist()]
+        assert ok.tolist() == [p is not None for p in ref]
+        assert exits[ok].tolist() == [p for p in ref if p is not None]
+    assert (hits > 0) == (case != "empty")
 
 
 # --- change detection --------------------------------------------------------------
