@@ -13,19 +13,26 @@ Change detection finds the changed probe blocks with
 `volume.changed_blocks`, the block-change reduction the codec also uses,
 over the atlas texels read as one uint32 per texel.
 
-The ray cast is boxes only, exact and culled, and returns the nearest t per
-ray; `pvs_probes` forms the hit points from it. Every box gets a bounding
-sphere once per scene. Rays go `RAY_CHUNK` at a time; per chunk, two
-matmuls give each sphere centre's projection on each ray and its squared
-distance from the ray's line, and only the (ray, box) pairs whose line
-passes within the sphere, inflated to cover the slab test's RAY_EPS
-tolerances and rounding, and not wholly behind the origin, go on to the
-slab test. The slab test is the same elementwise float64 expressions a
+The ray cast is boxes only, from one origin, exact and culled, and returns
+the nearest t per ray; `pvs_probes` forms the hit points from it. Every box
+gets a bounding sphere once per scene. Once per call, each box's bounds and
+sphere centre are offset by the origin, each sphere gets a threshold, and
+each ray its unit direction and 1 / direction. The rays then go through the
+cull a `PAIR_BUDGET` of (ray, box) pairs at a time: one matmul gives each
+sphere centre's projection on each ray, and only the pairs whose projection
+reaches the sphere's threshold, i.e. whose ray passes within the sphere,
+inflated to cover the slab test's RAY_EPS tolerances and rounding, go on to
+the slab test. The slab test is the same elementwise float64 expressions a
 dense all-pairs cast evaluates, so the surviving pairs get bit-identical t
 values, and no pair the test would accept is culled (the inflation is
 derived in `SceneGeometry._cull`). The nearest t of each ray is one
-`np.minimum.reduceat` over its pairs. Temporaries stay O(`RAY_CHUNK` x
-boxes).
+`np.minimum.reduceat` over its pairs. Temporaries stay O(`PAIR_BUDGET`).
+
+Rays, boxes and points are held component-first, shape (3, n), inside this
+module: an elementwise numpy operation between an (n, 3) array and a
+3-vector or an (n, 1) column, or a reduction over the length-3 axis, runs
+its inner loop three elements at a time and costs several times more per
+element than the same operation on rows of n.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from probestream.volume import ProbeAtlas, ProbeVolume, changed_blocks
 
 RAY_EPS = 1e-6
-RAY_CHUNK = 1024  # rays per cull pass; bounds the (rays x boxes) temporaries
+PAIR_BUDGET = 1 << 17  # (ray, box) pairs per cull pass; bounds the (rays x boxes) temporaries
 CULL_SLACK = 1e-12  # relative slack on the cull's squared lengths, see `SceneGeometry._cull`
 
 
@@ -46,14 +53,54 @@ class LayoutMismatchError(ValueError):
     pass
 
 
+def _by_component(vectors) -> np.ndarray:
+    """(n, 3) vectors as a component-first (3, n) float64 array."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(vectors, dtype=np.float64)).T)
+
+
+def _sq3(v: np.ndarray) -> np.ndarray:
+    """Squared length of each column of a component-first (3, n) array."""
+    x, y, z = v
+    return x * x + y * y + z * z
+
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """Length of each column of a component-first (3, n) array; bit for bit
+    `np.linalg.norm(v.T, axis=1)`."""
+    return np.sqrt(_sq3(v))
+
+
+def _slab_bounds(lo, hi, inv):
+    """tnear and tfar of the slab test per column of component-first arrays:
+    `lo` and `hi` are box bounds minus the ray origin, `inv` is 1 / the safe
+    direction."""
+    t1 = lo * inv
+    t2 = hi * inv
+    tmin = np.minimum(t1, t2)
+    tmax = np.maximum(t1, t2)
+    tnear = np.maximum(np.maximum(tmin[0], tmin[1]), tmin[2])
+    tfar = np.minimum(np.minimum(tmax[0], tmax[1]), tmax[2])
+    return tnear, tfar
+
+
+def _slab(lo, hi, inv):
+    """Exact t per (ray, box) pair, inf on a miss: the entering hit from
+    outside, or the exit wall from inside. Arguments as `_slab_bounds`."""
+    tnear, tfar = _slab_bounds(lo, hi, inv)
+    t = np.where(tnear > RAY_EPS, tnear, tfar)
+    return np.where((tnear <= tfar + RAY_EPS) & (t > RAY_EPS), t, np.inf)
+
+
 # --- scene geometry -----------------------------------------------------------
 
 
 class SceneGeometry:
-    """Axis-aligned boxes with a nearest-t ray query.
+    """Axis-aligned boxes with a nearest-t ray query from one origin.
 
     Only the nearest hit's t comes back, not which box it hit, so equally
-    near boxes need no tie rule.
+    near boxes need no tie rule. Each box's bounding sphere is computed once
+    per scene, and the bounds' and sphere's offsets from the origin once per
+    `raycast` call.
     """
 
     def __init__(self, boxes=None) -> None:
@@ -64,40 +111,50 @@ class SceneGeometry:
         )
         if np.any(self.boxes[:, 0] > self.boxes[:, 1]):
             raise ValueError("box min must be <= box max componentwise")
-        # a box's bounding sphere: its centre and half diagonal
-        self._centres = self.boxes.mean(axis=1)
-        self._radii = 0.5 * np.linalg.norm(self.boxes[:, 1] - self.boxes[:, 0], axis=1)
+        self._lo, self._hi = (_by_component(self.boxes[:, i]) for i in (0, 1))
+        # a box's bounding sphere: its centre and half diagonal; infinite or
+        # huge bounds give a non-finite sphere, which `_cull` never rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._centres = (self._lo + self._hi) / 2.0
+            self._radii = 0.5 * _norm3(self._hi - self._lo)
 
-    def raycast(self, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """The nearest hit's t per ray, inf where a ray misses every box.
+    def raycast(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """The nearest hit's t per ray from `origin`, inf where a ray misses
+        every box; `directions` has shape (n, 3).
 
-        The rays go through the cull and the slab test `RAY_CHUNK` at a time.
+        The box bounds minus the origin and each ray's 1 / direction are
+        computed once; the rays go through the cull and the slab test a
+        `PAIR_BUDGET` of (ray, box) pairs at a time.
         """
-        d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        o = np.broadcast_to(np.atleast_2d(np.asarray(origins, dtype=np.float64)), d.shape)
+        o = np.asarray(origin, dtype=np.float64).reshape(3, 1)
+        d = _by_component(directions)
         safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
-        best_t = np.full(d.shape[0], np.inf)
-        for lo in range(0, d.shape[0], RAY_CHUNK):
-            rows = slice(lo, lo + RAY_CHUNK)
-            oc, sc = o[rows], safe_d[rows]
-            ray, box = self._cull(oc, sc)
-            if not ray.size:
-                continue
-            t = self._slab(oc[ray], sc[ray], box)
+        inv = 1.0 / safe_d
+        lo = self._lo - o
+        hi = self._hi - o
+        best_t = np.full(d.shape[1], np.inf)
+        for ray, box in self._cull(o, safe_d):
+            t = _slab(lo.take(box, axis=1), hi.take(box, axis=1), inv.take(ray, axis=1))
             # pairs come grouped by ray, so each group starts where the ray changes
             starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-            best_t[lo + ray[starts]] = np.minimum.reduceat(t, starts)
+            best_t[ray[starts]] = np.minimum.reduceat(t, starts)
         return best_t
 
     def _cull(self, o, safe_d):
-        """(ray, box) pairs the slab test might accept, grouped by ray with
-        boxes ascending.
+        """Per chunk of rays, the (ray, box) pairs the slab test might accept,
+        grouped by ray with boxes ascending; chunks without a pair are
+        skipped. `o` is the (3, 1) origin, `safe_d` the (3, n) directions
+        the slab test runs on.
 
         A (ray, box) pair is kept when some point ``o + u * tau``, tau >= 0,
         on the ray's unit direction u lies within the inflated radius R of
         the box's bounding-sphere centre c. With s = u . (c - o) that is
         ``max(s, 0)**2 >= |c - o|**2 - R**2``: in front (s >= 0) the line
-        must pass within R, behind it the origin must lie within R.
+        must pass within R, behind it the origin must lie within R. So a box
+        whose (slackened) ``|c - o|**2 - R**2`` is at most 0 keeps every
+        ray, and otherwise a ray is kept when s reaches the box's threshold,
+        the square root of that difference. All but s is per box and
+        computed once per call; s is one (rays x boxes) matmul per chunk.
 
         Why no pair the slab test accepts is dropped:
 
@@ -109,50 +166,45 @@ class SceneGeometry:
           within ``RAY_EPS * |safe_d|`` of the box; in the second ``o +
           safe_d * tfar`` lies in the box. Both points are ahead of the
           origin, so ``R = r + RAY_EPS * |safe_d|`` suffices, with
-          ``|safe_d|`` taken at its chunk maximum.
+          ``|safe_d|`` taken at its maximum over the call.
         - Rounding. Each slab bound is within 3 ulps of exact, which moves
-          the accepted point by a few ulps of its distance from the origin.
-          That, the rounding of the sphere centres and radii, and the
-          rounding of the expansion below each stay under 20 ulps of
-          ``|c|**2 + |o|**2 + R**2``; the cull lowers ``|c - o|**2 - R**2``
-          by `CULL_SLACK` (about 9000 ulps) times that sum.
-
-        The expansion ``|c - o|**2 = |c|**2 - 2 o . c + |o|**2`` makes both
-        s and the slackened ``|c - o|**2 - R**2`` one matmul each, for a
-        shared or a per-ray origin alike.
+          the accepted point by a few ulps of its distance from the origin,
+          at most ``|c - o| + R``. The centre, rounded once per scene, is
+          off by under an ulp of ``|c|``; ``c - o``, rounded once per call,
+          by half an ulp of ``|c - o|``; u and s carry a few ulps of
+          ``|c - o|``, and R, its square and the threshold a few ulps of
+          ``|c - o|**2 + R**2``. Each of these moves ``max(s, 0)**2 - (|c -
+          o|**2 - R**2)`` by under 20 ulps of ``S = |c - o|**2 + R**2 +
+          |c|**2``, and the cull lowers ``|c - o|**2 - R**2`` by
+          `CULL_SLACK` (about 9000 ulps) times S. On s, that lowers the
+          threshold by at least ``CULL_SLACK * |c - o| / 2``, about 4500
+          ulps of the largest s the box can have.
+        - Non-finite arithmetic. Infinite or huge bounds can make s or a
+          threshold inf or NaN. A box whose threshold is not finite keeps
+          every ray, and a NaN s is kept: a pair is dropped only when s is
+          definitely below a finite threshold.
         """
-        nb = len(self.boxes)
-        c = self._centres
-        safe_len = np.linalg.norm(safe_d, axis=1)
-        u = safe_d / safe_len[:, None]
-        s = np.column_stack([u, -np.sum(u * o, axis=1)]) @ np.column_stack(
-            [c, np.ones(nb)]
-        ).T
-        a = self._radii + RAY_EPS * safe_len.max()
+        nb = self._radii.size
+        if not nb or not safe_d.shape[1]:
+            return
+        safe_len = _norm3(safe_d)
+        u = safe_d / safe_len
         g = CULL_SLACK
-        ray_f = np.column_stack([o, np.ones(len(o)), np.sum(o * o, axis=1)])
-        box_f = np.column_stack([
-            -2.0 * c,
-            (1.0 - g) * np.sum(c * c, axis=1) - (1.0 + g) * a * a,
-            np.full(nb, 1.0 - g),
-        ])
-        gap = ray_f @ box_f.T  # |c - o|**2 - R**2, lowered by the slack
-
-        np.maximum(s, 0.0, out=s)
-        s *= s
-        # row-major flat indices, so pairs come grouped by ray
-        return np.divmod(np.flatnonzero(s >= gap), nb)
-
-    def _slab(self, o, safe_d, box):
-        """Exact t per (ray, box) pair, inf on a miss: the entering hit from
-        outside, or the exit wall from inside."""
-        inv = 1.0 / safe_d
-        t1 = (self.boxes[box, 0] - o) * inv
-        t2 = (self.boxes[box, 1] - o) * inv
-        tnear = np.minimum(t1, t2).max(axis=1)
-        tfar = np.maximum(t1, t2).min(axis=1)
-        t = np.where(tnear > RAY_EPS, tnear, tfar)
-        return np.where((tnear <= tfar + RAY_EPS) & (t > RAY_EPS), t, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = self._centres - o
+            reach = self._radii + RAY_EPS * safe_len.max()
+            # |c - o|**2 - R**2, lowered by the slack
+            gap = (1.0 - g) * _sq3(rel) - (1.0 + g) * reach * reach - g * _sq3(self._centres)
+            threshold = np.full(nb, -np.inf)
+            np.sqrt(gap, out=threshold, where=np.isfinite(gap) & (gap > 0.0))
+        step = max(1, PAIR_BUDGET // nb)
+        for first in range(0, u.shape[1], step):
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = u[:, first : first + step].T @ rel
+            # row-major flat indices, so pairs come grouped by ray
+            ray, box = np.divmod(np.flatnonzero(~(s < threshold)), nb)
+            if ray.size:
+                yield first + ray, box
 
 
 # --- camera -------------------------------------------------------------------
@@ -194,12 +246,8 @@ def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
     xs = (np.arange(cols) + 0.5) / cols * 2.0 - 1.0
     ys = (np.arange(rows) + 0.5) / rows * 2.0 - 1.0
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    dirs = (
-        f[None, :]
-        + (gx.reshape(-1, 1) * tan_x) * r[None, :]
-        + (gy.reshape(-1, 1) * tan_y) * u[None, :]
-    )
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = f[:, None] + (gx.reshape(-1) * tan_x) * r[:, None] + (gy.reshape(-1) * tan_y) * u[:, None]
+    return (dirs / _norm3(dirs)).T
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,6 +276,9 @@ class SelectionParams:
     raster_rows: int = 64
 
     def __post_init__(self) -> None:
+        counts = (self.sphere_rays, self.raster_cols, self.raster_rows)
+        if min(counts) < 0:
+            raise ValueError(f"ray counts must be >= 0, got {counts}")
         if self.raster_cols * self.raster_rows < 1 and self.sphere_rays < 1:
             raise ValueError("at least one ray is required")
 
@@ -273,33 +324,28 @@ def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
 
     Points outside the volume are clamped, so border cells repeat corners.
     """
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    p = _by_component(points)
     dims = np.asarray(volume.dims)
-    rel = (p - np.asarray(volume.origin)) / np.asarray(volume.spacing)
-    low = np.clip(
-        np.floor(rel).astype(np.int64), 0, np.maximum(dims - 2, 0)
-    )
+    rel = (p - np.asarray(volume.origin)[:, None]) / np.asarray(volume.spacing)[:, None]
+    low = np.clip(np.floor(rel).astype(np.int64), 0, np.maximum(dims - 2, 0)[:, None])
     nx, ny, _ = volume.dims
     # a corner steps past `low` only along axes of two or more probes
     offsets = (_CAGE_OFFSETS * (dims > 1)) @ np.array([1, nx, nx * ny])
-    base = low[:, 0] + nx * (low[:, 1] + ny * low[:, 2])
+    base = low[0] + nx * (low[1] + ny * low[2])
     return base[:, None] + offsets
 
 
 def _volume_exit_points(
-    origin: np.ndarray, dirs: np.ndarray, volume: ProbeVolume
+    origin: np.ndarray, d: np.ndarray, volume: ProbeVolume
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Where rays leave the probe volume's bounding box; (mask, points)."""
-    lo, hi = volume.bounds
-    safe = np.where(np.abs(dirs) < RAY_EPS, RAY_EPS, dirs)
-    inv = 1.0 / safe
-    t1 = (lo[None, :] - origin[None, :]) * inv
-    t2 = (hi[None, :] - origin[None, :]) * inv
-    tnear = np.minimum(t1, t2).max(axis=1)
-    tfar = np.maximum(t1, t2).min(axis=1)
+    """Where rays with component-first (3, n) directions `d` leave the probe
+    volume's bounding box; (mask, component-first points)."""
+    o = origin[:, None]
+    lo, hi = (b[:, None] - o for b in volume.bounds)
+    safe = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
+    tnear, tfar = _slab_bounds(lo, hi, 1.0 / safe)
     ok = (tnear <= tfar) & (tfar > 0.0)
-    pts = origin[None, :] + dirs * np.where(ok, tfar, 0.0)[:, None]
-    return ok, pts
+    return ok, o + d * np.where(ok, tfar, 0.0)
 
 
 def pvs_rays(pose: CameraPose, params: SelectionParams) -> np.ndarray:
@@ -321,15 +367,18 @@ def pvs_probes(
     """Active probes that could shade any point visible from the camera."""
     if rays is None:
         rays = pvs_rays(pose, params)
-    mask = np.zeros(volume.probe_count, dtype=bool)
-    if len(rays):
-        t = scene.raycast(pose.position, rays)
-        hit = np.isfinite(t)
-        mask[cage_probes(pose.position + rays[hit] * t[hit][:, None], volume)] = True
-        ok, exits = _volume_exit_points(pose.position, rays[~hit], volume)
-        mask[cage_probes(exits[ok], volume)] = True
+    o = pose.position
+    # component-first; the public calls get transposed views, which they
+    # transpose back without a copy
+    d = _by_component(rays)
+    t = scene.raycast(o, d.T)
+    hit = np.isfinite(t)
+    ok, exits = _volume_exit_points(o, np.compress(~hit, d, axis=1), volume)
+    hits = o[:, None] + np.compress(hit, d, axis=1) * t[hit]
     # the camera's own cell always contributes, so open scenes stay covered
-    mask[cage_probes(pose.position, volume)[0]] = True
+    points = np.concatenate([hits, np.compress(ok, exits, axis=1), o[:, None]], axis=1)
+    mask = np.zeros(volume.probe_count, dtype=bool)
+    mask[cage_probes(points.T, volume)] = True
     mask &= volume.active
     return np.flatnonzero(mask)
 

@@ -12,7 +12,9 @@ from probestream.selection import (
     CameraPose,
     LayoutMismatchError,
     SceneGeometry,
+    PAIR_BUDGET,
     SelectionParams,
+    _slab,
     _volume_exit_points,
     cage_probes,
     detect_changed,
@@ -47,16 +49,14 @@ def _ref_box(o, d, lo, hi):
     return min(t_entry, t_exit)
 
 
-def reference_raycast(origins, directions, boxes):
-    """Nearest t per ray over every box, inf on a miss."""
-    d_all = np.atleast_2d(directions).tolist()
-    o_all = np.atleast_2d(origins).tolist()
-    ts = []
-    for i, d in enumerate(d_all):
-        o = o_all[i if len(o_all) > 1 else 0]
-        box_t = [_ref_box(o, d, lo, hi) for lo, hi in np.asarray(boxes).tolist()]
-        ts.append(min(box_t, default=INF))
-    return np.array(ts)
+def reference_raycast(origin, directions, boxes):
+    """Nearest t per ray from one origin over every box, inf on a miss."""
+    o = np.asarray(origin, dtype=np.float64).tolist()
+    box_list = np.asarray(boxes).tolist()
+    return np.array([
+        min((_ref_box(o, d, lo, hi) for lo, hi in box_list), default=INF)
+        for d in np.atleast_2d(directions).tolist()
+    ])
 
 
 # --- ray-cast oracle -------------------------------------------------------------
@@ -107,11 +107,21 @@ def _scene_case(seed: int, shared_origin: bool):
     return boxes, origins, dirs
 
 
+def _per_origin(origins, dirs):
+    """(origin, ray indices) for each distinct origin; per-ray origins run as
+    one `raycast` call per origin, a (3,) origin is shared by every ray."""
+    rows = np.broadcast_to(origins, np.shape(dirs))
+    distinct, which = np.unique(rows, axis=0, return_inverse=True)
+    return [(o, np.flatnonzero(which.reshape(-1) == i)) for i, o in enumerate(distinct)]
+
+
 def _assert_matches_reference(scene, origins, dirs):
-    t = scene.raycast(origins, dirs)
-    ref_t = reference_raycast(origins, dirs, scene.boxes)
-    np.testing.assert_array_equal(np.isfinite(t), np.isfinite(ref_t))
-    np.testing.assert_array_equal(t, ref_t)
+    t = np.empty(len(dirs))
+    for origin, rays in _per_origin(origins, dirs):
+        t[rays] = scene.raycast(origin, dirs[rays])
+        ref_t = reference_raycast(origin, dirs[rays], scene.boxes)
+        np.testing.assert_array_equal(np.isfinite(t[rays]), np.isfinite(ref_t))
+        np.testing.assert_array_equal(t[rays], ref_t)
     return t
 
 
@@ -132,54 +142,97 @@ def test_raycast_reference_cases_hit():
     assert box_hits > 50
 
 
-def _tangent_rays(seed: int):
+def _tangent_rays(seed: int, scale: float = 1.0):
     """Rays that pass just outside a box's bounding sphere past one of its
-    corners, across the diagonal, within the slab test's RAY_EPS tolerance."""
+    corners, across the diagonal: within the slab test's RAY_EPS tolerance
+    at scale 1, and by a few ulps of the corner in a scene scaled so far out
+    that RAY_EPS is below an ulp and only `CULL_SLACK` covers the rounding."""
     rng = np.random.default_rng(seed)
-    lo = rng.uniform(-4.0, 0.0, size=(6, 3))
-    boxes = np.stack([lo, lo + rng.uniform(0.2, 3.0, size=(6, 3))], axis=1)
+    lo = rng.uniform(-4.0, 0.0, size=(6, 3)) * scale
+    boxes = np.stack([lo, lo + rng.uniform(0.2, 3.0, size=(6, 3)) * scale], axis=1)
     origins, dirs = [], []
     for lo, hi in boxes:
         c = (lo + hi) / 2.0
         w = (hi - c) / np.linalg.norm(hi - c)
-        for push in rng.uniform(0.05, 0.5, size=6) * RAY_EPS:
+        unit = RAY_EPS if scale == 1.0 else 8.0 * np.spacing(np.linalg.norm(hi))
+        for push in rng.uniform(0.05, 0.5, size=6) * unit:
             d = rng.normal(size=3)
             d -= (d @ w) * w
             d /= np.linalg.norm(d)
-            origins.append(hi + push * w - 5.0 * d)
+            origins.append(hi + push * w - 5.0 * scale * d)
             dirs.append(d)
     return boxes, np.array(origins), np.array(dirs)
 
 
-@pytest.mark.parametrize("case", ["random", "tangent"])
+@pytest.mark.parametrize("case", ["random", "tangent", "rounding"])
 def test_cull_keeps_every_accepted_pair(case):
     # the slab test on every (ray, box) pair against the cull's pairs
-    outside = 0
+    outside = accepted_pairs = 0
     for seed in range(40):
         if case == "random":
             boxes, origins, dirs = _scene_case(seed, seed % 2 == 0)
         else:
-            boxes, origins, dirs = _tangent_rays(seed)
+            boxes, origins, dirs = _tangent_rays(seed, 1e10 if case == "rounding" else 1.0)
         scene = SceneGeometry(boxes)
-        d = np.atleast_2d(dirs)
-        o = np.broadcast_to(np.atleast_2d(origins), d.shape)
-        safe_d = np.where(np.abs(d) < RAY_EPS, RAY_EPS, d)
         nb = len(scene.boxes)
-        ray, box = np.divmod(np.arange(len(d) * nb), max(nb, 1))
-        t = scene._slab(o[ray], safe_d[ray], box)
-        accepted = np.isfinite(t).reshape(len(d), nb)
-        kept = np.zeros_like(accepted)
-        kept[scene._cull(o, safe_d)] = True
-        assert not (accepted & ~kept).any()
-        if case == "tangent":
-            # accepted pairs whose line misses the bare bounding sphere
-            u = d / np.linalg.norm(d, axis=1, keepdims=True)
-            rel = scene._centres[None] - o[:, None]
-            along = np.sum(rel * u[:, None], axis=2)
-            perp = np.linalg.norm(rel - along[..., None] * u[:, None], axis=2)
-            outside += int((accepted & (perp > scene._radii * (1 + 1e-9))).sum())
+        for origin, rays in _per_origin(origins, dirs):
+            d = dirs[rays]
+            o = origin.reshape(3, 1)
+            safe_d = np.where(np.abs(d.T) < RAY_EPS, RAY_EPS, d.T)
+            ray, box = np.divmod(np.arange(len(d) * nb), max(nb, 1))
+            t = _slab(scene._lo[:, box] - o, scene._hi[:, box] - o, 1.0 / safe_d[:, ray])
+            accepted = np.isfinite(t).reshape(len(d), nb)
+            kept = np.zeros_like(accepted)
+            for r, b in scene._cull(o, safe_d):
+                kept[r, b] = True
+            assert not (accepted & ~kept).any()
+            accepted_pairs += int(accepted.sum())
+            if case == "tangent":
+                # accepted pairs whose line misses the bare bounding sphere
+                u = d / np.linalg.norm(d, axis=1, keepdims=True)
+                rel = scene._centres.T[None] - origin
+                along = np.sum(rel * u[:, None], axis=2)
+                perp = np.linalg.norm(rel - along[..., None] * u[:, None], axis=2)
+                outside += int((accepted & (perp > scene._radii * (1 + 1e-9))).sum())
     if case == "tangent":
         assert outside > 100
+    assert accepted_pairs > 500
+
+
+def test_raycast_matches_scalar_reference_across_chunks():
+    # 2.5 chunks of rays from a point amid the boxes, so that hits fall on
+    # both sides of every chunk boundary and in the partial last chunk
+    rng = np.random.default_rng(4)
+    nb = 64
+    lo = rng.uniform(-6.0, 6.0, size=(nb, 3))
+    boxes = np.stack([lo, lo + rng.uniform(0.3, 2.0, size=(nb, 3))], axis=1)
+    scene = SceneGeometry(boxes)
+    step = PAIR_BUDGET // nb
+    dirs = rng.normal(size=(5 * step // 2, 3))
+    t = _assert_matches_reference(scene, np.array([0.5, -0.25, 0.75]), dirs)
+    for chunk in (t[:step], t[step : 2 * step], t[2 * step :]):
+        assert np.isfinite(chunk).mean() > 0.3
+
+
+def test_cull_keeps_boxes_it_cannot_do_arithmetic_on():
+    # an infinite or huge bound makes a bounding sphere inf or NaN, or
+    # overflows its squares; such a box must reach the slab test
+    for far in (INF, 1e300):
+        scene = SceneGeometry([
+            ((-far, 0.0, 0.0), (0.0, 1.0, 1.0)),
+            ((2.0, -far, -far), (3.0, far, far)),
+            ((-far, -far, 4.0), (far, far, far)),
+            ((-1.0, 5.0, -1.0), (1.0, far, 1.0)),
+        ])
+        assert scene.raycast([1.0, 0.5, 0.5], [[-1.0, 0.0, 0.0]])[0] == 1.0
+        dirs = np.concatenate([np.eye(3), -np.eye(3), np.random.default_rng(0).normal(size=(60, 3))])
+        for origin in ([1.0, 0.5, 0.5], [0.5, -2.0, 1.5], [-3.0, 0.5, -2.0]):
+            t = _assert_matches_reference(scene, np.array(origin), dirs)
+            assert np.isfinite(t).mean() > 0.5
+    # a finite sphere so far from the origin that only |c - o|**2 overflows
+    scene = SceneGeometry([((1e154, -1e150, -1e150), (1.0000001e154, 1e150, 1e150))])
+    t = _assert_matches_reference(scene, np.array([-1e154, 0.5, 0.5]), np.eye(3))
+    assert t[0] == 2e154
 
 
 def test_raycast_edge_cases():
@@ -252,6 +305,19 @@ def test_pvs_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "sphere, cols, rows", [(0, -2, -3), (-5, 64, 64), (1024, -1, 64), (1024, 64, -1), (0, 0, 0), (0, 0, 8)]
+)
+def test_selection_params_reject_negative_or_no_rays(sphere, cols, rows):
+    with pytest.raises(ValueError):
+        SelectionParams(sphere_rays=sphere, raster_cols=cols, raster_rows=rows)
+
+
+def test_selection_params_accept_one_kind_of_ray():
+    assert len(pvs_rays(CameraPose([0, 0, 0], [0, 0, 1]), SelectionParams(0, 4, 2))) == 8
+    assert len(pvs_rays(CameraPose([0, 0, 0], [0, 0, 1]), SelectionParams(5, 0, 3))) == 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,11 +436,11 @@ def test_pvs_matches_scalar_reference(case):
         # they are compared directly
         miss = ~np.isfinite(scene.raycast(pose.position, rays))
         hits += int((~miss).sum())
-        ok, exits = _volume_exit_points(pose.position, rays[miss], volume)
+        ok, exits = _volume_exit_points(pose.position, rays[miss].T, volume)
         lo, hi = (b.tolist() for b in volume.bounds)
         ref = [_ref_exit(pose.position.tolist(), d, lo, hi) for d in rays[miss].tolist()]
         assert ok.tolist() == [p is not None for p in ref]
-        assert exits[ok].tolist() == [p for p in ref if p is not None]
+        assert exits[:, ok].T.tolist() == [p for p in ref if p is not None]
     assert (hits > 0) == (case != "empty")
 
 
