@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probestream.selection import (
+    PAIR_BUDGET,
     RAY_EPS,
     CameraPose,
     LayoutMismatchError,
     SceneGeometry,
-    PAIR_BUDGET,
     SelectionParams,
     _slab,
     _volume_exit_points,
