@@ -7,7 +7,7 @@ future, and the encoder has zero lookahead: every frame is emitted as soon
 as it is presented. Encoding is closed-loop lossless, so encoder and decoder
 reconstructions are bit-identical after every frame.
 
-Wire format (`FRAME_MAGIC` ``LPF2``). A frame is a fixed header, the payload
+Wire format (`FRAME_MAGIC` ``LPF3``). A frame is a fixed header, the payload
 and a CRC-32 over both. Every payload ends in one raw deflate stream
 (RFC 1951, no zlib or gzip wrapper, since the frame CRC covers it), written
 at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
@@ -15,7 +15,17 @@ at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
 * 8-bit values are written as they are. A run of 16-bit values is zig-zag
   mapped (read as int16: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...) and
   written as the low bytes of all its values, then their high bytes.
-* Key frame, 8-bit planes: the plane bytes, plane after plane, row order.
+* Key frame, 8-bit planes: the plane bytes in four texel-byte lanes. With
+  planes of h rows and w columns, row y is read as the byte stream s of
+  3w bytes with s[3p + c] = plane c at (y, p), the order in which
+  `packing.pack_visibility` distributes a row's bytes, and s is padded
+  with zero bytes to 4q bytes, q = ceil(3w / 4). Lane k (0 <= k < 4) of
+  the row is s[k], s[k + 4], ..., s[k + 4(q - 1)]. The stream holds lane 0
+  of every row in row order, then lanes 1, 2 and 3 the same way: its byte
+  k*h*q + y*q + j is s[4j + k] of row y, 4*h*q bytes in all. The pad bytes
+  (s[i], i >= 3w) must be zero. For visibility texels the lanes hold their
+  R-hi, R-lo, G-hi and G-lo bytes, so each part of the stream holds bytes
+  of one kind.
 * Key frame, 16-bit planes: per plane, one run holding the gradient
   residual r = x - left - up + up-left (mod 2**16, neighbours outside the
   plane read as 0) of every element in row order. The decoder inverts it
@@ -30,14 +40,15 @@ at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
   grid is `volume.changed_blocks`, the block-change reduction that
   `selection.detect_changed` shares.
 
-The decoder knows the inflated size before inflating: the header's plane
-bytes for a key frame, the changed blocks' elements for a P-frame. It lets
-zlib produce at most one byte more, and raises `CorruptFrameError` for a
-stream that is not deflate, inflates past or short of that size, stops
-before its final block or has bytes after it, and for a bitmap with a pad
-bit set or a payload shorter than its bitmap; all of this before any plane
-is allocated. Malformed input raises `CodecError` and nothing else, and
-leaves the stream state as it was.
+The decoder knows the inflated size before inflating: 4*h*q bytes for an
+8-bit key frame, the header's plane bytes for a 16-bit one, and the changed
+blocks' elements for a P-frame. It lets zlib produce at most one byte more,
+and raises `CorruptFrameError` for a stream that is not deflate, inflates
+past or short of that size, stops before its final block or has bytes after
+it, for a bitmap with a pad bit set or a payload shorter than its bitmap,
+and for a lane pad byte that is not zero; all of this before any plane is
+allocated. Malformed input raises `CodecError` and nothing else, and leaves
+the stream state as it was.
 
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
@@ -59,7 +70,7 @@ BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
 _RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
-FRAME_MAGIC = b"LPF2"
+FRAME_MAGIC = b"LPF3"
 _FRAME_HEADER = struct.Struct("<4sBIIHHBBI")
 _CHECKSUM = struct.Struct("<I")
 
@@ -262,12 +273,61 @@ def _inflate(stream, size: int) -> np.ndarray:
     return np.frombuffer(out, np.uint8)
 
 
+# --- texel-byte lanes of 8-bit key frames ------------------------------------
+
+
+def _lane_width(width: int) -> int:
+    """Bytes per lane of a row of three planes `width` elements wide."""
+    return -(-3 * width // 4)
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_copies(width: int) -> tuple[tuple[int, slice, int, slice], ...]:
+    """The strided copies between planes `width` elements wide and their
+    lanes, as (plane, plane columns, lane, lane columns).
+
+    Row byte s[i] is plane i % 3 at column i // 3 and lane i % 4 at column
+    i // 4. The bytes i = 4j + k, j = j0 (mod 3), of lane k are the bytes
+    i = i0 (mod 12), i0 = 4 * j0 + k: one plane's every fourth column from
+    i0 // 3 on, and the lane's every third column from j0 on.
+    """
+    copies = []
+    for k in range(4):
+        for j0 in range(3):
+            i0 = 4 * j0 + k
+            count = len(range(i0 // 3, width, 4))
+            copies.append((i0 % 3, slice(i0 // 3, None, 4), k, slice(j0, j0 + 3 * count, 3)))
+    return tuple(copies)
+
+
+def _to_lanes(data: np.ndarray) -> np.ndarray:
+    """(3, h, w) 8-bit planes -> their (4, h, q) lanes, pad bytes zero."""
+    _, height, width = data.shape
+    lanes = np.zeros((4, height, _lane_width(width)), np.uint8)
+    for plane, columns, lane, lane_columns in _lane_copies(width):
+        lanes[lane, :, lane_columns] = data[plane, :, columns]
+    return lanes
+
+
+def _from_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of `_to_lanes` for planes `width` elements wide; a lane pad
+    byte that is not zero is corrupt."""
+    _, height, q = lanes.shape
+    for i in range(3 * width, 4 * q):
+        if lanes[i % 4, :, i // 4].any():
+            raise CorruptFrameError("lane pad byte set")
+    planes = np.empty((3, height, width), np.uint8)
+    for plane, columns, lane, lane_columns in _lane_copies(width):
+        planes[plane, :, columns] = lanes[lane, :, lane_columns]
+    return planes
+
+
 # --- frame encode / decode ---------------------------------------------------
 
 
 def _key_content(data: np.ndarray) -> np.ndarray:
     if data.dtype == np.uint8:
-        return np.ascontiguousarray(data)
+        return _to_lanes(data)
     return _low_then_high(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
 
 
@@ -319,11 +379,12 @@ def encode_frame(
 
 
 def _decode_key(frame: EncodedFrame) -> np.ndarray:
+    if frame.element_bits == 8:
+        q = _lane_width(frame.width)
+        content = _inflate(frame.payload, 4 * frame.height * q)
+        return _from_lanes(content.reshape(4, frame.height, q), frame.width)
     shape = (frame.plane_count, frame.height, frame.width)
-    item = frame.element_bits // 8
-    content = _inflate(frame.payload, frame.plane_count * frame.height * frame.width * item)
-    if item == 1:
-        return content.reshape(shape)
+    content = _inflate(frame.payload, 2 * frame.plane_count * frame.height * frame.width)
     recon = _unzigzag(_join_low_high(content, frame.plane_count)).reshape(shape)
     np.cumsum(recon, axis=2, dtype=np.uint16, out=recon)
     np.cumsum(recon, axis=1, dtype=np.uint16, out=recon)

@@ -201,25 +201,6 @@ def reconstruct_guard_band(core: np.ndarray) -> np.ndarray:
     return out
 
 
-def guard_band_reduction(kind: AtlasKind) -> float:
-    """Fractional size saved by stripping the guard band from one probe."""
-    return 1.0 - (kind.core_side**2) / (kind.block_side**2)
-
-
-def packed_reduction(kind: AtlasKind, active_fraction: float) -> float:
-    """Reduction from dropping inactive probes and stripping guard bands."""
-    return 1.0 - active_fraction * (kind.core_side**2) / (kind.block_side**2)
-
-
-def overall_reduction(active_fraction: float) -> float:
-    """Bit-weighted combined reduction across color and visibility textures."""
-    before = AtlasKind.COLOR.bits_per_probe + AtlasKind.VISIBILITY.bits_per_probe
-    after = active_fraction * 32 * (
-        AtlasKind.COLOR.core_side**2 + AtlasKind.VISIBILITY.core_side**2
-    )
-    return 1.0 - after / before
-
-
 # --- update atlas slots ------------------------------------------------------
 
 

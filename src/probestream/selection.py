@@ -228,14 +228,25 @@ class CameraPose:
         self.up = np.asarray(self.up, dtype=np.float64)
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(forward, right, up) unit vectors. Right is forward x up; where
+        up is parallel to forward, forward x (1, 0, 0), then forward x
+        (0, 0, 1).
+
+        The cross products are scalar float arithmetic, the same products
+        and differences `np.cross` rounds. The length stays
+        `np.linalg.norm`: its BLAS dot may fuse multiply-adds, which scalar
+        arithmetic would not reproduce bit for bit.
+        """
         f = self.forward
-        r = np.cross(f, self.up)
-        if np.linalg.norm(r) < 1e-9:  # up parallel to forward: pick another up
-            r = np.cross(f, np.array([1.0, 0.0, 0.0]))
-            if np.linalg.norm(r) < 1e-9:
-                r = np.cross(f, np.array([0.0, 0.0, 1.0]))
-        r = r / np.linalg.norm(r)
-        u = np.cross(r, f)
+        fx, fy, fz = f.tolist()
+        for ux, uy, uz in (self.up.tolist(), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+            r = np.array((fy * uz - fz * uy, fz * ux - fx * uz, fx * uy - fy * ux))
+            norm = np.linalg.norm(r)
+            if norm >= 1e-9:
+                break
+        r = r / norm
+        rx, ry, rz = r.tolist()
+        u = np.array((ry * fz - rz * fy, rz * fx - rx * fz, rx * fy - ry * fx))
         return f, r, u
 
 def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
@@ -319,19 +330,27 @@ def detect_changed(
 _CAGE_OFFSETS = np.array([(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)])
 
 
-def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
-    """The 8 cell-corner probe ids enclosing each point; shape (n, 8).
+def _cage_cells(p: np.ndarray, volume: ProbeVolume) -> tuple[np.ndarray, np.ndarray]:
+    """The cell of each component-first (3, n) point, as the id of its
+    lowest corner probe, and the 8 corners' id offsets from that probe.
 
     Points outside the volume are clamped, so border cells repeat corners.
     """
-    p = _by_component(points)
     dims = np.asarray(volume.dims)
     rel = (p - np.asarray(volume.origin)[:, None]) / np.asarray(volume.spacing)[:, None]
     low = np.clip(np.floor(rel).astype(np.int64), 0, np.maximum(dims - 2, 0)[:, None])
     nx, ny, _ = volume.dims
     # a corner steps past `low` only along axes of two or more probes
     offsets = (_CAGE_OFFSETS * (dims > 1)) @ np.array([1, nx, nx * ny])
-    base = low[0] + nx * (low[1] + ny * low[2])
+    return low[0] + nx * (low[1] + ny * low[2]), offsets
+
+
+def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
+    """The 8 cell-corner probe ids enclosing each point; shape (n, 8).
+
+    Points outside the volume are clamped, so border cells repeat corners.
+    """
+    base, offsets = _cage_cells(_by_component(points), volume)
     return base[:, None] + offsets
 
 
@@ -377,8 +396,12 @@ def pvs_probes(
     hits = o[:, None] + np.compress(hit, d, axis=1) * t[hit]
     # the camera's own cell always contributes, so open scenes stay covered
     points = np.concatenate([hits, np.compress(ok, exits, axis=1), o[:, None]], axis=1)
+    # many points share a cell: expand each distinct cell once
+    base, offsets = _cage_cells(points, volume)
+    cells = np.zeros(volume.probe_count, dtype=bool)
+    cells[base] = True
     mask = np.zeros(volume.probe_count, dtype=bool)
-    mask[cage_probes(points.T, volume)] = True
+    mask[np.flatnonzero(cells)[:, None] + offsets] = True
     mask &= volume.active
     return np.flatnonzero(mask)
 

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probestream.codec import (
@@ -20,7 +20,7 @@ from probestream.codec import (
     decode_frame,
     encode_frame,
 )
-from probestream.packing import PlaneKind, PlaneSet
+from probestream.packing import PlaneKind, PlaneSet, pack_visibility
 from test_codec_golden import _smooth, reference_decode, split_payload
 
 
@@ -362,11 +362,16 @@ def _decode_peak(frame, state):
 
 def test_tall_frames_match_scalar_reference():
     # planes of many block rows, clipped on both edges, through key frames
-    # and P-frames, against the scalar reference decoder
+    # and P-frames, against the scalar reference decoder; the visibility
+    # rows end in two lane pad bytes, then in one
     rng = np.random.default_rng(21)
-    for kind in (PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES):
+    for kind, width in (
+        (PlaneKind.COLOR_10IN16, 70),
+        (PlaneKind.VISIBILITY_BYTES, 70),
+        (PlaneKind.VISIBILITY_BYTES, 69),
+    ):
         enc, dec = stream_pair(gop=3)
-        planes, previous = PlaneSet(kind, _smooth(rng, (300, 70), kind.dtype, 1.0)), None
+        planes, previous = PlaneSet(kind, _smooth(rng, (300, width), kind.dtype, 1.0)), None
         for _ in range(4):
             mutate = rng.random(planes.data.shape) < 0.02
             planes.data[mutate] ^= 1
@@ -374,6 +379,39 @@ def test_tall_frames_match_scalar_reference():
             assert np.array_equal(reference_decode(frame, previous), planes.data)
             assert decode_frame(frame, dec).equals(planes)
             previous = planes.data.copy()
+
+
+class TestLanes:
+    """8-bit key frames code each row's byte stream in four lanes. Widths
+    1 to 40 take every value of 3w mod 4, so rows end in 0 to 3 pad bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from(["noise", "smooth", "zero"]))
+    def test_key_frame_lanes_round_trip(self, h, w, seed, fill):
+        rng = np.random.default_rng(seed)
+        if fill == "noise":
+            data = rng.integers(0, 256, size=(3, h, w), dtype=np.uint8)
+        elif fill == "smooth":
+            data = _smooth(rng, (h, w), np.uint8, 2.0)
+        else:
+            data = np.zeros((3, h, w), np.uint8)
+        planes = PlaneSet(PlaneKind.VISIBILITY_BYTES, data)
+        frame = EncodedFrame.from_bytes(encode_frame(planes, stream_pair()[0]).to_bytes())
+        assert np.array_equal(reference_decode(frame, None), data)
+        assert decode_frame(frame, CodecStreamState(1, "decoder")).equals(planes)
+
+    def test_lanes_hold_texel_bytes(self):
+        # five packed visibility texels a row: lane k holds byte k of every
+        # texel, then zeros from the packing pad and the lane pad
+        texels = np.arange(2 * 5 * 2, dtype=np.uint16).reshape(2, 5, 2) * 0x0101 + 0x1020
+        frame = encode_frame(pack_visibility(texels), stream_pair()[0])
+        content = np.frombuffer(split_payload(frame)[1], np.uint8).reshape(4, 2, -1)
+        assert content.shape == (4, 2, 6)
+        wide = texels.astype(">u2").view(np.uint8).reshape(2, 5, 4)
+        for k in range(4):
+            assert np.array_equal(content[k, :, :5], wide[:, :, k])
+            assert not content[k, :, 5:].any()
 
 
 def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
@@ -388,9 +426,13 @@ def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
 
 
 def _stream_case(key):
-    """(frame, decoder state, payload before the stream, inflated stream)."""
+    """(frame, decoder state, payload before the stream, inflated stream);
+    `key` is True for a colour key frame, "visibility" for a visibility
+    one, whose rows end in a lane pad byte, and False for a P-frame."""
     if key:
-        frame = encode_frame(color_planes(np.random.default_rng(18), 20, 36), stream_pair()[0])
+        rng = np.random.default_rng(18)
+        planes = vis_planes(rng, 20, 37) if key == "visibility" else color_planes(rng, 20, 36)
+        frame = encode_frame(planes, stream_pair()[0])
         return (frame, CodecStreamState(1, "decoder"), *split_payload(frame))
     frame, dec = _p_frame_case(20, 36)
     return (frame, dec, *split_payload(frame))
@@ -411,23 +453,23 @@ class TestFailClosed:
         assert state() == before
         return peak
 
-    @pytest.mark.parametrize("key", [True, False])
+    @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_stream_inflating_past_its_content(self, key):
         frame, dec, head, content = _stream_case(key)
         self._rejects(like(frame, head + deflate(content + b"\0")), dec)
 
-    @pytest.mark.parametrize("key", [True, False])
+    @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_truncated_stream(self, key):
         frame, dec, head, content = _stream_case(key)
         self._rejects(like(frame, head + deflate(content, final=False)), dec)
         self._rejects(like(frame, head + deflate(content)[:-1]), dec)
 
-    @pytest.mark.parametrize("key", [True, False])
+    @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_bytes_after_stream_end(self, key):
         frame, dec, head, content = _stream_case(key)
         self._rejects(like(frame, head + deflate(content) + b"\0"), dec)
 
-    @pytest.mark.parametrize("key", [True, False])
+    @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_stream_inflating_short(self, key):
         frame, dec, head, content = _stream_case(key)
         self._rejects(like(frame, head + deflate(content[:-1])), dec)
@@ -439,6 +481,21 @@ class TestFailClosed:
         assert bitmap == b"\xe0"
         for pad in (0x01, 0x10):
             self._rejects(like(frame, bytes([0xE0 | pad]) + deflate(content)), dec)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 7])
+    def test_lane_pad_byte_set_rejected(self, w):
+        # every pad byte of a row's last 4-byte group, in the first row and
+        # the last
+        h, q = 3, -(-3 * w // 4)
+        for i in range(3 * w, 4 * q):
+            for y in (0, h - 1):
+                content = bytearray(4 * h * q)
+                content[(i % 4) * h * q + y * q + i // 4] = 0x80
+                frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), deflate(bytes(content)))
+                self._rejects(frame, CodecStreamState(1, "decoder"))
+        # the same stream with its pad bytes clear decodes to zero planes
+        frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), deflate(bytes(4 * h * q)))
+        assert not decode_frame(frame, CodecStreamState(1, "decoder")).data.any()
 
     def test_payload_shorter_than_bitmap(self):
         # 3 planes of 9 blocks need a 4-byte bitmap
@@ -485,6 +542,8 @@ class TestFailClosed:
                 EncodedFrame.from_bytes(wire)
 
     @settings(max_examples=150, deadline=None)
+    @example(PlaneKind.VISIBILITY_BYTES, 7, 13, False, [(5, 0x5A)], 0)
+    @example(PlaneKind.VISIBILITY_BYTES, 20, 38, False, [(0, 0)], -2)
     @given(
         st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]),
         st.integers(1, 40),

@@ -1,16 +1,17 @@
 """Wire-format pins for the frame codec.
 
-`reference_decode` is a plain scalar decoder of the ``LPF2`` payload,
+`reference_decode` is a plain scalar decoder of the ``LPF3`` payload,
 written from the format description in `probestream.codec`: it walks the
-bitmap, the blocks and the elements in Python loops and uses `zlib` only to
-inflate. Every golden sequence and every frame of the hypothesis tests must
-decode through it to the planes that were encoded.
+bitmap, the blocks, the lanes and the elements in Python loops and uses
+`zlib` only to inflate. Every golden sequence and every frame of the
+hypothesis tests must decode through it to the planes that were encoded.
 
 The digests pin the format: sha256 over, frame by frame, the header without
-its payload-length field, the P-frame bitmap and the inflated stream. They
-leave out the deflate bytes, which may differ between zlib builds while
-what they inflate to does not. Any change to a digest is a change of the
-wire format and needs a new `FRAME_MAGIC`.
+its magic and its payload-length field, the P-frame bitmap and the inflated
+stream. They leave out the deflate bytes, which may differ between zlib
+builds while what they inflate to does not, and the magic, which is pinned
+on its own, so a digest moves only when its own frames change. Any change
+to a digest is a change of the wire format and needs a new `FRAME_MAGIC`.
 """
 
 import hashlib
@@ -66,12 +67,28 @@ def _run(content, start, count, bits):
     return [((c >> 1) ^ -(c & 1)) % (1 << 16) for c in codes]
 
 
+def lane_decode(content, height, width):
+    """The three 8-bit planes of a key frame's inflated stream: per row, the
+    lanes back into the row's byte stream, then the stream into the planes."""
+    q = (3 * width + 3) // 4
+    assert len(content) == 4 * height * q
+    out = [[[0] * width for _ in range(height)] for _ in range(3)]
+    for y in range(height):
+        stream = [content[(i % 4) * height * q + y * q + i // 4] for i in range(4 * q)]
+        assert not any(stream[3 * width :]), "lane pad bytes must be zero"
+        for i in range(3 * width):
+            out[i % 3][y][i // 3] = stream[i]
+    return np.array(out, dtype=np.uint8).reshape(3, height, width)
+
+
 def reference_decode(frame, reference):
     """The planes of `frame`, one element at a time; `reference` is the
     previous frame's planes (an array) for a P-frame."""
     planes, height, width, bits = frame.plane_count, frame.height, frame.width, frame.element_bits
     mod, size = 1 << bits, bits // 8
     bitmap, content = split_payload(frame)
+    if frame.key and bits == 8:
+        return lane_decode(content, height, width)
     if frame.key:
         count = height * width
         assert len(content) == planes * count * size
@@ -81,15 +98,12 @@ def reference_decode(frame, reference):
             plane = [[0] * width for _ in range(height)]
             for y in range(height):
                 for x in range(width):
-                    value = r[y * width + x]
-                    if bits == 16:
-                        left = plane[y][x - 1] if x else 0
-                        up = plane[y - 1][x] if y else 0
-                        up_left = plane[y - 1][x - 1] if x and y else 0
-                        value = (value + left + up - up_left) % mod
-                    plane[y][x] = value
+                    left = plane[y][x - 1] if x else 0
+                    up = plane[y - 1][x] if y else 0
+                    up_left = plane[y - 1][x - 1] if x and y else 0
+                    plane[y][x] = (r[y * width + x] + left + up - up_left) % mod
             out.append(plane)
-        return np.array(out, dtype=np.uint16 if bits == 16 else np.uint8).reshape(planes, height, width)
+        return np.array(out, dtype=np.uint16).reshape(planes, height, width)
     by, bx = _blocks_across(height), _blocks_across(width)
     marks = [bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(8 * len(bitmap))]
     assert not any(marks[planes * by * bx :]), "pad bits must be zero"
@@ -169,18 +183,18 @@ def _sequence(name: str, seed: int):
 
 
 GOLDEN = {
-    "color_mutate": "0fef6c197466509de9cb24770e28614b7a4c492ef5af157a4f7df7ce4df07678",
-    "color_edge": "2e6cdbed3346083e6db546911fa6ddd5511ce98cffeeaeb9b49a88bf9f5bce48",
-    "color_40x56": "12fe99453b1901e71a9aff891fced4e19d341f14e395e0dd7dab1438ab3bd617",
-    "color_narrow": "6cba16003d782e27fc1d53386dceea6a843f299f1c45d249ed0c79b78dde6ba1",
-    "vis_mutate": "82339515361b95de8f90da1ab87cd9f7a5d9102ba0deb7d2a44769b42785f51f",
-    "color_all_skip": "ec636b05584042080280941f8e919c4a02f66f2c7f093d4913adf2aa67708e25",
-    "color_noise_keys": "bc34bd46e92a65a11395901b53d59b8c485fe190922b64eaf17024ef49a1b93c",
-    "vis_noise_keys": "6be1beaff23961e45096732b315fadd3b9a0b45f1e00ef84fa0df67ad94e06e2",
-    "color_offset": "8678f6894ae9e9b4f6b7bcaa67d8cb22a2f4e51fd3b9475fb97c8eaa5d1492ac",
-    "vis_offset": "3aa8000c590ca9c240d60728967fb6337bb2ca47a0f56ecf384f73567335fb00",
-    "color_sparse": "184f6eca30a5e832db8a583f6bb6111e33dba7c719265f94ad3525ed4d7ba517",
-    "vis_sparse": "6ccea2636483a376a6f59539c572b6409c90eb601a9a4031828d93c0aa91823b",
+    "color_mutate": "1f69003587f4ccf360a63c952f63e6d8f752d9c7f89808361fcb85fad8c3ce5d",
+    "color_edge": "ff65569946eeb4d607ef2cece93ba386c513288534c2f31886eda81dbf9cc512",
+    "color_40x56": "ee95540d191241ebaf460b3fd429645287b99833df4c2b23e4429ea0e36831a2",
+    "color_narrow": "154658e24abc704ff3973db391d8e25024df9eb357bd981e3822589cff17ba6f",
+    "vis_mutate": "8fc75117dc0e13efb39dc187ff341d033fa4393121990a3aa6568e5a4684eb0f",
+    "color_all_skip": "174b83438ea3db5eb4055575f4c8c5f80e0b596ff3cb2df89013f5c2cfd5ad86",
+    "color_noise_keys": "537cb01baea1097e2ac8e5706a401aaae7b2a20a4ad5c9900588f93bad56cf05",
+    "vis_noise_keys": "a4ee6bd169080102facbd36703c4d5f3dae31d28785dfb595e1a02555af8e0dc",
+    "color_offset": "d91eb7378e484f0ecf0656c6215975a2f33ea8e03897fd86410b5b3bb4361ce0",
+    "vis_offset": "a5fc02a68fc32e7717d0192ab721bc8afaa47090901150710f5a6270867bce63",
+    "color_sparse": "846fb8b17cf96dba4051fa523241386c8ab2b0a95d5b356990343910192fb28d",
+    "vis_sparse": "e81fb4050a48301d8d8bf4f1a1ec783c2f85e3739ff1535606527f36ea540cdc",
 }
 
 
@@ -197,7 +211,7 @@ def sequence_digest(name: str, seed: int = 1) -> str:
         assert HEADER.unpack_from(wire)[0] == FRAME_MAGIC
         assert HEADER.unpack_from(wire)[-1] == len(frame.payload)
         bitmap, content = split_payload(frame)
-        digest.update(wire[: HEADER.size - 4])
+        digest.update(wire[4 : HEADER.size - 4])
         digest.update(bitmap)
         digest.update(content)
         assert np.array_equal(reference_decode(frame, previous), data)
@@ -209,6 +223,10 @@ def sequence_digest(name: str, seed: int = 1) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_wire_bytes_pinned(name):
     assert sequence_digest(name) == GOLDEN[name]
+
+
+def test_frame_magic_pinned():
+    assert FRAME_MAGIC == b"LPF3"
 
 
 def _marks(frame):

@@ -12,11 +12,8 @@ from probestream.packing import (
     UpdateAtlasLayout,
     apply_update_entries,
     build_update_atlas,
-    guard_band_reduction,
-    overall_reduction,
     pack_color,
     pack_visibility,
-    packed_reduction,
     reconstruct_guard_band,
     unpack_color,
     unpack_visibility,
@@ -243,19 +240,17 @@ def test_batched_slot_copies_match_per_probe_reference(
 
 class TestGuardBand:
     def test_color_reduction_is_36_percent(self):
-        rng = np.random.default_rng(2)
-        block = rng.integers(0, 2**30, size=(10, 10), dtype=np.uint32)
+        # a colour probe block of the atlas, and the core sent in a slot
+        block = ProbeAtlas(AtlasKind.COLOR, 1).blocks()[0, 0]
         core = block[1:-1, 1:-1]
         assert core.shape == (8, 8)
         assert 1 - core.size / block.size == pytest.approx(0.36)
-        assert guard_band_reduction(AtlasKind.COLOR) == pytest.approx(0.36)
 
     def test_visibility_reduction_is_21_percent(self):
-        core = np.zeros((18, 18, 2), dtype=np.uint16)[1:-1, 1:-1]
+        block = ProbeAtlas(AtlasKind.VISIBILITY, 1).blocks()[0, 0]
+        core = block[1:-1, 1:-1]
         assert core.shape == (16, 16, 2)
-        assert guard_band_reduction(AtlasKind.VISIBILITY) == pytest.approx(
-            1 - 256 / 324
-        )
+        assert 1 - core.size / block.size == pytest.approx(1 - 256 / 324)
 
     def test_constant_block_reconstructs_exactly(self):
         block = np.full((10, 10), 77, dtype=np.uint32)
@@ -281,14 +276,6 @@ class TestGuardBand:
         for core in (np.zeros((2, 2))[1:-1, 1:-1], np.zeros((2, 3))):
             with pytest.raises(ValueError):
                 reconstruct_guard_band(core.astype(np.uint32))
-
-    def test_combined_reductions(self):
-        assert packed_reduction(AtlasKind.COLOR, 0.75) == pytest.approx(0.52)
-        assert packed_reduction(AtlasKind.VISIBILITY, 0.75) == pytest.approx(
-            0.407, abs=5e-4
-        )
-        # bit-weighted overall, computed rather than quoted
-        assert overall_reduction(0.75) == pytest.approx(1 - 7680 / 13568)
 
 
 class TestUpdateAtlas:

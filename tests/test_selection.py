@@ -292,6 +292,40 @@ def test_pvs_golden():
     assert digest.hexdigest() == "655ec87a90a531766da18a0ec57bf78a010d39769192585a2541d2f0166f0581"
 
 
+def _numpy_basis(pose):
+    """`CameraPose.basis` as `np.cross` and `np.linalg.norm` calls."""
+    f = pose.forward
+    r = np.cross(f, pose.up)
+    if np.linalg.norm(r) < 1e-9:
+        r = np.cross(f, np.array([1.0, 0.0, 0.0]))
+        if np.linalg.norm(r) < 1e-9:
+            r = np.cross(f, np.array([0.0, 0.0, 1.0]))
+    r = r / np.linalg.norm(r)
+    return f, r, np.cross(r, f)
+
+
+_axis = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_axis, _axis, _axis).filter(lambda v: max(map(abs, v)) > 1e-3),
+    st.one_of(
+        st.tuples(_axis, _axis, _axis),
+        st.sampled_from([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)]),
+    ),
+    st.sampled_from([None, 1.0, -2.5]),
+)
+def test_camera_basis_matches_numpy_bit_for_bit(forward, up, parallel):
+    # `parallel` makes up a multiple of forward, so another up is picked
+    if parallel is not None:
+        up = tuple(parallel * c for c in forward)
+    pose = CameraPose(np.zeros(3), forward, up)
+    for got, want in zip(pose.basis(), _numpy_basis(pose)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pvs_memory_bounded():
     # 5120 rays against 90 boxes; the rays go through the cull a chunk at a time
     volume, scene, poses = _pvs_scene(seed=5, boxes=90)
