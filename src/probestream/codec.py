@@ -52,6 +52,19 @@ the stream state as it was.
 
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
+
+The encoder deflates a 16-bit frame's stream in segments, one per half run:
+the low bytes of a run at `zlib.Z_RLE`, its high bytes at the default
+strategy. The low bytes of zig-zagged residuals are close to noise; on them
+level-1 LZ matching is slow and its short matches cost more bits than the
+literals they replace, so run-length matches alone code them smaller and
+faster. Each segment is a fresh compressor at `DEFLATE_LEVEL` ended by a
+sync flush, the last one by the final block, so the segments join into one
+raw deflate stream, as pigz joins its blocks. 8-bit content (key frame lanes
+and P-frame residuals) is one segment at the default strategy, since on it
+`Z_RLE` codes several times larger. The segments are an encoder choice and
+not part of the format: the decoder inflates one stream and never sees
+where they meet.
 """
 
 from __future__ import annotations
@@ -249,9 +262,37 @@ def _join_low_high(data: np.ndarray, runs: int) -> np.ndarray:
     return codes
 
 
-def _deflate(content: np.ndarray) -> bytes:
-    packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE)
-    return packer.compress(content) + packer.flush()
+_Segments = list[tuple[np.ndarray, int]]  # (bytes, zlib strategy) in stream order
+
+
+def _halves(codes: np.ndarray) -> _Segments:
+    """The segments of runs (last axis) of 16-bit values: each run's low
+    bytes at `Z_RLE`, then its high bytes at the default strategy."""
+    return [
+        (half, strategy)
+        for run in _low_then_high(codes)
+        for half, strategy in zip(run, (zlib.Z_RLE, zlib.Z_DEFAULT_STRATEGY))
+    ]
+
+
+def _deflate(segments: _Segments) -> bytes:
+    """One raw deflate stream of the (bytes, strategy) segments in order.
+
+    Each non-empty segment is deflated by a fresh compressor at its own
+    strategy and ends in a sync flush (an empty stored block, so the next
+    segment starts on a byte boundary), the last one in the final block;
+    with nothing to code the stream is one empty final block.
+    """
+    segments = [(data, strategy) for data, strategy in segments if data.size]
+    if not segments:
+        segments = [(b"", zlib.Z_DEFAULT_STRATEGY)]
+    last = len(segments) - 1
+    out = []
+    for i, (data, strategy) in enumerate(segments):
+        packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE, strategy=strategy)
+        out.append(packer.compress(data))
+        out.append(packer.flush(zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH))
+    return b"".join(out)
 
 
 def _inflate(stream, size: int) -> np.ndarray:
@@ -325,20 +366,22 @@ def _from_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
 # --- frame encode / decode ---------------------------------------------------
 
 
-def _key_content(data: np.ndarray) -> np.ndarray:
+def _key_segments(data: np.ndarray) -> _Segments:
     if data.dtype == np.uint8:
-        return _to_lanes(data)
-    return _low_then_high(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
+        return [(_to_lanes(data), zlib.Z_DEFAULT_STRATEGY)]
+    return _halves(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
 
 
-def _p_content(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> np.ndarray:
+def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
     order = _block_order(*cur.shape[1:])
     parts = []
     for p, blocks in enumerate(changed.reshape(changed.shape[0], -1)):
         idx = _elements(order, np.flatnonzero(blocks))
         parts.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
     residuals = np.concatenate(parts)
-    return residuals if cur.dtype == np.uint8 else _low_then_high(_zigzag(residuals))
+    if cur.dtype == np.uint8:
+        return [(residuals, zlib.Z_DEFAULT_STRATEGY)]
+    return _halves(_zigzag(residuals)[None])
 
 
 def encode_frame(
@@ -356,12 +399,12 @@ def encode_frame(
         )
     key = force_key or state.reference is None or state.frame_count % state.gop_length == 0
     if key:
-        payload = _deflate(_key_content(planes.data))
+        payload = _deflate(_key_segments(planes.data))
     else:
         ref = state.reference.data
         changed = changed_blocks(planes.data, ref, BLOCK_SIDE, BLOCK_SIDE)
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
-        payload = bitmap + _deflate(_p_content(planes.data, ref, changed))
+        payload = bitmap + _deflate(_p_segments(planes.data, ref, changed))
     seq = state.frame_count
     state.frame_count = seq + 1
     # lossless, so the reconstruction is the input itself

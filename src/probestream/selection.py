@@ -38,6 +38,7 @@ element than the same operation on rows of n.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,13 @@ def _norm3(v: np.ndarray) -> np.ndarray:
     """Length of each column of a component-first (3, n) array; bit for bit
     `np.linalg.norm(v.T, axis=1)`."""
     return np.sqrt(_sq3(v))
+
+
+def _length(x: float, y: float, z: float) -> float:
+    """Length of one 3-vector, `_norm3`'s arithmetic on Python floats: every
+    product and sum is rounded on its own, where a BLAS dot such as
+    `np.linalg.norm`'s may fuse multiply-adds on some CPUs."""
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def _slab_bounds(lo, hi, inv):
@@ -221,7 +229,7 @@ class CameraPose:
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=np.float64)
         f = np.asarray(self.forward, dtype=np.float64)
-        norm = np.linalg.norm(f)
+        norm = _length(*f.tolist())
         if norm < 1e-9:
             raise ValueError("camera forward vector must be nonzero")
         self.forward = f / norm
@@ -233,15 +241,14 @@ class CameraPose:
         (0, 0, 1).
 
         The cross products are scalar float arithmetic, the same products
-        and differences `np.cross` rounds. The length stays
-        `np.linalg.norm`: its BLAS dot may fuse multiply-adds, which scalar
-        arithmetic would not reproduce bit for bit.
+        and differences `np.cross` rounds, and the length is `_length`, so
+        the basis is the same on every CPU.
         """
         f = self.forward
         fx, fy, fz = f.tolist()
         for ux, uy, uz in (self.up.tolist(), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
             r = np.array((fy * uz - fz * uy, fz * ux - fx * uz, fx * uy - fy * ux))
-            norm = np.linalg.norm(r)
+            norm = _length(*r.tolist())
             if norm >= 1e-9:
                 break
         r = r / norm
@@ -422,14 +429,20 @@ def select_for_client(
     Staleness is update sequences since last transmission (never-sent probes
     are the most stale); ties break on ascending probe id. Probes truncated
     away stay changed relative to their last transmitted state, so they are
-    reconsidered on the next update.
+    reconsidered on the next update. An id in `changed` or `pvs` outside
+    [0, probe_count) raises `IndexError`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    is_changed = np.zeros(volume.active.size, dtype=bool)
-    is_changed[np.asarray(changed, np.int64)] = True
+    changed, pvs = np.asarray(changed, np.int64), np.asarray(pvs, np.int64)
+    for ids in (changed, pvs):
+        # read as unsigned, a negative id is above every probe count
+        if ids.size and ids.view(np.uint64).max() >= volume.probe_count:
+            raise IndexError(f"probe id outside [0, {volume.probe_count})")
+    is_changed = np.zeros(volume.probe_count, dtype=bool)
+    is_changed[changed] = True
     is_visible = np.zeros_like(is_changed)
-    is_visible[np.asarray(pvs, np.int64)] = True
+    is_visible[pvs] = True
     ids = np.flatnonzero(is_changed & is_visible & volume.active)
     # staleness current_seq - last_sent_seq, highest first, is the order of
     # last_sent_seq lowest first, which needs no subtraction that could wrap;

@@ -165,7 +165,7 @@ class TestBlockModes:
         p_frame, _ = first_block_p_frame(block, block.copy())
         assert split_payload(p_frame) == (b"\x00", b"")
 
-    def test_constant_offset_prefers_delta(self):
+    def test_constant_offset_codes_constant_residuals(self):
         rng = np.random.default_rng(2)
         ref = rng.integers(0, 512, size=(16, 16), dtype=np.uint16)
         p_frame, key = first_block_p_frame(ref + 3, ref)
@@ -577,20 +577,20 @@ class TestHeaderWalk:
         decode_frame(encode_frame(color_planes(np.random.default_rng(22), h, w), enc), dec)
         return like(EncodedFrame(1, 1, False, w, h, 3, 16, b""), payload), dec
 
-    def test_skip_run_past_block_count(self):
+    def test_bytes_past_bitmap_rejected(self):
         # six blocks fit one bitmap byte; more skip bytes run into the stream
         for extra in (1, 5):
             frame, dec = self._p_frame(bytes(1 + extra) + deflate(b""))
             with pytest.raises(CorruptFrameError):
                 decode_frame(frame, dec)
 
-    def test_coded_block_after_last_skip_run(self):
+    def test_residuals_without_changed_block_rejected(self):
         # every block skipped, yet the stream holds a block's residuals
         frame, dec = self._p_frame(bytes(1) + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE)))
         with pytest.raises(CorruptFrameError, match="inflates past 0 bytes"):
             decode_frame(frame, dec)
 
-    def test_payload_ends_inside_skip_run(self):
+    def test_payload_ends_inside_bitmap(self):
         # 27 blocks need a 4-byte bitmap; only the first block is changed
         bitmap = np.packbits(np.arange(27) == 0).tobytes()
         payload = bitmap + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
@@ -599,7 +599,7 @@ class TestHeaderWalk:
             with pytest.raises(CorruptFrameError, match="shorter than its bitmap"):
                 decode_frame(frame, dec)
 
-    def test_skip_in_key_frame_rejected(self):
+    def test_bitmap_in_key_frame_rejected(self):
         # a key frame has no bitmap: skip marks are read as its stream
         payload = bytes(1) + deflate(b"")
         frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)

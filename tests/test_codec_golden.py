@@ -14,6 +14,7 @@ on its own, so a digest moves only when its own frames change. Any change
 to a digest is a change of the wire format and needs a new `FRAME_MAGIC`.
 """
 
+import copy
 import hashlib
 import struct
 import zlib
@@ -362,3 +363,88 @@ def test_all_skip_p_frame(kind, shape):
     assert split_payload(frame) == (bytes(-(-blocks // 8)), b"")
     assert np.array_equal(reference_decode(frame, planes.data), planes.data)
     assert decode_frame(frame, dec).equals(planes)
+
+
+# --- the encoder's deflate segments --------------------------------------------
+# A 16-bit frame's stream is deflated one half run at a time (low bytes at
+# Z_RLE, high bytes at the default strategy), each segment ended by a sync
+# flush and the last by the final block. The segments are the encoder's
+# choice; the stream still inflates to the format's content.
+
+
+@st.composite
+def color_frame_pairs(draw):
+    """Two 16-bit frames of any size, 0 x n and n x 0 among them: a key frame
+    and a second frame that is zero, the same, a few elements changed, or
+    noise, coded as a P-frame or a forced key frame."""
+    h = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2 * BLOCK_SIDE + 3)))
+    w = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2 * BLOCK_SIDE + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (3, h, w)
+
+    def frame(how, like=None):
+        if how == "zero":
+            return np.zeros(shape, np.uint16)
+        if how == "smooth":
+            return _smooth(rng, (h, w), np.uint16, 2.0)
+        if how == "noise":
+            return rng.integers(0, 2**16, size=shape, dtype=np.uint16)
+        changed = like.copy()
+        mutate = rng.random(shape) < 0.05
+        changed[mutate] += rng.integers(1, 2**16, size=int(mutate.sum()), dtype=np.uint16)
+        return changed
+
+    first = frame(draw(st.sampled_from(["zero", "smooth", "noise"])))
+    how = draw(st.sampled_from(["zero", "same", "mutate", "noise"]))
+    second = first.copy() if how == "same" else frame(how, first)
+    return first, second, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(color_frame_pairs())
+def test_color_segments_round_trip(case):
+    first, second, force_key = case
+    enc = CodecStreamState(1, role="encoder")
+    dec = CodecStreamState(1, role="decoder")
+    previous = None
+    for data, force in ((first, False), (second, force_key)):
+        planes = PlaneSet(PlaneKind.COLOR_10IN16, data)
+        frame = EncodedFrame.from_bytes(encode_frame(planes, enc, force_key=force).to_bytes())
+        assert frame.key == (previous is None or force)
+        assert np.array_equal(reference_decode(frame, previous), data)
+        assert decode_frame(frame, dec).equals(planes)
+        previous = data
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_encoding_is_deterministic(name):
+    # the same planes from the same stream state code to the same bytes
+    kind, gop, frames = _sequence(name, 2)
+    enc = CodecStreamState(1, role="encoder", gop_length=gop)
+    for data in frames:
+        again = copy.deepcopy(enc)
+        planes = PlaneSet(kind, data)
+        assert encode_frame(planes, enc).to_bytes() == encode_frame(planes.copy(), again).to_bytes()
+
+
+def test_noise_residual_p_frame_no_larger_than_one_deflate():
+    # every element changes by σ = 2 noise, the renderer's, so the low bytes
+    # of the residuals are noise and their high bytes almost all zero
+    rng = np.random.default_rng(5)
+    ref = _smooth(rng, (64, 96), np.uint16, 2.0)
+    cur = np.clip(ref + np.rint(rng.normal(0, 2.0, ref.shape)), 0, 1023).astype(np.uint16)
+    enc = CodecStreamState(1, role="encoder")
+    encode_frame(PlaneSet(PlaneKind.COLOR_10IN16, ref), enc)
+    frame = encode_frame(PlaneSet(PlaneKind.COLOR_10IN16, cur), enc)
+    bitmap, content = split_payload(frame)
+    assert len(content) == 2 * cur.size
+    stream_size = len(frame.payload) - len(bitmap)
+
+    def default_deflate_size(data):
+        packer = zlib.compressobj(1, zlib.DEFLATED, -15)
+        return len(packer.compress(data) + packer.flush())
+
+    assert stream_size <= default_deflate_size(content)
+    # the gain is the low bytes' run-length coding, not the split alone
+    low, high = content[: cur.size], content[cur.size :]
+    assert stream_size <= default_deflate_size(low) + default_deflate_size(high)

@@ -292,15 +292,21 @@ def test_pvs_golden():
     assert digest.hexdigest() == "655ec87a90a531766da18a0ec57bf78a010d39769192585a2541d2f0166f0581"
 
 
+def _length(v):
+    """Length of a 3-vector, each product and sum rounded on its own."""
+    x, y, z = (float(c) for c in v)
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def _numpy_basis(pose):
-    """`CameraPose.basis` as `np.cross` and `np.linalg.norm` calls."""
+    """`CameraPose.basis` as `np.cross` calls and explicit lengths."""
     f = pose.forward
     r = np.cross(f, pose.up)
-    if np.linalg.norm(r) < 1e-9:
+    if _length(r) < 1e-9:
         r = np.cross(f, np.array([1.0, 0.0, 0.0]))
-        if np.linalg.norm(r) < 1e-9:
+        if _length(r) < 1e-9:
             r = np.cross(f, np.array([0.0, 0.0, 1.0]))
-    r = r / np.linalg.norm(r)
+    r = r / _length(r)
     return f, r, np.cross(r, f)
 
 
@@ -321,6 +327,8 @@ def test_camera_basis_matches_numpy_bit_for_bit(forward, up, parallel):
     if parallel is not None:
         up = tuple(parallel * c for c in forward)
     pose = CameraPose(np.zeros(3), forward, up)
+    given_forward = np.array(forward, dtype=np.float64)
+    assert pose.forward.tobytes() == (given_forward / _length(given_forward)).tobytes()
     for got, want in zip(pose.basis(), _numpy_basis(pose)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -618,6 +626,17 @@ def test_select_matches_scalar_reference(data, n, seq_hi, budget, pvs_as_range):
     got = select_for_client(changed, pvs, volume, last, current, budget)
     assert got == _select_reference(changed, pvs, volume, last, current, budget)
     assert all(type(p) is int for p in got)
+
+
+@pytest.mark.parametrize("bad", [-1, -8, 8, 9])
+@pytest.mark.parametrize("where", ["changed", "pvs"])
+def test_select_rejects_ids_outside_the_volume(bad, where):
+    # a negative id would otherwise wrap to the end of the volume
+    volume = ProbeVolume((2, 2, 2))
+    ids = {"changed": [7], "pvs": [7]}
+    ids[where] = [1, bad]
+    with pytest.raises(IndexError):
+        select_for_client(ids["changed"], ids["pvs"], volume, np.full(8, -1), 5)
 
 
 def test_select_rejects_negative_budget():
