@@ -53,18 +53,27 @@ the stream state as it was.
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
 
-The encoder deflates a 16-bit frame's stream in segments, one per half run:
-the low bytes of a run at `zlib.Z_RLE`, its high bytes at the default
-strategy. The low bytes of zig-zagged residuals are close to noise; on them
-level-1 LZ matching is slow and its short matches cost more bits than the
-literals they replace, so run-length matches alone code them smaller and
-faster. Each segment is a fresh compressor at `DEFLATE_LEVEL` ended by a
-sync flush, the last one by the final block, so the segments join into one
-raw deflate stream, as pigz joins its blocks. 8-bit content (key frame lanes
-and P-frame residuals) is one segment at the default strategy, since on it
-`Z_RLE` codes several times larger. The segments are an encoder choice and
-not part of the format: the decoder inflates one stream and never sees
-where they meet.
+The encoder deflates a frame's stream in segments. A 16-bit stream has one
+segment per half run: the low bytes of a run at `zlib.Z_RLE`, its high
+bytes at the default strategy. The low bytes of zig-zagged residuals are
+close to noise; on them level-1 LZ matching is slow and its short matches
+cost more bits than the literals they replace, so run-length matches alone
+code them smaller and faster. An 8-bit key frame whose lanes hold at least
+`LANE_SEGMENT_BYTES` each has one segment per lane, at the default
+strategy; smaller key frames and 8-bit P-frame residuals are one segment,
+since on 8-bit content `Z_RLE` codes several times larger. Each segment is
+a fresh compressor at `DEFLATE_LEVEL` ended by a sync flush, the last one
+by the final block, so the segments join into one raw deflate stream, as
+pigz joins its blocks. Being independent, they are deflated concurrently
+(`workers.run_pieces`) and joined in order, byte for byte the stream a
+single thread writes. Where the segments fall depends only on the frame's
+size and element width, never on how many CPUs deflate them. The segments
+and their concurrency are encoder choices and not part of the format: the
+decoder inflates one stream and never sees where they meet.
+
+The encoder keeps its own copy of the last frame as the reference: a key
+frame copies the caller's planes, and a P-frame writes only its changed
+blocks into that copy, so the caller may reuse its planes after the call.
 """
 
 from __future__ import annotations
@@ -76,11 +85,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from probestream import workers
 from probestream.packing import PlaneKind, PlaneSet
 from probestream.volume import changed_blocks
 
 BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
+LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its own
 _RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
 FRAME_MAGIC = b"LPF3"
@@ -281,18 +292,22 @@ def _deflate(segments: _Segments) -> bytes:
     Each non-empty segment is deflated by a fresh compressor at its own
     strategy and ends in a sync flush (an empty stored block, so the next
     segment starts on a byte boundary), the last one in the final block;
-    with nothing to code the stream is one empty final block.
+    with nothing to code the stream is one empty final block. The segments
+    are independent, so they are deflated concurrently and joined in order.
     """
     segments = [(data, strategy) for data, strategy in segments if data.size]
     if not segments:
         segments = [(b"", zlib.Z_DEFAULT_STRATEGY)]
     last = len(segments) - 1
-    out = []
-    for i, (data, strategy) in enumerate(segments):
-        packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE, strategy=strategy)
-        out.append(packer.compress(data))
-        out.append(packer.flush(zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH))
-    return b"".join(out)
+    pieces = [(data, strategy, zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH)
+              for i, (data, strategy) in enumerate(segments)]
+    return b"".join(workers.run_pieces(_deflate_segment, pieces))
+
+
+def _deflate_segment(piece: tuple[np.ndarray, int, int]) -> bytes:
+    data, strategy, end = piece
+    packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE, strategy=strategy)
+    return packer.compress(data) + packer.flush(end)
 
 
 def _inflate(stream, size: int) -> np.ndarray:
@@ -368,17 +383,24 @@ def _from_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
 
 def _key_segments(data: np.ndarray) -> _Segments:
     if data.dtype == np.uint8:
-        return [(_to_lanes(data), zlib.Z_DEFAULT_STRATEGY)]
+        lanes = _to_lanes(data)
+        if lanes[0].nbytes < LANE_SEGMENT_BYTES:
+            lanes = lanes[None]
+        return [(lane, zlib.Z_DEFAULT_STRATEGY) for lane in lanes]
     return _halves(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
 
 
-def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
-    order = _block_order(*cur.shape[1:])
-    parts = []
-    for p, blocks in enumerate(changed.reshape(changed.shape[0], -1)):
-        idx = _elements(order, np.flatnonzero(blocks))
-        parts.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
-    residuals = np.concatenate(parts)
+def _changed_elements(changed: np.ndarray, rows: int, width: int) -> list[np.ndarray]:
+    """Per plane, the flat indices of the elements of its changed blocks,
+    block after block in bitmap order."""
+    order = _block_order(rows, width)
+    return [_elements(order, np.flatnonzero(blocks)) for blocks in changed.reshape(changed.shape[0], -1)]
+
+
+def _p_segments(cur: np.ndarray, ref: np.ndarray, elements: list[np.ndarray]) -> _Segments:
+    residuals = np.concatenate(
+        [cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx] for p, idx in enumerate(elements)]
+    )
     if cur.dtype == np.uint8:
         return [(residuals, zlib.Z_DEFAULT_STRATEGY)]
     return _halves(_zigzag(residuals)[None])
@@ -398,17 +420,24 @@ def encode_frame(
             f"frame {planes.data.shape} does not match stream {state.reference.data.shape}"
         )
     key = force_key or state.reference is None or state.frame_count % state.gop_length == 0
+    cur = planes.data
     if key:
-        payload = _deflate(_key_segments(planes.data))
+        payload = _deflate(_key_segments(cur))
     else:
         ref = state.reference.data
-        changed = changed_blocks(planes.data, ref, BLOCK_SIDE, BLOCK_SIDE)
+        changed = changed_blocks(cur, ref, BLOCK_SIDE, BLOCK_SIDE)
+        elements = _changed_elements(changed, *cur.shape[1:])
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
-        payload = bitmap + _deflate(_p_segments(planes.data, ref, changed))
+        payload = bitmap + _deflate(_p_segments(cur, ref, elements))
     seq = state.frame_count
     state.frame_count = seq + 1
-    # lossless, so the reconstruction is the input itself
-    state.reference = planes.copy()
+    # lossless, so the reconstruction is the input itself; the reference is
+    # the encoder's own copy, and a P-frame changes only its changed blocks
+    if key:
+        state.reference = planes.copy()
+    else:
+        for p, idx in enumerate(elements):
+            ref[p].reshape(-1)[idx] = cur[p].reshape(-1)[idx]
     return EncodedFrame(
         stream_id=state.stream_id,
         frame_seq=seq,
@@ -447,15 +476,15 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     # elements of the changed blocks, over all planes
     elements = int(_block_counts(height, width) @ changed.sum(axis=0))
     content = _inflate(memoryview(frame.payload)[bitmap_size:], elements * reference.itemsize)
+    if not elements:
+        return reference  # no block changed: the read-only reference is the frame
     if reference.dtype == np.uint8:
         residuals = content
     else:
         residuals = _unzigzag(_join_low_high(content, 1))[0]
     recon = reference.copy()
-    order = _block_order(height, width)
     at = 0
-    for p in range(planes):
-        idx = _elements(order, np.flatnonzero(changed[p]))
+    for p, idx in enumerate(_changed_elements(changed, height, width)):
         recon[p].reshape(-1)[idx] += residuals[at : at + idx.size]
         at += idx.size
     return recon

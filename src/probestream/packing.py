@@ -6,7 +6,9 @@ Three families of transforms live here, all lossless by construction:
 * visibility texels (pairs of raw float16 halves) <-> three 8-bit YUV planes
   via byte distribution, with rows widened to ceil(4x/3) elements: each
   row's big-endian byte stream goes to the planes as three strided copies,
-  every third byte to each,
+  every third byte to each. Rows are independent, so both directions run
+  in row bands (`workers.row_bands`) that write one preallocated output
+  concurrently,
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule).
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from probestream import workers
 from probestream.volume import AtlasKind, ProbeAtlas
 
 
@@ -131,13 +134,17 @@ def pack_visibility(texels: np.ndarray) -> PlaneSet:
     if t.ndim != 3 or t.shape[2] != 2:
         raise ValueError("visibility texel region must be (h, w, 2)")
     h, w, _ = t.shape
-    stream = t.astype(">u2").view(np.uint8).reshape(h, 4 * w)
-    wide = widened_width(w)
-    planes = np.empty((3, h, wide), dtype=np.uint8)
-    for c in range(3):
-        used = stream[:, c::3]
-        planes[c, :, : used.shape[1]] = used
-        planes[c, :, used.shape[1] :] = 0
+    planes = np.empty((3, h, widened_width(w)), dtype=np.uint8)
+
+    def band(rows: slice) -> None:
+        part = t[rows]
+        stream = part.astype(">u2").view(np.uint8).reshape(part.shape[0], 4 * w)
+        for c in range(3):
+            used = stream[:, c::3]
+            planes[c, rows, : used.shape[1]] = used
+            planes[c, rows, used.shape[1] :] = 0
+
+    workers.run_pieces(band, workers.row_bands(h, 4 * w))
     return PlaneSet(PlaneKind.VISIBILITY_BYTES, planes)
 
 
@@ -151,11 +158,17 @@ def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
             f"{texel_width} texels per row"
         )
     h = planes.height
-    stream = np.empty((h, 3 * planes.width), dtype=np.uint8)
-    for c in range(3):
-        stream[:, c::3] = planes.data[c]
-    raw = stream[:, : 4 * texel_width].view(">u2").reshape(h, texel_width, 2)
-    return raw.astype(np.uint16)
+    texels = np.empty((h, texel_width, 2), dtype=np.uint16)
+
+    def band(rows: slice) -> None:
+        part = planes.data[:, rows]
+        stream = np.empty((part.shape[1], 3 * planes.width), dtype=np.uint8)
+        for c in range(3):
+            stream[:, c::3] = part[c]
+        texels[rows] = stream[:, : 4 * texel_width].view(">u2").reshape(part.shape[1], texel_width, 2)
+
+    workers.run_pieces(band, workers.row_bands(h, 4 * texel_width))
+    return texels
 
 
 def pack_texels(texels: np.ndarray, kind: AtlasKind) -> PlaneSet:

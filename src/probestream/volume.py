@@ -12,6 +12,10 @@ small square block of texels in one of two 2-D atlases:
 Block sides include a 1-texel guard band around an 8x8 (or 16x16) core; the
 guard band is a deterministic function of the core (see `packing`).
 
+`changed_blocks` is the one block-change reduction, shared by change
+detection and the codec's P-frames. It reduces bands of whole block rows
+(`workers.row_bands`) concurrently into one output.
+
 Size units follow binary prefixes throughout: 1 kb = 1024 bits and
 1 Mb = 1024 kb, which is what makes a 2048-probe color volume come out at
 exactly 6.25 Mb and its 10 Hz stream at exactly 62.5 Mbps.
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from probestream import workers
 
 KILOBIT = 1024
 MEGABIT = 1024 * 1024
@@ -189,14 +195,31 @@ def changed_blocks(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int) -> np
     """Which ``rows x cols`` blocks of the last two axes of `cur` differ from
     `ref`; shape (..., block rows, block columns). Blocks are clipped at the
     right and bottom edges. The rows of each block are reduced first, then
-    the `cols`-wide column groups of that `rows` times smaller result."""
+    the `cols`-wide column groups of that `rows` times smaller result. Bands
+    of whole block rows (`workers.row_bands`) are reduced concurrently into
+    one output."""
     *lead, height, width = cur.shape
-    by, bx = -(-height // rows), -(-width // cols)
+    out = np.empty((*lead, -(-height // rows), -(-width // cols)), dtype=bool)
+
+    def band(span: slice) -> None:
+        _changed_band(
+            cur[..., span, :], ref[..., span, :], rows, cols,
+            out[..., span.start // rows : -(-span.stop // rows), :],
+        )
+
+    workers.run_pieces(band, workers.row_bands(height, math.prod(lead) * width * cur.itemsize, rows))
+    return out
+
+
+def _changed_band(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int, out: np.ndarray) -> None:
+    """`changed_blocks` of one band of whole block rows, written to `out`."""
+    *lead, height, width = cur.shape
+    by, bx = out.shape[-2:]
     changed = np.zeros((*lead, by * rows, width), dtype=bool)
     np.not_equal(cur, ref, out=changed[..., :height, :])
     reduced = np.zeros((*lead, by, bx * cols), dtype=bool)
     reduced[..., :width] = changed.reshape(*lead, by, rows, width).any(axis=-2)
-    return reduced.reshape(*lead, by, bx, cols).any(axis=-1)
+    reduced.reshape(*lead, by, bx, cols).any(axis=-1, out=out)
 
 
 # --- octahedral direction mapping ------------------------------------------

@@ -1,0 +1,123 @@
+"""Independent pieces of one call, run on the CPUs this process may use.
+
+`run_pieces(fn, pieces)` returns ``[fn(p) for p in pieces]``, computed by
+the calling thread and the threads of one process-wide pool. The pool is
+created on the first call that has more than one piece, never at import,
+and holds one thread fewer than the CPUs in the process's affinity mask:
+the calling thread is the remaining one. On a one-CPU host there is no
+pool, and every piece runs inline in the same code.
+
+The calling thread and the pool threads pull pieces from one shared
+iterator until it is empty, so a thread that starts late takes fewer
+pieces rather than a fixed share. A piece never dispatches to the pool: a
+`run_pieces` call made inside a piece runs its own pieces inline, so a pool
+thread never waits for another queued task and the pool cannot deadlock.
+Every started helper is waited for and its result read, so an exception
+raised by a piece on any thread reaches the caller; the first piece's
+exception in piece order wins when several raise.
+
+Pieces gain only where they run in native code that releases the
+interpreter lock: zlib's deflate, and numpy's copies, casts, compares and
+reductions on arrays of more than a few hundred elements. `row_bands`
+cuts rows into pieces by size alone, so a result never depends on how
+many CPUs computed it.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
+from typing import TypeVar
+
+P = TypeVar("P")
+R = TypeVar("R")
+
+BAND_BYTES = 3 << 18  # smallest row band worth handing to another thread (768 KiB)
+
+_pool: ThreadPoolExecutor | None = None
+_helpers = 0  # threads in `_pool`
+_pool_lock = threading.Lock()
+_local = threading.local()  # .inside: this thread is running a piece
+
+
+def cpu_count() -> int:
+    """CPUs in this process's affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _get_pool() -> ThreadPoolExecutor | None:
+    global _pool, _helpers
+    with _pool_lock:
+        if _pool is None and cpu_count() > 1:
+            _helpers = cpu_count() - 1
+            _pool = ThreadPoolExecutor(_helpers, thread_name_prefix="probestream-worker")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _helpers, _pool_lock
+    _pool, _helpers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_pieces(fn: Callable[[P], R], pieces: Iterable[P]) -> list[R]:
+    """``[fn(p) for p in pieces]``, the pieces spread over the pool."""
+    pieces = list(pieces)
+    pool = None
+    if len(pieces) > 1 and not getattr(_local, "inside", False):
+        pool = _get_pool()
+    if pool is None:
+        return [fn(p) for p in pieces]
+
+    results: list = [None] * len(pieces)
+    errors: dict[int, BaseException] = {}
+    todo = iter(range(len(pieces)))
+    todo_lock = threading.Lock()
+
+    def drain() -> None:
+        was_inside = getattr(_local, "inside", False)
+        _local.inside = True
+        try:
+            while not errors:
+                with todo_lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(pieces[i])
+                except BaseException as err:  # re-raised by the caller below
+                    errors[i] = err
+        finally:
+            _local.inside = was_inside
+
+    helpers = [pool.submit(drain) for _ in range(min(_helpers, len(pieces) - 1))]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            # a helper still queued when the pieces ran out never runs
+            if not helper.cancel():
+                helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def row_bands(rows: int, row_bytes: int, step: int = 1) -> list[slice]:
+    """`rows` rows of `row_bytes` bytes each, cut into bands of at least
+    `BAND_BYTES` bytes with every boundary on a multiple of `step` rows;
+    one band when the rows hold less than two bands' worth."""
+    units = -(-rows // step)
+    count = min(units, rows * row_bytes // BAND_BYTES)
+    if count <= 1:
+        return [slice(0, rows)]
+    edges = [min(rows, step * (units * i // count)) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]

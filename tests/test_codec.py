@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from probestream import codec
 from probestream.codec import (
     BLOCK_SIDE,
     CodecError,
@@ -695,3 +696,116 @@ class TestMemoryBound:
         assert dec.reference.equals(planes)
         assert encode_peak <= self.LIMIT
         assert decode_peak <= self.LIMIT
+
+
+class TestEncoderOwnership:
+    """The encoder keeps its own reference: a key frame copies the planes
+    and a P-frame writes only its changed blocks into that copy. The
+    decoder hands back its reference itself for a P-frame that changes
+    nothing."""
+
+    @pytest.mark.parametrize("make", [color_planes, vis_planes])
+    def test_caller_writes_after_encode_leave_later_frames_unchanged(self, make):
+        rng = np.random.default_rng(30)
+        frames = [make(rng, 40, 56) for _ in range(2)]
+        frames[1].data[:, :16, 16:32] = frames[0].data[:, :16, 16:32]
+        frames += [frames[1].copy(), frames[0].copy()]
+        clean, dirty = stream_pair(gop=30)[0], stream_pair(gop=30)[0]
+        for planes in frames:
+            expected = encode_frame(planes.copy(), clean).to_bytes()
+            mine = planes.copy()
+            assert encode_frame(mine, dirty).to_bytes() == expected
+            mine.data ^= 1  # the caller reuses its planes after the call
+        assert clean.reference.equals(dirty.reference)
+
+    def test_unchanged_p_frame_decodes_to_the_reference_itself(self):
+        rng = np.random.default_rng(31)
+        enc, dec = stream_pair()
+        planes = vis_planes(rng, 40, 56)
+        first = decode_frame(encode_frame(planes, enc), dec)
+        same = decode_frame(encode_frame(planes, enc), dec)
+        assert same.data is first.data and not same.data.flags.writeable
+        changed = planes.copy()
+        changed.data[1, 20, 30] += 1
+        assert decode_frame(encode_frame(changed, enc), dec).equals(changed)
+        assert first.equals(planes)  # the earlier output is left as it was
+
+
+def serial_deflate(segments):
+    """One raw deflate stream of (bytes, strategy) segments, one at a time:
+    a fresh compressor per non-empty segment, sync-flushed, the last one
+    finished; nothing to code gives one empty final block."""
+    segments = [(data, strategy) for data, strategy in segments if len(data)] or [
+        (b"", zlib.Z_DEFAULT_STRATEGY)
+    ]
+    out = b""
+    for i, (data, strategy) in enumerate(segments):
+        packer = zlib.compressobj(1, zlib.DEFLATED, -15, strategy=strategy)
+        last = i == len(segments) - 1
+        out += packer.compress(data) + packer.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+    return out
+
+
+def _lanes(data):
+    """(4, h, q) lane bytes of (3, h, w) 8-bit planes, one row at a time."""
+    _, h, w = data.shape
+    q = -(-3 * w // 4)
+    lanes = np.zeros((4, h, q), np.uint8)
+    for y in range(h):
+        stream = np.zeros(4 * q, np.uint8)
+        stream[: 3 * w] = data[:, y].T.reshape(-1)
+        lanes[:, y] = stream.reshape(q, 4).T
+    return lanes
+
+
+class TestConcurrentSegments:
+    """A frame's deflate segments are coded concurrently, and an 8-bit key
+    frame whose lanes reach `LANE_SEGMENT_BYTES` codes one segment per lane.
+    Both are encoder choices: the bytes depend on the frame alone, never on
+    the worker count, and decode as before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3000), st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE])),
+                    max_size=7),
+           st.integers(0, 2**32 - 1))
+    def test_deflate_matches_serial_join(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        segments = [(rng.integers(0, 6, size=n, dtype=np.uint8), s) for n, s in shapes]
+        assert codec._deflate(segments) == serial_deflate(segments)
+
+    @pytest.mark.parametrize("h, split", [(255, False), (256, True)])
+    def test_lane_split_depends_only_on_frame_size(self, cpus, h, split):
+        # w = 341 gives lanes of q = 256 bytes a row, so 256 rows are the
+        # first to reach 64 KiB a lane
+        assert codec.LANE_SEGMENT_BYTES == 256 * 256
+        rng = np.random.default_rng(h)
+        data = _smooth(rng, (h, 341), np.uint8, 2.0)
+        lanes = _lanes(data)
+        segments = [(lane, zlib.Z_DEFAULT_STRATEGY) for lane in lanes] if split else [
+            (lanes, zlib.Z_DEFAULT_STRATEGY)
+        ]
+        expected = serial_deflate(segments)
+        for n in (1, 2, 5):
+            cpus(n)
+            frame = encode_frame(PlaneSet(PlaneKind.VISIBILITY_BYTES, data), stream_pair()[0])
+            assert frame.payload == expected
+
+    def test_frame_bytes_do_not_depend_on_worker_count(self, cpus):
+        rng = np.random.default_rng(32)
+        sequences = []
+        for make, shape in ((color_planes, (200, 208)), (vis_planes, (256, 352))):
+            planes = make(rng, *shape)
+            sequences.append([planes, planes.copy(), planes.copy()])
+            sequences[-1][1].data[:, ::9, ::4] ^= 1
+        runs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            frames = []
+            for sequence in sequences:
+                enc, dec = stream_pair()
+                for planes in sequence:
+                    frame = encode_frame(planes, enc)
+                    assert decode_frame(frame, dec).equals(planes)
+                    frames.append(frame.to_bytes())
+            runs.append(frames)
+        assert runs[0] == runs[1] == runs[2]

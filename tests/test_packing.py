@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from probestream import workers
 from probestream.packing import (
     PlaneKind,
     PlaneSet,
@@ -138,32 +140,38 @@ def _reference_visibility_planes(texels):
     h, w, _ = texels.shape
     wide = math.ceil(4 * w / 3)
     planes = np.zeros((3, h, wide), dtype=np.uint8)
-    for y in range(h):
+    for y, row in enumerate(texels.tolist()):
         s = []
-        for x in range(w):
-            for half in texels[y, x]:
-                s += [int(half) >> 8, int(half) & 0xFF]
+        for r, g in row:
+            s += [r >> 8, r & 0xFF, g >> 8, g & 0xFF]
         s += [0] * (3 * wide - len(s))
-        for p in range(wide):
-            for c in range(3):
-                planes[c, y, p] = s[3 * p + c]
+        for c in range(3):
+            planes[c, y] = s[c::3]
     return planes
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    h=st.integers(1, 4),
+    h=st.integers(1, 40),
     w=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 26)),
     seed=st.integers(0, 2**20),
+    band_bytes=st.sampled_from([None, 1, 100, 1000]),
 )
-def test_visibility_packing_matches_scalar_reference(h, w, seed):
+# above `workers.BAND_BYTES`: two bands, the boundary at row 260, inside the
+# 16-row block row 256..271 that the codec reads
+@example(h=520, w=1024, seed=5, band_bytes=None)
+def test_visibility_packing_matches_scalar_reference(h, w, seed, band_bytes):
+    # with `band_bytes` set, the rows are cut into bands of that many
+    # texel bytes instead of `workers.BAND_BYTES`, so that these small
+    # planes reach the banded path with boundaries between any two rows
     rng = np.random.default_rng(seed)
     values = np.array([0x0000, 0x00FF, 0xFF00, 0xFFFF], dtype=np.uint16)
     texels = rng.choice(values, size=(h, w, 2))
-    planes = pack_visibility(texels)
+    with mock.patch.object(workers, "BAND_BYTES", band_bytes or workers.BAND_BYTES):
+        planes = pack_visibility(texels)
+        out = unpack_visibility(planes, w)
     assert planes.data.dtype == np.uint8
     assert np.array_equal(planes.data, _reference_visibility_planes(texels))
-    out = unpack_visibility(planes, w)
     assert out.dtype == np.uint16 and out.shape == (h, w, 2)
     assert np.array_equal(out, texels)
 

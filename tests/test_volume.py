@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probestream import workers
 from probestream.packing import pack_color, unpack_color
 from probestream.volume import (
     MEGABIT,
@@ -216,12 +218,18 @@ def _reference_changed_blocks(cur, ref, rows, cols):
     st.sampled_from([(), (1,), (3,)]),
     st.sampled_from([np.uint8, np.uint16, np.uint32]),
     st.sampled_from([(16, 16), (10, 10), (18, 36)]),
+    st.sampled_from([None, 1, 100, 2000]),
     st.data(),
 )
-def test_changed_blocks_match_scalar_reference(lead, dtype, block, data):
+def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, data):
     rows, cols = block
-    # whole blocks, or a last block row or column clipped by `cut` elements
-    by, bx = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    # whole blocks, or a last block row or column clipped by `cut` elements;
+    # with `band_bytes` set, the rows are cut into bands of that many bytes
+    # instead of `workers.BAND_BYTES`, so that planes this small reach the
+    # banded path with band boundaries between any two block rows and the
+    # clipped block row in the last band
+    by = data.draw(st.integers(1, 3 if band_bytes is None else 9))
+    bx = data.draw(st.integers(1, 3))
     h = by * rows - data.draw(st.integers(0, rows - 1))
     w = bx * cols - data.draw(st.integers(0, cols - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -246,6 +254,36 @@ def test_changed_blocks_match_scalar_reference(lead, dtype, block, data):
         }[where]
         index = (y, x) if plane is None else (plane, y, x)
         cur[index] ^= dtype(1 << bit)
-    got = changed_blocks(cur, ref, rows, cols)
+    with mock.patch.object(workers, "BAND_BYTES", band_bytes or workers.BAND_BYTES):
+        got = changed_blocks(cur, ref, rows, cols)
     assert got.shape == (*lead, by, bx)
     np.testing.assert_array_equal(got, _reference_changed_blocks(cur, ref, rows, cols))
+
+
+@pytest.mark.parametrize(
+    "shape, dtype, block",
+    [
+        ((3, 733, 480), np.uint16, 16),  # the codec's compare; 733 = 45 * 16 + 13 rows
+        ((828, 828), np.uint32, 18),  # a 2048-probe visibility atlas, as `detect_changed` reads it
+        ((1095, 500), np.uint32, 10),  # the last block row clipped to 5 rows
+    ],
+)
+def test_changed_blocks_bands_match_scalar_reference(shape, dtype, block):
+    # planes above `workers.BAND_BYTES`, reduced in bands of whole block
+    # rows; bits flip on both sides of every band boundary, in the clipped
+    # last block row and in the last element
+    height = shape[-2]
+    bands = workers.row_bands(height, math.prod(shape) // height * np.dtype(dtype).itemsize, block)
+    assert len(bands) >= 2 and all(band.start % block == 0 for band in bands)
+    rng = np.random.default_rng(height)
+    ref = rng.integers(0, 2**16, size=shape, dtype=dtype)
+    cur = ref.copy()
+    lead = (shape[0] - 1,) if len(shape) == 3 else ()
+    for band in bands[1:]:
+        cur[(*lead, band.start - 1, 0)] ^= 1
+        cur[(*lead, band.start, shape[-1] - 1)] ^= 1
+    cur[(*lead, height - 1, shape[-1] // 2)] ^= 2
+    cur[(..., -1, -1)] ^= 4
+    np.testing.assert_array_equal(
+        changed_blocks(cur, ref, block, block), _reference_changed_blocks(cur, ref, block, block)
+    )
