@@ -72,8 +72,9 @@ and their concurrency are encoder choices and not part of the format: the
 decoder inflates one stream and never sees where they meet.
 
 The encoder keeps its own copy of the last frame as the reference: a key
-frame copies the caller's planes, and a P-frame writes only its changed
-blocks into that copy, so the caller may reuse its planes after the call.
+frame copies the caller's planes, and a P-frame copies into it only the
+block rows that hold a changed block, so the caller may reuse its planes
+after the call.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ from probestream.volume import changed_blocks
 BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
 LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its own
+CONCURRENT_DEFLATE_BYTES = 1 << 16  # below this, waking a pool thread costs more than it saves
 _RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
 FRAME_MAGIC = b"LPF3"
@@ -293,14 +295,18 @@ def _deflate(segments: _Segments) -> bytes:
     strategy and ends in a sync flush (an empty stored block, so the next
     segment starts on a byte boundary), the last one in the final block;
     with nothing to code the stream is one empty final block. The segments
-    are independent, so they are deflated concurrently and joined in order.
+    are independent, so from `CONCURRENT_DEFLATE_BYTES` on they are
+    deflated concurrently, and they are always joined in order.
     """
     segments = [(data, strategy) for data, strategy in segments if data.size]
+    concurrent = sum(data.size for data, _ in segments) >= CONCURRENT_DEFLATE_BYTES
     if not segments:
         segments = [(b"", zlib.Z_DEFAULT_STRATEGY)]
     last = len(segments) - 1
     pieces = [(data, strategy, zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH)
               for i, (data, strategy) in enumerate(segments)]
+    if not concurrent:
+        return b"".join(map(_deflate_segment, pieces))
     return b"".join(workers.run_pieces(_deflate_segment, pieces))
 
 
@@ -397,7 +403,8 @@ def _changed_elements(changed: np.ndarray, rows: int, width: int) -> list[np.nda
     return [_elements(order, np.flatnonzero(blocks)) for blocks in changed.reshape(changed.shape[0], -1)]
 
 
-def _p_segments(cur: np.ndarray, ref: np.ndarray, elements: list[np.ndarray]) -> _Segments:
+def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
+    elements = _changed_elements(changed, *cur.shape[1:])
     residuals = np.concatenate(
         [cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx] for p, idx in enumerate(elements)]
     )
@@ -426,18 +433,20 @@ def encode_frame(
     else:
         ref = state.reference.data
         changed = changed_blocks(cur, ref, BLOCK_SIDE, BLOCK_SIDE)
-        elements = _changed_elements(changed, *cur.shape[1:])
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
-        payload = bitmap + _deflate(_p_segments(cur, ref, elements))
+        payload = bitmap + _deflate(_p_segments(cur, ref, changed))
     seq = state.frame_count
     state.frame_count = seq + 1
-    # lossless, so the reconstruction is the input itself; the reference is
-    # the encoder's own copy, and a P-frame changes only its changed blocks
+    # lossless, so the reconstruction is the input itself. The reference is
+    # the encoder's own copy; a P-frame changes it only in the block rows
+    # that hold a changed block, each copied as one slab (a scatter of the
+    # changed elements alone costs more than copying the whole planes)
     if key:
         state.reference = planes.copy()
     else:
-        for p, idx in enumerate(elements):
-            ref[p].reshape(-1)[idx] = cur[p].reshape(-1)[idx]
+        for r in np.flatnonzero(changed.any(axis=(0, 2))):
+            rows = slice(r * BLOCK_SIDE, (r + 1) * BLOCK_SIDE)
+            ref[:, rows] = cur[:, rows]
     return EncodedFrame(
         stream_id=state.stream_id,
         frame_seq=seq,

@@ -765,7 +765,7 @@ class TestConcurrentSegments:
     the worker count, and decode as before."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3000), st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE])),
+    @given(st.lists(st.tuples(st.integers(0, 30000), st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE])),
                     max_size=7),
            st.integers(0, 2**32 - 1))
     def test_deflate_matches_serial_join(self, shapes, seed):
