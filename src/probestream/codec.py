@@ -65,8 +65,8 @@ since on 8-bit content `Z_RLE` codes several times larger. Each segment is
 a fresh compressor at `DEFLATE_LEVEL` ended by a sync flush, the last one
 by the final block, so the segments join into one raw deflate stream, as
 pigz joins its blocks. Being independent, they are deflated concurrently
-(`workers.run_pieces`) and joined in order, byte for byte the stream a
-single thread writes. Where the segments fall depends only on the frame's
+(`workers.run_pieces`) once they hold `CONCURRENT_DEFLATE_BYTES`, and
+joined in order, byte for byte the stream a single thread writes. Where the segments fall depends only on the frame's
 size and element width, never on how many CPUs deflate them. The segments
 and their concurrency are encoder choices and not part of the format: the
 decoder inflates one stream and never sees where they meet.
