@@ -15,7 +15,6 @@ from probestream.volume import (
     ProbeVolume,
     oct_decode,
     oct_encode,
-    raw_bits,
     throughput_bps,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "ProbeVolume",
     "oct_decode",
     "oct_encode",
-    "raw_bits",
     "throughput_bps",
 ]
 

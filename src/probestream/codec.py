@@ -47,8 +47,9 @@ and raises `CorruptFrameError` for a stream that is not deflate, inflates
 past or short of that size, stops before its final block or has bytes after
 it, for a bitmap with a pad bit set or a payload shorter than its bitmap,
 and for a lane pad byte that is not zero; all of this before any plane is
-allocated. Malformed input raises `CodecError` and nothing else, and leaves
-the stream state as it was.
+allocated. A frame whose header names another stream than the decoder's
+raises `StreamMismatchError`, key frames included. Malformed input raises
+`CodecError` and nothing else, and leaves the stream state as it was.
 
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
@@ -70,6 +71,20 @@ joined in order, byte for byte the stream a single thread writes. Where the segm
 size and element width, never on how many CPUs deflate them. The segments
 and their concurrency are encoder choices and not part of the format: the
 decoder inflates one stream and never sees where they meet.
+
+P-frame residuals move as whole blocks, never element by element. A plane
+splits into at most four regions whose blocks share one size: the whole
+16x16 blocks, the bottom block row clipped to h % 16 rows, the right block
+column clipped to w % 16 columns, and their corner. Each region is read
+through a copy-free (plane, block row, block column, y, x) view, as
+`volume.ProbeAtlas.blocks` reads an atlas. The encoder gathers the changed
+blocks of both planes from the views and subtracts them; the decoder adds
+the residual blocks into a copy of its reference through the same views.
+Where the changed blocks fall in more than one region, they are placed
+padded to 16x16 in bitmap order, and the elements outside the plane are
+dropped (encoder) or skipped (decoder) with one mask cached per plane
+shape. The views and the padding are encoder and decoder choices and not
+part of the format: the stream is the one described above.
 
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
@@ -121,6 +136,10 @@ class SequenceError(CodecError):
 
 
 class DimensionMismatchError(CodecError):
+    pass
+
+
+class StreamMismatchError(CodecError):
     pass
 
 
@@ -206,35 +225,71 @@ def _blocks_across(n: int) -> int:
     return -(-n // BLOCK_SIDE)
 
 
-def _block_counts(rows: int, width: int) -> np.ndarray:
-    """Element count of every block of a ``rows x width`` plane, raster order."""
+@functools.lru_cache(maxsize=8)
+def _regions(height: int, width: int) -> tuple[tuple[slice, slice, int, int], ...]:
+    """The at most four regions of a ``height x width`` plane whose blocks
+    share one size, as (block rows, block columns, block height, block
+    width): the whole blocks, the bottom block row clipped to
+    ``height % BLOCK_SIDE`` rows, the right block column clipped to
+    ``width % BLOCK_SIDE`` columns, and the corner block clipped to both."""
 
-    def sides(n: int) -> np.ndarray:
-        return np.minimum(BLOCK_SIDE, n - BLOCK_SIDE * np.arange(_blocks_across(n)))
+    def spans(n: int) -> list[tuple[slice, int]]:
+        whole, rest = divmod(n, BLOCK_SIDE)
+        return [(slice(start, start + count), side)
+                for start, count, side in ((0, whole, BLOCK_SIDE), (whole, 1, rest)) if count and side]
 
-    return np.outer(sides(rows), sides(width)).reshape(-1)
+    return tuple((rows, cols, bh, bw) for rows, bh in spans(height) for cols, bw in spans(width))
+
+
+def _region_blocks(planes: np.ndarray, rows: slice, cols: slice, bh: int, bw: int) -> np.ndarray:
+    """Writable (plane, block row, block column, y, x) view of the
+    ``bh x bw`` blocks of one region of `planes`."""
+    y, x = rows.start * BLOCK_SIDE, cols.start * BLOCK_SIDE
+    by, bx = rows.stop - rows.start, cols.stop - cols.start
+    region = planes[:, y : y + by * bh, x : x + bx * bw]
+    return region.reshape(planes.shape[0], by, bh, bx, bw).swapaxes(2, 3)
 
 
 @functools.lru_cache(maxsize=8)
-def _block_order(rows: int, width: int) -> np.ndarray:
-    """Flat element indices of a ``rows x width`` plane in block order:
-    row b lists block b's indices in row order, padded with -1 past a
-    clipped edge."""
+def _inside(height: int, width: int) -> np.ndarray:
+    """(block row, block column, y, x) mask of the elements of each block,
+    padded to ``BLOCK_SIDE x BLOCK_SIDE``, that lie inside a
+    ``height x width`` plane."""
     side = BLOCK_SIDE
-    by, bx = _blocks_across(rows), _blocks_across(width)
-    dtype = np.int32 if rows * width < 2**31 else np.int64
-    r = np.arange(by * side, dtype=dtype)[:, None]
-    c = np.arange(bx * side, dtype=dtype)[None, :]
-    flat = np.where((r < rows) & (c < width), r * width + c, -1)
-    order = flat.reshape(by, side, bx, side).swapaxes(1, 2).reshape(by * bx, side * side)
-    order.flags.writeable = False
-    return order
+    by, bx = _blocks_across(height), _blocks_across(width)
+    rows = np.arange(by * side) < height
+    cols = np.arange(bx * side) < width
+    inside = np.ascontiguousarray((rows[:, None] & cols).reshape(by, side, bx, side).swapaxes(1, 2))
+    inside.flags.writeable = False
+    return inside
 
 
-def _elements(order: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Flat indices of the elements of `blocks`, block after block."""
-    idx = order[blocks]
-    return idx[idx >= 0]
+_Part = tuple[tuple[slice, slice, int, int], tuple[np.ndarray, ...]]
+
+
+def _changed_parts(changed: np.ndarray, height: int, width: int) -> list[_Part]:
+    """Per region that holds a changed block: the region and the (plane,
+    block row, block column) indices of those blocks in its view, in
+    bitmap order."""
+    parts = []
+    for region in _regions(height, width):
+        idx = np.nonzero(changed[:, region[0], region[1]])
+        if idx[0].size:
+            parts.append((region, idx))
+    return parts
+
+
+def _padded_order(
+    changed: np.ndarray, parts: list[_Part], height: int, width: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Where the blocks of several regions go when they interleave: each
+    part's ranks among the changed blocks in bitmap order, and the mask of
+    the inside elements of the changed blocks padded to
+    ``BLOCK_SIDE x BLOCK_SIDE``, in that order."""
+    rank = (np.cumsum(changed) - 1).reshape(changed.shape)
+    ranks = [rank[:, rows, cols][idx] for (rows, cols, _, _), idx in parts]
+    _, block_rows, block_cols = np.nonzero(changed)
+    return ranks, _inside(height, width)[block_rows, block_cols]
 
 
 # --- residuals and their bytes -----------------------------------------------
@@ -396,18 +451,24 @@ def _key_segments(data: np.ndarray) -> _Segments:
     return _halves(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
 
 
-def _changed_elements(changed: np.ndarray, rows: int, width: int) -> list[np.ndarray]:
-    """Per plane, the flat indices of the elements of its changed blocks,
-    block after block in bitmap order."""
-    order = _block_order(rows, width)
-    return [_elements(order, np.flatnonzero(blocks)) for blocks in changed.reshape(changed.shape[0], -1)]
-
-
 def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
-    elements = _changed_elements(changed, *cur.shape[1:])
-    residuals = np.concatenate(
-        [cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx] for p, idx in enumerate(elements)]
-    )
+    height, width = cur.shape[1:]
+    parts = _changed_parts(changed, height, width)
+    blocks = []
+    for region, idx in parts:
+        block = _region_blocks(cur, *region)[idx]
+        block -= _region_blocks(ref, *region)[idx]
+        blocks.append(block)
+    if len(blocks) > 1:
+        # blocks of several sizes interleave: place them padded, in bitmap
+        # order, then drop the padding
+        ranks, inside = _padded_order(changed, parts, height, width)
+        padded = np.empty(inside.shape, cur.dtype)
+        for ((_, _, bh, bw), _), rank, block in zip(parts, ranks, blocks):
+            padded[rank, :bh, :bw] = block
+        residuals = padded[inside]
+    else:
+        residuals = blocks[0].reshape(-1) if blocks else np.empty(0, cur.dtype)
     if cur.dtype == np.uint8:
         return [(residuals, zlib.Z_DEFAULT_STRATEGY)]
     return _halves(_zigzag(residuals)[None])
@@ -474,16 +535,17 @@ def _decode_key(frame: EncodedFrame) -> np.ndarray:
 
 def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     planes, height, width = reference.shape
-    blocks = planes * _blocks_across(height) * _blocks_across(width)
+    by, bx = _blocks_across(height), _blocks_across(width)
+    blocks = planes * by * bx
     bitmap_size = -(-blocks // 8)
     if len(frame.payload) < bitmap_size:
         raise CorruptFrameError("payload shorter than its bitmap")
     bitmap = np.frombuffer(frame.payload, np.uint8, count=bitmap_size)
     if blocks % 8 and bitmap[-1] & (0xFF >> blocks % 8):
         raise CorruptFrameError("bitmap pad bits set")
-    changed = np.unpackbits(bitmap, count=blocks).view(bool).reshape(planes, -1)
-    # elements of the changed blocks, over all planes
-    elements = int(_block_counts(height, width) @ changed.sum(axis=0))
+    changed = np.unpackbits(bitmap, count=blocks).view(bool).reshape(planes, by, bx)
+    parts = _changed_parts(changed, height, width)
+    elements = sum(idx[0].size * bh * bw for (_, _, bh, bw), idx in parts)
     content = _inflate(memoryview(frame.payload)[bitmap_size:], elements * reference.itemsize)
     if not elements:
         return reference  # no block changed: the read-only reference is the frame
@@ -492,10 +554,16 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     else:
         residuals = _unzigzag(_join_low_high(content, 1))[0]
     recon = reference.copy()
-    at = 0
-    for p, idx in enumerate(_changed_elements(changed, height, width)):
-        recon[p].reshape(-1)[idx] += residuals[at : at + idx.size]
-        at += idx.size
+    if len(parts) > 1:
+        ranks, inside = _padded_order(changed, parts, height, width)
+        padded = np.empty(inside.shape, recon.dtype)
+        padded[inside] = residuals
+        deltas = [padded[rank, :bh, :bw] for ((_, _, bh, bw), _), rank in zip(parts, ranks)]
+    else:
+        (_, _, bh, bw), _ = parts[0]
+        deltas = [residuals.reshape(-1, bh, bw)]
+    for (region, idx), delta in zip(parts, deltas):
+        _region_blocks(recon, *region)[idx] += delta
     return recon
 
 
@@ -507,6 +575,10 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
     """
     if state.role != "decoder":
         raise CodecError("decode_frame requires a decoder stream state")
+    if frame.stream_id != state.stream_id:
+        raise StreamMismatchError(
+            f"frame of stream {frame.stream_id} for decoder of stream {state.stream_id}"
+        )
     if frame.key:
         recon = _decode_key(frame)
     else:

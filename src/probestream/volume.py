@@ -16,9 +16,9 @@ guard band is a deterministic function of the core (see `packing`).
 detection and the codec's P-frames. It reduces bands of whole block rows
 (`workers.row_bands`) concurrently into one output.
 
-Size units follow binary prefixes throughout: 1 kb = 1024 bits and
-1 Mb = 1024 kb, which is what makes a 2048-probe color volume come out at
-exactly 6.25 Mb and its 10 Hz stream at exactly 62.5 Mbps.
+`throughput_bps` is in bits per second. In the paper's binary units
+(1 Mb = 2**20 bits) a 2048-probe color volume's 10 Hz stream comes out at
+exactly 62.5 Mbps.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from probestream import workers
-
-KILOBIT = 1024
-MEGABIT = 1024 * 1024
-
 
 class AtlasKind(enum.Enum):
     """The two streamed texture kinds and their per-probe geometry."""
@@ -291,23 +287,8 @@ def texel_directions(core_side: int) -> np.ndarray:
 # --- size and throughput arithmetic -----------------------------------------
 
 
-def raw_bits(volume_or_count: "ProbeVolume | int", kind: AtlasKind) -> int:
-    """Uncompressed texture size in bits for a full volume of probe blocks."""
-    if isinstance(volume_or_count, ProbeVolume):
-        count = volume_or_count.probe_count
-    else:
-        count = int(volume_or_count)
-    if count < 0:
-        raise ValueError("probe count must be >= 0")
-    return count * kind.bits_per_probe
-
-
 def throughput_bps(rate_hz: float, n_probes: int, kind: AtlasKind) -> float:
     """Required streaming throughput in bits/second at a given update rate."""
     if rate_hz < 0 or n_probes < 0:
         raise ValueError("rate and probe count must be >= 0")
     return rate_hz * n_probes * kind.bits_per_probe
-
-
-def bits_to_mbps(bits_per_second: float) -> float:
-    return bits_per_second / MEGABIT

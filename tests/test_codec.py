@@ -18,6 +18,7 @@ from probestream.codec import (
     EncodedFrame,
     MissingReferenceError,
     SequenceError,
+    StreamMismatchError,
     decode_frame,
     encode_frame,
 )
@@ -675,6 +676,31 @@ class TestLossRecovery:
             decode_frame(frame, dec)
         self._assert_unchanged(dec, before)
 
+    @pytest.mark.parametrize("key", [True, False])
+    def test_frame_of_another_stream_rejected(self, key):
+        # a colour decoder of stream 0 meets a visibility key frame of
+        # stream 1, or a colour P-frame of stream 7 whose seq it expects
+        rng = np.random.default_rng(27)
+        first = color_planes(rng, 40, 56)
+        enc, dec = CodecStreamState(0, "encoder"), CodecStreamState(0, "decoder")
+        decode_frame(encode_frame(first, enc), dec)
+        if key:
+            foreign = encode_frame(vis_planes(rng, 40, 56), CodecStreamState(1, "encoder"))
+        else:
+            other = CodecStreamState(7, "encoder")
+            encode_frame(first, other)
+            changed = first.copy()
+            changed.data[:, 3:9, 20:30] += 1
+            foreign = encode_frame(changed, other)
+            assert foreign.frame_seq == dec.frame_count
+        assert foreign.key == key
+        reference, before = dec.reference, self._snapshot(dec)
+        with pytest.raises(StreamMismatchError):
+            decode_frame(EncodedFrame.from_bytes(foreign.to_bytes()), dec)
+        assert dec.reference is reference
+        self._assert_unchanged(dec, before)
+        assert decode_frame(encode_frame(first, enc), dec).equals(first)
+
 
 class TestMemoryBound:
     """A 2048-slot visibility key frame is the largest frame the pipeline
@@ -729,6 +755,32 @@ class TestEncoderOwnership:
         changed.data[1, 20, 30] += 1
         assert decode_frame(encode_frame(changed, enc), dec).equals(changed)
         assert first.equals(planes)  # the earlier output is left as it was
+
+
+class TestDecoderOwnership:
+    """Decoding a P-frame adds its residuals into a copy of the reference:
+    the planes the decoder returned for the previous frame, and its old
+    reference, stay as they were, and the new planes are read-only."""
+
+    @pytest.mark.parametrize("make", [color_planes, vis_planes])
+    def test_p_frame_decode_writes_only_its_own_planes(self, make):
+        rng = np.random.default_rng(33)
+        enc, dec = stream_pair()
+        # 37 x 50: clipped on both edges, so changes fall in all four block regions
+        planes = make(rng, 37, 50)
+        previous = decode_frame(encode_frame(planes, enc), dec)
+        for rows, cols in ((slice(2, 9), slice(20, 30)), (slice(30, 37), slice(40, 50)),
+                           (slice(None), slice(None))):
+            planes = planes.copy()
+            planes.data[:, rows, cols] ^= 1
+            reference = dec.reference
+            kept = previous.data.copy(), reference.data.copy()
+            decoded = decode_frame(encode_frame(planes, enc), dec)
+            assert decoded.equals(planes)
+            assert not decoded.data.flags.writeable
+            assert np.array_equal(previous.data, kept[0])
+            assert np.array_equal(reference.data, kept[1])
+            previous = decoded
 
 
 def serial_deflate(segments):

@@ -365,6 +365,100 @@ def test_all_skip_p_frame(kind, shape):
     assert decode_frame(frame, dec).equals(planes)
 
 
+# --- residual order ------------------------------------------------------------
+# The codec moves P-frame residuals as whole blocks through views of at most
+# four regions of one block size. The stream must hold them in the order of
+# the flat-index walk below, which is how the codec moved them before:
+# changed blocks in bitmap order, each block's elements in row order, a
+# clipped block holding only its elements inside the plane.
+
+
+def flat_block_order(height, width):
+    """Flat element indices of a plane in block order: row b lists block b's
+    indices in row order, -1 past a clipped edge."""
+    by, bx = _blocks_across(height), _blocks_across(width)
+    r = np.arange(by * BLOCK_SIDE)[:, None]
+    c = np.arange(bx * BLOCK_SIDE)[None, :]
+    flat = np.where((r < height) & (c < width), r * width + c, -1)
+    return flat.reshape(by, BLOCK_SIDE, bx, BLOCK_SIDE).swapaxes(1, 2).reshape(by * bx, BLOCK_SIDE**2)
+
+
+def flat_residual_stream(cur, ref, changed):
+    """The inflated stream of a P-frame from cur, ref and its changed
+    blocks, gathered one flat element index at a time."""
+    order = flat_block_order(*cur.shape[1:])
+    runs = []
+    for p, blocks in enumerate(changed.reshape(len(changed), -1)):
+        idx = order[np.flatnonzero(blocks)]
+        idx = idx[idx >= 0]
+        runs.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
+    residuals = np.concatenate(runs)
+    if residuals.dtype == np.uint8:
+        return residuals.tobytes()
+    signed = residuals.view(np.int16)
+    codes = ((signed << 1) ^ (signed >> 15)).view(np.uint16).astype("<u2")
+    return codes.view(np.uint8).reshape(-1, 2).T.tobytes()
+
+
+def _pattern(name, shape, rng):
+    """Changed blocks of a (planes, block rows, block columns) grid: every
+    block, none, the bottom-right corner block of the last plane, one
+    clipped block that is not a corner, or a random quarter."""
+    changed = np.zeros(shape, bool)
+    planes, by, bx = shape
+    if not changed.size or name == "none":
+        return changed
+    if name == "every":
+        changed[:] = True
+    elif name == "corner":
+        changed[-1, -1, -1] = True
+    elif name == "clipped":
+        # right block column, else bottom block row, away from the corner
+        if bx > 1 or by == 1:
+            changed[1, by // 2, -1] = True
+        else:
+            changed[1, -1, bx // 2] = True
+    else:
+        changed = rng.random(shape) < 0.25
+    return changed
+
+
+def _changed_frames(kind, height, width, pattern, seed):
+    """Reference planes and planes that differ from them in every element of
+    the pattern's blocks and nowhere else, and the pattern."""
+    rng = np.random.default_rng(seed)
+    top = int(np.iinfo(kind.dtype).max)
+    ref = rng.integers(0, top, size=(3, height, width), dtype=kind.dtype, endpoint=True)
+    changed = _pattern(pattern, (3, _blocks_across(height), _blocks_across(width)), rng)
+    inside = changed.repeat(BLOCK_SIDE, axis=1).repeat(BLOCK_SIDE, axis=2)[:, :height, :width]
+    cur = ref.copy()
+    cur[inside] += rng.integers(1, top, size=int(inside.sum()), dtype=kind.dtype, endpoint=True)
+    return ref, cur, changed
+
+
+RESIDUAL_SHAPES = [
+    (PlaneKind.COLOR_10IN16, 360, 368),  # the colour planes: the bottom block row has 8 rows
+    (PlaneKind.VISIBILITY_BYTES, 720, 982),  # visibility: the right block column has 6 columns
+    *[(kind, h, w) for kind in (PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES)
+      for h, w in ((0, 20), (20, 0), (1, 1), (15, 15), (5, 40), (40, 9), (16, 15), (15, 16), (37, 50))],
+]
+
+
+@pytest.mark.parametrize("pattern", ["every", "none", "corner", "clipped", "quarter"])
+@pytest.mark.parametrize("kind, height, width", RESIDUAL_SHAPES)
+def test_residuals_in_flat_index_order(kind, height, width, pattern):
+    ref, cur, changed = _changed_frames(kind, height, width, pattern, height * 1000 + width)
+    enc = CodecStreamState(1, role="encoder")
+    dec = CodecStreamState(1, role="decoder")
+    decode_frame(encode_frame(PlaneSet(kind, ref), enc), dec)
+    frame = encode_frame(PlaneSet(kind, cur), enc)
+    assert not frame.key
+    assert np.array_equal(_marks(frame), changed)
+    assert split_payload(frame)[1] == flat_residual_stream(cur, ref, changed)
+    assert np.array_equal(reference_decode(frame, ref), cur)
+    assert np.array_equal(decode_frame(frame, dec).data, cur)
+
+
 # --- the encoder's deflate segments --------------------------------------------
 # A 16-bit frame's stream is deflated one half run at a time (low bytes at
 # Z_RLE, high bytes at the default strategy), each segment ended by a sync

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from probestream import workers
 from probestream.packing import pack_color, unpack_color
 from probestream.volume import (
-    MEGABIT,
     AtlasKind,
     ProbeAtlas,
     ProbeVolume,
-    bits_to_mbps,
     changed_blocks,
     default_probes_per_row,
     oct_decode,
     oct_encode,
-    raw_bits,
     texel_directions,
     throughput_bps,
 )
@@ -116,27 +113,11 @@ class TestSizes:
     def test_visibility_block_bits(self):
         assert AtlasKind.VISIBILITY.bits_per_probe == 18 * 18 * 32 == 10368
 
-    def test_raw_bits_2048_color(self):
-        vol = ProbeVolume((16, 8, 16))
-        bits = raw_bits(vol, AtlasKind.COLOR)
-        assert bits == 6_553_600
-        assert bits / MEGABIT == 6.25
-
-    def test_raw_bits_2048_visibility(self):
-        vol = ProbeVolume((16, 8, 16))
-        bits = raw_bits(vol, AtlasKind.VISIBILITY)
-        assert bits == 2048 * 10368
-        # 20.25 Mb, reported as ~20.3 Mb / 2.5 MB
-        assert abs(bits / MEGABIT - 20.25) < 1e-12
-
-    def test_raw_bits_single_probe(self):
-        assert raw_bits(1, AtlasKind.COLOR) == 3200
-
     def test_throughput_color(self):
-        assert bits_to_mbps(throughput_bps(10, 2048, AtlasKind.COLOR)) == 62.5
+        assert throughput_bps(10, 2048, AtlasKind.COLOR) / 2**20 == 62.5
 
     def test_throughput_visibility(self):
-        assert bits_to_mbps(throughput_bps(10, 2048, AtlasKind.VISIBILITY)) == 202.5
+        assert throughput_bps(10, 2048, AtlasKind.VISIBILITY) / 2**20 == 202.5
 
     def test_throughput_zero_rate(self):
         assert throughput_bps(0, 2048, AtlasKind.COLOR) == 0
@@ -146,7 +127,7 @@ class TestSizes:
         total = throughput_bps(10, 2048, AtlasKind.COLOR) + throughput_bps(
             10, 2048, AtlasKind.VISIBILITY
         )
-        assert abs(bits_to_mbps(total) - 265.0) / 265.0 < 0.001
+        assert abs(total / 2**20 - 265.0) / 265.0 < 0.001
 
 
 class TestAtlas:
