@@ -2,7 +2,6 @@ import ast
 import importlib
 import pkgutil
 import re
-from collections import Counter
 from pathlib import Path
 
 import probestream
@@ -28,13 +27,9 @@ def _module_level_names(tree):
 def test_every_private_module_name_is_used():
     # a module-level _name that no code of the package reads is left over
     trees = {path.name: ast.parse(path.read_text()) for path in Path(probestream.__file__).parent.glob("*.py")}
-    reads = Counter()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                reads[node.attr] += 1
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    reads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     private = {
         (module, name)
         for module, tree in trees.items()
@@ -42,4 +37,4 @@ def test_every_private_module_name_is_used():
         if name.startswith("_") and not name.endswith("__")
     }
     assert private  # the walk finds the package's private names
-    assert sorted(p for p in private if not reads[p[1]]) == []
+    assert sorted(p for p in private if p[1] not in reads) == []
