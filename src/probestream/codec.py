@@ -67,10 +67,11 @@ a fresh compressor at `DEFLATE_LEVEL` ended by a sync flush, the last one
 by the final block, so the segments join into one raw deflate stream, as
 pigz joins its blocks. Being independent, they are deflated concurrently
 (`workers.run_pieces`) once they hold `CONCURRENT_DEFLATE_BYTES`, and
-joined in order, byte for byte the stream a single thread writes. Where the segments fall depends only on the frame's
-size and element width, never on how many CPUs deflate them. The segments
-and their concurrency are encoder choices and not part of the format: the
-decoder inflates one stream and never sees where they meet.
+joined in order, byte for byte the stream a single thread writes. Where
+the segments fall depends only on the frame's size and element width, never
+on how many CPUs deflate them. The segments and their concurrency are
+encoder choices and not part of the format: the decoder inflates one stream
+and never sees where they meet.
 
 P-frame residuals move as whole blocks, never element by element. A plane
 splits into at most four regions whose blocks share one size: the whole
@@ -82,8 +83,9 @@ blocks of both planes from the views and subtracts them; the decoder adds
 the residual blocks into a copy of its reference through the same views.
 Where the changed blocks fall in more than one region, they are placed
 padded to 16x16 in bitmap order, and the elements outside the plane are
-dropped (encoder) or skipped (decoder) with one mask cached per plane
-shape. The views and the padding are encoder and decoder choices and not
+dropped (encoder) or skipped (decoder) with a mask built from the regions'
+block sizes: each padded block keeps the top left block of its region's
+size. The views and the padding are encoder and decoder choices and not
 part of the format: the stream is the one described above.
 
 The encoder keeps its own copy of the last frame as the reference: a key
@@ -102,8 +104,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from probestream import workers
-from probestream.packing import PlaneKind, PlaneSet
-from probestream.volume import changed_blocks
+from probestream.packing import PlaneSet
+from probestream.volume import AtlasKind, changed_blocks
 
 BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
@@ -175,8 +177,8 @@ class EncodedFrame:
     payload: bytes
 
     @property
-    def plane_kind(self) -> PlaneKind:
-        return PlaneKind.COLOR_10IN16 if self.element_bits == 16 else PlaneKind.VISIBILITY_BYTES
+    def plane_kind(self) -> AtlasKind:
+        return AtlasKind.COLOR if self.element_bits == 16 else AtlasKind.VISIBILITY
 
     def to_bytes(self) -> bytes:
         header = _FRAME_HEADER.pack(
@@ -250,20 +252,6 @@ def _region_blocks(planes: np.ndarray, rows: slice, cols: slice, bh: int, bw: in
     return region.reshape(planes.shape[0], by, bh, bx, bw).swapaxes(2, 3)
 
 
-@functools.lru_cache(maxsize=8)
-def _inside(height: int, width: int) -> np.ndarray:
-    """(block row, block column, y, x) mask of the elements of each block,
-    padded to ``BLOCK_SIDE x BLOCK_SIDE``, that lie inside a
-    ``height x width`` plane."""
-    side = BLOCK_SIDE
-    by, bx = _blocks_across(height), _blocks_across(width)
-    rows = np.arange(by * side) < height
-    cols = np.arange(bx * side) < width
-    inside = np.ascontiguousarray((rows[:, None] & cols).reshape(by, side, bx, side).swapaxes(1, 2))
-    inside.flags.writeable = False
-    return inside
-
-
 _Part = tuple[tuple[slice, slice, int, int], tuple[np.ndarray, ...]]
 
 
@@ -279,17 +267,18 @@ def _changed_parts(changed: np.ndarray, height: int, width: int) -> list[_Part]:
     return parts
 
 
-def _padded_order(
-    changed: np.ndarray, parts: list[_Part], height: int, width: int
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _padded_order(changed: np.ndarray, parts: list[_Part]) -> tuple[list[np.ndarray], np.ndarray]:
     """Where the blocks of several regions go when they interleave: each
-    part's ranks among the changed blocks in bitmap order, and the mask of
-    the inside elements of the changed blocks padded to
-    ``BLOCK_SIDE x BLOCK_SIDE``, in that order."""
+    part's ranks among the changed blocks in bitmap order, and, in that
+    order, the mask of their inside elements padded to
+    ``BLOCK_SIDE x BLOCK_SIDE``: the top left ``bh x bw`` of a block of a
+    region whose blocks are ``bh x bw``."""
     rank = (np.cumsum(changed) - 1).reshape(changed.shape)
     ranks = [rank[:, rows, cols][idx] for (rows, cols, _, _), idx in parts]
-    _, block_rows, block_cols = np.nonzero(changed)
-    return ranks, _inside(height, width)[block_rows, block_cols]
+    inside = np.zeros((sum(r.size for r in ranks), BLOCK_SIDE, BLOCK_SIDE), bool)
+    for ((_, _, bh, bw), _), r in zip(parts, ranks):
+        inside[r, :bh, :bw] = True
+    return ranks, inside
 
 
 # --- residuals and their bytes -----------------------------------------------
@@ -462,7 +451,7 @@ def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segme
     if len(blocks) > 1:
         # blocks of several sizes interleave: place them padded, in bitmap
         # order, then drop the padding
-        ranks, inside = _padded_order(changed, parts, height, width)
+        ranks, inside = _padded_order(changed, parts)
         padded = np.empty(inside.shape, cur.dtype)
         for ((_, _, bh, bw), _), rank, block in zip(parts, ranks, blocks):
             padded[rank, :bh, :bw] = block
@@ -555,7 +544,7 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
         residuals = _unzigzag(_join_low_high(content, 1))[0]
     recon = reference.copy()
     if len(parts) > 1:
-        ranks, inside = _padded_order(changed, parts, height, width)
+        ranks, inside = _padded_order(changed, parts)
         padded = np.empty(inside.shape, recon.dtype)
         padded[inside] = residuals
         deltas = [padded[rank, :bh, :bw] for ((_, _, bh, bw), _), rank in zip(parts, ranks)]

@@ -22,10 +22,7 @@ so the entry axis rides along as one.
 
 from __future__ import annotations
 
-import enum
-import heapq
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,26 +31,18 @@ from probestream import workers
 from probestream.volume import AtlasKind, ProbeAtlas
 
 
-class PlaneKind(enum.Enum):
-    COLOR_10IN16 = "color-10in16"
-    VISIBILITY_BYTES = "visibility-bytes"
-
-    @property
-    def dtype(self) -> type:
-        return np.uint16 if self is PlaneKind.COLOR_10IN16 else np.uint8
-
-
 @dataclass
 class PlaneSet:
-    """Three equally sized planes (Y, U, V) ready for frame encoding."""
+    """Three equally sized planes (Y, U, V) ready for frame encoding, of the
+    element type `AtlasKind.plane_dtype` of their kind."""
 
-    kind: PlaneKind
+    kind: AtlasKind
     data: np.ndarray  # shape (3, height, width)
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3 or self.data.shape[0] != 3:
             raise ValueError(f"plane data must be (3, h, w), got {self.data.shape}")
-        if self.data.dtype != self.kind.dtype:
+        if self.data.dtype != self.kind.plane_dtype:
             raise ValueError(
                 f"plane dtype {self.data.dtype} does not match {self.kind}"
             )
@@ -95,12 +84,12 @@ def pack_color(texels: np.ndarray) -> PlaneSet:
     planes[1] = t >> 10
     planes[2] = t >> 20
     planes &= 0x3FF
-    return PlaneSet(PlaneKind.COLOR_10IN16, planes)
+    return PlaneSet(AtlasKind.COLOR, planes)
 
 
 def unpack_color(planes: PlaneSet) -> np.ndarray:
     """Inverse of `pack_color`; alpha bits come back zero."""
-    if planes.kind is not PlaneKind.COLOR_10IN16:
+    if planes.kind is not AtlasKind.COLOR:
         raise ValueError("expected color plane set")
     if planes.data.max(initial=0) > 1023:
         raise ValueError("color plane element exceeds 10-bit range")
@@ -145,12 +134,12 @@ def pack_visibility(texels: np.ndarray) -> PlaneSet:
             planes[c, rows, used.shape[1] :] = 0
 
     workers.run_pieces(band, workers.row_bands(h, 4 * w))
-    return PlaneSet(PlaneKind.VISIBILITY_BYTES, planes)
+    return PlaneSet(AtlasKind.VISIBILITY, planes)
 
 
 def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
     """Inverse of `pack_visibility` for rows of `texel_width` texels."""
-    if planes.kind is not PlaneKind.VISIBILITY_BYTES:
+    if planes.kind is not AtlasKind.VISIBILITY:
         raise ValueError("expected visibility plane set")
     if widened_width(texel_width) != planes.width:
         raise ValueError(
@@ -225,12 +214,15 @@ class UpdateAtlasLayout:
     """Slot allocator for the per-client probe update texture.
 
     Slots hold stripped probe cores. A probe keeps its cached slot across
-    updates so the temporal codec sees stable block positions; uncached
-    probes take the lowest free slot in ascending probe-id order, and when no
-    slot is free the least recently selected cached probe is evicted. The
-    whole state machine is deterministic in the sequence of selected probe
-    sets, so a receiver holding a twin layout reproduces identical
-    assignments from probe ids alone.
+    updates so the temporal codec sees stable block positions. Slots are
+    handed out in order and never freed: uncached probes take the slots not
+    yet handed out, lowest first in ascending probe-id order, so the taken
+    slots are always ``0 ... len(probe_slot) - 1``. Once every slot is
+    taken, an uncached probe takes the slot of the least recently selected
+    cached probe, which leaves the cache. The whole state machine is
+    deterministic in the sequence of selected probe sets, so a receiver
+    holding a twin layout reproduces identical assignments from probe ids
+    alone.
     """
 
     def __init__(self, slot_count: int, core_side: int) -> None:
@@ -242,8 +234,6 @@ class UpdateAtlasLayout:
         self.slot_rows = math.ceil(slot_count / self.slots_per_row)
         self.probe_slot: dict[int, int] = {}
         self.last_selected: dict[int, int] = {}
-        self._free: list[int] = list(range(slot_count))
-        heapq.heapify(self._free)
         self._tick = 0
 
     @property
@@ -277,38 +267,22 @@ class UpdateAtlasLayout:
                 "budget the selection upstream"
             )
         self._tick += 1
-        selected_set = set(selected)
-        victims = None
-        for probe in selected:
-            if probe in self.probe_slot:
-                continue
-            if self._free:
-                slot = heapq.heappop(self._free)
-            else:
-                if victims is None:
-                    victims = self._eviction_order(selected_set)
-                slot = self._evict(victims)
-            self.probe_slot[probe] = slot
+        new = [p for p in selected if p not in self.probe_slot]
+        slots = list(range(len(self.probe_slot), self.slot_count)[: len(new)])
+        if len(slots) < len(new):
+            # least recently selected first, ties by slot; the selection
+            # ticks change only after every eviction of the call. The
+            # budget check leaves at least as many victims as needed
+            keep = set(selected)
+            victims = sorted(
+                (p for p in self.probe_slot if p not in keep),
+                key=lambda p: (self.last_selected[p], self.probe_slot[p]),
+            )
+            slots += [self.probe_slot.pop(p) for p in victims[: len(new) - len(slots)]]
+        self.probe_slot.update(zip(new, slots))
         for probe in selected:
             self.last_selected[probe] = self._tick
         return sorted((self.probe_slot[p], p) for p in selected)
-
-    def _eviction_order(self, keep: set[int]) -> Iterator[int]:
-        """Cached probes outside `keep`, least recently selected first, ties
-        by slot. Selection ticks change only after all evictions of a call,
-        so one sort serves the whole call."""
-        return iter(
-            sorted(
-                (p for p in self.probe_slot if p not in keep),
-                key=lambda p: (self.last_selected.get(p, 0), self.probe_slot[p]),
-            )
-        )
-
-    def _evict(self, victims: Iterator[int]) -> int:
-        victim = next(victims, None)
-        if victim is None:
-            raise SlotOverflowError("no evictable slot")
-        return self.probe_slot.pop(victim)
 
 
 def _entry_index(entries, layout: UpdateAtlasLayout, atlas: ProbeAtlas):
@@ -332,9 +306,16 @@ def build_update_atlas(
     cached probes keep their previous contents so the temporal codec sees a
     stable background. Returns the texel array and the (slot, probe) entries.
     """
-    source.block_index(selected)  # rejects ids outside the volume before the layout changes
+    # a layout moved by a failed call no longer matches the client's twin, so
+    # bad ids, a layout of another kind and mismatched texels fail first
+    source.block_index(selected)
+    if layout.core_side != source.kind.core_side:
+        raise ValueError(f"layout core side {layout.core_side} is not that of {source.kind}")
+    shape, dtype = layout.texel_shape(source.kind), source.texels.dtype
     if update_texels is None:
-        update_texels = np.zeros(layout.texel_shape(source.kind), source.texels.dtype)
+        update_texels = np.zeros(shape, dtype)
+    elif (update_texels.shape, update_texels.dtype) != (shape, dtype):
+        raise ValueError(f"update texels {update_texels.shape} {update_texels.dtype} are not {shape} {dtype}")
     entries = layout.assign(selected)
     slots, probes = np.asarray(entries, dtype=np.int64).reshape(-1, 2).T
     slot_rows, slot_cols = np.divmod(slots, layout.slots_per_row)

@@ -11,6 +11,8 @@ small square block of texels in one of two 2-D atlases:
 
 Block sides include a 1-texel guard band around an 8x8 (or 16x16) core; the
 guard band is a deterministic function of the core (see `packing`).
+`AtlasKind.plane_dtype` is the element type of the three codec planes a
+kind's texels pack into: uint16 for color, uint8 for visibility.
 
 `changed_blocks` is the one block-change reduction, shared by change
 detection and the codec's P-frames. It reduces bands of whole block rows
@@ -52,6 +54,10 @@ class AtlasKind(enum.Enum):
     @property
     def bits_per_probe(self) -> int:
         return self.block_side * self.block_side * self.bits_per_texel
+
+    @property
+    def plane_dtype(self) -> type:
+        return np.uint16 if self is AtlasKind.COLOR else np.uint8
 
 
 def default_probes_per_row(probe_count: int) -> int:
@@ -268,19 +274,14 @@ def oct_decode(uv: np.ndarray) -> np.ndarray:
     return d[0] if single else d
 
 
-def texel_center_uv(core_side: int) -> np.ndarray:
-    """uv at the centre of each core texel; shape (core_side, core_side, 2).
+def texel_directions(core_side: int) -> np.ndarray:
+    """Unit direction at each core texel centre; shape (side, side, 3).
 
     Index order is (row, col) with u along columns and v along rows.
     """
     c = (np.arange(core_side) + 0.5) / core_side
     u, v = np.meshgrid(c, c, indexing="xy")
-    return np.stack([u, v], axis=-1)
-
-
-def texel_directions(core_side: int) -> np.ndarray:
-    """Unit direction at each core texel centre; shape (side, side, 3)."""
-    uv = texel_center_uv(core_side).reshape(-1, 2)
+    uv = np.stack([u.ravel(), v.ravel()], axis=-1)
     return oct_decode(uv).reshape(core_side, core_side, 3)
 
 

@@ -22,20 +22,21 @@ from probestream.codec import (
     decode_frame,
     encode_frame,
 )
-from probestream.packing import PlaneKind, PlaneSet, pack_visibility
+from probestream.packing import PlaneSet, pack_visibility
+from probestream.volume import AtlasKind
 from test_codec_golden import _smooth, reference_decode, split_payload
 
 
 def color_planes(rng, h=48, w=48):
     return PlaneSet(
-        PlaneKind.COLOR_10IN16,
+        AtlasKind.COLOR,
         rng.integers(0, 1024, size=(3, h, w), dtype=np.uint16),
     )
 
 
 def vis_planes(rng, h=48, w=48):
     return PlaneSet(
-        PlaneKind.VISIBILITY_BYTES,
+        AtlasKind.VISIBILITY,
         rng.integers(0, 256, size=(3, h, w), dtype=np.uint8),
     )
 
@@ -77,8 +78,8 @@ class TestEntropy:
     """The deflate stage, seen through whole frames."""
 
     def test_zeros_collapse(self):
-        for kind in PlaneKind:
-            planes = PlaneSet(kind, np.zeros((3, 64, 64), kind.dtype))
+        for kind in AtlasKind:
+            planes = PlaneSet(kind, np.zeros((3, 64, 64), kind.plane_dtype))
             enc, dec = stream_pair()
             frame = encode_frame(planes, enc)
             assert len(frame.payload) <= planes.data.nbytes / 100
@@ -104,7 +105,7 @@ class TestEntropy:
         assert decode_frame(frame, dec).equals(planes)
         for shape in ((3, 0, 7), (3, 5, 0)):
             enc, dec = stream_pair()
-            empty = PlaneSet(PlaneKind.COLOR_10IN16, np.zeros(shape, np.uint16))
+            empty = PlaneSet(AtlasKind.COLOR, np.zeros(shape, np.uint16))
             for _ in range(2):
                 frame = encode_frame(empty, enc)
                 assert split_payload(frame)[1] == b""
@@ -117,7 +118,7 @@ class TestEntropy:
         enc, dec = stream_pair()
         for data in (first, second):
             row = np.frombuffer(data.ljust(width, b"\0"), np.uint8)
-            planes = PlaneSet(PlaneKind.VISIBILITY_BYTES, np.stack([row, row[::-1], row ^ 0x5A])[:, None])
+            planes = PlaneSet(AtlasKind.VISIBILITY, np.stack([row, row[::-1], row ^ 0x5A])[:, None])
             assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_malformed_stream_rejected(self):
@@ -147,7 +148,7 @@ def first_block_p_frame(block, reference):
     planes all hold the 16x16 `block`, and its key-frame twin."""
 
     def planes(b):
-        return PlaneSet(PlaneKind.COLOR_10IN16, np.stack([b, b, b]))
+        return PlaneSet(AtlasKind.COLOR, np.stack([b, b, b]))
 
     enc, _ = stream_pair()
     encode_frame(planes(reference), enc)
@@ -332,7 +333,7 @@ class TestFrameCodec:
 def _key_and_p_frames(kind, h, w, seed):
     """A key frame and the P-frame after it, plus the reference to decode it."""
     rng = np.random.default_rng(seed)
-    make = color_planes if kind is PlaneKind.COLOR_10IN16 else vis_planes
+    make = color_planes if kind is AtlasKind.COLOR else vis_planes
     enc, dec = stream_pair()
     first = make(rng, h, w)
     second = first.copy()
@@ -368,12 +369,12 @@ def test_tall_frames_match_scalar_reference():
     # rows end in two lane pad bytes, then in one
     rng = np.random.default_rng(21)
     for kind, width in (
-        (PlaneKind.COLOR_10IN16, 70),
-        (PlaneKind.VISIBILITY_BYTES, 70),
-        (PlaneKind.VISIBILITY_BYTES, 69),
+        (AtlasKind.COLOR, 70),
+        (AtlasKind.VISIBILITY, 70),
+        (AtlasKind.VISIBILITY, 69),
     ):
         enc, dec = stream_pair(gop=3)
-        planes, previous = PlaneSet(kind, _smooth(rng, (300, width), kind.dtype, 1.0)), None
+        planes, previous = PlaneSet(kind, _smooth(rng, (300, width), kind.plane_dtype, 1.0)), None
         for _ in range(4):
             mutate = rng.random(planes.data.shape) < 0.02
             planes.data[mutate] ^= 1
@@ -398,7 +399,7 @@ class TestLanes:
             data = _smooth(rng, (h, w), np.uint8, 2.0)
         else:
             data = np.zeros((3, h, w), np.uint8)
-        planes = PlaneSet(PlaneKind.VISIBILITY_BYTES, data)
+        planes = PlaneSet(AtlasKind.VISIBILITY, data)
         frame = EncodedFrame.from_bytes(encode_frame(planes, stream_pair()[0]).to_bytes())
         assert np.array_equal(reference_decode(frame, None), data)
         assert decode_frame(frame, CodecStreamState(1, "decoder")).equals(planes)
@@ -529,7 +530,7 @@ class TestFailClosed:
         # past those blocks' bytes
         h, w = 720, 982
         enc, dec = stream_pair()
-        blank = PlaneSet(PlaneKind.VISIBILITY_BYTES, np.zeros((3, h, w), np.uint8))
+        blank = PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, h, w), np.uint8))
         decode_frame(encode_frame(blank, enc), dec)
         frame = EncodedFrame(1, 1, False, w, h, 3, 8, b"")
         bitmap = np.packbits(np.ones(3 * 45 * 62, bool)).tobytes()
@@ -544,10 +545,10 @@ class TestFailClosed:
                 EncodedFrame.from_bytes(wire)
 
     @settings(max_examples=150, deadline=None)
-    @example(PlaneKind.VISIBILITY_BYTES, 7, 13, False, [(5, 0x5A)], 0)
-    @example(PlaneKind.VISIBILITY_BYTES, 20, 38, False, [(0, 0)], -2)
+    @example(AtlasKind.VISIBILITY, 7, 13, False, [(5, 0x5A)], 0)
+    @example(AtlasKind.VISIBILITY, 20, 38, False, [(0, 0)], -2)
     @given(
-        st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]),
+        st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]),
         st.integers(1, 40),
         st.integers(1, 40),
         st.booleans(),
@@ -839,7 +840,7 @@ class TestConcurrentSegments:
         expected = serial_deflate(segments)
         for n in (1, 2, 5):
             cpus(n)
-            frame = encode_frame(PlaneSet(PlaneKind.VISIBILITY_BYTES, data), stream_pair()[0])
+            frame = encode_frame(PlaneSet(AtlasKind.VISIBILITY, data), stream_pair()[0])
             assert frame.payload == expected
 
     def test_frame_bytes_do_not_depend_on_worker_count(self, cpus):

@@ -32,7 +32,8 @@ from probestream.codec import (
     decode_frame,
     encode_frame,
 )
-from probestream.packing import PlaneKind, PlaneSet
+from probestream.packing import PlaneSet
+from probestream.volume import AtlasKind
 
 HEADER = struct.Struct("<4sBIIHHBBI")  # the last field is the payload length
 
@@ -138,7 +139,7 @@ def _smooth(rng, shape, dtype, noise):
 def _sequence(name: str, seed: int):
     """(kind, gop, frames) for one named recipe."""
     rng = np.random.default_rng(seed)
-    color, vis = PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES
+    color, vis = AtlasKind.COLOR, AtlasKind.VISIBILITY
     if name in ("color_mutate", "color_edge", "color_40x56", "color_narrow", "vis_mutate"):
         kind = vis if name.startswith("vis") else color
         shape = {
@@ -149,7 +150,7 @@ def _sequence(name: str, seed: int):
             "vis_mutate": (36, 44),
         }[name]
         top = 1024 if kind is color else 256
-        cur = _smooth(rng, shape, kind.dtype, 2.0)
+        cur = _smooth(rng, shape, kind.plane_dtype, 2.0)
         frames = []
         for _ in range(9):
             mutate = rng.random(cur.shape) < 0.05
@@ -170,7 +171,7 @@ def _sequence(name: str, seed: int):
         return color, 30, [base + np.uint16(3 * i) for i in range(4)]
     if name in ("color_sparse", "vis_sparse"):
         kind = vis if name.startswith("vis") else color
-        cur = _smooth(rng, (70, 50), kind.dtype, 2.0)
+        cur = _smooth(rng, (70, 50), kind.plane_dtype, 2.0)
         frames = [cur.copy()]
         for _ in range(4):
             for plane, row, col in zip(*(rng.integers(0, n, size=2) for n in (3, 5, 4))):
@@ -256,7 +257,7 @@ def test_recipes_cover_every_mode():
 
 @st.composite
 def frame_sequences(draw):
-    kind = draw(st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]))
+    kind = draw(st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]))
     h = draw(st.integers(1, 3 * BLOCK_SIDE + 2))
     w = draw(st.integers(1, 3 * BLOCK_SIDE + 2))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -265,17 +266,17 @@ def frame_sequences(draw):
     )
     gop = draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
-    top = 1024 if kind is PlaneKind.COLOR_10IN16 else 256
-    cur = _smooth(rng, (h, w), kind.dtype, draw(st.sampled_from([0.0, 1.0, 4.0])))
+    top = 1024 if kind is AtlasKind.COLOR else 256
+    cur = _smooth(rng, (h, w), kind.plane_dtype, draw(st.sampled_from([0.0, 1.0, 4.0])))
     frames = [cur.copy()]
     for step in steps:
         if step == "mutate":
             mutate = rng.random(cur.shape) < 0.1
             cur[mutate] = rng.integers(0, top, size=int(mutate.sum()))
         elif step == "offset":
-            cur = cur + kind.dtype(1)
+            cur = cur + kind.plane_dtype(1)
         elif step == "noise":
-            cur = rng.integers(0, np.iinfo(kind.dtype).max + 1, size=cur.shape).astype(kind.dtype)
+            cur = rng.integers(0, np.iinfo(kind.plane_dtype).max + 1, size=cur.shape).astype(kind.plane_dtype)
         frames.append(cur.copy())
     return kind, gop, frames
 
@@ -302,7 +303,7 @@ def test_encoder_matches_per_block_reference(case):
 def sparse_p_frames(draw):
     """A plane set, a copy with a few blocks changed, placed by one rule,
     and those blocks as (plane, block row, block column)."""
-    kind = draw(st.sampled_from([PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES]))
+    kind = draw(st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]))
     # a few block rows, or many
     h = draw(st.one_of(st.integers(1, 40), st.integers(129, 296)))
     w = draw(st.integers(1, 3 * BLOCK_SIDE + 9))
@@ -323,15 +324,15 @@ def sparse_p_frames(draw):
             row = by - 1
         blocks.add((plane, row, col))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    top = int(np.iinfo(kind.dtype).max)
-    before = _smooth(rng, (h, w), kind.dtype, draw(st.sampled_from([0.0, 2.0])))
+    top = int(np.iinfo(kind.plane_dtype).max)
+    before = _smooth(rng, (h, w), kind.plane_dtype, draw(st.sampled_from([0.0, 2.0])))
     after = before.copy()
     for plane, row, col in sorted(blocks):
         y0, x0 = row * BLOCK_SIDE, col * BLOCK_SIDE
         region = after[plane, y0 : y0 + BLOCK_SIDE, x0 : x0 + BLOCK_SIDE]
         hit = rng.random(region.shape) < draw(st.sampled_from([0.02, 0.3, 1.0]))
         hit.flat[rng.integers(hit.size)] = True  # the block does change
-        region[hit] += rng.integers(1, top, size=int(hit.sum()), dtype=kind.dtype, endpoint=True)
+        region[hit] += rng.integers(1, top, size=int(hit.sum()), dtype=kind.plane_dtype, endpoint=True)
     return kind, before, after, blocks
 
 
@@ -350,11 +351,17 @@ def test_sparse_p_frames_match_per_block_reference(case):
     assert decode_frame(frame, dec).equals(planes)
 
 
-@pytest.mark.parametrize("kind", [PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES])
+def _kind_id(value):
+    """Test id of a plane kind: the name it had before plane kinds were
+    folded into `AtlasKind`, so the ids of earlier runs still compare."""
+    return {AtlasKind.COLOR: "PlaneKind.COLOR_10IN16", AtlasKind.VISIBILITY: "PlaneKind.VISIBILITY_BYTES"}.get(value)
+
+
+@pytest.mark.parametrize("kind", [AtlasKind.COLOR, AtlasKind.VISIBILITY], ids=_kind_id)
 @pytest.mark.parametrize("shape", [(9, 5), (263, 3 * BLOCK_SIDE + 1)])
 def test_all_skip_p_frame(kind, shape):
     rng = np.random.default_rng(3)
-    planes = PlaneSet(kind, _smooth(rng, shape, kind.dtype, 2.0))
+    planes = PlaneSet(kind, _smooth(rng, shape, kind.plane_dtype, 2.0))
     enc = CodecStreamState(1, role="encoder")
     dec = CodecStreamState(1, role="decoder")
     decode_frame(encode_frame(planes, enc), dec)
@@ -427,25 +434,25 @@ def _changed_frames(kind, height, width, pattern, seed):
     """Reference planes and planes that differ from them in every element of
     the pattern's blocks and nowhere else, and the pattern."""
     rng = np.random.default_rng(seed)
-    top = int(np.iinfo(kind.dtype).max)
-    ref = rng.integers(0, top, size=(3, height, width), dtype=kind.dtype, endpoint=True)
+    top = int(np.iinfo(kind.plane_dtype).max)
+    ref = rng.integers(0, top, size=(3, height, width), dtype=kind.plane_dtype, endpoint=True)
     changed = _pattern(pattern, (3, _blocks_across(height), _blocks_across(width)), rng)
     inside = changed.repeat(BLOCK_SIDE, axis=1).repeat(BLOCK_SIDE, axis=2)[:, :height, :width]
     cur = ref.copy()
-    cur[inside] += rng.integers(1, top, size=int(inside.sum()), dtype=kind.dtype, endpoint=True)
+    cur[inside] += rng.integers(1, top, size=int(inside.sum()), dtype=kind.plane_dtype, endpoint=True)
     return ref, cur, changed
 
 
 RESIDUAL_SHAPES = [
-    (PlaneKind.COLOR_10IN16, 360, 368),  # the colour planes: the bottom block row has 8 rows
-    (PlaneKind.VISIBILITY_BYTES, 720, 982),  # visibility: the right block column has 6 columns
-    *[(kind, h, w) for kind in (PlaneKind.COLOR_10IN16, PlaneKind.VISIBILITY_BYTES)
+    (AtlasKind.COLOR, 360, 368),  # the colour planes: the bottom block row has 8 rows
+    (AtlasKind.VISIBILITY, 720, 982),  # visibility: the right block column has 6 columns
+    *[(kind, h, w) for kind in (AtlasKind.COLOR, AtlasKind.VISIBILITY)
       for h, w in ((0, 20), (20, 0), (1, 1), (15, 15), (5, 40), (40, 9), (16, 15), (15, 16), (37, 50))],
 ]
 
 
 @pytest.mark.parametrize("pattern", ["every", "none", "corner", "clipped", "quarter"])
-@pytest.mark.parametrize("kind, height, width", RESIDUAL_SHAPES)
+@pytest.mark.parametrize("kind, height, width", RESIDUAL_SHAPES, ids=_kind_id)
 def test_residuals_in_flat_index_order(kind, height, width, pattern):
     ref, cur, changed = _changed_frames(kind, height, width, pattern, height * 1000 + width)
     enc = CodecStreamState(1, role="encoder")
@@ -502,7 +509,7 @@ def test_color_segments_round_trip(case):
     dec = CodecStreamState(1, role="decoder")
     previous = None
     for data, force in ((first, False), (second, force_key)):
-        planes = PlaneSet(PlaneKind.COLOR_10IN16, data)
+        planes = PlaneSet(AtlasKind.COLOR, data)
         frame = EncodedFrame.from_bytes(encode_frame(planes, enc, force_key=force).to_bytes())
         assert frame.key == (previous is None or force)
         assert np.array_equal(reference_decode(frame, previous), data)
@@ -528,8 +535,8 @@ def test_noise_residual_p_frame_no_larger_than_one_deflate():
     ref = _smooth(rng, (64, 96), np.uint16, 2.0)
     cur = np.clip(ref + np.rint(rng.normal(0, 2.0, ref.shape)), 0, 1023).astype(np.uint16)
     enc = CodecStreamState(1, role="encoder")
-    encode_frame(PlaneSet(PlaneKind.COLOR_10IN16, ref), enc)
-    frame = encode_frame(PlaneSet(PlaneKind.COLOR_10IN16, cur), enc)
+    encode_frame(PlaneSet(AtlasKind.COLOR, ref), enc)
+    frame = encode_frame(PlaneSet(AtlasKind.COLOR, cur), enc)
     bitmap, content = split_payload(frame)
     assert len(content) == 2 * cur.size
     stream_size = len(frame.payload) - len(bitmap)

@@ -24,12 +24,21 @@ def _module_level_names(tree):
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in Path(probestream.__file__).parent.glob("*.py")}
+
+
+def _reads(trees):
+    """Names read in `trees`: loaded names and attribute names."""
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return reads | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
 def test_every_private_module_name_is_used():
     # a module-level _name that no code of the package reads is left over
-    trees = {path.name: ast.parse(path.read_text()) for path in Path(probestream.__file__).parent.glob("*.py")}
-    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
-    reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    reads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    trees = _package_trees()
+    reads = _reads(trees.values())
     private = {
         (module, name)
         for module, tree in trees.items()
@@ -38,3 +47,35 @@ def test_every_private_module_name_is_used():
     }
     assert private  # the walk finds the package's private names
     assert sorted(p for p in private if p[1] not in reads) == []
+
+
+def test_every_import_is_used():
+    # an import that its module neither reads nor exports is left over
+    unused = []
+    for module, tree in _package_trees().items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        unused += [(module, name) for name in imported - _reads([tree]) - exported]
+    assert sorted(unused) == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE constant that no code of the package reads is left over
+    trees = _package_trees()
+    reads = _reads(trees.values())
+    constants = {
+        (module, name)
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if name.isupper() and not name.startswith("__")
+    }
+    assert constants  # the walk finds the package's constants
+    assert sorted(c for c in constants if c[1] not in reads) == []

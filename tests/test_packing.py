@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from probestream import workers
 from probestream.packing import (
-    PlaneKind,
     PlaneSet,
     SlotOverflowError,
     UpdateAtlasLayout,
@@ -57,7 +56,7 @@ class TestColorPacking:
         data = np.zeros((3, 2, 3), dtype=np.uint16)
         data[plane, 1, 2] = 1024
         with pytest.raises(ValueError):
-            unpack_color(PlaneSet(PlaneKind.COLOR_10IN16, data))
+            unpack_color(PlaneSet(AtlasKind.COLOR, data))
 
     def test_elements_stay_below_1024(self):
         rng = np.random.default_rng(6)
@@ -374,6 +373,8 @@ class TestUpdateAtlas:
             expect = sorted((probe_slot[p], p) for p in selected)
             assert layout.assign(selected) == expect
             assert layout.probe_slot == probe_slot
+            # slots are handed out in order and never freed
+            assert sorted(layout.probe_slot.values()) == list(range(len(layout.probe_slot)))
 
     def test_apply_entries_rebuilds_guard_band(self):
         source = self.make_source()
@@ -402,15 +403,32 @@ class TestUpdateAtlas:
         layout = UpdateAtlasLayout(3, AtlasKind.COLOR.core_side)
         layout.assign([1, 4])
         layout.assign([4, 5])
-
-        def state():
-            free = sorted(layout._free)
-            return dict(layout.probe_slot), dict(layout.last_selected), free, layout._tick
-
-        before = state()
+        before = layout_state(layout)
         with pytest.raises(IndexError):
             build_update_atlas([2, probe], layout, source)
-        assert state() == before
+        assert layout_state(layout) == before
+
+    @pytest.mark.parametrize(
+        "core_side, texels",
+        [
+            (AtlasKind.VISIBILITY.core_side, None),  # a visibility layout for a colour atlas
+            (AtlasKind.VISIBILITY.core_side, np.zeros((32, 32), np.uint32)),
+            (AtlasKind.COLOR.core_side, np.zeros((16, 16, 2), np.uint32)),  # visibility's shape
+            (AtlasKind.COLOR.core_side, np.zeros((16, 24), np.uint32)),
+            (AtlasKind.COLOR.core_side, np.zeros((16, 16), np.uint16)),
+        ],
+    )
+    def test_mismatched_layout_or_texels_leave_layout(self, core_side, texels):
+        source = self.make_source(probe_count=7, per_row=3)
+        layout = UpdateAtlasLayout(4, core_side)
+        layout.assign([1, 4])
+        before = layout_state(layout)
+        if texels is not None:
+            texels[:] = 7
+        with pytest.raises(ValueError):
+            build_update_atlas([1, 2], layout, source, texels)
+        assert layout_state(layout) == before
+        assert texels is None or (texels == 7).all()
 
     @pytest.mark.parametrize("slot, probe", [(1, -1), (1, 7), (7, 3), (-1, 3)])
     def test_apply_out_of_range_leaves_target(self, slot, probe):
@@ -424,9 +442,15 @@ class TestUpdateAtlas:
         assert not target.texels.any()
 
 
+def layout_state(layout):
+    """The whole state of a layout: the taken slots are always
+    ``0 ... len(probe_slot) - 1``."""
+    return dict(layout.probe_slot), dict(layout.last_selected), layout._tick
+
+
 class TestPlaneSet:
     def test_kind_dtype_enforced(self):
         with pytest.raises(ValueError):
             from probestream.packing import PlaneSet
 
-            PlaneSet(PlaneKind.COLOR_10IN16, np.zeros((3, 2, 2), dtype=np.uint8))
+            PlaneSet(AtlasKind.COLOR, np.zeros((3, 2, 2), dtype=np.uint8))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from probestream import workers
 from probestream.codec import CodecStreamState, decode_frame, encode_frame
-from probestream.packing import PlaneKind, PlaneSet, pack_visibility, unpack_visibility
+from probestream.packing import PlaneSet, pack_visibility, unpack_visibility
+from probestream.volume import AtlasKind
 
 
 def test_results_in_piece_order(cpus):
@@ -124,7 +125,7 @@ def _work(case):
     their decodes, and the visibility packing and unpacking."""
     vis, color, texels = case
     out = []
-    for kind, data in ((PlaneKind.VISIBILITY_BYTES, vis), (PlaneKind.COLOR_10IN16, color)):
+    for kind, data in ((AtlasKind.VISIBILITY, vis), (AtlasKind.COLOR, color)):
         enc, dec = CodecStreamState(1, "encoder"), CodecStreamState(1, "decoder")
         planes = data.copy()
         for step in range(3):
