@@ -6,9 +6,13 @@ slot allocator (`packing`), and a lossless temporal frame codec (`codec`).
 The codec's deflate segments and the whole-plane passes of `volume` and
 `packing` run their independent pieces on the process's CPUs through one
 lazily started thread pool (`workers`).
-The benchmark in `streambench/` wires them into a server and a thin client.
+`stream` joins them into the two ends of one client's stream: the server's,
+which turns each render into a checked message, and the thin client's, which
+rebuilds its atlas from the messages and rejects a bad one whole.
+The benchmark in `streambench/` drives them on seeded workloads.
 """
 
+from probestream.stream import ClientStream, MessageError, ServerStream
 from probestream.volume import (
     AtlasKind,
     ProbeAtlas,
@@ -20,8 +24,11 @@ from probestream.volume import (
 
 __all__ = [
     "AtlasKind",
+    "ClientStream",
+    "MessageError",
     "ProbeAtlas",
     "ProbeVolume",
+    "ServerStream",
     "oct_decode",
     "oct_encode",
     "throughput_bps",

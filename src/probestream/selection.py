@@ -352,15 +352,6 @@ def _cage_cells(p: np.ndarray, volume: ProbeVolume) -> tuple[np.ndarray, np.ndar
     return low[0] + nx * (low[1] + ny * low[2]), offsets
 
 
-def cage_probes(points: np.ndarray, volume: ProbeVolume) -> np.ndarray:
-    """The 8 cell-corner probe ids enclosing each point; shape (n, 8).
-
-    Points outside the volume are clamped, so border cells repeat corners.
-    """
-    base, offsets = _cage_cells(_by_component(points), volume)
-    return base[:, None] + offsets
-
-
 def _volume_exit_points(
     origin: np.ndarray, d: np.ndarray, volume: ProbeVolume
 ) -> tuple[np.ndarray, np.ndarray]:

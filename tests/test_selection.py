@@ -14,9 +14,9 @@ from probestream.selection import (
     LayoutMismatchError,
     SceneGeometry,
     SelectionParams,
+    _cage_cells,
     _slab,
     _volume_exit_points,
-    cage_probes,
     detect_changed,
     pvs_probes,
     pvs_rays,
@@ -25,6 +25,12 @@ from probestream.selection import (
 from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
 
 INF = math.inf
+
+
+def _cages(points, volume):
+    """The 8 cell-corner probe ids of each (n, 3) point, or of one point."""
+    base, offsets = _cage_cells(np.atleast_2d(np.asarray(points, dtype=np.float64)).T, volume)
+    return base[:, None] + offsets
 
 
 # --- scalar reference ray cast --------------------------------------------------
@@ -367,7 +373,7 @@ def test_selection_params_accept_one_kind_of_ray():
     st.tuples(*[st.integers(1, 5)] * 3),
     st.integers(0, 2**20),
 )
-def test_cage_probes_match_scalar_reference(dims, seed):
+def test_cage_cells_match_scalar_reference(dims, seed):
     # axes of one probe included, where a cage repeats its corners
     rng = np.random.default_rng(seed)
     volume = ProbeVolume(dims, origin=(0.5, -1.0, 0.25), spacing=(0.7, 1.3, 2.0))
@@ -385,7 +391,7 @@ def test_cage_probes_match_scalar_reference(dims, seed):
                     i, j, k = (min(low[a] + d, dims[a] - 1) for a, d in enumerate((di, dj, dk)))
                     corners.append(i + dims[0] * (j + dims[1] * k))
         expected.append(corners)
-    assert cage_probes(points, volume).tolist() == expected
+    assert _cages(points, volume).tolist() == expected
 
 def test_pvs_covers_every_hit_cage():
     volume, scene, poses = _pvs_scene(seed=3)
@@ -400,9 +406,9 @@ def test_pvs_covers_every_hit_cage():
         t = scene.raycast(pose.position, rays)
         hit = np.isfinite(t)
         assert hit.any()
-        cages = np.unique(cage_probes(pose.position + rays[hit] * t[hit][:, None], volume))
+        cages = np.unique(_cages(pose.position + rays[hit] * t[hit][:, None], volume))
         assert np.isin(cages[active[cages]], pvs).all()
-        own = cage_probes(pose.position, volume)[0]
+        own = _cages(pose.position, volume)[0]
         assert np.isin(own[active[own]], pvs).all()
 
 
@@ -427,8 +433,8 @@ def _reference_pvs(position, rays, boxes, volume):
         point = [o[a] + d[a] * t for a in range(3)] if t < INF else _ref_exit(o, d, lo, hi)
         if point is not None:
             points.append(point)
-    ids = set(cage_probes(np.reshape(points, (-1, 3)), volume).ravel().tolist())
-    ids |= set(cage_probes(position, volume)[0].tolist())
+    ids = set(_cages(np.reshape(points, (-1, 3)), volume).ravel().tolist())
+    ids |= set(_cages(position, volume)[0].tolist())
     return [p for p in sorted(ids) if volume.active[p]]
 
 

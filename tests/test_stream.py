@@ -1,39 +1,30 @@
-"""End to end: a server and a thin client, glued from public calls only.
+"""End to end: `stream.ServerStream` and `stream.ClientStream` on random
+renders, poses and scenes.
 
-Per update the server detects the changed probes, casts the PVS, selects
-within the budget, builds the update atlas, packs and encodes it, and
-serialises the frame and the selected ids (`<u2` bytes). Its own glue
-copies the sent blocks into a last-sent atlas and records when each probe
-was sent. The client parses and decodes the frame, unpacks it, replays the
-ids on a twin layout and applies the entries to its atlas. Every update
-must leave the client's planes, entries and atlas equal to the server's.
+Every update must leave the client's planes, entries and atlas equal to the
+server's. A damaged message must raise `CodecError` and leave the client as
+it was, so that the intact message still applies afterwards.
 """
 
+import dataclasses
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probestream.codec import CodecStreamState, EncodedFrame, decode_frame, encode_frame
-from probestream.packing import (
-    UpdateAtlasLayout,
-    apply_update_entries,
-    build_update_atlas,
-    pack_texels,
-    reconstruct_guard_band,
-    unpack_texels,
-)
-from probestream.selection import (
-    CameraPose,
-    SceneGeometry,
-    SelectionParams,
-    detect_changed,
-    pvs_probes,
-    select_for_client,
-)
+from probestream.codec import CodecError, encode_frame
+from probestream.packing import PlaneSet, reconstruct_guard_band
+from probestream.selection import CameraPose, SceneGeometry, SelectionParams, pvs_probes
+from probestream.stream import ClientStream, ServerStream
 from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
 
-ID_DTYPE = np.dtype("<u2")
 PARAMS = SelectionParams(sphere_rays=64, raster_cols=8, raster_rows=8)
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def render(atlas: ProbeAtlas, ids: np.ndarray, rng) -> None:
@@ -44,45 +35,6 @@ def render(atlas: ProbeAtlas, ids: np.ndarray, rng) -> None:
     else:
         cores = rng.integers(0, 1 << 16, size=(side, side, 2, len(ids)), dtype=np.uint16)
     atlas.blocks()[atlas.block_index(ids)] = np.moveaxis(reconstruct_guard_band(cores), -1, 0)
-
-
-class Stream:
-    """Server and client state of one atlas stream."""
-
-    def __init__(self, source: ProbeAtlas, slots: int, gop: int, stream_id: int) -> None:
-        self.source = source
-        self.layout = UpdateAtlasLayout(slots, source.kind.core_side)
-        self.twin = UpdateAtlasLayout(slots, source.kind.core_side)
-        self.encoder = CodecStreamState(stream_id, "encoder", gop)
-        self.decoder = CodecStreamState(stream_id, "decoder", gop)
-        self.update_texels = None
-        self.last_sent = ProbeAtlas(source.kind, source.probe_count)
-        self.client = ProbeAtlas(source.kind, source.probe_count)
-        self.last_sent_seq = np.full(source.probe_count, -1, dtype=np.int64)
-
-    def serve(self, volume, pvs, seq, budget):
-        """One server update: the frame bytes, the id bytes, what was packed
-        and the entries."""
-        changed = detect_changed(self.source, self.last_sent, volume)
-        selected = select_for_client(changed, pvs, volume, self.last_sent_seq, seq, budget)
-        self.update_texels, entries = build_update_atlas(
-            selected, self.layout, self.source, self.update_texels
-        )
-        planes = pack_texels(self.update_texels, self.source.kind)
-        data = encode_frame(planes, self.encoder).to_bytes()
-        # glue: remember what was sent and serialise the ids
-        index = self.source.block_index(selected)
-        self.last_sent.blocks()[index] = self.source.blocks()[index]
-        self.last_sent_seq[selected] = seq
-        return data, np.asarray(selected).astype(ID_DTYPE).tobytes(), planes, entries
-
-    def receive(self, data: bytes, ids: bytes):
-        """One client update: the decoded planes and the replayed entries."""
-        planes = decode_frame(EncodedFrame.from_bytes(data), self.decoder)
-        texels = unpack_texels(planes, self.source.kind, self.twin.width)
-        entries = self.twin.assign(np.frombuffer(ids, dtype=ID_DTYPE).tolist())
-        apply_update_entries(entries, texels, self.twin, self.client)
-        return planes, entries
 
 
 def random_pose(volume: ProbeVolume, rng) -> CameraPose:
@@ -103,12 +55,9 @@ def random_boxes(volume: ProbeVolume, count: int, rng) -> np.ndarray:
 @st.composite
 def sessions(draw):
     dims = (draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 4)))
-    probes = dims[0] * dims[1] * dims[2]
-    slots = draw(st.integers(1, probes))
     return dict(
         dims=dims,
-        slots=slots,
-        budget=draw(st.integers(0, slots)),
+        slots=draw(st.integers(1, dims[0] * dims[1] * dims[2])),
         gop=draw(st.integers(1, 4)),
         updates=draw(st.integers(4, 9)),
         boxes=draw(st.integers(0, 3)),
@@ -116,26 +65,169 @@ def sessions(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(sessions())
-def test_client_atlas_matches_last_sent_on_every_update(case):
+def serve(case, **hook):
+    """Per update and stream, re-rendering 40% of the probes between updates:
+    the server, its client and the server's update. `hook` passes `call` on
+    to both ends."""
     rng = np.random.default_rng(case["seed"])
     volume = ProbeVolume(case["dims"])
     n = volume.probe_count
     geometry = SceneGeometry(random_boxes(volume, case["boxes"], rng))
-    streams = []
+    ends = []
     for stream_id, kind in enumerate(AtlasKind):
         source = ProbeAtlas(kind, n)
         render(source, np.arange(n), rng)
-        streams.append(Stream(source, case["slots"], case["gop"], stream_id))
+        ends.append((
+            ServerStream(source, case["slots"], case["gop"], stream_id, **hook),
+            ClientStream(kind, n, source.probes_per_row, case["slots"], stream_id, **hook),
+        ))
     for seq in range(case["updates"]):
         if seq:
-            for s in streams:
-                render(s.source, np.flatnonzero(rng.random(n) < 0.4), rng)
+            for server, _ in ends:
+                render(server.source, np.flatnonzero(rng.random(n) < 0.4), rng)
         pvs = pvs_probes(random_pose(volume, rng), geometry, volume, PARAMS)
-        for s in streams:
-            data, ids, packed, entries = s.serve(volume, pvs, seq, case["budget"])
-            decoded, client_entries = s.receive(data, ids)
-            assert decoded.equals(packed)
-            assert client_entries == entries
-            assert np.array_equal(s.client.texels, s.last_sent.texels)
+        for server, client in ends:
+            yield server, client, server.update(volume, pvs, seq)
+
+
+def delivers(server, client, update) -> None:
+    planes, entries = client.receive(update.message)
+    assert planes.equals(update.planes)
+    assert entries == update.entries
+    assert np.array_equal(client.atlas.texels, server.last_sent.texels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions())
+def test_client_atlas_matches_last_sent_on_every_update(case):
+    for server, client, update in serve(case):
+        assert len(update.selected) <= case["slots"]
+        delivers(server, client, update)
+
+
+def client_state(client: ClientStream):
+    twin, decoder = client.twin, client.decoder
+    reference = None if decoder.reference is None else decoder.reference.data.tobytes()
+    return (
+        dict(twin.probe_slot), dict(twin.last_selected), twin._tick,
+        reference, decoder.frame_count, client.atlas.texels.tobytes(),
+    )
+
+
+def with_ids(update, raw: bytes) -> bytes:
+    """The update's frame with other id bytes and their CRC."""
+    frame = update.message[: update.frame.encoded_size]
+    return frame + raw + struct.pack("<I", zlib.crc32(raw))
+
+
+def with_frame(server, update, planes: PlaneSet, stream_id: int) -> bytes:
+    """The update's ids after a key frame of other planes for stream
+    `stream_id`, with its CRC, from a copy of the server's encoder."""
+    encoder = dataclasses.replace(server.encoder, stream_id=stream_id, reference=None)
+    frame = encode_frame(planes, encoder, force_key=True)
+    return frame.to_bytes() + update.message[update.frame.encoded_size :]
+
+
+def damaged(draw, case, server, update) -> bytes:
+    message = update.message
+    n, slots = server.source.probe_count, case["slots"]
+    ids = list(update.selected)
+    stream_id = server.encoder.stream_id
+    kinds = [
+        "flip", "flip_ids", "truncate", "append", "odd", "outside", "twice", "too_many", "layout", "stream",
+    ]
+    if server.source.kind is AtlasKind.COLOR:
+        kinds.append("colour")
+    kind = draw(st.sampled_from(kinds))
+    if kind.startswith("flip"):
+        # anywhere, or in the ids and their CRC, which a flip anywhere seldom hits
+        first = 8 * update.frame.encoded_size if kind == "flip_ids" else 0
+        bits = draw(st.lists(st.integers(first, 8 * len(message) - 1), min_size=1, max_size=3, unique=True))
+        flipped = bytearray(message)
+        for bit in bits:
+            flipped[bit // 8] ^= 0x80 >> bit % 8
+        return bytes(flipped)
+    if kind == "truncate":
+        return message[: draw(st.integers(0, len(message) - 1))]
+    if kind == "append":
+        return message + draw(st.binary(min_size=1, max_size=8))
+    if kind == "odd":
+        return with_ids(update, np.asarray(ids, "<u2").tobytes() + b"\0")
+    if kind == "outside":
+        return with_ids(update, np.asarray(ids[:-1] + [draw(st.integers(n, 2**16 - 1))], "<u2").tobytes())
+    if kind == "twice":
+        twice = ids[:-1] + [ids[0]] if len(ids) > 1 else [0, 0]
+        return with_ids(update, np.asarray(twice, "<u2").tobytes())
+    if kind == "too_many":
+        return with_ids(update, np.arange(slots + 1, dtype="<u2").tobytes())
+    planes = update.planes.copy()
+    if kind == "layout":
+        planes = PlaneSet(planes.kind, np.zeros((3, planes.height, planes.width + 1), planes.data.dtype))
+    elif kind == "stream":
+        stream_id += 2
+    else:
+        # a 10-bit element with bit 10 set: the frame decodes, the texels do not
+        planes.data[draw(st.integers(0, 2)), 0, 0] |= 1 << 10
+    return with_frame(server, update, planes, stream_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sessions(), st.data())
+def test_client_rejects_a_bad_message_whole(case, data):
+    for server, client, update in serve(case):
+        message, before = damaged(data.draw, case, server, update), client_state(client)
+        with pytest.raises(CodecError):
+            client.receive(message)
+        assert client_state(client) == before
+        delivers(server, client, update)
+
+
+def test_client_rejects_a_message_cut_inside_the_id_checksum():
+    # a message with no ids ends in crc32(b"") = 0. Cut by one byte, its last
+    # four bytes are the frame CRC's last byte and three zeros: read as the
+    # ids' CRC, they match no ids whenever that byte is zero
+    source = ProbeAtlas(AtlasKind.COLOR, 8)
+    server = ServerStream(source, 1, 1, 0)
+    client = ClientStream(AtlasKind.COLOR, 8, source.probes_per_row, 1, 0)
+    volume = ProbeVolume((2, 2, 2))
+    messages = (server.update(volume, [], seq).message for seq in range(4096))
+    message = next(m for m in messages if m[-5] == 0)
+    with pytest.raises(CodecError):
+        client.receive(message[:-1])
+    assert client.decoder.frame_count == 0
+
+
+SPAN_NAMES = {
+    "selection.detect_ms",
+    "selection.select_ms",
+    *(
+        f"{layer}_ms.{kind.value}"
+        for layer in ("packing.build", "packing.pack", "packing.unpack", "packing.assign",
+                      "packing.apply", "codec.encode", "codec.decode")
+        for kind in AtlasKind
+    ),
+    "codec.serialize_ms",
+    "codec.parse_ms",
+    "glue.server_ms",
+}
+
+
+def test_every_step_runs_through_call_under_a_benchmark_layer_name():
+    recorded = []
+
+    def call(name, fn, *args):
+        recorded.append(name)
+        return fn(*args)
+
+    case = dict(dims=(3, 2, 3), slots=7, gop=2, updates=3, boxes=2, seed=5)
+    for server, client, update in serve(case, call=call):
+        delivers(server, client, update)
+    assert set(recorded) == SPAN_NAMES
+    assert SPAN_NAMES <= {layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]}
+
+
+def test_ends_refuse_more_probes_than_an_id_addresses():
+    with pytest.raises(ValueError):
+        ServerStream(ProbeAtlas(AtlasKind.COLOR, 2**16 + 1), 1, 1, 0)
+    with pytest.raises(ValueError):
+        ClientStream(AtlasKind.COLOR, 2**16 + 1, 257, 1, 0)
