@@ -8,7 +8,10 @@ as it is presented. Encoding is closed-loop lossless, so encoder and decoder
 reconstructions are bit-identical after every frame.
 
 Wire format (`FRAME_MAGIC` ``LPF3``). A frame is a fixed header, the payload
-and a CRC-32 over both. Every payload ends in one raw deflate stream
+and a CRC-32 over both. The header gives the payload's length, so
+`EncodedFrame.read` finds where a frame ends in longer input;
+`EncodedFrame.from_bytes` is the same read of input that holds the frame
+alone. Every payload ends in one raw deflate stream
 (RFC 1951, no zlib or gzip wrapper, since the frame CRC covers it), written
 at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
 
@@ -200,7 +203,9 @@ class EncodedFrame:
         return _FRAME_HEADER.size + len(self.payload) + _CHECKSUM.size
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "EncodedFrame":
+    def read(cls, data: bytes) -> "EncodedFrame":
+        """The frame at the start of `data`, which ends at its `encoded_size`;
+        what follows it is not read."""
         if len(data) < _FRAME_HEADER.size + _CHECKSUM.size:
             raise CorruptFrameError("frame truncated")
         magic, flags, stream_id, seq, width, height, planes, bits, paylen = (
@@ -209,8 +214,8 @@ class EncodedFrame:
         if magic != FRAME_MAGIC:
             raise CorruptFrameError(f"bad frame magic {magic!r}")
         total = _FRAME_HEADER.size + paylen + _CHECKSUM.size
-        if len(data) != total:
-            raise CorruptFrameError(f"frame length {len(data)} != declared {total}")
+        if len(data) < total:
+            raise CorruptFrameError(f"{len(data)} bytes hold no frame of declared {total}")
         (stored,) = _CHECKSUM.unpack_from(data, total - _CHECKSUM.size)
         if zlib.crc32(data[: total - _CHECKSUM.size]) != stored:
             raise CorruptFrameError("frame checksum mismatch")
@@ -218,6 +223,14 @@ class EncodedFrame:
             raise CorruptFrameError(f"unsupported layout: {planes} planes of {bits} bits")
         payload = data[_FRAME_HEADER.size : total - _CHECKSUM.size]
         return cls(stream_id, seq, bool(flags & 1), width, height, planes, bits, payload)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "EncodedFrame":
+        """The frame that `data` holds, and nothing after it."""
+        frame = cls.read(data)
+        if len(data) != frame.encoded_size:
+            raise CorruptFrameError(f"frame length {len(data)} != declared {frame.encoded_size}")
+        return frame
 
 
 # --- block geometry ----------------------------------------------------------

@@ -111,12 +111,8 @@ class SceneGeometry:
     `raycast` call.
     """
 
-    def __init__(self, boxes=None) -> None:
-        self.boxes = (
-            np.asarray(boxes, dtype=np.float64).reshape(-1, 2, 3)
-            if boxes is not None and len(boxes)
-            else np.zeros((0, 2, 3))
-        )
+    def __init__(self, boxes) -> None:
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 2, 3)
         if np.any(self.boxes[:, 0] > self.boxes[:, 1]):
             raise ValueError("box min must be <= box max componentwise")
         self._lo, self._hi = (_by_component(self.boxes[:, i]) for i in (0, 1))
@@ -272,14 +268,11 @@ def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic, near-uniform unit directions on the sphere; the array
     is shared between calls and read-only."""
-    if count < 1:
-        dirs = np.zeros((0, 3))
-    else:
-        i = np.arange(count) + 0.5
-        z = 1.0 - 2.0 * i / count
-        radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        theta = np.pi * (1.0 + np.sqrt(5.0)) * i
-        dirs = np.stack([radius * np.cos(theta), radius * np.sin(theta), z], axis=1)
+    i = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * i / count
+    radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
+    dirs = np.stack([radius * np.cos(theta), radius * np.sin(theta), z], axis=1)
     dirs.flags.writeable = False
     return dirs
 
@@ -366,12 +359,10 @@ def _volume_exit_points(
 
 
 def pvs_rays(pose: CameraPose, params: SelectionParams) -> np.ndarray:
-    parts = []
-    if params.raster_cols > 0 and params.raster_rows > 0:
-        parts.append(frustum_directions(pose, params.raster_cols, params.raster_rows))
-    if params.sphere_rays > 0:
-        parts.append(fibonacci_sphere(params.sphere_rays))
-    return np.concatenate(parts) if parts else np.zeros((0, 3))
+    return np.concatenate([
+        frustum_directions(pose, params.raster_cols, params.raster_rows),
+        fibonacci_sphere(params.sphere_rays),
+    ])
 
 
 def pvs_probes(
@@ -413,7 +404,7 @@ def select_for_client(
     volume: ProbeVolume,
     last_sent_seq: np.ndarray,
     current_seq: int,
-    budget: int | None = None,
+    budget: int,
 ) -> list[int]:
     """Order the sendable set by staleness and truncate to the budget.
 
@@ -423,7 +414,7 @@ def select_for_client(
     reconsidered on the next update. An id in `changed` or `pvs` outside
     [0, probe_count) raises `IndexError`.
     """
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     changed, pvs = np.asarray(changed, np.int64), np.asarray(pvs, np.int64)
     for ids in (changed, pvs):

@@ -6,25 +6,27 @@ the slot count as the budget -> `packing.build_update_atlas` ->
 `packing.pack_texels` -> `codec.encode_frame` -> `EncodedFrame.to_bytes`.
 It then copies the sent blocks into its last-sent atlas, records when each
 probe was sent, and appends the ids. `ClientStream` reverses this:
-`EncodedFrame.from_bytes` -> `codec.decode_frame` ->
-`packing.unpack_texels` -> its twin `UpdateAtlasLayout.assign` ->
-`packing.apply_update_entries` into its atlas. The twin layout replays the
-server's slot assignments from the ids alone, so after every message the
-client's atlas equals the server's last-sent atlas.
+`EncodedFrame.read` -> `codec.decode_frame` -> `packing.unpack_texels` ->
+its twin `UpdateAtlasLayout.assign` -> `packing.apply_update_entries` into
+its atlas. The twin layout replays the server's slot assignments from the
+ids alone, so after every message the client's atlas equals the server's
+last-sent atlas.
 
-Message layout: the frame's bytes (`codec`, whose header gives its length),
-then the selected probe ids as ``<u2`` in the order they were selected
-(staleness order, not sorted), then the CRC-32 of the id bytes as ``<u4``.
-An id names one of at most `MAX_PROBES` probes.
+Message layout: the frame's bytes, then the selected probe ids as ``<u2``
+in the order they were selected (staleness order, not sorted), then the
+CRC-32 of the id bytes as ``<u4``. The codec reads the frame and finds
+where it ends (`EncodedFrame.read`). An id names one of at most
+`MAX_PROBES` probes.
 
 Fail-closed rule: before its decoder, its twin layout or its atlas moves,
-the client checks the frame's length against its header, the frame's CRC,
-the ids' CRC, an even id length, every id inside the volume, no id twice,
-no more ids than slots, and the frame's kind and plane size against its
-own. A frame that passes these checks and decodes can still hold a colour
-element above 10 bits; then the decoder's reference and frame count are put
-back. Any bad message raises `CodecError` (`MessageError`, or the codec's
-own subclasses) and leaves the client as it was.
+the client checks the frame (`EncodedFrame.read`: its magic, its length
+against its header, its CRC and its layout), the ids' CRC, an even id
+length, every id inside the volume, no id twice, no more ids than slots,
+and the frame's kind and plane size against its own. A frame that passes these checks and decodes
+can still hold a colour element above 10 bits, so the frame is decoded
+into a copy of the decoder, which the client keeps only once the frame
+unpacks. Any bad message raises `CodecError` (`MessageError`, or the
+codec's own subclasses) and leaves the client as it was.
 
 Every step runs through ``call(name, fn, *args)``, named after the
 benchmark metric it feeds; by default it calls straight through.
@@ -32,20 +34,13 @@ benchmark metric it feeds; by default it calls straight through.
 
 from __future__ import annotations
 
+import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from probestream.codec import (
-    _CHECKSUM,
-    _FRAME_HEADER,
-    CodecError,
-    CodecStreamState,
-    EncodedFrame,
-    decode_frame,
-    encode_frame,
-)
+from probestream.codec import CodecError, CodecStreamState, EncodedFrame, decode_frame, encode_frame
 from probestream.packing import (
     PlaneSet,
     UpdateAtlasLayout,
@@ -60,6 +55,7 @@ from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
 
 ID_DTYPE = np.dtype("<u2")
 MAX_PROBES = 1 << 16  # every probe id fits in ID_DTYPE
+_ID_CHECKSUM = struct.Struct("<I")
 
 
 class MessageError(CodecError):
@@ -126,7 +122,7 @@ class ServerStream:
         self.last_sent.blocks()[index] = self.source.blocks()[index]
         self.last_sent_seq[selected] = seq
         ids = np.asarray(selected, dtype=ID_DTYPE).tobytes()
-        return data + ids + _CHECKSUM.pack(zlib.crc32(ids))
+        return data + ids + _ID_CHECKSUM.pack(zlib.crc32(ids))
 
 
 class ClientStream:
@@ -149,27 +145,25 @@ class ClientStream:
         """Apply one message; returns the decoded planes and the (slot, probe) entries."""
         call, kind = self.call, self.kind
         frame, ids = call("codec.parse_ms", self._parse, message)
-        before = self.decoder.reference, self.decoder.frame_count
-        planes = call(f"codec.decode_ms.{kind.value}", decode_frame, frame, self.decoder)
+        decoder = replace(self.decoder)
+        planes = call(f"codec.decode_ms.{kind.value}", decode_frame, frame, decoder)
         try:
             texels = call(f"packing.unpack_ms.{kind.value}", unpack_texels, planes, kind, self.twin.width)
         except ValueError as err:
-            self.decoder.reference, self.decoder.frame_count = before
             raise MessageError(f"frame does not unpack: {err}") from err
+        self.decoder = decoder
         entries = call(f"packing.assign_ms.{kind.value}", self.twin.assign, ids)
         call(f"packing.apply_ms.{kind.value}", apply_update_entries, entries, texels, self.twin, self.atlas)
         return planes, entries
 
     def _parse(self, message: bytes) -> tuple[EncodedFrame, list[int]]:
         """The frame and the ids of a message, every check but unpacking done."""
-        if len(message) < _FRAME_HEADER.size:
-            raise MessageError("message shorter than a frame header")
-        end = _FRAME_HEADER.size + _FRAME_HEADER.unpack_from(message)[-1] + _CHECKSUM.size
-        if len(message) < end + _CHECKSUM.size:
-            raise MessageError(f"message of {len(message)} bytes holds no frame of {end} and id checksum")
-        frame = EncodedFrame.from_bytes(message[:end])
-        raw = message[end : -_CHECKSUM.size]
-        if zlib.crc32(raw) != _CHECKSUM.unpack_from(message, len(message) - _CHECKSUM.size)[0]:
+        frame = EncodedFrame.read(message)
+        end = frame.encoded_size
+        if len(message) < end + _ID_CHECKSUM.size:
+            raise MessageError(f"message of {len(message)} bytes holds no id checksum after its frame")
+        raw = message[end : -_ID_CHECKSUM.size]
+        if zlib.crc32(raw) != _ID_CHECKSUM.unpack_from(message, len(message) - _ID_CHECKSUM.size)[0]:
             raise MessageError("id checksum mismatch")
         if len(raw) % ID_DTYPE.itemsize:
             raise MessageError(f"{len(raw)} id bytes are not whole ids")

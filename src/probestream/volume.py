@@ -136,13 +136,7 @@ class ProbeAtlas:
     array so that NaN payloads and signed zeros survive round trips.
     """
 
-    def __init__(
-        self,
-        kind: AtlasKind,
-        probe_count: int,
-        probes_per_row: int | None = None,
-        texels: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, kind: AtlasKind, probe_count: int, probes_per_row: int | None = None) -> None:
         if probe_count < 1:
             raise ValueError("probe_count must be >= 1")
         self.kind = kind
@@ -150,33 +144,15 @@ class ProbeAtlas:
         self.probes_per_row = probes_per_row or default_probes_per_row(probe_count)
         side = kind.block_side
         self.block_rows = math.ceil(probe_count / self.probes_per_row)
-        shape: tuple[int, ...] = (self.block_rows * side, self.probes_per_row * side)
-        dtype: type
+        shape = (self.block_rows * side, self.probes_per_row * side)
         if kind is AtlasKind.COLOR:
-            dtype = np.uint32
+            self.texels = np.zeros(shape, dtype=np.uint32)
         else:
-            shape = shape + (2,)
-            dtype = np.uint16
-        if texels is None:
-            texels = np.zeros(shape, dtype=dtype)
-        else:
-            texels = np.asarray(texels, dtype=dtype)
-            if texels.shape != shape:
-                raise ValueError(f"texel shape {texels.shape} != expected {shape}")
-        self.texels = texels
+            self.texels = np.zeros((*shape, 2), dtype=np.uint16)
 
     @property
     def height(self) -> int:
         return self.texels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.texels.shape[1]
-
-    def copy(self) -> "ProbeAtlas":
-        return ProbeAtlas(
-            self.kind, self.probe_count, self.probes_per_row, self.texels.copy()
-        )
 
     def blocks(self) -> np.ndarray:
         """Writable (block row, block column, y, x, ...) view of the texels."""

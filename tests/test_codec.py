@@ -159,8 +159,9 @@ def first_block_p_frame(block, reference):
 
 
 class TestBlockModes:
-    """A P-frame's bitmap skips each unchanged block and codes each changed
-    one as its residual against the reference; a key frame codes all."""
+    """A P-frame's bitmap clears the bit of each unchanged block, and its
+    stream holds each changed block as its residual against the reference;
+    a key frame has no bitmap and its stream codes every element."""
 
     def test_identical_blocks_skip(self):
         rng = np.random.default_rng(1)
@@ -221,7 +222,12 @@ class TestFrameCodec:
             mutate = rng.random(cur.data.shape) < 0.1
             cur.data[mutate] = rng.integers(0, 1024, size=int(mutate.sum()))
             frame = encode_frame(cur.copy(), enc)
-            wire = EncodedFrame.from_bytes(frame.to_bytes())
+            data = frame.to_bytes()
+            wire = EncodedFrame.from_bytes(data)
+            # read stops where the frame ends, whatever follows it
+            for tail in (b"", b"\0", data):
+                assert EncodedFrame.read(data + tail) == wire
+            assert wire.encoded_size == len(data)
             out = decode_frame(wire, dec)
             assert out.equals(cur)
             assert np.array_equal(enc.reference.data, dec.reference.data)
@@ -297,10 +303,17 @@ class TestFrameCodec:
     def test_corrupt_payload_detected(self):
         rng = np.random.default_rng(14)
         enc, _ = stream_pair()
-        blob = bytearray(encode_frame(color_planes(rng), enc).to_bytes())
+        data = encode_frame(color_planes(rng), enc).to_bytes()
+        blob = bytearray(data)
         blob[40] ^= 0xFF
-        with pytest.raises(CorruptFrameError):
-            EncodedFrame.from_bytes(bytes(blob))
+        # a flipped byte, a frame cut short, and, for from_bytes, a byte after the frame
+        damaged = [(read, bytes(blob)) for read in (EncodedFrame.from_bytes, EncodedFrame.read)]
+        damaged += [(read, data[:cut]) for read in (EncodedFrame.from_bytes, EncodedFrame.read)
+                    for cut in (0, 10, len(data) - 1)]
+        damaged.append((EncodedFrame.from_bytes, data + b"\0"))
+        for read, wire in damaged:
+            with pytest.raises(CorruptFrameError):
+                read(wire)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(15)
@@ -571,9 +584,10 @@ class TestFailClosed:
 
 
 class TestHeaderWalk:
-    """A P-frame's bitmap is its block header: a SKIP (unchanged) block is a
-    clear bit. The skip marks never stand for blocks past the frame's block
-    count, and the stream must end exactly after the last changed block."""
+    """A P-frame's payload starts with its changed-block bitmap, one bit per
+    block, clear for an unchanged block. The bitmap is as long as the frame's
+    block count needs and no longer, and the stream after it must inflate to
+    exactly the changed blocks' residuals."""
 
     def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
         enc, dec = stream_pair()
@@ -581,14 +595,14 @@ class TestHeaderWalk:
         return like(EncodedFrame(1, 1, False, w, h, 3, 16, b""), payload), dec
 
     def test_bytes_past_bitmap_rejected(self):
-        # six blocks fit one bitmap byte; more skip bytes run into the stream
+        # six blocks fit one bitmap byte; the bytes after it are read as the stream
         for extra in (1, 5):
             frame, dec = self._p_frame(bytes(1 + extra) + deflate(b""))
             with pytest.raises(CorruptFrameError):
                 decode_frame(frame, dec)
 
     def test_residuals_without_changed_block_rejected(self):
-        # every block skipped, yet the stream holds a block's residuals
+        # no bit set in the bitmap, yet the stream holds a block's residuals
         frame, dec = self._p_frame(bytes(1) + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE)))
         with pytest.raises(CorruptFrameError, match="inflates past 0 bytes"):
             decode_frame(frame, dec)
@@ -603,7 +617,7 @@ class TestHeaderWalk:
                 decode_frame(frame, dec)
 
     def test_bitmap_in_key_frame_rejected(self):
-        # a key frame has no bitmap: skip marks are read as its stream
+        # a key frame has no bitmap: a bitmap byte is read as the start of its stream
         payload = bytes(1) + deflate(b"")
         frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
         with pytest.raises(CorruptFrameError):
@@ -705,8 +719,8 @@ class TestLossRecovery:
 
 class TestMemoryBound:
     """A 2048-slot visibility key frame is the largest frame the pipeline
-    sends; noise makes every block RAW and the payload as large as the
-    planes."""
+    sends; on noise deflate finds nothing to match, so the payload is about as
+    large as the planes."""
 
     LIMIT = 16 << 20
 

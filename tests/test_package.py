@@ -96,3 +96,41 @@ def test_every_public_module_name_is_read():
         if not name.startswith("_")
     }
     assert sorted(p for p in public if p[1] not in reads) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a module that imports or reads another module's _name restates what
+    # that module may change on its own
+    trees = _package_trees()
+    crossings = []
+    for module, tree in trees.items():
+        bound = {}  # local name -> the package module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = ".".join(filter(None, ["probestream" if node.level else None, node.module]))
+                if not source.startswith("probestream"):
+                    continue
+                for alias in node.names:
+                    target = f"{source}.{alias.name}"
+                    if f"{target.removeprefix('probestream.')}.py" in trees:
+                        bound[alias.asname or alias.name] = target
+                    elif _private(alias.name):
+                        crossings.append((module, target))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("probestream"):
+                        local = alias.asname or alias.name.split(".")[0]
+                        bound[local] = alias.name if alias.asname else local
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                path, value = [], node.value
+                while isinstance(value, ast.Attribute):
+                    path.insert(0, value.attr)
+                    value = value.value
+                if isinstance(value, ast.Name) and value.id in bound:
+                    crossings.append((module, ".".join([bound[value.id], *path, node.attr])))
+    assert sorted(crossings) == []

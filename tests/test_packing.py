@@ -1,3 +1,4 @@
+import copy
 import math
 from unittest import mock
 
@@ -226,7 +227,7 @@ def test_batched_slot_copies_match_per_probe_reference(
     rng = np.random.default_rng(seed)
     source = ProbeAtlas(kind, probe_count, probes_per_row=per_row)
     target = ProbeAtlas(kind, probe_count, probes_per_row=per_row)
-    expect_target = target.copy()
+    expect_target = copy.deepcopy(target)
     layout = UpdateAtlasLayout(slot_count, kind.core_side)
     twin = UpdateAtlasLayout(slot_count, kind.core_side)
     texels = np.zeros(layout.texel_shape(kind), source.texels.dtype)

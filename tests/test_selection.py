@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import tracemalloc
@@ -18,6 +19,8 @@ from probestream.selection import (
     _slab,
     _volume_exit_points,
     detect_changed,
+    fibonacci_sphere,
+    frustum_directions,
     pvs_probes,
     pvs_rays,
     select_for_client,
@@ -267,7 +270,7 @@ def test_raycast_edge_cases():
     for order in ((a, b), (b, a)):
         assert SceneGeometry(order).raycast(o2, d2)[0] == 1.0
     # an empty scene misses everything
-    assert SceneGeometry().raycast(o, np.array([[1.0, 0.0, 0.0]]))[0] == INF
+    assert SceneGeometry([]).raycast(o, np.array([[1.0, 0.0, 0.0]]))[0] == INF
 
 
 # --- seeded PVS scene -----------------------------------------------------------
@@ -364,8 +367,17 @@ def test_selection_params_reject_negative_or_no_rays(sphere, cols, rows):
 
 
 def test_selection_params_accept_one_kind_of_ray():
-    assert len(pvs_rays(CameraPose([0, 0, 0], [0, 0, 1]), SelectionParams(0, 4, 2))) == 8
-    assert len(pvs_rays(CameraPose([0, 0, 0], [0, 0, 1]), SelectionParams(5, 0, 3))) == 5
+    pose = CameraPose([0, 0, 0], [0, 0, 1])
+    none = fibonacci_sphere(0)
+    assert none.shape == (0, 3) and none.dtype == np.float64 and not none.flags.writeable
+    # the empty part adds no ray and changes no dtype
+    raster = pvs_rays(pose, SelectionParams(0, 4, 2))
+    assert raster.shape == (8, 3) and raster.dtype == np.float64
+    assert np.array_equal(raster, frustum_directions(pose, 4, 2))
+    for cols, rows in ((0, 3), (3, 0)):
+        sphere = pvs_rays(pose, SelectionParams(5, cols, rows))
+        assert sphere.shape == (5, 3) and sphere.dtype == np.float64
+        assert np.array_equal(sphere, fibonacci_sphere(5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -472,7 +484,7 @@ def test_pvs_matches_scalar_reference(case):
     else:
         volume, scene, poses = _grid_wall_scene()
         if case == "empty":
-            scene = SceneGeometry()
+            scene = SceneGeometry([])
     params = SelectionParams(sphere_rays=128, raster_cols=12, raster_rows=8)
     hits = 0
     for pose in poses:
@@ -502,7 +514,7 @@ def _atlases(kind, count=6):
         a.texels[...] = rng.integers(0, 1 << 30, size=a.texels.shape)
     else:
         a.texels[...] = np.float16(1.5).view(np.uint16)
-    return a, a.copy()
+    return a, copy.deepcopy(a)
 
 
 def _core(atlas, probe):
@@ -556,7 +568,7 @@ def test_detect_never_reports_padding_blocks(kind):
     # 7 probes in rows of 16: blocks 7 to 15 of the only block row are padding
     volume = ProbeVolume((7, 1, 1))
     a = ProbeAtlas(kind, 7, probes_per_row=16)
-    b = a.copy()
+    b = copy.deepcopy(a)
     side = kind.block_side
     b.texels[:, 7 * side :] = 1
     assert list(detect_changed(a, b, volume)) == []
@@ -566,7 +578,8 @@ def test_detect_never_reports_padding_blocks(kind):
     first[(0,) * first.ndim] = 1
     assert list(detect_changed(a, b, volume)) == [0, 6]
     # texels in any memory order compare the same
-    fortran = ProbeAtlas(kind, 7, 16, np.asfortranarray(b.texels))
+    fortran = ProbeAtlas(kind, 7, 16)
+    fortran.texels = np.asfortranarray(b.texels)
     assert list(detect_changed(a, fortran, volume)) == [0, 6]
 
 
@@ -576,10 +589,10 @@ def test_detect_never_reports_padding_blocks(kind):
 def test_select_orders_by_staleness_then_id():
     volume = ProbeVolume((8, 1, 1), active=[True] * 7 + [False])
     last = np.array([5, -1, 3, 3, 9, -1, 1, -1])
-    ids = select_for_client([0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 7], volume, last, 10)
+    ids = select_for_client([0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 7], volume, last, 10, budget=8)
     assert ids == [1, 5, 6, 2, 3, 0, 4]  # never sent first; 7 is inactive
     # only probes both changed and potentially visible are offered
-    assert select_for_client([3, 2, 4, 4], [4, 2, 0], volume, last, 10) == [2, 4]
+    assert select_for_client([3, 2, 4, 4], [4, 2, 0], volume, last, 10, budget=8) == [2, 4]
     assert select_for_client([1, 5, 6, 2], range(8), volume, last, 10, budget=2) == [1, 5]
     assert select_for_client([1, 5], range(8), volume, last, 10, budget=0) == []
 
@@ -600,12 +613,12 @@ def test_select_defers_past_budget_to_the_next_update():
     assert select_for_client(sorted(changed), range(6), volume, last, 3, budget=2) == [0]
 
 
-def _select_reference(changed, pvs, volume, last_sent_seq, current_seq, budget=None):
+def _select_reference(changed, pvs, volume, last_sent_seq, current_seq, budget):
     """The selection rule one probe at a time, in Python integers."""
     visible = set(int(p) for p in pvs)
     ids = [p for p in sorted(set(int(p) for p in changed)) if p in visible and volume.active[p]]
     ids.sort(key=lambda p: (-(current_seq - int(last_sent_seq[p])), p))
-    return ids if budget is None else ids[:budget]
+    return ids[:budget]
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,7 +626,7 @@ def _select_reference(changed, pvs, volume, last_sent_seq, current_seq, budget=N
     st.data(),
     st.integers(1, 40),
     st.integers(-1, 6),
-    st.one_of(st.none(), st.integers(0, 45)),
+    st.integers(0, 45),  # above 40, no probe is cut
     st.booleans(),
 )
 def test_select_matches_scalar_reference(data, n, seq_hi, budget, pvs_as_range):
@@ -642,7 +655,7 @@ def test_select_rejects_ids_outside_the_volume(bad, where):
     ids = {"changed": [7], "pvs": [7]}
     ids[where] = [1, bad]
     with pytest.raises(IndexError):
-        select_for_client(ids["changed"], ids["pvs"], volume, np.full(8, -1), 5)
+        select_for_client(ids["changed"], ids["pvs"], volume, np.full(8, -1), 5, budget=8)
 
 
 def test_select_rejects_negative_budget():

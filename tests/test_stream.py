@@ -1,5 +1,5 @@
 """End to end: `stream.ServerStream` and `stream.ClientStream` on random
-renders, poses and scenes.
+renders, poses and scenes, and beside the benchmark harness's own stream.
 
 Every update must leave the client's planes, entries and atlas equal to the
 server's. A damaged message must raise `CodecError` and leave the client as
@@ -7,6 +7,7 @@ it was, so that the intact message still applies afterwards.
 """
 
 import dataclasses
+import importlib
 import json
 import struct
 import zlib
@@ -24,7 +25,8 @@ from probestream.stream import ClientStream, ServerStream
 from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
 
 PARAMS = SelectionParams(sphere_rays=64, raster_cols=8, raster_rows=8)
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def render(atlas: ProbeAtlas, ids: np.ndarray, rng) -> None:
@@ -231,3 +233,31 @@ def test_ends_refuse_more_probes_than_an_id_addresses():
         ServerStream(ProbeAtlas(AtlasKind.COLOR, 2**16 + 1), 1, 1, 0)
     with pytest.raises(ValueError):
         ClientStream(AtlasKind.COLOR, 2**16 + 1, 257, 1, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["walk_static", "relight_local", "keyframe_churn"])
+def test_messages_carry_the_harness_wire_bytes(workload, seed, monkeypatch):
+    # the harness sends each stream's frame bytes and id bytes apart. On the
+    # same scene, each message must be those bytes and the ids' CRC, and
+    # rebuild the harness client's atlas
+    monkeypatch.syspath_prepend(str(ROOT / "streambench"))
+    harness, scenes = importlib.import_module("session"), importlib.import_module("workload")
+    spec = scenes.WORKLOADS[workload]
+    scene = scenes.Scene(spec, seed, (6, 4, 6))
+    session = harness.Session(scene, trace=False)
+    n = scene.volume.probe_count
+    ends = [
+        (ServerStream(s.source, scene.slots, spec.gop, i),
+         ClientStream(s.kind, n, s.source.probes_per_row, scene.slots, i), s)
+        for i, s in enumerate(session.streams)
+    ]
+    # two whole GOPs and the next key frame
+    for seq in range(max(2 * spec.gop + 1, 4)):
+        scene.advance(seq)
+        u = session.update(seq)
+        for (server, client, s), frame, ids in zip(ends, u.wire[0::2], u.wire[1::2]):
+            message = server.update(scene.volume, u.pvs, seq).message
+            assert message == frame + ids + struct.pack("<I", zlib.crc32(ids))
+            client.receive(message)
+            assert np.array_equal(client.atlas.texels, s.client.texels)
