@@ -7,13 +7,31 @@ future, and the encoder has zero lookahead: every frame is emitted as soon
 as it is presented. Encoding is closed-loop lossless, so encoder and decoder
 reconstructions are bit-identical after every frame.
 
-Wire format (`FRAME_MAGIC` ``LPF3``). A frame is a fixed header, the payload
+Wire format (`FRAME_MAGIC` ``LPF4``). A frame is a fixed header, the payload
 and a CRC-32 over both. The header gives the payload's length, so
 `EncodedFrame.read` finds where a frame ends in longer input;
 `EncodedFrame.from_bytes` is the same read of input that holds the frame
-alone. Every payload ends in one raw deflate stream
+alone. A P-frame's payload starts with its changed-block bitmap (below).
+The rest of every payload is the frame's stream of bytes, cut into deflate
+segments: a table of each segment's compressed length (``<u4``, in segment
+order), then the segments. Each segment is one complete raw deflate stream
 (RFC 1951, no zlib or gzip wrapper, since the frame CRC covers it), written
-at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
+at the fixed `DEFLATE_LEVEL`, and the segments inflate, in order, to the
+stream. Where the stream is cut is part of the format, so the decoder
+derives the number of segments and the size of each from the header and
+the bitmap alone:
+
+* a stream of 16-bit runs: per run, its low half, then its high half;
+* an 8-bit key frame: each of its four lanes (below) once a lane holds
+  `LANE_SEGMENT_BYTES`, otherwise the whole stream;
+* an 8-bit P-frame: the whole stream;
+* a segment that would inflate to 0 bytes is absent, table entry and all,
+  so a frame with an empty stream ends at its bitmap.
+
+The 8-bit lanes are never cut smaller, since each segment starts with an
+empty window: on `keyframe_churn`'s visibility key frame, cutting the lanes
+at 128 KiB codes 1.2% more bytes and at 64 KiB 7.7% more. What the stream
+holds:
 
 * 8-bit values are written as they are. A run of 16-bit values is zig-zag
   mapped (read as int16: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...) and
@@ -33,48 +51,46 @@ at the fixed `DEFLATE_LEVEL`. What the stream inflates to:
   residual r = x - left - up + up-left (mod 2**16, neighbours outside the
   plane read as 0) of every element in row order. The decoder inverts it
   with two running sums mod 2**16, one along each axis.
-* P-frame: the payload starts with the changed-block bitmap and the stream
-  follows it. The bitmap holds one bit per block over (plane, block row,
-  block column) in raster order, most significant bit first, padded with
-  zero bits to a whole byte; blocks are clipped at the right and bottom
-  edges, never padded. The stream holds the residuals cur - ref
+* P-frame: the payload starts with the changed-block bitmap and the
+  segment table follows it. The bitmap holds one bit per block over
+  (plane, block row, block column) in raster order, most significant bit
+  first, padded with zero bits to a whole byte; blocks are clipped at the
+  right and bottom edges, never padded. The stream holds the residuals cur - ref
   (mod 2**bits) of the changed blocks in bitmap order, each block's
   elements in row order; in 16-bit planes they form one run. The bitmap's
   grid is `volume.changed_blocks`, the block-change reduction that
   `selection.detect_changed` shares.
 
-The decoder knows the inflated size before inflating: 4*h*q bytes for an
-8-bit key frame, the header's plane bytes for a 16-bit one, and the changed
-blocks' elements for a P-frame. It lets zlib produce at most one byte more,
-and raises `CorruptFrameError` for a stream that is not deflate, inflates
-past or short of that size, stops before its final block or has bytes after
-it, for a bitmap with a pad bit set or a payload shorter than its bitmap,
-and for a lane pad byte that is not zero; all of this before any plane is
-allocated. A frame whose header names another stream than the decoder's
-raises `StreamMismatchError`, key frames included. Malformed input raises
-`CodecError` and nothing else, and leaves the stream state as it was.
+The decoder knows each segment's inflated size before inflating: the
+stream is 4*h*q bytes for an 8-bit key frame, the header's plane bytes for
+a 16-bit one, and the changed blocks' elements for a P-frame. It first
+checks the table, and raises `CorruptFrameError` for a payload shorter than
+its table, a length of 0, or lengths that do not add up to the rest of the
+payload, before it inflates anything. Then it lets zlib produce at most one
+byte more than each segment's size, and raises `CorruptFrameError` for a
+segment that is not deflate, inflates past or short of its size, stops
+before its final block or has bytes after it, for a bitmap with a pad bit
+set or a payload shorter than its bitmap, and for a lane pad byte that is
+not zero; all of this before any plane is allocated. A frame whose header
+names another stream than the decoder's raises `StreamMismatchError`, key
+frames included. Malformed input raises `CodecError` and nothing else, and
+leaves the stream state as it was.
 
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
 
-The encoder deflates a frame's stream in segments. A 16-bit stream has one
-segment per half run: the low bytes of a run at `zlib.Z_RLE`, its high
-bytes at the default strategy. The low bytes of zig-zagged residuals are
-close to noise; on them level-1 LZ matching is slow and its short matches
-cost more bits than the literals they replace, so run-length matches alone
-code them smaller and faster. An 8-bit key frame whose lanes hold at least
-`LANE_SEGMENT_BYTES` each has one segment per lane, at the default
-strategy; smaller key frames and 8-bit P-frame residuals are one segment,
-since on 8-bit content `Z_RLE` codes several times larger. Each segment is
-a fresh compressor at `DEFLATE_LEVEL` ended by a sync flush, the last one
-by the final block, so the segments join into one raw deflate stream, as
-pigz joins its blocks. Being independent, they are deflated concurrently
-(`workers.run_pieces`) once they hold `CONCURRENT_DEFLATE_BYTES`, and
-joined in order, byte for byte the stream a single thread writes. Where
-the segments fall depends only on the frame's size and element width, never
-on how many CPUs deflate them. The segments and their concurrency are
-encoder choices and not part of the format: the decoder inflates one stream
-and never sees where they meet.
+The encoder deflates each segment with a fresh compressor: the low half of
+a 16-bit run at `zlib.Z_RLE`, everything else at the default strategy. The
+low bytes of zig-zagged residuals are close to noise; on them level-1 LZ
+matching is slow and its short matches cost more bits than the literals
+they replace, so run-length matches alone code them smaller and faster. On
+8-bit content `Z_RLE` codes several times larger. The segments are
+independent, so once a frame's stream holds `CONCURRENT_DEFLATE_BYTES` the
+encoder deflates them, and the decoder inflates them, concurrently
+(`workers.run_pieces`), as HEVC's entry points let a decoder start each tile
+on its own. Where the segments fall depends only on the header and the
+bitmap, so neither the frame bytes nor the decoded planes depend on how
+many CPUs coded them.
 
 P-frame residuals move as whole blocks, never element by element. A plane
 splits into at most four regions whose blocks share one size: the whole
@@ -116,9 +132,10 @@ LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its
 CONCURRENT_DEFLATE_BYTES = 1 << 16  # below this, waking a pool thread costs more than it saves
 _RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
-FRAME_MAGIC = b"LPF3"
+FRAME_MAGIC = b"LPF4"
 _FRAME_HEADER = struct.Struct("<4sBIIHHBBI")
 _CHECKSUM = struct.Struct("<I")
+_SEGMENT_LENGTH = struct.Struct("<I")  # one entry of a payload's segment table
 
 DEFAULT_GOP_LENGTH = 30
 PLANE_COUNT = 3
@@ -195,8 +212,8 @@ class EncodedFrame:
             self.element_bits,
             len(self.payload),
         )
-        body = header + self.payload
-        return body + _CHECKSUM.pack(zlib.crc32(body))
+        checksum = zlib.crc32(self.payload, zlib.crc32(header))
+        return b"".join((header, self.payload, _CHECKSUM.pack(checksum)))
 
     @property
     def encoded_size(self) -> int:
@@ -206,22 +223,25 @@ class EncodedFrame:
     def read(cls, data: bytes) -> "EncodedFrame":
         """The frame at the start of `data`, which ends at its `encoded_size`;
         what follows it is not read."""
-        if len(data) < _FRAME_HEADER.size + _CHECKSUM.size:
+        view = memoryview(data)  # checksummed and sliced without a copy
+        if len(view) < _FRAME_HEADER.size + _CHECKSUM.size:
             raise CorruptFrameError("frame truncated")
         magic, flags, stream_id, seq, width, height, planes, bits, paylen = (
-            _FRAME_HEADER.unpack_from(data, 0)
+            _FRAME_HEADER.unpack_from(view, 0)
         )
         if magic != FRAME_MAGIC:
             raise CorruptFrameError(f"bad frame magic {magic!r}")
-        total = _FRAME_HEADER.size + paylen + _CHECKSUM.size
-        if len(data) < total:
-            raise CorruptFrameError(f"{len(data)} bytes hold no frame of declared {total}")
-        (stored,) = _CHECKSUM.unpack_from(data, total - _CHECKSUM.size)
-        if zlib.crc32(data[: total - _CHECKSUM.size]) != stored:
+        end = _FRAME_HEADER.size + paylen
+        if len(view) < end + _CHECKSUM.size:
+            raise CorruptFrameError(
+                f"{len(view)} bytes hold no frame of declared {end + _CHECKSUM.size}"
+            )
+        (stored,) = _CHECKSUM.unpack_from(view, end)
+        if zlib.crc32(view[:end]) != stored:
             raise CorruptFrameError("frame checksum mismatch")
         if planes != PLANE_COUNT or bits not in (8, 16):
             raise CorruptFrameError(f"unsupported layout: {planes} planes of {bits} bits")
-        payload = data[_FRAME_HEADER.size : total - _CHECKSUM.size]
+        payload = bytes(view[_FRAME_HEADER.size : end])
         return cls(stream_id, seq, bool(flags & 1), width, height, planes, bits, payload)
 
     @classmethod
@@ -316,79 +336,121 @@ def _unzigzag(codes: np.ndarray) -> np.ndarray:
     return (codes >> 1) ^ -(codes & 1)
 
 
-def _low_then_high(codes: np.ndarray) -> np.ndarray:
-    """The low bytes of each run (last axis) of 16-bit values, then its
-    high bytes."""
-    pairs = codes.astype("<u2", copy=False).view(np.uint8).reshape(*codes.shape, 2)
-    return np.ascontiguousarray(pairs.swapaxes(-1, -2))
+def _halves(codes: np.ndarray) -> np.ndarray:
+    """The (runs, run length) 16-bit values `codes` as (2 * runs, run
+    length) bytes: each run's low bytes, then its high bytes."""
+    runs, length = codes.shape
+    pairs = codes.astype("<u2", copy=False).view(np.uint8).reshape(runs, length, 2)
+    return np.ascontiguousarray(pairs.swapaxes(1, 2)).reshape(2 * runs, length)
 
 
-def _join_low_high(data: np.ndarray, runs: int) -> np.ndarray:
-    """Inverse of `_low_then_high` over `runs` runs of equal length."""
-    halves = data.reshape(runs, 2, -1)
-    codes = halves[:, 1].astype(np.uint16)
-    codes <<= 8
-    codes |= halves[:, 0]
+def _join_low_high(halves) -> np.ndarray:
+    """Inverse of `_halves`: `halves` holds each run's low bytes, then its
+    high bytes, as equal rows."""
+    codes = np.empty((len(halves) // 2, len(halves[0])), np.uint16)
+    for run, low, high in zip(codes, halves[0::2], halves[1::2]):
+        run[:] = high
+        run <<= 8
+        run |= low
     return codes
+
+
+# --- deflate segments ----------------------------------------------------------
+
+
+def _segment_sizes(bits: int, parts: int, part_bytes: int) -> list[int]:
+    """The inflated sizes, in stream order, of the deflate segments of a
+    stream of `parts` parts of `part_bytes` bytes: the halves of its 16-bit
+    runs, the four lanes of an 8-bit key frame, or an 8-bit P-frame's one
+    part. A 16-bit half is always a segment of its own, an 8-bit part only
+    from `LANE_SEGMENT_BYTES` on, else the stream is one segment; a segment
+    of 0 bytes is absent."""
+    if bits == 8 and part_bytes < LANE_SEGMENT_BYTES:
+        parts, part_bytes = 1, parts * part_bytes
+    return [part_bytes] * parts if part_bytes else []
 
 
 _Segments = list[tuple[np.ndarray, int]]  # (bytes, zlib strategy) in stream order
 
 
-def _halves(codes: np.ndarray) -> _Segments:
-    """The segments of runs (last axis) of 16-bit values: each run's low
-    bytes at `Z_RLE`, then its high bytes at the default strategy."""
-    return [
-        (half, strategy)
-        for run in _low_then_high(codes)
-        for half, strategy in zip(run, (zlib.Z_RLE, zlib.Z_DEFAULT_STRATEGY))
-    ]
+def _cut(parts: np.ndarray, bits: int) -> _Segments:
+    """The deflate segments of a stream held as equal (parts, part bytes)
+    rows, each with its strategy: the low half of a 16-bit run at `Z_RLE`,
+    every other segment at the default strategy."""
+    sizes = _segment_sizes(bits, *parts.shape)
+    if not sizes:
+        return []
+    low = zlib.Z_RLE if bits == 16 else zlib.Z_DEFAULT_STRATEGY
+    rows = parts.reshape(len(sizes), -1)
+    return [(row, zlib.Z_DEFAULT_STRATEGY if i % 2 else low) for i, row in enumerate(rows)]
+
+
+def _map_segments(fn, pieces: list, inflated: int) -> list:
+    """``[fn(p) for p in pieces]`` over the segments of a stream of
+    `inflated` bytes, concurrent from `CONCURRENT_DEFLATE_BYTES` on."""
+    if inflated < CONCURRENT_DEFLATE_BYTES:
+        return list(map(fn, pieces))
+    return workers.run_pieces(fn, pieces)
 
 
 def _deflate(segments: _Segments) -> bytes:
-    """One raw deflate stream of the (bytes, strategy) segments in order.
-
-    Each non-empty segment is deflated by a fresh compressor at its own
-    strategy and ends in a sync flush (an empty stored block, so the next
-    segment starts on a byte boundary), the last one in the final block;
-    with nothing to code the stream is one empty final block. The segments
-    are independent, so from `CONCURRENT_DEFLATE_BYTES` on they are
-    deflated concurrently, and they are always joined in order.
-    """
-    segments = [(data, strategy) for data, strategy in segments if data.size]
-    concurrent = sum(data.size for data, _ in segments) >= CONCURRENT_DEFLATE_BYTES
-    if not segments:
-        segments = [(b"", zlib.Z_DEFAULT_STRATEGY)]
-    last = len(segments) - 1
-    pieces = [(data, strategy, zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH)
-              for i, (data, strategy) in enumerate(segments)]
-    if not concurrent:
-        return b"".join(map(_deflate_segment, pieces))
-    return b"".join(workers.run_pieces(_deflate_segment, pieces))
+    """The segment table of the (bytes, strategy) segments, then each one
+    deflated by a fresh compressor at its own strategy and finished. The
+    segments are independent, so from `CONCURRENT_DEFLATE_BYTES` on they
+    are deflated concurrently; they are always written in order."""
+    deflated = _map_segments(_deflate_segment, segments, sum(data.size for data, _ in segments))
+    return b"".join([*(_SEGMENT_LENGTH.pack(len(d)) for d in deflated), *deflated])
 
 
-def _deflate_segment(piece: tuple[np.ndarray, int, int]) -> bytes:
-    data, strategy, end = piece
+def _deflate_segment(segment: tuple[np.ndarray, int]) -> bytes:
+    data, strategy = segment
     packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, _RAW_DEFLATE, strategy=strategy)
-    return packer.compress(data) + packer.flush(end)
+    return packer.compress(data) + packer.flush(zlib.Z_FINISH)
 
 
-def _inflate(stream, size: int) -> np.ndarray:
-    """The `size` bytes `stream` inflates to; any other stream is corrupt."""
+def _inflate_parts(payload: memoryview, bits: int, parts: int, part_bytes: int) -> list[np.ndarray]:
+    """The `parts` parts of `part_bytes` bytes of the stream whose segment
+    table starts `payload`. The table is checked before any segment is
+    inflated, and every segment is inflated and checked before any part is
+    returned; from `CONCURRENT_DEFLATE_BYTES` on they inflate concurrently."""
+    sizes = _segment_sizes(bits, parts, part_bytes)
+    table = _SEGMENT_LENGTH.size * len(sizes)
+    if len(payload) < table:
+        raise CorruptFrameError("payload shorter than its segment table")
+    edges = [table]
+    for (length,) in _SEGMENT_LENGTH.iter_unpack(payload[:table]):
+        if not length:
+            raise CorruptFrameError("empty deflate segment")
+        edges.append(edges[-1] + length)
+    if edges[-1] != len(payload):
+        raise CorruptFrameError(
+            f"segment lengths add up to {edges[-1] - table} bytes, not the "
+            f"{len(payload) - table} after the table"
+        )
+    pieces = [(payload[a:b], size) for a, b, size in zip(edges, edges[1:], sizes)]
+    segments = _map_segments(_inflate, pieces, sum(sizes))
+    content = [part for segment in segments for part in segment.reshape(-1, part_bytes)]
+    return content or list(np.empty((parts, 0), np.uint8))
+
+
+def _inflate(piece: tuple[memoryview, int]) -> np.ndarray:
+    """The `size` bytes that the segment `stream` inflates to; any other
+    segment is corrupt."""
+    stream, size = piece
     inflater = zlib.decompressobj(_RAW_DEFLATE)
     try:
         # one byte of room past `size` tells a longer stream from an exact one
         out = inflater.decompress(stream, size + 1)
     except zlib.error as err:
-        raise CorruptFrameError(f"bad deflate stream: {err}") from err
+        raise CorruptFrameError(f"bad deflate segment: {err}") from err
     if len(out) > size:
-        raise CorruptFrameError(f"stream inflates past {size} bytes")
+        raise CorruptFrameError(f"segment inflates past {size} bytes")
     if not inflater.eof:
-        raise CorruptFrameError("stream ends before its final block")
+        raise CorruptFrameError("segment ends before its final block")
     if inflater.unused_data:
-        raise CorruptFrameError("bytes after the stream end")
+        raise CorruptFrameError("bytes after a segment's final block")
     if len(out) < size:
-        raise CorruptFrameError(f"stream inflates to {len(out)} bytes, not {size}")
+        raise CorruptFrameError(f"segment inflates to {len(out)} bytes, not {size}")
     return np.frombuffer(out, np.uint8)
 
 
@@ -428,16 +490,16 @@ def _to_lanes(data: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def _from_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of `_to_lanes` for planes `width` elements wide; a lane pad
-    byte that is not zero is corrupt."""
-    _, height, q = lanes.shape
+def _from_lanes(lanes: list[np.ndarray], width: int) -> np.ndarray:
+    """Inverse of `_to_lanes` for planes `width` elements wide, from the
+    four (h, q) lanes; a lane pad byte that is not zero is corrupt."""
+    height, q = lanes[0].shape
     for i in range(3 * width, 4 * q):
-        if lanes[i % 4, :, i // 4].any():
+        if lanes[i % 4][:, i // 4].any():
             raise CorruptFrameError("lane pad byte set")
     planes = np.empty((3, height, width), np.uint8)
     for plane, columns, lane, lane_columns in _lane_copies(width):
-        planes[plane, :, columns] = lanes[lane, :, lane_columns]
+        planes[plane, :, columns] = lanes[lane][:, lane_columns]
     return planes
 
 
@@ -445,12 +507,11 @@ def _from_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
 
 
 def _key_segments(data: np.ndarray) -> _Segments:
+    planes, height, width = data.shape
     if data.dtype == np.uint8:
-        lanes = _to_lanes(data)
-        if lanes[0].nbytes < LANE_SEGMENT_BYTES:
-            lanes = lanes[None]
-        return [(lane, zlib.Z_DEFAULT_STRATEGY) for lane in lanes]
-    return _halves(_zigzag(_gradient_residual(data)).reshape(data.shape[0], -1))
+        return _cut(_to_lanes(data).reshape(4, -1), 8)
+    codes = _zigzag(_gradient_residual(data)).reshape(planes, height * width)
+    return _cut(_halves(codes), 16)
 
 
 def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
@@ -472,8 +533,8 @@ def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segme
     else:
         residuals = blocks[0].reshape(-1) if blocks else np.empty(0, cur.dtype)
     if cur.dtype == np.uint8:
-        return [(residuals, zlib.Z_DEFAULT_STRATEGY)]
-    return _halves(_zigzag(residuals)[None])
+        return _cut(residuals[None], 8)
+    return _cut(_halves(_zigzag(residuals)[None]), 16)
 
 
 def encode_frame(
@@ -523,13 +584,13 @@ def encode_frame(
 
 
 def _decode_key(frame: EncodedFrame) -> np.ndarray:
+    payload, height, width = memoryview(frame.payload), frame.height, frame.width
     if frame.element_bits == 8:
-        q = _lane_width(frame.width)
-        content = _inflate(frame.payload, 4 * frame.height * q)
-        return _from_lanes(content.reshape(4, frame.height, q), frame.width)
-    shape = (frame.plane_count, frame.height, frame.width)
-    content = _inflate(frame.payload, 2 * frame.plane_count * frame.height * frame.width)
-    recon = _unzigzag(_join_low_high(content, frame.plane_count)).reshape(shape)
+        q = _lane_width(width)
+        lanes = _inflate_parts(payload, 8, 4, height * q)
+        return _from_lanes([lane.reshape(height, q) for lane in lanes], width)
+    halves = _inflate_parts(payload, 16, 2 * frame.plane_count, height * width)
+    recon = _unzigzag(_join_low_high(halves)).reshape(frame.plane_count, height, width)
     np.cumsum(recon, axis=2, dtype=np.uint16, out=recon)
     np.cumsum(recon, axis=1, dtype=np.uint16, out=recon)
     return recon
@@ -548,13 +609,16 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     changed = np.unpackbits(bitmap, count=blocks).view(bool).reshape(planes, by, bx)
     parts = _changed_parts(changed, height, width)
     elements = sum(idx[0].size * bh * bw for (_, _, bh, bw), idx in parts)
-    content = _inflate(memoryview(frame.payload)[bitmap_size:], elements * reference.itemsize)
+    # a 16-bit run is two parts, its low and its high bytes
+    content = _inflate_parts(
+        memoryview(frame.payload)[bitmap_size:], frame.element_bits, reference.itemsize, elements
+    )
     if not elements:
         return reference  # no block changed: the read-only reference is the frame
     if reference.dtype == np.uint8:
-        residuals = content
+        residuals = content[0]
     else:
-        residuals = _unzigzag(_join_low_high(content, 1))[0]
+        residuals = _unzigzag(_join_low_high(content))[0]
     recon = reference.copy()
     if len(parts) > 1:
         ranks, inside = _padded_order(changed, parts)

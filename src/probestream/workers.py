@@ -17,8 +17,11 @@ raised by a piece on any thread reaches the caller; the first piece's
 exception in piece order wins when several raise.
 
 Pieces gain only where they run in native code that releases the
-interpreter lock: zlib's deflate, and numpy's copies, casts, compares and
-reductions on arrays of more than a few hundred elements. `row_bands`
+interpreter lock: zlib's deflate and inflate, and numpy's copies, casts,
+compares and reductions on arrays of more than a few hundred elements.
+numpy's running sums (`cumsum`) hold the lock: two threads, each taking
+20 running sums over a 184 x 184 ``uint16`` array, finish no sooner than
+one thread taking all 40 (3.9 against 3.6-3.8 ms on a 2-vCPU host). `row_bands`
 cuts rows into pieces by size alone, so a result never depends on how
 many CPUs computed it.
 """

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import struct
 import tracemalloc
 import zlib
 
@@ -24,7 +26,7 @@ from probestream.codec import (
 )
 from probestream.packing import PlaneSet, pack_visibility
 from probestream.volume import AtlasKind
-from test_codec_golden import _smooth, reference_decode, split_payload
+from test_codec_golden import _smooth, inflated_segments, read_segments, reference_decode, split_payload
 
 
 def color_planes(rng, h=48, w=48):
@@ -54,6 +56,16 @@ def deflate(*chunks, final=True):
     packer = zlib.compressobj(1, zlib.DEFLATED, -15)
     stream = b"".join(packer.compress(c) for c in chunks)
     return stream + packer.flush(zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH)
+
+
+def table(lengths):
+    """A segment table of `lengths`."""
+    return b"".join(struct.pack("<I", n) for n in lengths)
+
+
+def container(*segments):
+    """The segment table of the deflate `segments`, then the segments."""
+    return table(map(len, segments)) + b"".join(segments)
 
 
 def bitmap_size(frame):
@@ -122,22 +134,29 @@ class TestEntropy:
             assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_malformed_stream_rejected(self):
-        # streams that are not deflate, and a payload with no stream at all
+        # a first segment that is not deflate, and a payload with no
+        # segment table at all
         rng = np.random.default_rng(2)
         enc, dec = stream_pair()
         key = encode_frame(color_planes(rng, 16, 16), enc)
         decode_frame(key, dec)
         p_frame = encode_frame(color_planes(rng, 16, 16), enc)
-        bitmap, _ = split_payload(p_frame)
-        for payload in (b"", b"\xff" * 8, b"\x07\x00"):  # block type 3 is reserved
-            with pytest.raises(CorruptFrameError):
-                decode_frame(like(key, payload), CodecStreamState(1, "decoder"))
-            with pytest.raises(CorruptFrameError):
-                decode_frame(like(p_frame, bitmap + payload), dec)
+        bitmap, p_segments = read_segments(p_frame)
+        _, key_segments = read_segments(key)
+        for frame, head, segments, state in (
+            (key, b"", key_segments, CodecStreamState(1, "decoder")),
+            (p_frame, bitmap, p_segments, dec),
+        ):
+            rest = [segment for segment, _ in segments[1:]]
+            for bad in (b"\xff" * 8, b"\x07\x00"):  # block type 3 is reserved
+                with pytest.raises(CorruptFrameError, match="bad deflate segment"):
+                    decode_frame(like(frame, head + container(bad, *rest)), state)
+            with pytest.raises(CorruptFrameError, match="shorter than its segment table"):
+                decode_frame(like(frame, head), state)
 
     def test_huge_zero_run_rejected_before_allocation(self):
         # 10**7 zero bytes for a 64x64 visibility key frame of 12 KiB
-        frame = EncodedFrame(1, 0, True, 64, 64, 3, 8, zero_bomb(10**7))
+        frame = EncodedFrame(1, 0, True, 64, 64, 3, 8, container(zero_bomb(10**7)))
         error, peak = _decode_peak(frame, CodecStreamState(1, "decoder"))
         assert isinstance(error, CorruptFrameError)
         assert peak < 1 << 20
@@ -231,6 +250,24 @@ class TestFrameCodec:
             out = decode_frame(wire, dec)
             assert out.equals(cur)
             assert np.array_equal(enc.reference.data, dec.reference.data)
+
+    @pytest.mark.parametrize("make", [color_planes, vis_planes])
+    def test_frames_read_alike_from_bytes_and_memoryview(self, make):
+        rng = np.random.default_rng(34)
+        enc = stream_pair()[0]
+        planes = make(rng)
+        for key in (True, False):
+            frame = encode_frame(planes, enc)
+            assert frame.key is key
+            data = frame.to_bytes()
+            assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+            longer = data + b"\1\2"
+            for wire, whole in ((data, longer), (memoryview(data), memoryview(longer))):
+                for read in (EncodedFrame.from_bytes(wire), EncodedFrame.read(whole)):
+                    assert read == frame
+                    assert type(read.payload) is bytes
+            planes = planes.copy()
+            planes.data[:, 3:9, 20:30] ^= 1
 
     def test_round_trip_uint8_planes(self):
         rng = np.random.default_rng(8)
@@ -442,20 +479,27 @@ def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
 
 
 def _stream_case(key):
-    """(frame, decoder state, payload before the stream, inflated stream);
-    `key` is True for a colour key frame, "visibility" for a visibility
-    one, whose rows end in a lane pad byte, and False for a P-frame."""
+    """(frame, decoder state, payload before the segment table, what each
+    segment inflates to); `key` is True for a colour key frame,
+    "visibility" for a visibility one, whose rows end in a lane pad byte,
+    and False for a P-frame."""
     if key:
         rng = np.random.default_rng(18)
         planes = vis_planes(rng, 20, 37) if key == "visibility" else color_planes(rng, 20, 36)
         frame = encode_frame(planes, stream_pair()[0])
-        return (frame, CodecStreamState(1, "decoder"), *split_payload(frame))
+        return (frame, CodecStreamState(1, "decoder"), *inflated_segments(frame))
     frame, dec = _p_frame_case(20, 36)
-    return (frame, dec, *split_payload(frame))
+    return (frame, dec, *inflated_segments(frame))
+
+
+def _last_segment(frame, head, parts, last):
+    """`frame` whose last deflate segment is `last`, the others coding
+    `parts` as they should."""
+    return like(frame, head + container(*map(deflate, parts[:-1]), last))
 
 
 class TestFailClosed:
-    """A frame whose stream is not exactly its content is rejected, in
+    """A frame whose segments are not exactly its content is rejected, in
     memory bounded by the size its header declares, and the decoder state
     stays as it was."""
 
@@ -471,32 +515,32 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_stream_inflating_past_its_content(self, key):
-        frame, dec, head, content = _stream_case(key)
-        self._rejects(like(frame, head + deflate(content + b"\0")), dec)
+        frame, dec, head, parts = _stream_case(key)
+        self._rejects(_last_segment(frame, head, parts, deflate(parts[-1] + b"\0")), dec)
 
     @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_truncated_stream(self, key):
-        frame, dec, head, content = _stream_case(key)
-        self._rejects(like(frame, head + deflate(content, final=False)), dec)
-        self._rejects(like(frame, head + deflate(content)[:-1]), dec)
+        frame, dec, head, parts = _stream_case(key)
+        self._rejects(_last_segment(frame, head, parts, deflate(parts[-1], final=False)), dec)
+        self._rejects(_last_segment(frame, head, parts, deflate(parts[-1])[:-1]), dec)
 
     @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_bytes_after_stream_end(self, key):
-        frame, dec, head, content = _stream_case(key)
-        self._rejects(like(frame, head + deflate(content) + b"\0"), dec)
+        frame, dec, head, parts = _stream_case(key)
+        self._rejects(_last_segment(frame, head, parts, deflate(parts[-1]) + b"\0"), dec)
 
     @pytest.mark.parametrize("key", [True, False, "visibility"])
     def test_stream_inflating_short(self, key):
-        frame, dec, head, content = _stream_case(key)
-        self._rejects(like(frame, head + deflate(content[:-1])), dec)
+        frame, dec, head, parts = _stream_case(key)
+        self._rejects(_last_segment(frame, head, parts, deflate(parts[-1][:-1])), dec)
 
     def test_bitmap_pad_bits_rejected(self):
         # three blocks: the bitmap's last five bits are padding
         frame, dec = _p_frame_case()
-        bitmap, content = split_payload(frame)
+        bitmap, _ = split_payload(frame)
         assert bitmap == b"\xe0"
         for pad in (0x01, 0x10):
-            self._rejects(like(frame, bytes([0xE0 | pad]) + deflate(content)), dec)
+            self._rejects(like(frame, bytes([0xE0 | pad]) + frame.payload[1:]), dec)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 7])
     def test_lane_pad_byte_set_rejected(self, w):
@@ -507,10 +551,10 @@ class TestFailClosed:
             for y in (0, h - 1):
                 content = bytearray(4 * h * q)
                 content[(i % 4) * h * q + y * q + i // 4] = 0x80
-                frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), deflate(bytes(content)))
+                frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), container(deflate(bytes(content))))
                 self._rejects(frame, CodecStreamState(1, "decoder"))
         # the same stream with its pad bytes clear decodes to zero planes
-        frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), deflate(bytes(4 * h * q)))
+        frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), container(deflate(bytes(4 * h * q))))
         assert not decode_frame(frame, CodecStreamState(1, "decoder")).data.any()
 
     def test_payload_shorter_than_bitmap(self):
@@ -521,9 +565,9 @@ class TestFailClosed:
             self._rejects(like(frame, frame.payload[:size]), dec)
 
     def test_huge_declared_key_frame_rejected_in_bounded_memory(self):
-        # 12 bytes that start a valid stream, for 3 x 65535 x 65535 16-bit
-        # elements: inflated only as far as the bytes go
-        payload = zero_bomb(10**6)[:12]
+        # six segments of 12 bytes that start a valid stream, for 3 x 65535
+        # x 65535 16-bit elements: inflated only as far as the bytes go
+        payload = container(*[zero_bomb(10**6)[:12]] * 6)
         frame = EncodedFrame(1, 0, True, 65535, 65535, 3, 16, payload)
         peak = self._rejects(EncodedFrame.from_bytes(frame.to_bytes()), CodecStreamState(1, "decoder"))
         assert peak < 1 << 20
@@ -531,10 +575,11 @@ class TestFailClosed:
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_huge_zero_run_rejected_before_allocation(self, blocks):
         # a P-frame whose bitmap marks `blocks` blocks, with 10**8 zero bytes
-        # of residuals in its stream
+        # of residuals' low bytes in its first segment
         frame, dec = _p_frame_case(BLOCK_SIDE, 3 * BLOCK_SIDE)
         bitmap = np.packbits(np.arange(9) < blocks).tobytes()
-        peak = self._rejects(like(frame, bitmap + zero_bomb(10**8)), dec)
+        high = deflate(bytes(blocks * BLOCK_SIDE * BLOCK_SIDE))
+        peak = self._rejects(like(frame, bitmap + container(zero_bomb(10**8), high)), dec)
         assert peak < 1 << 20
 
     def test_dense_runs_parse_in_bounded_memory(self):
@@ -548,7 +593,7 @@ class TestFailClosed:
         frame = EncodedFrame(1, 1, False, w, h, 3, 8, b"")
         bitmap = np.packbits(np.ones(3 * 45 * 62, bool)).tobytes()
         stream = deflate(*[b"\x02\x07\x05" * (1 << 20)] * 3)
-        peak = self._rejects(like(frame, bitmap + stream), dec)
+        peak = self._rejects(like(frame, bitmap + container(stream)), dec)
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
 
     def test_unsupported_layout_rejected(self):
@@ -586,8 +631,8 @@ class TestFailClosed:
 class TestHeaderWalk:
     """A P-frame's payload starts with its changed-block bitmap, one bit per
     block, clear for an unchanged block. The bitmap is as long as the frame's
-    block count needs and no longer, and the stream after it must inflate to
-    exactly the changed blocks' residuals."""
+    block count needs and no longer, and the segments after it must inflate
+    to exactly the changed blocks' residuals."""
 
     def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
         enc, dec = stream_pair()
@@ -595,16 +640,18 @@ class TestHeaderWalk:
         return like(EncodedFrame(1, 1, False, w, h, 3, 16, b""), payload), dec
 
     def test_bytes_past_bitmap_rejected(self):
-        # six blocks fit one bitmap byte; the bytes after it are read as the stream
+        # six blocks fit one bitmap byte; the bytes after it are read as the
+        # segment table
         for extra in (1, 5):
             frame, dec = self._p_frame(bytes(1 + extra) + deflate(b""))
             with pytest.raises(CorruptFrameError):
                 decode_frame(frame, dec)
 
     def test_residuals_without_changed_block_rejected(self):
-        # no bit set in the bitmap, yet the stream holds a block's residuals
-        frame, dec = self._p_frame(bytes(1) + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE)))
-        with pytest.raises(CorruptFrameError, match="inflates past 0 bytes"):
+        # no bit set in the bitmap, so no segment, yet a segment holds a
+        # block's residuals
+        frame, dec = self._p_frame(bytes(1) + container(deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))))
+        with pytest.raises(CorruptFrameError, match="add up to 0 bytes"):
             decode_frame(frame, dec)
 
     def test_payload_ends_inside_bitmap(self):
@@ -617,7 +664,8 @@ class TestHeaderWalk:
                 decode_frame(frame, dec)
 
     def test_bitmap_in_key_frame_rejected(self):
-        # a key frame has no bitmap: a bitmap byte is read as the start of its stream
+        # a key frame has no bitmap: a bitmap byte is read as the start of
+        # its segment table
         payload = bytes(1) + deflate(b"")
         frame = EncodedFrame(1, 0, True, 2 * BLOCK_SIDE, BLOCK_SIDE, 3, 16, payload)
         with pytest.raises(CorruptFrameError):
@@ -664,8 +712,8 @@ class TestLossRecovery:
         assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_corrupt_p_frame_leaves_state(self):
-        # a P-frame with a valid bitmap whose stream stops one byte short:
-        # the whole stream is inflated and checked before any plane is
+        # a P-frame with a valid bitmap whose last segment stops one byte
+        # short: every segment is inflated and checked before any plane is
         # touched
         rng = np.random.default_rng(25)
         enc, dec = stream_pair()
@@ -677,8 +725,10 @@ class TestLossRecovery:
         frame = encode_frame(planes, enc)
         assert not frame.key
         before = self._snapshot(dec)
+        bitmap, segments = read_segments(frame)
+        segments = [segment for segment, _ in segments]
         with pytest.raises(CorruptFrameError):
-            decode_frame(like(frame, frame.payload[:-1]), dec)
+            decode_frame(like(frame, bitmap + container(*segments[:-1], segments[-1][:-1])), dec)
         self._assert_unchanged(dec, before)
         assert decode_frame(frame, dec).equals(planes)
 
@@ -799,18 +849,14 @@ class TestDecoderOwnership:
 
 
 def serial_deflate(segments):
-    """One raw deflate stream of (bytes, strategy) segments, one at a time:
-    a fresh compressor per non-empty segment, sync-flushed, the last one
-    finished; nothing to code gives one empty final block."""
-    segments = [(data, strategy) for data, strategy in segments if len(data)] or [
-        (b"", zlib.Z_DEFAULT_STRATEGY)
-    ]
-    out = b""
-    for i, (data, strategy) in enumerate(segments):
+    """The segment table and deflate segments of (bytes, strategy)
+    segments, deflated one at a time, each by a fresh compressor and
+    finished."""
+    deflated = []
+    for data, strategy in segments:
         packer = zlib.compressobj(1, zlib.DEFLATED, -15, strategy=strategy)
-        last = i == len(segments) - 1
-        out += packer.compress(data) + packer.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
-    return out
+        deflated.append(packer.compress(data) + packer.flush(zlib.Z_FINISH))
+    return container(*deflated)
 
 
 def _lanes(data):
@@ -828,11 +874,10 @@ def _lanes(data):
 class TestConcurrentSegments:
     """A frame's deflate segments are coded concurrently, and an 8-bit key
     frame whose lanes reach `LANE_SEGMENT_BYTES` codes one segment per lane.
-    Both are encoder choices: the bytes depend on the frame alone, never on
-    the worker count, and decode as before."""
+    Neither the bytes nor the decoded planes depend on the worker count."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 30000), st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE])),
+    @given(st.lists(st.tuples(st.integers(1, 30000), st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE])),
                     max_size=7),
            st.integers(0, 2**32 - 1))
     def test_deflate_matches_serial_join(self, shapes, seed):
@@ -856,6 +901,7 @@ class TestConcurrentSegments:
             cpus(n)
             frame = encode_frame(PlaneSet(AtlasKind.VISIBILITY, data), stream_pair()[0])
             assert frame.payload == expected
+            assert decode_frame(frame, CodecStreamState(1, "decoder")).data.tobytes() == data.tobytes()
 
     def test_frame_bytes_do_not_depend_on_worker_count(self, cpus):
         rng = np.random.default_rng(32)
@@ -864,15 +910,125 @@ class TestConcurrentSegments:
             planes = make(rng, *shape)
             sequences.append([planes, planes.copy(), planes.copy()])
             sequences[-1][1].data[:, ::9, ::4] ^= 1
-        runs = []
+        runs, decoded = [], []
         for n in (1, 2, 3):
             cpus(n)
-            frames = []
+            frames, planes_out = [], []
             for sequence in sequences:
                 enc, dec = stream_pair()
                 for planes in sequence:
                     frame = encode_frame(planes, enc)
-                    assert decode_frame(frame, dec).equals(planes)
+                    out = decode_frame(frame, dec)
+                    assert out.equals(planes)
                     frames.append(frame.to_bytes())
+                    planes_out.append(out.data.tobytes())
             runs.append(frames)
+            decoded.append(planes_out)
         assert runs[0] == runs[1] == runs[2]
+        assert decoded[0] == decoded[1] == decoded[2]
+
+
+def _table_case(kind):
+    """(frame, decoder state) for a frame of several segments whose stream
+    reaches `CONCURRENT_DEFLATE_BYTES`, so that more than one CPU inflates
+    it: a colour key frame (six segments), a visibility key frame (four
+    lanes) or a colour P-frame that changes every element (two segments).
+    The decoder has taken a frame before it."""
+    rng = np.random.default_rng(40)
+    shape = (256, 341) if kind == "visibility_key" else (112, 112)
+    atlas = AtlasKind.VISIBILITY if kind == "visibility_key" else AtlasKind.COLOR
+    first = PlaneSet(atlas, _smooth(rng, shape, atlas.plane_dtype, 2.0))
+    enc, dec = stream_pair()
+    decode_frame(encode_frame(first, enc), dec)
+    second = PlaneSet(atlas, first.data + atlas.plane_dtype(1))
+    frame = encode_frame(second, enc, force_key=kind != "color_p")
+    assert frame.key == (kind != "color_p")
+    assert sum(size for _, size in read_segments(frame)[1]) >= codec.CONCURRENT_DEFLATE_BYTES
+    return frame, dec
+
+
+# each makes the segment table and the segments from the good segments
+BAD_TABLES = {
+    "table_cut_short": lambda segments: table(map(len, segments))[:-2],
+    "lengths_past_the_payload": lambda segments: (
+        table([*map(len, segments[:-1]), len(segments[-1]) + 1]) + b"".join(segments)
+    ),
+    "lengths_short_of_the_payload": lambda segments: (
+        table([*map(len, segments[:-1]), len(segments[-1]) - 1]) + b"".join(segments)
+    ),
+    # the lengths still add up to the payload
+    "zero_length": lambda segments: (
+        table([0, len(segments[0]) + len(segments[1]), *map(len, segments[2:])]) + b"".join(segments)
+    ),
+}
+# each makes a bad segment from a good one and what it inflates to
+BAD_SEGMENTS = {
+    "inflates_past": lambda segment, part: deflate(part + b"\0"),
+    "inflates_short": lambda segment, part: deflate(part[:-1]),
+    "bytes_after_final_block": lambda segment, part: segment + b"\0",
+    # as LPF3 joined its segments: sync-flushed, with no final block
+    "sync_flushed": lambda segment, part: deflate(part, final=False),
+}
+
+
+class TestSegmentTable:
+    """A bad segment table is rejected before any segment is inflated, and a
+    bad segment before any plane is built. Either way the decoder state
+    stays as it was, and the error is the same at 1 and at 2 CPUs."""
+
+    def _rejects(self, frame, dec, cpus, monkeypatch):
+        """The class of the error `frame` raises at 1 and at 2 CPUs, and how
+        many segments were inflated in all."""
+        inflated, built = [], []
+
+        def spy(name, log):
+            real = getattr(codec, name)
+
+            def call(*args):
+                log.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(codec, name, call)
+
+        spy("_inflate", inflated)
+        for builder in ("_join_low_high", "_from_lanes"):
+            spy(builder, built)
+        errors = []
+        for n in (1, 2):
+            cpus(n)
+            before = dec.frame_count, dec.reference.data.tobytes()
+            error, _ = _decode_peak(frame, dec)
+            assert (dec.frame_count, dec.reference.data.tobytes()) == before
+            errors.append(type(error))
+        assert errors == [CorruptFrameError] * 2
+        assert not built
+        return len(inflated)
+
+    @pytest.mark.parametrize("kind", ["color_key", "visibility_key", "color_p"])
+    def test_good_table_decodes_at_any_worker_count(self, cpus, kind):
+        frame, dec = _table_case(kind)
+        out = []
+        for n in (1, 2):
+            cpus(n)
+            out.append(decode_frame(frame, copy.deepcopy(dec)).data.tobytes())
+        assert out[0] == out[1] == reference_decode(frame, dec.reference.data).tobytes()
+
+    @pytest.mark.parametrize("fault", sorted(BAD_TABLES))
+    @pytest.mark.parametrize("kind", ["color_key", "visibility_key", "color_p"])
+    def test_bad_table_rejected_before_any_inflate(self, cpus, monkeypatch, kind, fault):
+        frame, dec = _table_case(kind)
+        head, segments = read_segments(frame)
+        bad = like(frame, head + BAD_TABLES[fault]([segment for segment, _ in segments]))
+        assert self._rejects(bad, dec, cpus, monkeypatch) == 0
+
+    @pytest.mark.parametrize("fault", sorted(BAD_SEGMENTS))
+    @pytest.mark.parametrize("kind", ["color_key", "visibility_key", "color_p"])
+    def test_bad_segment_rejected_before_any_plane(self, cpus, monkeypatch, kind, fault):
+        # the first segment or the last one is bad, the others good
+        frame, dec = _table_case(kind)
+        head, parts = inflated_segments(frame)
+        segments = [segment for segment, _ in read_segments(frame)[1]]
+        for at in (0, len(segments) - 1):
+            changed = list(segments)
+            changed[at] = BAD_SEGMENTS[fault](segments[at], parts[at])
+            assert self._rejects(like(frame, head + container(*changed)), dec, cpus, monkeypatch) > 0

@@ -1,10 +1,11 @@
 """Wire-format pins for the frame codec.
 
-`reference_decode` is a plain scalar decoder of the ``LPF3`` payload,
+`reference_decode` is a plain scalar decoder of the ``LPF4`` payload,
 written from the format description in `probestream.codec`: it walks the
-bitmap, the blocks, the lanes and the elements in Python loops and uses
-`zlib` only to inflate. Every golden sequence and every frame of the
-hypothesis tests must decode through it to the planes that were encoded.
+bitmap, the segment table, the blocks, the lanes and the elements in Python
+loops and uses `zlib` only to inflate. Every golden sequence and every
+frame of the hypothesis tests must decode through it to the planes that
+were encoded.
 
 The digests pin the format: sha256 over, frame by frame, the header without
 its magic and its payload-length field, the P-frame bitmap and the inflated
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from probestream.codec import (
     BLOCK_SIDE,
     FRAME_MAGIC,
+    LANE_SEGMENT_BYTES,
     CodecStreamState,
     EncodedFrame,
     decode_frame,
@@ -51,13 +53,62 @@ def _inflate(stream):
     return content
 
 
+def segment_sizes(frame, bitmap):
+    """The inflated sizes of a frame's deflate segments, in order, from its
+    header and bitmap alone: per 16-bit run its low half, then its high
+    half; the four lanes of an 8-bit key frame once a lane reaches
+    `LANE_SEGMENT_BYTES`, else its whole stream; an 8-bit P-frame's whole
+    stream; no segment of 0 bytes."""
+    height, width = frame.height, frame.width
+    if frame.key and frame.element_bits == 8:
+        lane = height * ((3 * width + 3) // 4)
+        sizes = [lane] * 4 if lane >= LANE_SEGMENT_BYTES else [4 * lane]
+    elif frame.key:
+        sizes = [height * width] * (2 * frame.plane_count)
+    else:
+        by, bx = _blocks_across(height), _blocks_across(width)
+        elements = 0
+        for k in range(frame.plane_count * by * bx):
+            if bitmap[k // 8] >> (7 - k % 8) & 1:
+                row, col = k // bx % by, k % bx
+                elements += min(BLOCK_SIDE, height - row * BLOCK_SIDE) * min(BLOCK_SIDE, width - col * BLOCK_SIDE)
+        sizes = [elements] * (frame.element_bits // 8)
+    return [size for size in sizes if size]
+
+
+def read_segments(frame):
+    """(bitmap, segments) of a frame, a key frame having no bitmap: each
+    deflate segment read through the segment table, with the size it must
+    inflate to by the format's rule."""
+    if frame.key:
+        bitmap = b""
+    else:
+        blocks = frame.plane_count * _blocks_across(frame.height) * _blocks_across(frame.width)
+        bitmap = frame.payload[: (blocks + 7) // 8]
+    sizes = segment_sizes(frame, bitmap)
+    rest = frame.payload[len(bitmap) :]
+    at = 4 * len(sizes)
+    lengths = struct.unpack_from(f"<{len(sizes)}I", rest)
+    assert at + sum(lengths) == len(rest)
+    segments = []
+    for length, size in zip(lengths, sizes):
+        segments.append((rest[at : at + length], size))
+        at += length
+    return bitmap, segments
+
+
+def inflated_segments(frame):
+    """(bitmap, what each deflate segment inflates to) of a frame."""
+    bitmap, segments = read_segments(frame)
+    parts = [_inflate(segment) for segment, _ in segments]
+    assert [len(part) for part in parts] == [size for _, size in segments]
+    return bitmap, parts
+
+
 def split_payload(frame):
     """(bitmap, inflated stream) of a frame; a key frame has no bitmap."""
-    if frame.key:
-        return b"", _inflate(frame.payload)
-    blocks = frame.plane_count * _blocks_across(frame.height) * _blocks_across(frame.width)
-    size = (blocks + 7) // 8
-    return frame.payload[:size], _inflate(frame.payload[size:])
+    bitmap, parts = inflated_segments(frame)
+    return bitmap, b"".join(parts)
 
 
 def _run(content, start, count, bits):
@@ -228,7 +279,7 @@ def test_wire_bytes_pinned(name):
 
 
 def test_frame_magic_pinned():
-    assert FRAME_MAGIC == b"LPF3"
+    assert FRAME_MAGIC == b"LPF4"
 
 
 def _marks(frame):
@@ -466,11 +517,11 @@ def test_residuals_in_flat_index_order(kind, height, width, pattern):
     assert np.array_equal(decode_frame(frame, dec).data, cur)
 
 
-# --- the encoder's deflate segments --------------------------------------------
+# --- the deflate segments of 16-bit frames --------------------------------------
 # A 16-bit frame's stream is deflated one half run at a time (low bytes at
-# Z_RLE, high bytes at the default strategy), each segment ended by a sync
-# flush and the last by the final block. The segments are the encoder's
-# choice; the stream still inflates to the format's content.
+# Z_RLE, high bytes at the default strategy), each segment a whole deflate
+# stream listed in the segment table; `split_payload` checks that each one
+# inflates to the size the format's segment rule gives it.
 
 
 @st.composite
