@@ -55,11 +55,11 @@ holds:
   segment table follows it. The bitmap holds one bit per block over
   (plane, block row, block column) in raster order, most significant bit
   first, padded with zero bits to a whole byte; blocks are clipped at the
-  right and bottom edges, never padded. The stream holds the residuals cur - ref
-  (mod 2**bits) of the changed blocks in bitmap order, each block's
-  elements in row order; in 16-bit planes they form one run. The bitmap's
-  grid is `volume.changed_blocks`, the block-change reduction that
-  `selection.detect_changed` shares.
+  right and bottom edges, never padded. The stream holds the residuals
+  cur - ref (mod 2**bits) of the changed blocks in bitmap order, each
+  block's elements in row order; in 16-bit planes they form one run. The
+  bitmap's grid is `volume.changed_blocks`, the block-change reduction
+  that `selection.detect_changed` shares.
 
 The decoder knows each segment's inflated size before inflating: the
 stream is 4*h*q bytes for an 8-bit key frame, the header's plane bytes for
