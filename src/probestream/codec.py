@@ -7,6 +7,16 @@ future, and the encoder has zero lookahead: every frame is emitted as soon
 as it is presented. Encoding is closed-loop lossless, so encoder and decoder
 reconstructions are bit-identical after every frame.
 
+Planes are whole blocks: their sides are multiples of `BLOCK_SIDE`, 0
+included. HEVC works the same way. It codes a picture only in whole coding
+blocks, and its encoder pads a picture of another size and signals a
+conformance window that crops it back (Sullivan et al., "Overview of the
+High Efficiency Video Coding (HEVC) Standard", IEEE TCSVT 2012). Here the
+padding is the layout's: `packing.UpdateAtlasLayout` lays the update atlas
+out so that its planes are whole blocks. `encode_frame` raises `ValueError`
+for other planes, and `EncodedFrame.read` and `decode_frame` raise
+`CorruptFrameError` for a header that declares them.
+
 Wire format (`FRAME_MAGIC` ``LPF4``). A frame is a fixed header, the payload
 and a CRC-32 over both. The header gives the payload's length, so
 `EncodedFrame.read` finds where a frame ends in longer input;
@@ -39,12 +49,11 @@ holds:
 * Key frame, 8-bit planes: the plane bytes in four texel-byte lanes. With
   planes of h rows and w columns, row y is read as the byte stream s of
   3w bytes with s[3p + c] = plane c at (y, p), the order in which
-  `packing.pack_visibility` distributes a row's bytes, and s is padded
-  with zero bytes to 4q bytes, q = ceil(3w / 4). Lane k (0 <= k < 4) of
-  the row is s[k], s[k + 4], ..., s[k + 4(q - 1)]. The stream holds lane 0
-  of every row in row order, then lanes 1, 2 and 3 the same way: its byte
-  k*h*q + y*q + j is s[4j + k] of row y, 4*h*q bytes in all. The pad bytes
-  (s[i], i >= 3w) must be zero. For visibility texels the lanes hold their
+  `packing.pack_visibility` distributes a row's bytes; since 16 divides w,
+  3w = 4q exactly. Lane k (0 <= k < 4) of the row is s[k], s[k + 4], ...,
+  s[k + 4(q - 1)]. The stream holds lane 0 of every row in row order, then
+  lanes 1, 2 and 3 the same way: its byte k*h*q + y*q + j is s[4j + k] of
+  row y, 4*h*q bytes in all. For visibility texels the lanes hold their
   R-hi, R-lo, G-hi and G-lo bytes, so each part of the stream holds bytes
   of one kind.
 * Key frame, 16-bit planes: per plane, one run holding the gradient
@@ -54,11 +63,10 @@ holds:
 * P-frame: the payload starts with the changed-block bitmap and the
   segment table follows it. The bitmap holds one bit per block over
   (plane, block row, block column) in raster order, most significant bit
-  first, padded with zero bits to a whole byte; blocks are clipped at the
-  right and bottom edges, never padded. The stream holds the residuals
-  cur - ref (mod 2**bits) of the changed blocks in bitmap order, each
-  block's elements in row order; in 16-bit planes they form one run. The
-  bitmap's grid is `volume.changed_blocks`, the block-change reduction
+  first, padded with zero bits to a whole byte. The stream holds the
+  residuals cur - ref (mod 2**bits) of the changed blocks in bitmap order,
+  each block's elements in row order; in 16-bit planes they form one run.
+  The bitmap's grid is `volume.changed_blocks`, the block-change reduction
   that `selection.detect_changed` shares.
 
 The decoder knows each segment's inflated size before inflating: the
@@ -69,12 +77,11 @@ its table, a length of 0, or lengths that do not add up to the rest of the
 payload, before it inflates anything. Then it lets zlib produce at most one
 byte more than each segment's size, and raises `CorruptFrameError` for a
 segment that is not deflate, inflates past or short of its size, stops
-before its final block or has bytes after it, for a bitmap with a pad bit
-set or a payload shorter than its bitmap, and for a lane pad byte that is
-not zero; all of this before any plane is allocated. A frame whose header
-names another stream than the decoder's raises `StreamMismatchError`, key
-frames included. Malformed input raises `CodecError` and nothing else, and
-leaves the stream state as it was.
+before its final block or has bytes after it, and for a bitmap with a pad
+bit set or a payload shorter than its bitmap; all of this before any plane
+is allocated. A frame whose header names another stream than the decoder's
+raises `StreamMismatchError`, key frames included. Malformed input raises
+`CodecError` and nothing else, and leaves the stream state as it was.
 
 The deflate bytes may differ between zlib builds; what they inflate to does
 not, and that alone is the format.
@@ -92,20 +99,11 @@ on its own. Where the segments fall depends only on the header and the
 bitmap, so neither the frame bytes nor the decoded planes depend on how
 many CPUs coded them.
 
-P-frame residuals move as whole blocks, never element by element. A plane
-splits into at most four regions whose blocks share one size: the whole
-16x16 blocks, the bottom block row clipped to h % 16 rows, the right block
-column clipped to w % 16 columns, and their corner. Each region is read
-through a copy-free (plane, block row, block column, y, x) view, as
+P-frame residuals move as whole blocks, never element by element, through
+one copy-free (plane, block row, block column, y, x) view of the planes, as
 `volume.ProbeAtlas.blocks` reads an atlas. The encoder gathers the changed
 blocks of both planes from the views and subtracts them; the decoder adds
-the residual blocks into a copy of its reference through the same views.
-Where the changed blocks fall in more than one region, they are placed
-padded to 16x16 in bitmap order, and the elements outside the plane are
-dropped (encoder) or skipped (decoder) with a mask built from the regions'
-block sizes: each padded block keeps the top left block of its region's
-size. The views and the padding are encoder and decoder choices and not
-part of the format: the stream is the one described above.
+the residual blocks into a copy of its reference through the same view.
 
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
@@ -115,7 +113,7 @@ after the call.
 
 from __future__ import annotations
 
-import functools
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -124,9 +122,8 @@ import numpy as np
 
 from probestream import workers
 from probestream.packing import PlaneSet
-from probestream.volume import AtlasKind, changed_blocks
+from probestream.volume import BLOCK_SIDE, AtlasKind, changed_blocks
 
-BLOCK_SIDE = 16
 DEFLATE_LEVEL = 1
 LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its own
 CONCURRENT_DEFLATE_BYTES = 1 << 16  # below this, waking a pool thread costs more than it saves
@@ -239,8 +236,7 @@ class EncodedFrame:
         (stored,) = _CHECKSUM.unpack_from(view, end)
         if zlib.crc32(view[:end]) != stored:
             raise CorruptFrameError("frame checksum mismatch")
-        if planes != PLANE_COUNT or bits not in (8, 16):
-            raise CorruptFrameError(f"unsupported layout: {planes} planes of {bits} bits")
+        _check_layout(planes, bits, height, width)
         payload = bytes(view[_FRAME_HEADER.size : end])
         return cls(stream_id, seq, bool(flags & 1), width, height, planes, bits, payload)
 
@@ -253,65 +249,20 @@ class EncodedFrame:
         return frame
 
 
+def _check_layout(planes: int, bits: int, height: int, width: int) -> None:
+    if planes != PLANE_COUNT or bits not in (8, 16) or height % BLOCK_SIDE or width % BLOCK_SIDE:
+        raise CorruptFrameError(f"unsupported layout: {planes} planes of {height} x {width} of {bits} bits")
+
+
 # --- block geometry ----------------------------------------------------------
 
 
-def _blocks_across(n: int) -> int:
-    return -(-n // BLOCK_SIDE)
-
-
-@functools.lru_cache(maxsize=8)
-def _regions(height: int, width: int) -> tuple[tuple[slice, slice, int, int], ...]:
-    """The at most four regions of a ``height x width`` plane whose blocks
-    share one size, as (block rows, block columns, block height, block
-    width): the whole blocks, the bottom block row clipped to
-    ``height % BLOCK_SIDE`` rows, the right block column clipped to
-    ``width % BLOCK_SIDE`` columns, and the corner block clipped to both."""
-
-    def spans(n: int) -> list[tuple[slice, int]]:
-        whole, rest = divmod(n, BLOCK_SIDE)
-        return [(slice(start, start + count), side)
-                for start, count, side in ((0, whole, BLOCK_SIDE), (whole, 1, rest)) if count and side]
-
-    return tuple((rows, cols, bh, bw) for rows, bh in spans(height) for cols, bw in spans(width))
-
-
-def _region_blocks(planes: np.ndarray, rows: slice, cols: slice, bh: int, bw: int) -> np.ndarray:
-    """Writable (plane, block row, block column, y, x) view of the
-    ``bh x bw`` blocks of one region of `planes`."""
-    y, x = rows.start * BLOCK_SIDE, cols.start * BLOCK_SIDE
-    by, bx = rows.stop - rows.start, cols.stop - cols.start
-    region = planes[:, y : y + by * bh, x : x + bx * bw]
-    return region.reshape(planes.shape[0], by, bh, bx, bw).swapaxes(2, 3)
-
-
-_Part = tuple[tuple[slice, slice, int, int], tuple[np.ndarray, ...]]
-
-
-def _changed_parts(changed: np.ndarray, height: int, width: int) -> list[_Part]:
-    """Per region that holds a changed block: the region and the (plane,
-    block row, block column) indices of those blocks in its view, in
-    bitmap order."""
-    parts = []
-    for region in _regions(height, width):
-        idx = np.nonzero(changed[:, region[0], region[1]])
-        if idx[0].size:
-            parts.append((region, idx))
-    return parts
-
-
-def _padded_order(changed: np.ndarray, parts: list[_Part]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Where the blocks of several regions go when they interleave: each
-    part's ranks among the changed blocks in bitmap order, and, in that
-    order, the mask of their inside elements padded to
-    ``BLOCK_SIDE x BLOCK_SIDE``: the top left ``bh x bw`` of a block of a
-    region whose blocks are ``bh x bw``."""
-    rank = (np.cumsum(changed) - 1).reshape(changed.shape)
-    ranks = [rank[:, rows, cols][idx] for (rows, cols, _, _), idx in parts]
-    inside = np.zeros((sum(r.size for r in ranks), BLOCK_SIDE, BLOCK_SIDE), bool)
-    for ((_, _, bh, bw), _), r in zip(parts, ranks):
-        inside[r, :bh, :bw] = True
-    return ranks, inside
+def _blocks(planes: np.ndarray) -> np.ndarray:
+    """Writable (plane, block row, block column, y, x) view of whole-block
+    planes."""
+    count, height, width = planes.shape
+    side = BLOCK_SIDE
+    return planes.reshape(count, height // side, side, width // side, side).swapaxes(2, 3)
 
 
 # --- residuals and their bytes -----------------------------------------------
@@ -457,50 +408,32 @@ def _inflate(piece: tuple[memoryview, int]) -> np.ndarray:
 # --- texel-byte lanes of 8-bit key frames ------------------------------------
 
 
-def _lane_width(width: int) -> int:
-    """Bytes per lane of a row of three planes `width` elements wide."""
-    return -(-3 * width // 4)
-
-
-@functools.lru_cache(maxsize=8)
-def _lane_copies(width: int) -> tuple[tuple[int, slice, int, slice], ...]:
-    """The strided copies between planes `width` elements wide and their
-    lanes, as (plane, plane columns, lane, lane columns).
-
-    Row byte s[i] is plane i % 3 at column i // 3 and lane i % 4 at column
-    i // 4. The bytes i = 4j + k, j = j0 (mod 3), of lane k are the bytes
-    i = i0 (mod 12), i0 = 4 * j0 + k: one plane's every fourth column from
-    i0 // 3 on, and the lane's every third column from j0 on.
-    """
-    copies = []
-    for k in range(4):
-        for j0 in range(3):
-            i0 = 4 * j0 + k
-            count = len(range(i0 // 3, width, 4))
-            copies.append((i0 % 3, slice(i0 // 3, None, 4), k, slice(j0, j0 + 3 * count, 3)))
-    return tuple(copies)
+# Row byte s[i] is plane i % 3 at column i // 3 and lane i % 4 at column
+# i // 4. As 4 divides w, a row is w / 4 groups of 12 bytes, each 4 columns
+# of every plane and 3 of every lane, and byte r of every group is one
+# strided copy: (plane, plane column, lane, lane column) in the group
+_LANE_GROUP = [(r % 3, r // 3, r % 4, r // 4) for r in range(12)]
 
 
 def _to_lanes(data: np.ndarray) -> np.ndarray:
-    """(3, h, w) 8-bit planes -> their (4, h, q) lanes, pad bytes zero."""
+    """(3, h, w) 8-bit planes -> their (4, h, 3w / 4) lanes."""
     _, height, width = data.shape
-    lanes = np.zeros((4, height, _lane_width(width)), np.uint8)
-    for plane, columns, lane, lane_columns in _lane_copies(width):
-        lanes[lane, :, lane_columns] = data[plane, :, columns]
-    return lanes
+    lanes = np.empty((4, height, width // 4, 3), np.uint8)
+    groups = data.reshape(3, height, width // 4, 4)
+    for plane, column, lane, lane_column in _LANE_GROUP:
+        lanes[lane, :, :, lane_column] = groups[plane, :, :, column]
+    return lanes.reshape(4, height, 3 * width // 4)
 
 
 def _from_lanes(lanes: list[np.ndarray], width: int) -> np.ndarray:
     """Inverse of `_to_lanes` for planes `width` elements wide, from the
-    four (h, q) lanes; a lane pad byte that is not zero is corrupt."""
-    height, q = lanes[0].shape
-    for i in range(3 * width, 4 * q):
-        if lanes[i % 4][:, i // 4].any():
-            raise CorruptFrameError("lane pad byte set")
-    planes = np.empty((3, height, width), np.uint8)
-    for plane, columns, lane, lane_columns in _lane_copies(width):
-        planes[plane, :, columns] = lanes[lane][:, lane_columns]
-    return planes
+    four (h, 3w / 4) lanes."""
+    height = lanes[0].shape[0]
+    planes = np.empty((3, height, width // 4, 4), np.uint8)
+    groups = [lane.reshape(height, width // 4, 3) for lane in lanes]
+    for plane, column, lane, lane_column in _LANE_GROUP:
+        planes[plane, :, :, column] = groups[lane][:, :, lane_column]
+    return planes.reshape(3, height, width)
 
 
 # --- frame encode / decode ---------------------------------------------------
@@ -515,26 +448,12 @@ def _key_segments(data: np.ndarray) -> _Segments:
 
 
 def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
-    height, width = cur.shape[1:]
-    parts = _changed_parts(changed, height, width)
-    blocks = []
-    for region, idx in parts:
-        block = _region_blocks(cur, *region)[idx]
-        block -= _region_blocks(ref, *region)[idx]
-        blocks.append(block)
-    if len(blocks) > 1:
-        # blocks of several sizes interleave: place them padded, in bitmap
-        # order, then drop the padding
-        ranks, inside = _padded_order(changed, parts)
-        padded = np.empty(inside.shape, cur.dtype)
-        for ((_, _, bh, bw), _), rank, block in zip(parts, ranks, blocks):
-            padded[rank, :bh, :bw] = block
-        residuals = padded[inside]
-    else:
-        residuals = blocks[0].reshape(-1) if blocks else np.empty(0, cur.dtype)
+    idx = np.nonzero(changed)
+    residuals = _blocks(cur)[idx]
+    residuals -= _blocks(ref)[idx]
     if cur.dtype == np.uint8:
-        return _cut(residuals[None], 8)
-    return _cut(_halves(_zigzag(residuals)[None]), 16)
+        return _cut(residuals.reshape(1, -1), 8)
+    return _cut(_halves(_zigzag(residuals).reshape(1, -1)), 16)
 
 
 def encode_frame(
@@ -543,6 +462,8 @@ def encode_frame(
     """Encode one frame and advance the stream state (closed loop)."""
     if state.role != "encoder":
         raise CodecError("encode_frame requires an encoder stream state")
+    if planes.height % BLOCK_SIDE or planes.width % BLOCK_SIDE:
+        raise ValueError(f"{planes.height} x {planes.width} planes are not whole blocks")
     if state.reference is not None and (
         state.reference.data.shape != planes.data.shape
         or state.reference.kind != planes.kind
@@ -586,7 +507,7 @@ def encode_frame(
 def _decode_key(frame: EncodedFrame) -> np.ndarray:
     payload, height, width = memoryview(frame.payload), frame.height, frame.width
     if frame.element_bits == 8:
-        q = _lane_width(width)
+        q = 3 * width // 4
         lanes = _inflate_parts(payload, 8, 4, height * q)
         return _from_lanes([lane.reshape(height, q) for lane in lanes], width)
     halves = _inflate_parts(payload, 16, 2 * frame.plane_count, height * width)
@@ -598,17 +519,16 @@ def _decode_key(frame: EncodedFrame) -> np.ndarray:
 
 def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     planes, height, width = reference.shape
-    by, bx = _blocks_across(height), _blocks_across(width)
-    blocks = planes * by * bx
+    grid = (planes, height // BLOCK_SIDE, width // BLOCK_SIDE)
+    blocks = math.prod(grid)
     bitmap_size = -(-blocks // 8)
     if len(frame.payload) < bitmap_size:
         raise CorruptFrameError("payload shorter than its bitmap")
     bitmap = np.frombuffer(frame.payload, np.uint8, count=bitmap_size)
     if blocks % 8 and bitmap[-1] & (0xFF >> blocks % 8):
         raise CorruptFrameError("bitmap pad bits set")
-    changed = np.unpackbits(bitmap, count=blocks).view(bool).reshape(planes, by, bx)
-    parts = _changed_parts(changed, height, width)
-    elements = sum(idx[0].size * bh * bw for (_, _, bh, bw), idx in parts)
+    idx = np.nonzero(np.unpackbits(bitmap, count=blocks).view(bool).reshape(grid))
+    elements = idx[0].size * BLOCK_SIDE * BLOCK_SIDE
     # a 16-bit run is two parts, its low and its high bytes
     content = _inflate_parts(
         memoryview(frame.payload)[bitmap_size:], frame.element_bits, reference.itemsize, elements
@@ -620,16 +540,7 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     else:
         residuals = _unzigzag(_join_low_high(content))[0]
     recon = reference.copy()
-    if len(parts) > 1:
-        ranks, inside = _padded_order(changed, parts)
-        padded = np.empty(inside.shape, recon.dtype)
-        padded[inside] = residuals
-        deltas = [padded[rank, :bh, :bw] for ((_, _, bh, bw), _), rank in zip(parts, ranks)]
-    else:
-        (_, _, bh, bw), _ = parts[0]
-        deltas = [residuals.reshape(-1, bh, bw)]
-    for (region, idx), delta in zip(parts, deltas):
-        _region_blocks(recon, *region)[idx] += delta
+    _blocks(recon)[idx] += residuals.reshape(-1, BLOCK_SIDE, BLOCK_SIDE)
     return recon
 
 
@@ -641,6 +552,7 @@ def decode_frame(frame: EncodedFrame, state: CodecStreamState) -> PlaneSet:
     """
     if state.role != "decoder":
         raise CodecError("decode_frame requires a decoder stream state")
+    _check_layout(frame.plane_count, frame.element_bits, frame.height, frame.width)
     if frame.stream_id != state.stream_id:
         raise StreamMismatchError(
             f"frame of stream {frame.stream_id} for decoder of stream {state.stream_id}"

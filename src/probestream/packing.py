@@ -12,8 +12,11 @@ Three families of transforms live here, all lossless by construction:
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule).
 
-Plus the update-atlas slot allocator with per-probe slot caching. Slot
-copies are batched: `build_update_atlas` gathers the selected cores from
+Plus the update-atlas slot allocator with per-probe slot caching. Its slot
+grid is near square, its width in texels a multiple of 48 and its height of
+16, so `pack_texels` makes planes of whole 16x16 codec blocks of either
+kind: 48 texels pack to 48 colour or 64 visibility elements. Slot copies
+are batched: `build_update_atlas` gathers the selected cores from
 `ProbeAtlas.blocks()` and scatters them into `UpdateAtlasLayout.slots()`,
 and `apply_update_entries` does the reverse with one
 `reconstruct_guard_band` call, whose axes after the first two are channels,
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from probestream import workers
-from probestream.volume import AtlasKind, ProbeAtlas
+from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas
 
 
 @dataclass
@@ -223,6 +226,11 @@ class UpdateAtlasLayout:
     deterministic in the sequence of selected probe sets, so a receiver
     holding a twin layout reproduces identical assignments from probe ids
     alone.
+
+    The grid starts ``ceil(sqrt(slot_count))`` slots wide with as many rows
+    as the slots need; then its width in texels is rounded up to a multiple
+    of ``3 * BLOCK_SIDE`` and its height to one of `BLOCK_SIDE`. Slots past
+    `slot_count` are padding.
     """
 
     def __init__(self, slot_count: int, core_side: int) -> None:
@@ -230,8 +238,11 @@ class UpdateAtlasLayout:
             raise ValueError("slot_count must be >= 1")
         self.slot_count = slot_count
         self.core_side = core_side
-        self.slots_per_row = math.ceil(math.sqrt(slot_count))
-        self.slot_rows = math.ceil(slot_count / self.slots_per_row)
+        # the fewest slots whose texels span whole codec blocks
+        across = math.lcm(3 * BLOCK_SIDE, core_side) // core_side
+        down = math.lcm(BLOCK_SIDE, core_side) // core_side
+        self.slots_per_row = math.ceil(math.ceil(math.sqrt(slot_count)) / across) * across
+        self.slot_rows = math.ceil(math.ceil(slot_count / self.slots_per_row) / down) * down
         self.probe_slot: dict[int, int] = {}
         self.last_selected: dict[int, int] = {}
         self._tick = 0
@@ -317,9 +328,7 @@ def build_update_atlas(
     elif (update_texels.shape, update_texels.dtype) != (shape, dtype):
         raise ValueError(f"update texels {update_texels.shape} {update_texels.dtype} are not {shape} {dtype}")
     entries = layout.assign(selected)
-    slots, probes = np.asarray(entries, dtype=np.int64).reshape(-1, 2).T
-    slot_rows, slot_cols = np.divmod(slots, layout.slots_per_row)
-    rows, cols = np.divmod(probes, source.probes_per_row)
+    (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, source)
     layout.slots(update_texels)[slot_rows, slot_cols] = source.blocks()[rows, cols, 1:-1, 1:-1]
     return update_texels, entries
 

@@ -48,6 +48,9 @@ from probestream.volume import ProbeAtlas, ProbeVolume, changed_blocks
 RAY_EPS = 1e-6
 PAIR_BUDGET = 1 << 17  # (ray, box) pairs per cull pass; bounds the (rays x boxes) temporaries
 CULL_SLACK = 1e-12  # relative slack on the cull's squared lengths, see `SceneGeometry._cull`
+# tan of half the view's 90 degree field of view, on both axes: rounded to
+# 0.9999999999999999, not 1, and the ray directions keep those bits
+_TAN_HALF_FOV = np.tan(np.radians(90.0) / 2.0)
 
 
 class LayoutMismatchError(ValueError):
@@ -219,8 +222,6 @@ class CameraPose:
     position: np.ndarray
     forward: np.ndarray
     up: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    fov_y_deg: float = 90.0
-    aspect: float = 1.0
 
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=np.float64)
@@ -253,14 +254,14 @@ class CameraPose:
         return f, r, u
 
 def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
-    """Unit ray directions through a cols x rows grid over the view frustum."""
+    """Unit ray directions through a cols x rows grid over the square,
+    90 degree view frustum."""
     f, r, u = pose.basis()
-    tan_y = np.tan(np.radians(pose.fov_y_deg) / 2.0)
-    tan_x = tan_y * pose.aspect
     xs = (np.arange(cols) + 0.5) / cols * 2.0 - 1.0
     ys = (np.arange(rows) + 0.5) / rows * 2.0 - 1.0
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    dirs = f[:, None] + (gx.reshape(-1) * tan_x) * r[:, None] + (gy.reshape(-1) * tan_y) * u[:, None]
+    across, down = gx.reshape(-1) * _TAN_HALF_FOV, gy.reshape(-1) * _TAN_HALF_FOV
+    dirs = f[:, None] + across * r[:, None] + down * u[:, None]
     return (dirs / _norm3(dirs)).T
 
 

@@ -15,8 +15,10 @@ guard band is a deterministic function of the core (see `packing`).
 kind's texels pack into: uint16 for color, uint8 for visibility.
 
 `changed_blocks` is the one block-change reduction, shared by change
-detection and the codec's P-frames. It reduces bands of whole block rows
-(`workers.row_bands`) concurrently into one output.
+detection and the codec's P-frames. It works on whole blocks only, which
+both callers pass: whole probe blocks and whole `BLOCK_SIDE` blocks. It
+reduces bands of whole block rows (`workers.row_bands`) concurrently into
+one output.
 
 `throughput_bps` is in bits per second. In the paper's binary units
 (1 Mb = 2**20 bits) a 2048-probe color volume's 10 Hz stream comes out at
@@ -32,6 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from probestream import workers
+
+BLOCK_SIDE = 16  # side of the codec's square blocks, in plane elements
+
 
 class AtlasKind(enum.Enum):
     """The two streamed texture kinds and their per-probe geometry."""
@@ -171,33 +176,24 @@ class ProbeAtlas:
 
 def changed_blocks(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Which ``rows x cols`` blocks of the last two axes of `cur` differ from
-    `ref`; shape (..., block rows, block columns). Blocks are clipped at the
-    right and bottom edges. The rows of each block are reduced first, then
-    the `cols`-wide column groups of that `rows` times smaller result. Bands
-    of whole block rows (`workers.row_bands`) are reduced concurrently into
-    one output."""
+    `ref`; shape (..., block rows, block columns). The last two axes must be
+    whole blocks. The rows of each block are reduced first, then the
+    `cols`-wide column groups of that `rows` times smaller result. Bands of
+    whole block rows (`workers.row_bands`) are reduced concurrently into one
+    output."""
     *lead, height, width = cur.shape
-    out = np.empty((*lead, -(-height // rows), -(-width // cols)), dtype=bool)
+    if height % rows or width % cols:
+        raise ValueError(f"{height} x {width} elements are not whole {rows} x {cols} blocks")
+    out = np.empty((*lead, height // rows, width // cols), dtype=bool)
 
     def band(span: slice) -> None:
-        _changed_band(
-            cur[..., span, :], ref[..., span, :], rows, cols,
-            out[..., span.start // rows : -(-span.stop // rows), :],
-        )
+        by = (span.stop - span.start) // rows
+        differ = np.not_equal(cur[..., span, :], ref[..., span, :]).reshape(*lead, by, rows, width)
+        reduced = differ.any(axis=-2).reshape(*lead, by, width // cols, cols)
+        reduced.any(axis=-1, out=out[..., span.start // rows : span.stop // rows, :])
 
     workers.run_pieces(band, workers.row_bands(height, math.prod(lead) * width * cur.itemsize, rows))
     return out
-
-
-def _changed_band(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int, out: np.ndarray) -> None:
-    """`changed_blocks` of one band of whole block rows, written to `out`."""
-    *lead, height, width = cur.shape
-    by, bx = out.shape[-2:]
-    changed = np.zeros((*lead, by * rows, width), dtype=bool)
-    np.not_equal(cur, ref, out=changed[..., :height, :])
-    reduced = np.zeros((*lead, by, bx * cols), dtype=bool)
-    reduced[..., :width] = changed.reshape(*lead, by, rows, width).any(axis=-2)
-    reduced.reshape(*lead, by, bx, cols).any(axis=-1, out=out)
 
 
 # --- octahedral direction mapping ------------------------------------------

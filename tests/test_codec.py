@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probestream import codec
@@ -99,7 +99,7 @@ class TestEntropy:
 
     def test_random_expansion_bounded(self):
         rng = np.random.default_rng(0)
-        planes = vis_planes(rng, 128, 171)
+        planes = vis_planes(rng, 128, 176)
         enc, dec = stream_pair()
         frame = encode_frame(planes, enc)
         assert len(frame.payload) <= planes.data.nbytes * 1.03
@@ -110,12 +110,12 @@ class TestEntropy:
         # codes nothing at all
         rng = np.random.default_rng(1)
         enc, dec = stream_pair()
-        planes = color_planes(rng, 20, 20)
+        planes = color_planes(rng, 32, 32)
         decode_frame(encode_frame(planes, enc), dec)
         frame = encode_frame(planes.copy(), enc)
         assert split_payload(frame) == (bytes(2), b"")
         assert decode_frame(frame, dec).equals(planes)
-        for shape in ((3, 0, 7), (3, 5, 0)):
+        for shape in ((3, 0, BLOCK_SIDE), (3, BLOCK_SIDE, 0)):
             enc, dec = stream_pair()
             empty = PlaneSet(AtlasKind.COLOR, np.zeros(shape, np.uint16))
             for _ in range(2):
@@ -126,11 +126,13 @@ class TestEntropy:
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=2048), st.binary(max_size=2048))
     def test_round_trip_property(self, first, second):
-        width = max(len(first), len(second), 1)
+        # each row of a block row of planes holds the bytes, padded to whole blocks
+        width = -(-max(len(first), len(second), 1) // BLOCK_SIDE) * BLOCK_SIDE
         enc, dec = stream_pair()
         for data in (first, second):
             row = np.frombuffer(data.ljust(width, b"\0"), np.uint8)
-            planes = PlaneSet(AtlasKind.VISIBILITY, np.stack([row, row[::-1], row ^ 0x5A])[:, None])
+            rows = np.stack([row, row[::-1], row ^ 0x5A])[:, None].repeat(BLOCK_SIDE, axis=1)
+            planes = PlaneSet(AtlasKind.VISIBILITY, rows)
             assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     def test_malformed_stream_rejected(self):
@@ -236,7 +238,7 @@ class TestFrameCodec:
     def test_round_trip_random_frames(self):
         rng = np.random.default_rng(7)
         enc, dec = stream_pair(gop=13)
-        cur = color_planes(rng, 40, 56)
+        cur = color_planes(rng, 48, 64)
         for _ in range(60):
             mutate = rng.random(cur.data.shape) < 0.1
             cur.data[mutate] = rng.integers(0, 1024, size=int(mutate.sum()))
@@ -273,7 +275,7 @@ class TestFrameCodec:
         rng = np.random.default_rng(8)
         enc, dec = stream_pair()
         for _ in range(5):
-            planes = vis_planes(rng, 36, 44)
+            planes = vis_planes(rng, 48, 48)
             assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
 
     @pytest.mark.parametrize("make", [color_planes, vis_planes])
@@ -374,10 +376,56 @@ class TestFrameCodec:
         assert all(r >= 100 for r in ratios[1:])  # P-frames alone
 
     def test_edge_blocks_clipped_not_padded(self):
+        # planes are whole blocks: the codec neither clips nor pads an edge
+        # block, and refuses planes that would need it
         rng = np.random.default_rng(17)
         enc, dec = stream_pair()
-        planes = color_planes(rng, BLOCK_SIDE + 5, BLOCK_SIDE + 3)
+        with pytest.raises(ValueError, match="not whole"):
+            encode_frame(color_planes(rng, BLOCK_SIDE + 5, BLOCK_SIDE + 3), enc)
+        assert enc.frame_count == 0 and enc.reference is None
+        planes = color_planes(rng, 2 * BLOCK_SIDE, 2 * BLOCK_SIDE)
         assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
+
+
+def _not_whole(h, w):
+    return bool(h % BLOCK_SIDE or w % BLOCK_SIDE)
+
+
+class TestWholeBlocks:
+    """Planes are whole blocks: the encoder refuses others before its state
+    moves, and a header that declares others is refused before anything is
+    inflated or allocated."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(AtlasKind)), st.integers(0, 70), st.integers(0, 70), st.booleans())
+    def test_encoder_refuses_planes_that_are_not_whole_blocks(self, kind, h, w, primed):
+        assume(_not_whole(h, w))
+        enc = stream_pair()[0]
+        if primed:
+            encode_frame(PlaneSet(kind, np.ones((3, BLOCK_SIDE, 2 * BLOCK_SIDE), kind.plane_dtype)), enc)
+        before = enc.frame_count, None if enc.reference is None else enc.reference.data.tobytes()
+        with pytest.raises(ValueError, match="not whole"):
+            encode_frame(PlaneSet(kind, np.zeros((3, h, w), kind.plane_dtype)), enc, force_key=primed)
+        assert (enc.frame_count, None if enc.reference is None else enc.reference.data.tobytes()) == before
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([8, 16]), st.booleans(), st.integers(0, 65535), st.integers(0, 65535),
+           st.sampled_from(["empty", "zero_bomb"]))
+    def test_header_that_is_not_whole_blocks_refused_before_allocation(self, bits, key, h, w, payload):
+        assume(_not_whole(h, w))
+        payload = b"" if payload == "empty" else container(zero_bomb(10**6))
+        frame = EncodedFrame(1, 1, key, w, h, 3, bits, payload)
+        with pytest.raises(CorruptFrameError, match="unsupported layout"):
+            EncodedFrame.read(frame.to_bytes())
+        # a decoder whose reference the frame's sequence number follows
+        kind = AtlasKind.COLOR if bits == 16 else AtlasKind.VISIBILITY
+        enc, dec = stream_pair()
+        decode_frame(encode_frame(PlaneSet(kind, np.zeros((3, BLOCK_SIDE, BLOCK_SIDE), kind.plane_dtype)), enc), dec)
+        reference = dec.reference
+        error, peak = _decode_peak(frame, dec)
+        assert isinstance(error, CorruptFrameError) and "unsupported layout" in str(error)
+        assert dec.reference is reference and dec.frame_count == 1
+        assert peak < 1 << 16
 
 
 def _key_and_p_frames(kind, h, w, seed):
@@ -414,17 +462,16 @@ def _decode_peak(frame, state):
 
 
 def test_tall_frames_match_scalar_reference():
-    # planes of many block rows, clipped on both edges, through key frames
-    # and P-frames, against the scalar reference decoder; the visibility
-    # rows end in two lane pad bytes, then in one
+    # planes of many block rows, through key frames and P-frames, against
+    # the scalar reference decoder
     rng = np.random.default_rng(21)
     for kind, width in (
-        (AtlasKind.COLOR, 70),
-        (AtlasKind.VISIBILITY, 70),
-        (AtlasKind.VISIBILITY, 69),
+        (AtlasKind.COLOR, 80),
+        (AtlasKind.VISIBILITY, 80),
+        (AtlasKind.VISIBILITY, 64),
     ):
         enc, dec = stream_pair(gop=3)
-        planes, previous = PlaneSet(kind, _smooth(rng, (300, width), kind.plane_dtype, 1.0)), None
+        planes, previous = PlaneSet(kind, _smooth(rng, (304, width), kind.plane_dtype, 1.0)), None
         for _ in range(4):
             mutate = rng.random(planes.data.shape) < 0.02
             planes.data[mutate] ^= 1
@@ -435,13 +482,14 @@ def test_tall_frames_match_scalar_reference():
 
 
 class TestLanes:
-    """8-bit key frames code each row's byte stream in four lanes. Widths
-    1 to 40 take every value of 3w mod 4, so rows end in 0 to 3 pad bytes."""
+    """8-bit key frames code each row's byte stream in four lanes. A row of
+    whole blocks, w a multiple of 16, fills its lanes exactly."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1),
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1),
            st.sampled_from(["noise", "smooth", "zero"]))
-    def test_key_frame_lanes_round_trip(self, h, w, seed, fill):
+    def test_key_frame_lanes_round_trip(self, block_rows, block_columns, seed, fill):
+        h, w = block_rows * BLOCK_SIDE, block_columns * BLOCK_SIDE
         rng = np.random.default_rng(seed)
         if fill == "noise":
             data = rng.integers(0, 256, size=(3, h, w), dtype=np.uint8)
@@ -455,16 +503,15 @@ class TestLanes:
         assert decode_frame(frame, CodecStreamState(1, "decoder")).equals(planes)
 
     def test_lanes_hold_texel_bytes(self):
-        # five packed visibility texels a row: lane k holds byte k of every
-        # texel, then zeros from the packing pad and the lane pad
-        texels = np.arange(2 * 5 * 2, dtype=np.uint16).reshape(2, 5, 2) * 0x0101 + 0x1020
+        # twelve packed visibility texels a row, one block wide: lane k
+        # holds byte k of every texel
+        texels = np.arange(16 * 12 * 2, dtype=np.uint16).reshape(16, 12, 2) * 0x0101 + 0x1020
         frame = encode_frame(pack_visibility(texels), stream_pair()[0])
-        content = np.frombuffer(split_payload(frame)[1], np.uint8).reshape(4, 2, -1)
-        assert content.shape == (4, 2, 6)
-        wide = texels.astype(">u2").view(np.uint8).reshape(2, 5, 4)
+        content = np.frombuffer(split_payload(frame)[1], np.uint8).reshape(4, 16, -1)
+        assert content.shape == (4, 16, 12)
+        wide = texels.astype(">u2").view(np.uint8).reshape(16, 12, 4)
         for k in range(4):
-            assert np.array_equal(content[k, :, :5], wide[:, :, k])
-            assert not content[k, :, 5:].any()
+            assert np.array_equal(content[k], wide[:, :, k])
 
 
 def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
@@ -481,14 +528,13 @@ def _p_frame_case(h=BLOCK_SIDE, w=BLOCK_SIDE, seed=19):
 def _stream_case(key):
     """(frame, decoder state, payload before the segment table, what each
     segment inflates to); `key` is True for a colour key frame,
-    "visibility" for a visibility one, whose rows end in a lane pad byte,
-    and False for a P-frame."""
+    "visibility" for a visibility one, and False for a P-frame."""
     if key:
         rng = np.random.default_rng(18)
-        planes = vis_planes(rng, 20, 37) if key == "visibility" else color_planes(rng, 20, 36)
+        planes = vis_planes(rng, 32, 48) if key == "visibility" else color_planes(rng, 32, 48)
         frame = encode_frame(planes, stream_pair()[0])
         return (frame, CodecStreamState(1, "decoder"), *inflated_segments(frame))
-    frame, dec = _p_frame_case(20, 36)
+    frame, dec = _p_frame_case(32, 48)
     return (frame, dec, *inflated_segments(frame))
 
 
@@ -544,18 +590,18 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 7])
     def test_lane_pad_byte_set_rejected(self, w):
-        # every pad byte of a row's last 4-byte group, in the first row and
-        # the last
+        # a row of w elements, w not a multiple of 16, would end its lanes in
+        # pad bytes: such a frame is refused whether a pad byte is set (in
+        # the first row or the last) or every one is clear
         h, q = 3, -(-3 * w // 4)
-        for i in range(3 * w, 4 * q):
-            for y in (0, h - 1):
-                content = bytearray(4 * h * q)
+        for i, y in [(i, y) for i in range(3 * w, 4 * q) for y in (0, h - 1)] + [(None, None)]:
+            content = bytearray(4 * h * q)
+            if i is not None:
                 content[(i % 4) * h * q + y * q + i // 4] = 0x80
-                frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), container(deflate(bytes(content))))
-                self._rejects(frame, CodecStreamState(1, "decoder"))
-        # the same stream with its pad bytes clear decodes to zero planes
-        frame = like(EncodedFrame(1, 0, True, w, h, 3, 8, b""), container(deflate(bytes(4 * h * q))))
-        assert not decode_frame(frame, CodecStreamState(1, "decoder")).data.any()
+            frame = EncodedFrame(1, 0, True, w, h, 3, 8, container(deflate(bytes(content))))
+            with pytest.raises(CorruptFrameError, match="unsupported layout"):
+                EncodedFrame.read(frame.to_bytes())
+            self._rejects(frame, CodecStreamState(1, "decoder"))
 
     def test_payload_shorter_than_bitmap(self):
         # 3 planes of 9 blocks need a 4-byte bitmap
@@ -565,10 +611,10 @@ class TestFailClosed:
             self._rejects(like(frame, frame.payload[:size]), dec)
 
     def test_huge_declared_key_frame_rejected_in_bounded_memory(self):
-        # six segments of 12 bytes that start a valid stream, for 3 x 65535
-        # x 65535 16-bit elements: inflated only as far as the bytes go
+        # six segments of 12 bytes that start a valid stream, for 3 x 65520
+        # x 65520 16-bit elements: inflated only as far as the bytes go
         payload = container(*[zero_bomb(10**6)[:12]] * 6)
-        frame = EncodedFrame(1, 0, True, 65535, 65535, 3, 16, payload)
+        frame = EncodedFrame(1, 0, True, 65520, 65520, 3, 16, payload)
         peak = self._rejects(EncodedFrame.from_bytes(frame.to_bytes()), CodecStreamState(1, "decoder"))
         assert peak < 1 << 20
 
@@ -586,12 +632,12 @@ class TestFailClosed:
         # every block of a large P-frame is marked changed, and its stream
         # repeats a 3-byte pattern, one short match after another, far
         # past those blocks' bytes
-        h, w = 720, 982
+        h, w = 688, 1024
         enc, dec = stream_pair()
         blank = PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, h, w), np.uint8))
         decode_frame(encode_frame(blank, enc), dec)
         frame = EncodedFrame(1, 1, False, w, h, 3, 8, b"")
-        bitmap = np.packbits(np.ones(3 * 45 * 62, bool)).tobytes()
+        bitmap = np.packbits(np.ones(3 * 43 * 64, bool)).tobytes()
         stream = deflate(*[b"\x02\x07\x05" * (1 << 20)] * 3)
         peak = self._rejects(like(frame, bitmap + container(stream)), dec)
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
@@ -603,12 +649,12 @@ class TestFailClosed:
                 EncodedFrame.from_bytes(wire)
 
     @settings(max_examples=150, deadline=None)
-    @example(AtlasKind.VISIBILITY, 7, 13, False, [(5, 0x5A)], 0)
-    @example(AtlasKind.VISIBILITY, 20, 38, False, [(0, 0)], -2)
+    @example(AtlasKind.VISIBILITY, 16, 16, False, [(5, 0x5A)], 0)
+    @example(AtlasKind.VISIBILITY, 32, 48, False, [(0, 0)], -2)
     @given(
         st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]),
-        st.integers(1, 40),
-        st.integers(1, 40),
+        st.sampled_from([16, 32, 48]),
+        st.sampled_from([16, 32, 48]),
         st.booleans(),
         st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=6),
         st.integers(-3, 3),
@@ -687,7 +733,7 @@ class TestLossRecovery:
     def test_dropped_p_frame_then_forced_key(self):
         rng = np.random.default_rng(24)
         enc, dec = stream_pair()
-        planes = color_planes(rng, 40, 56)
+        planes = color_planes(rng, 48, 64)
         for _ in range(2):
             planes = planes.copy()
             planes.data[:, 5:9, 20:30] += 1
@@ -746,11 +792,11 @@ class TestLossRecovery:
         # a colour decoder of stream 0 meets a visibility key frame of
         # stream 1, or a colour P-frame of stream 7 whose seq it expects
         rng = np.random.default_rng(27)
-        first = color_planes(rng, 40, 56)
+        first = color_planes(rng, 48, 64)
         enc, dec = CodecStreamState(0, "encoder"), CodecStreamState(0, "decoder")
         decode_frame(encode_frame(first, enc), dec)
         if key:
-            foreign = encode_frame(vis_planes(rng, 40, 56), CodecStreamState(1, "encoder"))
+            foreign = encode_frame(vis_planes(rng, 48, 64), CodecStreamState(1, "encoder"))
         else:
             other = CodecStreamState(7, "encoder")
             encode_frame(first, other)
@@ -776,7 +822,7 @@ class TestMemoryBound:
 
     def test_visibility_key_frame_peak(self):
         rng = np.random.default_rng(20)
-        planes = vis_planes(rng, 720, 982)
+        planes = vis_planes(rng, 688, 1024)
         enc, dec = stream_pair()
         tracemalloc.start()
         frame = encode_frame(planes, enc)
@@ -798,7 +844,7 @@ class TestEncoderOwnership:
     @pytest.mark.parametrize("make", [color_planes, vis_planes])
     def test_caller_writes_after_encode_leave_later_frames_unchanged(self, make):
         rng = np.random.default_rng(30)
-        frames = [make(rng, 40, 56) for _ in range(2)]
+        frames = [make(rng, 48, 64) for _ in range(2)]
         frames[1].data[:, :16, 16:32] = frames[0].data[:, :16, 16:32]
         frames += [frames[1].copy(), frames[0].copy()]
         clean, dirty = stream_pair(gop=30)[0], stream_pair(gop=30)[0]
@@ -812,7 +858,7 @@ class TestEncoderOwnership:
     def test_unchanged_p_frame_decodes_to_the_reference_itself(self):
         rng = np.random.default_rng(31)
         enc, dec = stream_pair()
-        planes = vis_planes(rng, 40, 56)
+        planes = vis_planes(rng, 48, 64)
         first = decode_frame(encode_frame(planes, enc), dec)
         same = decode_frame(encode_frame(planes, enc), dec)
         assert same.data is first.data and not same.data.flags.writeable
@@ -831,10 +877,11 @@ class TestDecoderOwnership:
     def test_p_frame_decode_writes_only_its_own_planes(self, make):
         rng = np.random.default_rng(33)
         enc, dec = stream_pair()
-        # 37 x 50: clipped on both edges, so changes fall in all four block regions
-        planes = make(rng, 37, 50)
+        # changes inside the first block row, in the bottom-right corner
+        # block, and everywhere
+        planes = make(rng, 48, 64)
         previous = decode_frame(encode_frame(planes, enc), dec)
-        for rows, cols in ((slice(2, 9), slice(20, 30)), (slice(30, 37), slice(40, 50)),
+        for rows, cols in ((slice(2, 9), slice(20, 30)), (slice(38, 48), slice(52, 64)),
                            (slice(None), slice(None))):
             planes = planes.copy()
             planes.data[:, rows, cols] ^= 1
@@ -885,13 +932,15 @@ class TestConcurrentSegments:
         segments = [(rng.integers(0, 6, size=n, dtype=np.uint8), s) for n, s in shapes]
         assert codec._deflate(segments) == serial_deflate(segments)
 
-    @pytest.mark.parametrize("h, split", [(255, False), (256, True)])
-    def test_lane_split_depends_only_on_frame_size(self, cpus, h, split):
-        # w = 341 gives lanes of q = 256 bytes a row, so 256 rows are the
-        # first to reach 64 KiB a lane
-        assert codec.LANE_SEGMENT_BYTES == 256 * 256
+    @pytest.mark.parametrize("h, w, split", [(176, 496, False), (288, 304, True)])
+    def test_lane_split_depends_only_on_frame_size(self, cpus, h, w, split):
+        # a lane of whole-block planes holds h * 3w / 4 bytes, a multiple of
+        # 192: these are the largest lane short of 64 KiB (65472 bytes) and
+        # the smallest that reaches it (65664)
+        assert codec.LANE_SEGMENT_BYTES == 65536
+        assert h * 3 * w // 4 == (65664 if split else 65472)
         rng = np.random.default_rng(h)
-        data = _smooth(rng, (h, 341), np.uint8, 2.0)
+        data = _smooth(rng, (h, w), np.uint8, 2.0)
         lanes = _lanes(data)
         segments = [(lane, zlib.Z_DEFAULT_STRATEGY) for lane in lanes] if split else [
             (lanes, zlib.Z_DEFAULT_STRATEGY)
@@ -906,7 +955,7 @@ class TestConcurrentSegments:
     def test_frame_bytes_do_not_depend_on_worker_count(self, cpus):
         rng = np.random.default_rng(32)
         sequences = []
-        for make, shape in ((color_planes, (200, 208)), (vis_planes, (256, 352))):
+        for make, shape in ((color_planes, (208, 208)), (vis_planes, (256, 352))):
             planes = make(rng, *shape)
             sequences.append([planes, planes.copy(), planes.copy()])
             sequences[-1][1].data[:, ::9, ::4] ^= 1
@@ -935,7 +984,7 @@ def _table_case(kind):
     lanes) or a colour P-frame that changes every element (two segments).
     The decoder has taken a frame before it."""
     rng = np.random.default_rng(40)
-    shape = (256, 341) if kind == "visibility_key" else (112, 112)
+    shape = (288, 304) if kind == "visibility_key" else (112, 112)
     atlas = AtlasKind.VISIBILITY if kind == "visibility_key" else AtlasKind.COLOR
     first = PlaneSet(atlas, _smooth(rng, shape, atlas.plane_dtype, 2.0))
     enc, dec = stream_pair()

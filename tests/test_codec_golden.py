@@ -12,7 +12,10 @@ its magic and its payload-length field, the P-frame bitmap and the inflated
 stream. They leave out the deflate bytes, which may differ between zlib
 builds while what they inflate to does not, and the magic, which is pinned
 on its own, so a digest moves only when its own frames change. Any change
-to a digest is a change of the wire format and needs a new `FRAME_MAGIC`.
+to a digest of an unchanged recipe is a change of the wire format and needs
+a new `FRAME_MAGIC`. A changed recipe's new digest must be the one the
+codec before the change codes it to. Every recipe's planes are whole
+`BLOCK_SIDE` blocks, the only planes the codec takes.
 """
 
 import copy
@@ -30,6 +33,7 @@ from probestream.codec import (
     FRAME_MAGIC,
     LANE_SEGMENT_BYTES,
     CodecStreamState,
+    CorruptFrameError,
     EncodedFrame,
     decode_frame,
     encode_frame,
@@ -40,10 +44,6 @@ from probestream.volume import AtlasKind
 HEADER = struct.Struct("<4sBIIHHBBI")  # the last field is the payload length
 
 # --- scalar reference decoder ------------------------------------------------
-
-
-def _blocks_across(n):
-    return -(-n // BLOCK_SIDE)
 
 
 def _inflate(stream):
@@ -61,17 +61,14 @@ def segment_sizes(frame, bitmap):
     stream; no segment of 0 bytes."""
     height, width = frame.height, frame.width
     if frame.key and frame.element_bits == 8:
-        lane = height * ((3 * width + 3) // 4)
+        lane = height * 3 * width // 4
         sizes = [lane] * 4 if lane >= LANE_SEGMENT_BYTES else [4 * lane]
     elif frame.key:
         sizes = [height * width] * (2 * frame.plane_count)
     else:
-        by, bx = _blocks_across(height), _blocks_across(width)
-        elements = 0
-        for k in range(frame.plane_count * by * bx):
-            if bitmap[k // 8] >> (7 - k % 8) & 1:
-                row, col = k // bx % by, k % bx
-                elements += min(BLOCK_SIDE, height - row * BLOCK_SIDE) * min(BLOCK_SIDE, width - col * BLOCK_SIDE)
+        blocks = frame.plane_count * (height // BLOCK_SIDE) * (width // BLOCK_SIDE)
+        marked = sum(bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(blocks))
+        elements = marked * BLOCK_SIDE * BLOCK_SIDE
         sizes = [elements] * (frame.element_bits // 8)
     return [size for size in sizes if size]
 
@@ -83,7 +80,7 @@ def read_segments(frame):
     if frame.key:
         bitmap = b""
     else:
-        blocks = frame.plane_count * _blocks_across(frame.height) * _blocks_across(frame.width)
+        blocks = frame.plane_count * (frame.height // BLOCK_SIDE) * (frame.width // BLOCK_SIDE)
         bitmap = frame.payload[: (blocks + 7) // 8]
     sizes = segment_sizes(frame, bitmap)
     rest = frame.payload[len(bitmap) :]
@@ -122,13 +119,13 @@ def _run(content, start, count, bits):
 
 def lane_decode(content, height, width):
     """The three 8-bit planes of a key frame's inflated stream: per row, the
-    lanes back into the row's byte stream, then the stream into the planes."""
-    q = (3 * width + 3) // 4
-    assert len(content) == 4 * height * q
+    lanes back into the row's byte stream, then the stream into the planes.
+    A row's 3w bytes fill its four lanes of q bytes exactly."""
+    q = 3 * width // 4
+    assert 4 * q == 3 * width and len(content) == 4 * height * q
     out = [[[0] * width for _ in range(height)] for _ in range(3)]
     for y in range(height):
         stream = [content[(i % 4) * height * q + y * q + i // 4] for i in range(4 * q)]
-        assert not any(stream[3 * width :]), "lane pad bytes must be zero"
         for i in range(3 * width):
             out[i % 3][y][i // 3] = stream[i]
     return np.array(out, dtype=np.uint8).reshape(3, height, width)
@@ -157,15 +154,15 @@ def reference_decode(frame, reference):
                     plane[y][x] = (r[y * width + x] + left + up - up_left) % mod
             out.append(plane)
         return np.array(out, dtype=np.uint16).reshape(planes, height, width)
-    by, bx = _blocks_across(height), _blocks_across(width)
+    by, bx = height // BLOCK_SIDE, width // BLOCK_SIDE
     marks = [bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(8 * len(bitmap))]
     assert not any(marks[planes * by * bx :]), "pad bits must be zero"
     cells = []
     for k in range(planes * by * bx):
         if marks[k]:
             p, row, col = k // (by * bx), k // bx % by, k % bx
-            for y in range(row * BLOCK_SIDE, min((row + 1) * BLOCK_SIDE, height)):
-                for x in range(col * BLOCK_SIDE, min((col + 1) * BLOCK_SIDE, width)):
+            for y in range(row * BLOCK_SIDE, (row + 1) * BLOCK_SIDE):
+                for x in range(col * BLOCK_SIDE, (col + 1) * BLOCK_SIDE):
                     cells.append((p, y, x))
     assert len(content) == len(cells) * size
     out = reference.copy()
@@ -195,10 +192,10 @@ def _sequence(name: str, seed: int):
         kind = vis if name.startswith("vis") else color
         shape = {
             "color_mutate": (48, 48),
-            "color_edge": (BLOCK_SIDE + 5, BLOCK_SIDE + 3),
-            "color_40x56": (40, 56),
-            "color_narrow": (37, BLOCK_SIDE - 7),
-            "vis_mutate": (36, 44),
+            "color_edge": (2 * BLOCK_SIDE, 2 * BLOCK_SIDE),
+            "color_40x56": (48, 64),  # 40 x 56 padded to whole blocks; the name is the test's id
+            "color_narrow": (48, BLOCK_SIDE),
+            "vis_mutate": (48, 48),
         }[name]
         top = 1024 if kind is color else 256
         cur = _smooth(rng, shape, kind.plane_dtype, 2.0)
@@ -212,42 +209,42 @@ def _sequence(name: str, seed: int):
         cur = _smooth(rng, (64, 80), np.uint16, 1.0)
         return color, 30, [cur] * 4
     if name == "color_noise_keys":
-        frames = [rng.integers(0, 2**16, size=(3, 40, 40), dtype=np.uint16) for _ in range(3)]
+        frames = [rng.integers(0, 2**16, size=(3, 48, 48), dtype=np.uint16) for _ in range(3)]
         return color, 1, frames
     if name == "vis_noise_keys":
-        frames = [rng.integers(0, 256, size=(3, 33, 50), dtype=np.uint8) for _ in range(3)]
+        frames = [rng.integers(0, 256, size=(3, 48, 64), dtype=np.uint8) for _ in range(3)]
         return vis, 1, frames
     if name == "color_offset":
         base = _smooth(rng, (48, 64), np.uint16, 3.0)
         return color, 30, [base + np.uint16(3 * i) for i in range(4)]
     if name in ("color_sparse", "vis_sparse"):
         kind = vis if name.startswith("vis") else color
-        cur = _smooth(rng, (70, 50), kind.plane_dtype, 2.0)
+        cur = _smooth(rng, (80, 64), kind.plane_dtype, 2.0)
         frames = [cur.copy()]
         for _ in range(4):
             for plane, row, col in zip(*(rng.integers(0, n, size=2) for n in (3, 5, 4))):
-                cur[plane, min(row * BLOCK_SIDE + rng.integers(BLOCK_SIDE), 69), col * BLOCK_SIDE] += 1
+                cur[plane, row * BLOCK_SIDE + rng.integers(BLOCK_SIDE), col * BLOCK_SIDE] += 1
             frames.append(cur.copy())
         return kind, 30, frames
     if name == "vis_offset":
-        base = _smooth(rng, (40, 40), np.uint8, 3.0)
+        base = _smooth(rng, (48, 48), np.uint8, 3.0)
         return vis, 30, [base + np.uint8(i) for i in range(4)]
     raise KeyError(name)
 
 
 GOLDEN = {
     "color_mutate": "1f69003587f4ccf360a63c952f63e6d8f752d9c7f89808361fcb85fad8c3ce5d",
-    "color_edge": "ff65569946eeb4d607ef2cece93ba386c513288534c2f31886eda81dbf9cc512",
-    "color_40x56": "ee95540d191241ebaf460b3fd429645287b99833df4c2b23e4429ea0e36831a2",
-    "color_narrow": "154658e24abc704ff3973db391d8e25024df9eb357bd981e3822589cff17ba6f",
-    "vis_mutate": "8fc75117dc0e13efb39dc187ff341d033fa4393121990a3aa6568e5a4684eb0f",
+    "color_edge": "f0f61e2f0ac11a176d956f2fa76c7ac8f2eb997d2a101b29fd4e9614aa8db449",
+    "color_40x56": "e56b2d625693fa929bf4bb286cb0aac02e32eef318dae20d85064f0dae306266",
+    "color_narrow": "11d6a6ba86a322c128a6fca181e75158de2234e2da27e774a8e6845cd6c46af2",
+    "vis_mutate": "844b424d100334f8a456177fb101a4a064e311d90ddd4da63ad0aff2ed87d8ce",
     "color_all_skip": "174b83438ea3db5eb4055575f4c8c5f80e0b596ff3cb2df89013f5c2cfd5ad86",
-    "color_noise_keys": "537cb01baea1097e2ac8e5706a401aaae7b2a20a4ad5c9900588f93bad56cf05",
-    "vis_noise_keys": "a4ee6bd169080102facbd36703c4d5f3dae31d28785dfb595e1a02555af8e0dc",
+    "color_noise_keys": "034572a1439b0ec599590b33d0e915e4913bba86abea45faa4645c55f673102b",
+    "vis_noise_keys": "a3e2408a9bb4f5e66cc387b2ed8e9859fc8dd8c4a034ea471375c53859c5db7a",
     "color_offset": "d91eb7378e484f0ecf0656c6215975a2f33ea8e03897fd86410b5b3bb4361ce0",
-    "vis_offset": "a5fc02a68fc32e7717d0192ab721bc8afaa47090901150710f5a6270867bce63",
-    "color_sparse": "846fb8b17cf96dba4051fa523241386c8ab2b0a95d5b356990343910192fb28d",
-    "vis_sparse": "e81fb4050a48301d8d8bf4f1a1ec783c2f85e3739ff1535606527f36ea540cdc",
+    "vis_offset": "18ef4d5387ebbfbdf695e5398c0f3b0eb4de77f87ee56d5b1e98d99eda6b287b",
+    "color_sparse": "dc4057a3e13ab35e301f27bdc2ed5fb085bc1c8216fd4ff14e239bfd3bc15185",
+    "vis_sparse": "522664db1043d5643e94405dfeb789134abc2772283eb52014ebeeb41cc97fd8",
 }
 
 
@@ -284,7 +281,7 @@ def test_frame_magic_pinned():
 
 def _marks(frame):
     """The changed-block bits of a P-frame, shape (planes, block rows, block columns)."""
-    by, bx = _blocks_across(frame.height), _blocks_across(frame.width)
+    by, bx = frame.height // BLOCK_SIDE, frame.width // BLOCK_SIDE
     bits = np.unpackbits(np.frombuffer(split_payload(frame)[0], np.uint8))
     return bits[: frame.plane_count * by * bx].reshape(frame.plane_count, by, bx)
 
@@ -309,8 +306,8 @@ def test_recipes_cover_every_mode():
 @st.composite
 def frame_sequences(draw):
     kind = draw(st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]))
-    h = draw(st.integers(1, 3 * BLOCK_SIDE + 2))
-    w = draw(st.integers(1, 3 * BLOCK_SIDE + 2))
+    h = BLOCK_SIDE * draw(st.integers(1, 3))
+    w = BLOCK_SIDE * draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     steps = draw(
         st.lists(st.sampled_from(["mutate", "offset", "noise", "same"]), min_size=1, max_size=4)
@@ -356,9 +353,9 @@ def sparse_p_frames(draw):
     and those blocks as (plane, block row, block column)."""
     kind = draw(st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]))
     # a few block rows, or many
-    h = draw(st.one_of(st.integers(1, 40), st.integers(129, 296)))
-    w = draw(st.integers(1, 3 * BLOCK_SIDE + 9))
-    by, bx = _blocks_across(h), _blocks_across(w)
+    by = draw(st.one_of(st.integers(1, 3), st.integers(9, 19)))
+    bx = draw(st.integers(1, 4))
+    h, w = by * BLOCK_SIDE, bx * BLOCK_SIDE
     count = 3 * by * bx
     where = draw(st.sampled_from(["anywhere", "right_edge", "bottom_edge", "plane_edge", "byte_edge"]))
     blocks = set()
@@ -409,7 +406,7 @@ def _kind_id(value):
 
 
 @pytest.mark.parametrize("kind", [AtlasKind.COLOR, AtlasKind.VISIBILITY], ids=_kind_id)
-@pytest.mark.parametrize("shape", [(9, 5), (263, 3 * BLOCK_SIDE + 1)])
+@pytest.mark.parametrize("shape", [(BLOCK_SIDE, BLOCK_SIDE), (17 * BLOCK_SIDE, 4 * BLOCK_SIDE)])
 def test_all_skip_p_frame(kind, shape):
     rng = np.random.default_rng(3)
     planes = PlaneSet(kind, _smooth(rng, shape, kind.plane_dtype, 2.0))
@@ -417,28 +414,24 @@ def test_all_skip_p_frame(kind, shape):
     dec = CodecStreamState(1, role="decoder")
     decode_frame(encode_frame(planes, enc), dec)
     frame = encode_frame(planes.copy(), enc)
-    blocks = 3 * _blocks_across(shape[0]) * _blocks_across(shape[1])
+    blocks = 3 * (shape[0] // BLOCK_SIDE) * (shape[1] // BLOCK_SIDE)
     assert split_payload(frame) == (bytes(-(-blocks // 8)), b"")
     assert np.array_equal(reference_decode(frame, planes.data), planes.data)
     assert decode_frame(frame, dec).equals(planes)
 
 
 # --- residual order ------------------------------------------------------------
-# The codec moves P-frame residuals as whole blocks through views of at most
-# four regions of one block size. The stream must hold them in the order of
-# the flat-index walk below, which is how the codec moved them before:
-# changed blocks in bitmap order, each block's elements in row order, a
-# clipped block holding only its elements inside the plane.
+# The codec moves P-frame residuals as whole blocks through one view of the
+# planes. The stream must hold them in the order of the flat-index walk
+# below: changed blocks in bitmap order, each block's elements in row order.
 
 
 def flat_block_order(height, width):
-    """Flat element indices of a plane in block order: row b lists block b's
-    indices in row order, -1 past a clipped edge."""
-    by, bx = _blocks_across(height), _blocks_across(width)
-    r = np.arange(by * BLOCK_SIDE)[:, None]
-    c = np.arange(bx * BLOCK_SIDE)[None, :]
-    flat = np.where((r < height) & (c < width), r * width + c, -1)
-    return flat.reshape(by, BLOCK_SIDE, bx, BLOCK_SIDE).swapaxes(1, 2).reshape(by * bx, BLOCK_SIDE**2)
+    """Flat element indices of a whole-block plane in block order: row b
+    lists block b's indices in row order."""
+    by, bx = height // BLOCK_SIDE, width // BLOCK_SIDE
+    flat = np.arange(height * width).reshape(by, BLOCK_SIDE, bx, BLOCK_SIDE)
+    return flat.swapaxes(1, 2).reshape(by * bx, BLOCK_SIDE**2)
 
 
 def flat_residual_stream(cur, ref, changed):
@@ -448,7 +441,6 @@ def flat_residual_stream(cur, ref, changed):
     runs = []
     for p, blocks in enumerate(changed.reshape(len(changed), -1)):
         idx = order[np.flatnonzero(blocks)]
-        idx = idx[idx >= 0]
         runs.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
     residuals = np.concatenate(runs)
     if residuals.dtype == np.uint8:
@@ -460,8 +452,9 @@ def flat_residual_stream(cur, ref, changed):
 
 def _pattern(name, shape, rng):
     """Changed blocks of a (planes, block rows, block columns) grid: every
-    block, none, the bottom-right corner block of the last plane, one
-    clipped block that is not a corner, or a random quarter."""
+    block, none, the bottom-right corner block of the last plane, one block
+    of the right block column (else of the bottom block row) that is not a
+    corner, or a random quarter."""
     changed = np.zeros(shape, bool)
     planes, by, bx = shape
     if not changed.size or name == "none":
@@ -470,8 +463,7 @@ def _pattern(name, shape, rng):
         changed[:] = True
     elif name == "corner":
         changed[-1, -1, -1] = True
-    elif name == "clipped":
-        # right block column, else bottom block row, away from the corner
+    elif name == "edge":
         if bx > 1 or by == 1:
             changed[1, by // 2, -1] = True
         else:
@@ -487,24 +479,41 @@ def _changed_frames(kind, height, width, pattern, seed):
     rng = np.random.default_rng(seed)
     top = int(np.iinfo(kind.plane_dtype).max)
     ref = rng.integers(0, top, size=(3, height, width), dtype=kind.plane_dtype, endpoint=True)
-    changed = _pattern(pattern, (3, _blocks_across(height), _blocks_across(width)), rng)
-    inside = changed.repeat(BLOCK_SIDE, axis=1).repeat(BLOCK_SIDE, axis=2)[:, :height, :width]
+    changed = _pattern(pattern, (3, height // BLOCK_SIDE, width // BLOCK_SIDE), rng)
+    inside = changed.repeat(BLOCK_SIDE, axis=1).repeat(BLOCK_SIDE, axis=2)
     cur = ref.copy()
     cur[inside] += rng.integers(1, top, size=int(inside.sum()), dtype=kind.plane_dtype, endpoint=True)
     return ref, cur, changed
 
 
-RESIDUAL_SHAPES = [
-    (AtlasKind.COLOR, 360, 368),  # the colour planes: the bottom block row has 8 rows
-    (AtlasKind.VISIBILITY, 720, 982),  # visibility: the right block column has 6 columns
-    *[(kind, h, w) for kind in (AtlasKind.COLOR, AtlasKind.VISIBILITY)
-      for h, w in ((0, 20), (20, 0), (1, 1), (15, 15), (5, 40), (40, 9), (16, 15), (15, 16), (37, 50))],
-]
+def _residual_cases():
+    """(kind, height, width, pattern) cases. Whole-block shapes: the update
+    atlas's planes at 2048 slots, and small ones, 0 x n and n x 0 among
+    them. The other shapes, each with its patterns, must be refused."""
+    kinds = (AtlasKind.COLOR, AtlasKind.VISIBILITY)
+    whole = [
+        (AtlasKind.COLOR, 352, 384),  # the colour planes
+        (AtlasKind.VISIBILITY, 688, 1024),  # the visibility planes
+        *[(kind, h, w) for kind in kinds for h, w in ((0, 16), (16, 0), (16, 16), (16, 48), (48, 16), (48, 64))],
+    ]
+    not_whole = [
+        (AtlasKind.COLOR, 360, 368),
+        (AtlasKind.VISIBILITY, 720, 982),
+        *[(kind, h, w) for kind in kinds
+          for h, w in ((0, 20), (20, 0), (1, 1), (15, 15), (5, 40), (40, 9), (16, 15), (15, 16), (37, 50))],
+    ]
+    for shapes, patterns in ((whole, ["every", "none", "corner", "edge", "quarter"]),
+                             (not_whole, ["every", "none", "corner", "clipped", "quarter"])):
+        for kind, height, width in shapes:
+            for pattern in patterns:
+                yield pytest.param(kind, height, width, pattern, id=f"{_kind_id(kind)}-{height}-{width}-{pattern}")
 
 
-@pytest.mark.parametrize("pattern", ["every", "none", "corner", "clipped", "quarter"])
-@pytest.mark.parametrize("kind, height, width", RESIDUAL_SHAPES, ids=_kind_id)
+@pytest.mark.parametrize("kind, height, width, pattern", _residual_cases())
 def test_residuals_in_flat_index_order(kind, height, width, pattern):
+    if height % BLOCK_SIDE or width % BLOCK_SIDE:
+        assert_not_whole_refused(kind, height, width)
+        return
     ref, cur, changed = _changed_frames(kind, height, width, pattern, height * 1000 + width)
     enc = CodecStreamState(1, role="encoder")
     dec = CodecStreamState(1, role="decoder")
@@ -517,6 +526,30 @@ def test_residuals_in_flat_index_order(kind, height, width, pattern):
     assert np.array_equal(decode_frame(frame, dec).data, cur)
 
 
+# --- planes that are not whole blocks ------------------------------------------
+
+
+def assert_not_whole_refused(kind, height, width):
+    """Planes of `height` x `width` elements, not whole blocks, are refused:
+    by the encoder as a first frame and after a key frame of the same
+    planes padded to whole blocks, with its state unchanged, and as a frame
+    header by `EncodedFrame.read`."""
+    shape = [3, *(-(-n // BLOCK_SIDE) * BLOCK_SIDE for n in (height, width))]
+    padded = PlaneSet(kind, np.ones(shape, kind.plane_dtype))
+    cropped = PlaneSet(kind, padded.data[:, :height, :width].copy())
+    enc = CodecStreamState(1, role="encoder")
+    for _ in range(2):
+        before = enc.frame_count, None if enc.reference is None else enc.reference.data.tobytes()
+        with pytest.raises(ValueError, match="not whole"):
+            encode_frame(cropped, enc)
+        assert (enc.frame_count, None if enc.reference is None else enc.reference.data.tobytes()) == before
+        encode_frame(padded, enc)
+    bits = padded.element_bits
+    for key in (True, False):
+        with pytest.raises(CorruptFrameError, match="unsupported layout"):
+            EncodedFrame.read(EncodedFrame(1, 1, key, width, height, 3, bits, b"").to_bytes())
+
+
 # --- the deflate segments of 16-bit frames --------------------------------------
 # A 16-bit frame's stream is deflated one half run at a time (low bytes at
 # Z_RLE, high bytes at the default strategy), each segment a whole deflate
@@ -526,11 +559,11 @@ def test_residuals_in_flat_index_order(kind, height, width, pattern):
 
 @st.composite
 def color_frame_pairs(draw):
-    """Two 16-bit frames of any size, 0 x n and n x 0 among them: a key frame
+    """Two 16-bit frames of any whole-block size, 0 x n and n x 0 among them: a key frame
     and a second frame that is zero, the same, a few elements changed, or
     noise, coded as a P-frame or a forced key frame."""
-    h = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2 * BLOCK_SIDE + 3)))
-    w = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2 * BLOCK_SIDE + 3)))
+    h = BLOCK_SIDE * draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 3)))
+    w = BLOCK_SIDE * draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (3, h, w)
 

@@ -14,14 +14,19 @@ def test_docstring_names_every_module_and_only_modules():
     assert named == {m.name for m in pkgutil.iter_modules(probestream.__path__)}
 
 
+def _assigned_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def _module_level_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    yield from _assigned_names(tree)
 
 
 def _package_trees():
@@ -79,6 +84,18 @@ def test_every_constant_is_read():
     }
     assert constants  # the walk finds the package's constants
     assert sorted(c for c in constants if c[1] not in reads) == []
+
+
+def test_no_constant_is_assigned_in_two_modules():
+    # a module-level UPPER_CASE constant is held in one module; another
+    # module that needs it imports it, so the two cannot drift apart
+    modules = {}
+    for module, tree in _package_trees().items():
+        for name in _assigned_names(tree):
+            if name.isupper() and not name.startswith("__"):
+                modules.setdefault(name, set()).add(module)
+    assert "BLOCK_SIDE" in modules  # the walk finds the constants
+    assert sorted((name, sorted(where)) for name, where in modules.items() if len(where) > 1) == []
 
 
 def test_every_public_module_name_is_read():

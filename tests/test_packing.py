@@ -15,13 +15,14 @@ from probestream.packing import (
     apply_update_entries,
     build_update_atlas,
     pack_color,
+    pack_texels,
     pack_visibility,
     reconstruct_guard_band,
     unpack_color,
     unpack_visibility,
     widened_width,
 )
-from probestream.volume import AtlasKind, ProbeAtlas
+from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas
 
 
 def random_color_texels(rng, h, w):
@@ -441,6 +442,35 @@ class TestUpdateAtlas:
         with pytest.raises(IndexError):
             apply_update_entries([(0, 2), (slot, probe)], texels, layout, target)
         assert not target.texels.any()
+
+
+class TestSlotGrid:
+    """The slot grid holds every slot, stays near square, and its planes are
+    whole codec blocks."""
+
+    def test_every_grid_holds_its_slots_in_whole_blocks(self):
+        for kind in AtlasKind:
+            across = 3 * BLOCK_SIDE // kind.core_side
+            down = BLOCK_SIDE // kind.core_side
+            for slot_count in range(1, 3001):
+                layout = UpdateAtlasLayout(slot_count, kind.core_side)
+                side = math.ceil(math.sqrt(slot_count))
+                assert side <= layout.slots_per_row < side + across
+                assert layout.slots_per_row * layout.slot_rows >= slot_count
+                assert layout.slot_rows < math.ceil(slot_count / layout.slots_per_row) + down
+                assert layout.width % (3 * BLOCK_SIDE) == 0 and layout.height % BLOCK_SIDE == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from(list(AtlasKind)))
+    @example(2048, AtlasKind.COLOR)
+    @example(2048, AtlasKind.VISIBILITY)
+    def test_packed_update_atlas_is_whole_blocks(self, slot_count, kind):
+        layout = UpdateAtlasLayout(slot_count, kind.core_side)
+        texels = np.zeros(layout.texel_shape(kind), np.uint32 if kind is AtlasKind.COLOR else np.uint16)
+        planes = pack_texels(texels, kind)
+        assert planes.height % BLOCK_SIDE == 0 and planes.width % BLOCK_SIDE == 0
+        if slot_count == 2048:
+            assert planes.data.shape[1:] == {AtlasKind.COLOR: (352, 384), AtlasKind.VISIBILITY: (688, 1024)}[kind]
 
 
 def layout_state(layout):

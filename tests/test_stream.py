@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probestream.codec import CodecError, encode_frame
+from probestream.codec import BLOCK_SIDE, CodecError, encode_frame
 from probestream.packing import PlaneSet, reconstruct_guard_band
 from probestream.selection import CameraPose, SceneGeometry, SelectionParams, pvs_probes
 from probestream.stream import ClientStream, ServerStream
@@ -164,7 +164,7 @@ def damaged(draw, case, server, update) -> bytes:
         return with_ids(update, np.arange(slots + 1, dtype="<u2").tobytes())
     planes = update.planes.copy()
     if kind == "layout":
-        planes = PlaneSet(planes.kind, np.zeros((3, planes.height, planes.width + 1), planes.data.dtype))
+        planes = PlaneSet(planes.kind, np.zeros((3, planes.height, planes.width + BLOCK_SIDE), planes.data.dtype))
     elif kind == "stream":
         stream_id += 2
     else:

@@ -180,7 +180,7 @@ class TestAtlas:
 def _reference_changed_blocks(cur, ref, rows, cols):
     """One block at a time, one element at a time, in Python integers."""
     *lead, h, w = cur.shape
-    by, bx = -(-h // rows), -(-w // cols)
+    by, bx = h // rows, w // cols
     out = np.zeros((*lead, by, bx), dtype=bool)
     for plane in np.ndindex(*lead):
         a, b = cur[plane].tolist(), ref[plane].tolist()
@@ -188,8 +188,8 @@ def _reference_changed_blocks(cur, ref, rows, cols):
             for c in range(bx):
                 out[plane + (r, c)] = any(
                     a[y][x] != b[y][x]
-                    for y in range(r * rows, min(h, (r + 1) * rows))
-                    for x in range(c * cols, min(w, (c + 1) * cols))
+                    for y in range(r * rows, (r + 1) * rows)
+                    for x in range(c * cols, (c + 1) * cols)
                 )
     return out
 
@@ -204,15 +204,13 @@ def _reference_changed_blocks(cur, ref, rows, cols):
 )
 def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, data):
     rows, cols = block
-    # whole blocks, or a last block row or column clipped by `cut` elements;
-    # with `band_bytes` set, the rows are cut into bands of that many bytes
-    # instead of `workers.BAND_BYTES`, so that planes this small reach the
-    # banded path with band boundaries between any two block rows and the
-    # clipped block row in the last band
+    # whole blocks; with `band_bytes` set, the rows are cut into bands of
+    # that many bytes instead of `workers.BAND_BYTES`, so that planes this
+    # small reach the banded path with band boundaries between any two
+    # block rows
     by = data.draw(st.integers(1, 3 if band_bytes is None else 9))
     bx = data.draw(st.integers(1, 3))
-    h = by * rows - data.draw(st.integers(0, rows - 1))
-    w = bx * cols - data.draw(st.integers(0, cols - 1))
+    h, w = by * rows, bx * cols
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     bits = np.dtype(dtype).itemsize * 8
     ref = rng.integers(0, 2**bits, size=(*lead, h, w), dtype=dtype)
@@ -225,9 +223,9 @@ def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, d
         st.integers(0, bits - 1),
     )
     for where, r, c, plane, bit in data.draw(st.lists(place, max_size=4)):
-        # the block's first and last element, clipped at the edges
+        # the block's first and last element
         y0, x0 = r * rows, c * cols
-        y1, x1 = min(h, y0 + rows) - 1, min(w, x0 + cols) - 1
+        y1, x1 = y0 + rows - 1, x0 + cols - 1
         y, x = {
             "first": (y0, x0),
             "last": (y1, x1),
@@ -244,15 +242,15 @@ def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, d
 @pytest.mark.parametrize(
     "shape, dtype, block",
     [
-        ((3, 733, 480), np.uint16, 16),  # the codec's compare; 733 = 45 * 16 + 13 rows
+        ((3, 736, 480), np.uint16, 16),  # the codec's compare
         ((828, 828), np.uint32, 18),  # a 2048-probe visibility atlas, as `detect_changed` reads it
-        ((1095, 500), np.uint32, 10),  # the last block row clipped to 5 rows
+        ((1100, 500), np.uint32, 10),
     ],
 )
 def test_changed_blocks_bands_match_scalar_reference(shape, dtype, block):
     # planes above `workers.BAND_BYTES`, reduced in bands of whole block
-    # rows; bits flip on both sides of every band boundary, in the clipped
-    # last block row and in the last element
+    # rows; bits flip on both sides of every band boundary, in the last
+    # block row and in the last element
     height = shape[-2]
     bands = workers.row_bands(height, math.prod(shape) // height * np.dtype(dtype).itemsize, block)
     assert len(bands) >= 2 and all(band.start % block == 0 for band in bands)
@@ -268,3 +266,20 @@ def test_changed_blocks_bands_match_scalar_reference(shape, dtype, block):
     np.testing.assert_array_equal(
         changed_blocks(cur, ref, block, block), _reference_changed_blocks(cur, ref, block, block)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(), (3,)]),
+    st.sampled_from([(16, 16), (10, 10), (18, 36)]),
+    st.integers(0, 40),
+    st.integers(0, 80),
+)
+def test_changed_blocks_refuse_shapes_that_are_not_whole_blocks(lead, block, h, w):
+    rows, cols = block
+    planes = np.zeros((*lead, h, w), np.uint16)
+    if h % rows or w % cols:
+        with pytest.raises(ValueError, match="not whole"):
+            changed_blocks(planes, planes, rows, cols)
+    else:
+        assert changed_blocks(planes, planes, rows, cols).shape == (*lead, h // rows, w // cols)

@@ -115,7 +115,7 @@ def _case(seed):
     packed in two row bands."""
     rng = np.random.default_rng(seed)
     vis = rng.integers(0, 8, size=(3, 256, 352), dtype=np.uint8)
-    color = rng.integers(0, 1024, size=(3, 200, 208), dtype=np.uint16)
+    color = rng.integers(0, 1024, size=(3, 208, 208), dtype=np.uint16)
     texels = rng.integers(0, 2**16, size=(520, 1024, 2), dtype=np.uint16)
     return vis, color, texels
 
