@@ -55,7 +55,11 @@ holds:
   lanes 1, 2 and 3 the same way: its byte k*h*q + y*q + j is s[4j + k] of
   row y, 4*h*q bytes in all. For visibility texels the lanes hold their
   R-hi, R-lo, G-hi and G-lo bytes, so each part of the stream holds bytes
-  of one kind.
+  of one kind. The encoder cuts the lanes as one 4-way split of the row
+  streams, and the decoder joins them back into planes in
+  `packing.pack_visibility`'s memory layout, whose (h, w, 3) transpose is
+  the row streams themselves; planes in another layout code to the same
+  bytes through one more copy.
 * Key frame, 16-bit planes: per plane, one run holding the gradient
   residual r = x - left - up + up-left (mod 2**16, neighbours outside the
   plane read as 0) of every element in row order. The decoder inverts it
@@ -108,7 +112,10 @@ the residual blocks into a copy of its reference through the same view.
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
 block rows that hold a changed block, so the caller may reuse its planes
-after the call.
+after the call. Every reference copy, the encoder's and the decoder's,
+keeps the memory layout of the planes it copies (``order="K"``), so
+visibility planes stay in `packing.pack_visibility`'s layout from frame to
+frame and unpack without a copy.
 """
 
 from __future__ import annotations
@@ -408,32 +415,22 @@ def _inflate(piece: tuple[memoryview, int]) -> np.ndarray:
 # --- texel-byte lanes of 8-bit key frames ------------------------------------
 
 
-# Row byte s[i] is plane i % 3 at column i // 3 and lane i % 4 at column
-# i // 4. As 4 divides w, a row is w / 4 groups of 12 bytes, each 4 columns
-# of every plane and 3 of every lane, and byte r of every group is one
-# strided copy: (plane, plane column, lane, lane column) in the group
-_LANE_GROUP = [(r % 3, r // 3, r % 4, r // 4) for r in range(12)]
-
-
 def _to_lanes(data: np.ndarray) -> np.ndarray:
-    """(3, h, w) 8-bit planes -> their (4, h, 3w / 4) lanes."""
+    """(3, h, w) 8-bit planes -> their contiguous (4, h, 3w / 4) lanes: the
+    (h, 3w) row streams split 4 ways. Planes in `packing.pack_visibility`'s
+    layout hold the row streams and are read in place; others are first
+    copied into that layout."""
     _, height, width = data.shape
-    lanes = np.empty((4, height, width // 4, 3), np.uint8)
-    groups = data.reshape(3, height, width // 4, 4)
-    for plane, column, lane, lane_column in _LANE_GROUP:
-        lanes[lane, :, :, lane_column] = groups[plane, :, :, column]
-    return lanes.reshape(4, height, 3 * width // 4)
+    streams = data.transpose(1, 2, 0).reshape(height, 3 * width // 4, 4)
+    return np.ascontiguousarray(streams.transpose(2, 0, 1))
 
 
 def _from_lanes(lanes: list[np.ndarray], width: int) -> np.ndarray:
     """Inverse of `_to_lanes` for planes `width` elements wide, from the
-    four (h, 3w / 4) lanes."""
-    height = lanes[0].shape[0]
-    planes = np.empty((3, height, width // 4, 4), np.uint8)
-    groups = [lane.reshape(height, width // 4, 3) for lane in lanes]
-    for plane, column, lane, lane_column in _LANE_GROUP:
-        planes[plane, :, :, column] = groups[lane][:, :, lane_column]
-    return planes.reshape(3, height, width)
+    four (h, 3w / 4) lanes: the joined row streams, as planes in
+    `packing.pack_visibility`'s layout."""
+    streams = np.stack(lanes, axis=-1).reshape(len(lanes[0]), width, 3)
+    return streams.transpose(2, 0, 1)
 
 
 # --- frame encode / decode ---------------------------------------------------
@@ -539,7 +536,7 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
         residuals = content[0]
     else:
         residuals = _unzigzag(_join_low_high(content))[0]
-    recon = reference.copy()
+    recon = reference.copy(order="K")  # in the reference's memory layout
     _blocks(recon)[idx] += residuals.reshape(-1, BLOCK_SIDE, BLOCK_SIDE)
     return recon
 

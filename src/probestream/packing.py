@@ -4,11 +4,13 @@ Three families of transforms live here, all lossless by construction:
 
 * color texels <-> three 16-bit YUV planes carrying 10-bit values,
 * visibility texels (pairs of raw float16 halves) <-> three 8-bit YUV planes
-  via byte distribution, with rows widened to ceil(4x/3) elements: each
-  row's big-endian byte stream goes to the planes as three strided copies,
-  every third byte to each. Rows are independent, so both directions run
-  in row bands (`workers.row_bands`) that write one preallocated output
-  concurrently,
+  via byte distribution: each row's big-endian byte stream s goes to the
+  planes every third byte to each, plane c at (y, p) = s[3p + c], so a row
+  of x texels is 4x/3 elements wide and x must be a multiple of 3. Held as
+  an (h, 4x/3, 3) byte array, those planes are exactly the byte-swapped
+  texels, and that is how they stay in memory: `PlaneSet.data` is the
+  copy-free (3, h, 4x/3) transposed view of it. Packing is one byteswap,
+  and unpacking planes in that layout copies nothing,
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule).
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from probestream import workers
 from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas
 
 
@@ -40,7 +41,7 @@ class PlaneSet:
     element type `AtlasKind.plane_dtype` of their kind."""
 
     kind: AtlasKind
-    data: np.ndarray  # shape (3, height, width)
+    data: np.ndarray  # shape (3, height, width), in any memory layout
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3 or self.data.shape[0] != 3:
@@ -63,7 +64,8 @@ class PlaneSet:
         return self.data.dtype.itemsize * 8
 
     def copy(self) -> "PlaneSet":
-        return PlaneSet(self.kind, self.data.copy())
+        """A copy in the same memory layout."""
+        return PlaneSet(self.kind, self.data.copy(order="K"))
 
     def equals(self, other: "PlaneSet") -> bool:
         return self.kind == other.kind and np.array_equal(self.data, other.data)
@@ -109,10 +111,11 @@ def unpack_color(planes: PlaneSet) -> np.ndarray:
 
 
 def widened_width(texel_width: int) -> int:
-    """Plane width in elements for a visibility row of `texel_width` texels."""
-    if texel_width < 0:
-        raise ValueError("width must be >= 0")
-    return math.ceil(4 * texel_width / 3)
+    """Plane width in elements for a visibility row of `texel_width` texels:
+    exactly 4/3 of it, for a width that is a multiple of 3."""
+    if texel_width < 0 or texel_width % 3:
+        raise ValueError(f"visibility rows of {texel_width} texels are not whole 3-texel groups")
+    return 4 * texel_width // 3
 
 
 def pack_visibility(texels: np.ndarray) -> PlaneSet:
@@ -120,28 +123,26 @@ def pack_visibility(texels: np.ndarray) -> PlaneSet:
 
     Each texel contributes four bytes (R-hi, R-lo, G-hi, G-lo; most
     significant byte first). Per row the byte stream s is laid out as
-    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2]; trailing pad bytes are zero.
+    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2]. The texel width must be
+    a multiple of 3. The planes are the (3, h, q) transposed view of one
+    contiguous (h, q, 3) array of the byte-swapped texels.
     """
     t = np.asarray(texels, dtype=np.uint16)
     if t.ndim != 3 or t.shape[2] != 2:
         raise ValueError("visibility texel region must be (h, w, 2)")
     h, w, _ = t.shape
-    planes = np.empty((3, h, widened_width(w)), dtype=np.uint8)
-
-    def band(rows: slice) -> None:
-        part = t[rows]
-        stream = part.astype(">u2").view(np.uint8).reshape(part.shape[0], 4 * w)
-        for c in range(3):
-            used = stream[:, c::3]
-            planes[c, rows, : used.shape[1]] = used
-            planes[c, rows, used.shape[1] :] = 0
-
-    workers.run_pieces(band, workers.row_bands(h, 4 * w))
-    return PlaneSet(AtlasKind.VISIBILITY, planes)
+    stream = t.astype(">u2").view(np.uint8).reshape(h, widened_width(w), 3)
+    return PlaneSet(AtlasKind.VISIBILITY, stream.transpose(2, 0, 1))
 
 
 def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
-    """Inverse of `pack_visibility` for rows of `texel_width` texels."""
+    """Inverse of `pack_visibility` for rows of `texel_width` texels.
+
+    Returns read-only big-endian (``>u2``) texels. For planes in
+    `pack_visibility`'s layout, which `codec.decode_frame` also returns,
+    they are a view of the planes and nothing is copied; planes in any
+    other layout are copied once.
+    """
     if planes.kind is not AtlasKind.VISIBILITY:
         raise ValueError("expected visibility plane set")
     if widened_width(texel_width) != planes.width:
@@ -150,16 +151,9 @@ def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
             f"{texel_width} texels per row"
         )
     h = planes.height
-    texels = np.empty((h, texel_width, 2), dtype=np.uint16)
-
-    def band(rows: slice) -> None:
-        part = planes.data[:, rows]
-        stream = np.empty((part.shape[1], 3 * planes.width), dtype=np.uint8)
-        for c in range(3):
-            stream[:, c::3] = part[c]
-        texels[rows] = stream[:, : 4 * texel_width].view(">u2").reshape(part.shape[1], texel_width, 2)
-
-    workers.run_pieces(band, workers.row_bands(h, 4 * texel_width))
+    stream = np.ascontiguousarray(planes.data.transpose(1, 2, 0)).reshape(h, 3 * planes.width)
+    texels = stream.view(">u2").reshape(h, texel_width, 2)
+    texels.flags.writeable = False
     return texels
 
 

@@ -17,8 +17,10 @@ raised by a piece on any thread reaches the caller; the first piece's
 exception in piece order wins when several raise.
 
 Pieces gain only where they run in native code that releases the
-interpreter lock: zlib's deflate and inflate, and numpy's copies, casts,
-compares and reductions on arrays of more than a few hundred elements.
+interpreter lock. The library's callers are the codec's deflate and
+inflate segments (zlib) and the block-change reduction of
+`volume.changed_blocks` (numpy's compares and reductions on arrays of more
+than a few hundred elements); packing runs inline.
 numpy's running sums (`cumsum`) hold the lock: two threads, each taking
 20 running sums over a 184 x 184 ``uint16`` array, finish no sooner than
 one thread taking all 40 (3.9 against 3.6-3.8 ms on a 2-vCPU host). `row_bands`

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from probestream import codec
@@ -24,7 +24,7 @@ from probestream.codec import (
     decode_frame,
     encode_frame,
 )
-from probestream.packing import PlaneSet, pack_visibility
+from probestream.packing import PlaneSet, pack_visibility, unpack_visibility
 from probestream.volume import AtlasKind
 from test_codec_golden import _smooth, inflated_segments, read_segments, reference_decode, split_payload
 
@@ -41,6 +41,12 @@ def vis_planes(rng, h=48, w=48):
         AtlasKind.VISIBILITY,
         rng.integers(0, 256, size=(3, h, w), dtype=np.uint8),
     )
+
+
+def packed_layout(planes):
+    """The same planes in `pack_visibility`'s memory layout: the (3, h, w)
+    transposed view of a contiguous (h, w, 3) array."""
+    return PlaneSet(planes.kind, np.ascontiguousarray(planes.data.transpose(1, 2, 0)).transpose(2, 0, 1))
 
 
 def stream_pair(gop=30):
@@ -855,6 +861,21 @@ class TestEncoderOwnership:
             mine.data ^= 1  # the caller reuses its planes after the call
         assert clean.reference.equals(dirty.reference)
 
+    @pytest.mark.parametrize("layout", [lambda p: p, packed_layout])
+    @pytest.mark.parametrize("make", [color_planes, vis_planes])
+    def test_reference_shares_no_memory_with_the_callers_planes(self, make, layout):
+        rng = np.random.default_rng(34)
+        planes = layout(make(rng, 48, 64))
+        enc = stream_pair()[0]
+        for step in range(3):  # key, changed P, unchanged P
+            if step == 1:
+                planes.data[:, 20:40, 5:9] ^= 1
+            encode_frame(planes, enc)
+            assert not np.shares_memory(enc.reference.data, planes.data)
+            assert enc.reference.equals(planes)
+            # the copy keeps the caller's memory layout
+            assert enc.reference.data.strides == planes.data.strides
+
     def test_unchanged_p_frame_decodes_to_the_reference_itself(self):
         rng = np.random.default_rng(31)
         enc, dec = stream_pair()
@@ -893,6 +914,37 @@ class TestDecoderOwnership:
             assert np.array_equal(previous.data, kept[0])
             assert np.array_equal(reference.data, kept[1])
             previous = decoded
+
+    def test_unpacked_texels_are_read_only_views_of_the_decoded_planes(self):
+        rng = np.random.default_rng(35)
+        enc, dec = stream_pair()
+        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16)
+        for step in range(3):  # key, changed P, unchanged P
+            if step == 1:
+                texels[20:30, 3:40] ^= 0x0101
+            decoded = decode_frame(encode_frame(pack_visibility(texels), enc), dec)
+            out = unpack_visibility(decoded, 48)
+            assert np.shares_memory(out, decoded.data)
+            assert not out.flags.writeable
+            assert np.array_equal(out, texels)
+
+    def test_texels_unpacked_earlier_stay_across_later_frames(self):
+        rng = np.random.default_rng(36)
+        enc, dec = stream_pair()
+        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16)
+        earlier = unpack_visibility(decode_frame(encode_frame(pack_visibility(texels), enc), dec), 48)
+        kept = earlier.copy()
+        # P-frames changing the first block row, a corner and everything,
+        # then a key frame
+        for rows, cols, key in ((slice(2, 9), slice(20, 30), False), (slice(38, 48), slice(40, 48), False),
+                                (slice(None), slice(None), False), (slice(None), slice(None), True)):
+            texels[rows, cols] ^= 0x8001
+            frame = encode_frame(pack_visibility(texels), enc, force_key=key)
+            assert frame.key is key
+            later = unpack_visibility(decode_frame(frame, dec), 48)
+            assert np.array_equal(later, texels)
+            assert np.array_equal(earlier, kept)
+            earlier, kept = later, later.copy()
 
 
 def serial_deflate(segments):
@@ -975,6 +1027,43 @@ class TestConcurrentSegments:
             decoded.append(planes_out)
         assert runs[0] == runs[1] == runs[2]
         assert decoded[0] == decoded[1] == decoded[2]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from([color_planes, vis_planes]), block_rows=st.integers(1, 3),
+       block_columns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+# 8-bit lanes that reach `LANE_SEGMENT_BYTES`, deflated and inflated concurrently
+@example(kind=vis_planes, block_rows=18, block_columns=19, seed=3)
+def test_frames_do_not_depend_on_the_planes_memory_layout(cpus, kind, block_rows, block_columns, seed):
+    """Planes given planar-contiguous, given in `pack_visibility`'s layout,
+    or switching between the two from frame to frame code to the same key
+    and P-frame bytes and decode to the same values, at 1 and at 2 CPUs."""
+    rng = np.random.default_rng(seed)
+    first = kind(rng, block_rows * BLOCK_SIDE, block_columns * BLOCK_SIDE)
+    changed = first.copy()
+    changed.data[:, rng.random(changed.data.shape[1:]) < 0.01] ^= 1
+    sequence = [first, changed, changed, first]
+    layouts = {
+        "planar": [p.copy() for p in sequence],
+        "packed": [packed_layout(p) for p in sequence],
+        "mixed": [packed_layout(p) if i % 2 else p.copy() for i, p in enumerate(sequence)],
+    }
+    assert layouts["planar"][0].data.flags.c_contiguous
+    assert layouts["packed"][0].data.transpose(1, 2, 0).flags.c_contiguous
+    for n in (1, 2):
+        cpus(n)
+        runs = {}
+        for name, frames in layouts.items():
+            enc, dec = stream_pair(gop=3)
+            coded = []
+            for planes in frames:
+                frame = encode_frame(planes, enc)
+                out = decode_frame(EncodedFrame.from_bytes(frame.to_bytes()), dec)
+                assert out.equals(planes)
+                coded.append((frame.key, frame.to_bytes()))
+            runs[name] = coded
+        assert [key for key, _ in runs["planar"]] == [True, False, False, True]
+        assert runs["planar"] == runs["packed"] == runs["mixed"]
 
 
 def _table_case(kind):

@@ -1,13 +1,12 @@
 import copy
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probestream import workers
+from probestream.codec import CodecStreamState, decode_frame, encode_frame
 from probestream.packing import (
     PlaneSet,
     SlotOverflowError,
@@ -72,15 +71,26 @@ class TestColorPacking:
 
 
 class TestWidenedWidth:
+    """A visibility row is whole 3-texel groups, so its planes are exactly
+    4/3 as wide; any other width is refused."""
+
     def test_examples(self):
         assert widened_width(3) == 4
         assert widened_width(18) == 24
         assert widened_width(0) == 0
+        assert widened_width(768) == 1024  # the update atlas of 2048 slots
+        for x in (1, 2, 4, 17, -3):
+            with pytest.raises(ValueError):
+                widened_width(x)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10_000))
+    @given(st.integers(-10, 10_000))
     def test_formula(self, x):
-        assert widened_width(x) == math.ceil(4 * x / 3)
+        if x < 0 or x % 3:
+            with pytest.raises(ValueError):
+                widened_width(x)
+        else:
+            assert widened_width(x) == 4 * x // 3
 
 
 class TestVisibilityPacking:
@@ -95,11 +105,16 @@ class TestVisibilityPacking:
         assert stream.tobytes() == expected  # 12 bytes, no pad
 
     def test_single_texel_row_layout(self):
+        # a row of one texel is no whole 3-texel group: refused both ways
         texels = np.array([[[0x0102, 0x0304]]], dtype=np.uint16)
-        planes = pack_visibility(texels)
+        with pytest.raises(ValueError):
+            pack_visibility(texels)
+        with pytest.raises(ValueError):
+            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, 1, 2), np.uint8)), 1)
+        # the same texel first in a row of three
+        planes = pack_visibility(np.concatenate([texels, np.zeros((1, 2, 2), np.uint16)], axis=1))
         y, u, v = planes.data
         assert (y[0, 0], u[0, 0], v[0, 0], y[0, 1]) == (1, 2, 3, 4)
-        assert u[0, 1] == 0 and v[0, 1] == 0
 
     def test_random_block_round_trip_with_extremes(self):
         rng = np.random.default_rng(9)
@@ -111,11 +126,28 @@ class TestVisibilityPacking:
         assert np.array_equal(out, texels)
 
     def test_pad_bytes_zero(self):
+        # a row of 5 texels would need pad bytes: refused both ways
         rng = np.random.default_rng(10)
-        texels = random_visibility_texels(rng, 4, 5)
+        with pytest.raises(ValueError):
+            pack_visibility(random_visibility_texels(rng, 4, 5))
+        with pytest.raises(ValueError):
+            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, 4, 7), np.uint8)), 5)
+        # a row of 6 holds no pad byte: its stream is the texel bytes alone
+        texels = random_visibility_texels(rng, 4, 6)
+        stream = pack_visibility(texels).data.transpose(1, 2, 0).reshape(4, -1)
+        assert stream.tobytes() == texels.astype(">u2").tobytes()
+
+    def test_planes_in_any_layout_unpack(self):
+        # `pack_visibility`'s planes unpack to a view; planar-contiguous
+        # copies of them unpack to equal texels through one copy
+        texels = random_visibility_texels(np.random.default_rng(11), 16, 48)
         planes = pack_visibility(texels)
-        stream = planes.data.transpose(1, 2, 0).reshape(4, -1)
-        assert not stream[:, 20:].any()
+        assert planes.data.transpose(1, 2, 0).flags.c_contiguous
+        assert np.shares_memory(unpack_visibility(planes, 48), planes.data)
+        planar = PlaneSet(AtlasKind.VISIBILITY, np.ascontiguousarray(planes.data))
+        out = unpack_visibility(planar, 48)
+        assert not np.shares_memory(out, planar.data)
+        assert np.array_equal(out, texels) and not out.flags.writeable
 
     def test_width_mismatch_rejected(self):
         planes = pack_visibility(np.zeros((2, 3, 2), dtype=np.uint16))
@@ -131,21 +163,23 @@ class TestVisibilityPacking:
     def test_round_trip_property(self, h, w, seed):
         rng = np.random.default_rng(seed)
         texels = random_visibility_texels(rng, h, w)
+        if w % 3:
+            with pytest.raises(ValueError):
+                pack_visibility(texels)
+            return
         assert np.array_equal(unpack_visibility(pack_visibility(texels), w), texels)
 
 
 def _reference_visibility_planes(texels):
     """Byte distribution one texel and one byte at a time: per row the
     stream s holds each half most significant byte first, and
-    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2], padded with zeros."""
+    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2]."""
     h, w, _ = texels.shape
-    wide = math.ceil(4 * w / 3)
-    planes = np.zeros((3, h, wide), dtype=np.uint8)
+    planes = np.zeros((3, h, 4 * w // 3), dtype=np.uint8)
     for y, row in enumerate(texels.tolist()):
         s = []
         for r, g in row:
             s += [r >> 8, r & 0xFF, g >> 8, g & 0xFF]
-        s += [0] * (3 * wide - len(s))
         for c in range(3):
             planes[c, y] = s[c::3]
     return planes
@@ -156,24 +190,26 @@ def _reference_visibility_planes(texels):
     h=st.integers(1, 40),
     w=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 26)),
     seed=st.integers(0, 2**20),
-    band_bytes=st.sampled_from([None, 1, 100, 1000]),
 )
-# above `workers.BAND_BYTES`: two bands, the boundary at row 260, inside the
-# 16-row block row 256..271 that the codec reads
-@example(h=520, w=1024, seed=5, band_bytes=None)
-def test_visibility_packing_matches_scalar_reference(h, w, seed, band_bytes):
-    # with `band_bytes` set, the rows are cut into bands of that many
-    # texel bytes instead of `workers.BAND_BYTES`, so that these small
-    # planes reach the banded path with boundaries between any two rows
+# the visibility update atlas of 2048 slots
+@example(h=688, w=768, seed=5)
+def test_visibility_packing_matches_scalar_reference(h, w, seed):
     rng = np.random.default_rng(seed)
     values = np.array([0x0000, 0x00FF, 0xFF00, 0xFFFF], dtype=np.uint16)
     texels = rng.choice(values, size=(h, w, 2))
-    with mock.patch.object(workers, "BAND_BYTES", band_bytes or workers.BAND_BYTES):
-        planes = pack_visibility(texels)
-        out = unpack_visibility(planes, w)
+    if w % 3:
+        # a row that is not whole 3-texel groups is refused both ways
+        with pytest.raises(ValueError):
+            pack_visibility(texels)
+        with pytest.raises(ValueError):
+            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, h, -(-4 * w // 3)), np.uint8)), w)
+        return
+    planes = pack_visibility(texels)
+    out = unpack_visibility(planes, w)
     assert planes.data.dtype == np.uint8
     assert np.array_equal(planes.data, _reference_visibility_planes(texels))
-    assert out.dtype == np.uint16 and out.shape == (h, w, 2)
+    assert out.dtype == np.dtype(">u2") and out.shape == (h, w, 2)
+    assert not out.flags.writeable
     assert np.array_equal(out, texels)
 
 
@@ -245,6 +281,32 @@ def test_batched_slot_copies_match_per_probe_reference(
         apply_update_entries(entries, texels, layout, target)
         reference_apply(entries, expect_texels, twin, expect_target)
         assert np.array_equal(target.texels, expect_target.texels)
+
+
+def test_client_atlas_stays_native_and_bit_exact_through_unpacked_views():
+    """Decoded visibility planes unpack to read-only big-endian views;
+    `apply_update_entries` byteswaps only the cores it copies, so the client
+    atlas stays native ``uint16`` and equal to the source, frame after frame."""
+    rng = np.random.default_rng(40)
+    kind = AtlasKind.VISIBILITY
+    source = ProbeAtlas(kind, 20, probes_per_row=5)
+    target = ProbeAtlas(kind, 20, probes_per_row=5)
+    layout, twin = UpdateAtlasLayout(9, kind.core_side), UpdateAtlasLayout(9, kind.core_side)
+    enc, dec = CodecStreamState(1, "encoder"), CodecStreamState(1, "decoder")
+    texels = None
+    for selected in ([0, 3, 19], [3, 4], [], [1, 2, 5, 6, 7, 8, 9, 10, 11]):
+        source.texels[:] = rng.integers(0, 2**16, source.texels.shape, np.uint16)
+        texels, entries = build_update_atlas(selected, layout, source, texels)
+        decoded = decode_frame(encode_frame(pack_visibility(texels), enc), dec)
+        unpacked = unpack_visibility(decoded, twin.width)
+        assert unpacked.dtype == np.dtype(">u2") and not unpacked.flags.writeable
+        assert np.shares_memory(unpacked, decoded.data)
+        assert twin.assign(selected) == entries
+        apply_update_entries(entries, unpacked, twin, target)
+        assert target.texels.dtype == np.uint16 and target.texels.dtype.isnative
+        for probe in selected:
+            expect = reconstruct_guard_band(reference_block(source, probe)[1:-1, 1:-1])
+            assert np.array_equal(reference_block(target, probe), expect)
 
 
 class TestGuardBand:

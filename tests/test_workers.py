@@ -111,12 +111,12 @@ CALLERS = 6  # more than the CPUs of a small host, fixed whatever the host
 
 def _case(seed):
     """Seeded frames above every cut-off: visibility planes whose key frame
-    splits into lanes, colour planes of six key-frame segments, and texels
-    packed in two row bands."""
+    splits into lanes, colour planes of six key-frame segments, and the
+    texels of the visibility update atlas of 2048 slots."""
     rng = np.random.default_rng(seed)
     vis = rng.integers(0, 8, size=(3, 256, 352), dtype=np.uint8)
     color = rng.integers(0, 1024, size=(3, 208, 208), dtype=np.uint16)
-    texels = rng.integers(0, 2**16, size=(520, 1024, 2), dtype=np.uint16)
+    texels = rng.integers(0, 2**16, size=(688, 768, 2), dtype=np.uint16)
     return vis, color, texels
 
 
@@ -136,7 +136,7 @@ def _work(case):
             out.append(hashlib.sha256(frame.to_bytes()).hexdigest())
             out.append(np.array_equal(decoded.data, planes))
     packed = pack_visibility(texels)
-    out.append(hashlib.sha256(packed.data).hexdigest())
+    out.append(hashlib.sha256(packed.data.tobytes()).hexdigest())
     out.append(np.array_equal(unpack_visibility(packed, texels.shape[1]), texels))
     return out
 
