@@ -3,9 +3,9 @@
 The package splits into the probe data model (`volume`), per-client probe
 selection (`selection`), bit-exact layout transforms and the update-atlas
 slot allocator (`packing`), and a lossless temporal frame codec (`codec`).
-The codec's deflate segments and the block-change reduction of `volume`
-run their independent pieces on the process's CPUs through one lazily
-started thread pool (`workers`).
+The codec's deflate and inflate segments run on the process's CPUs
+through one lazily started thread pool (`workers`); the block-change
+reduction of `volume` is serial.
 `stream` joins them into the two ends of one client's stream: the server's,
 which turns each render into a checked message, and the thin client's, which
 rebuilds its atlas from the messages and rejects a bad one whole.

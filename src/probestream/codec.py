@@ -474,7 +474,7 @@ def encode_frame(
         payload = _deflate(_key_segments(cur))
     else:
         ref = state.reference.data
-        changed = changed_blocks(cur, ref, BLOCK_SIDE, BLOCK_SIDE)
+        changed = changed_blocks(cur, ref, BLOCK_SIDE)
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
         payload = bitmap + _deflate(_p_segments(cur, ref, changed))
     seq = state.frame_count

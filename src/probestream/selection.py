@@ -253,6 +253,7 @@ class CameraPose:
         u = np.array((ry * fz - rz * fy, rz * fx - rx * fz, rx * fy - ry * fx))
         return f, r, u
 
+
 def frustum_directions(pose: CameraPose, cols: int, rows: int) -> np.ndarray:
     """Unit ray directions through a cols x rows grid over the square,
     90 degree view frustum."""
@@ -320,7 +321,7 @@ def detect_changed(
         for a in (rendered, last_sent)
     )
     side = rendered.kind.block_side
-    changed = changed_blocks(cur, ref, side, side).reshape(-1)
+    changed = changed_blocks(cur, ref, side).reshape(-1)
     return np.flatnonzero(changed[: volume.probe_count] & volume.active)
 
 
@@ -371,15 +372,12 @@ def pvs_probes(
     scene: SceneGeometry,
     volume: ProbeVolume,
     params: SelectionParams,
-    rays: np.ndarray | None = None,
 ) -> np.ndarray:
     """Active probes that could shade any point visible from the camera."""
-    if rays is None:
-        rays = pvs_rays(pose, params)
     o = pose.position
     # component-first; the public calls get transposed views, which they
     # transpose back without a copy
-    d = _by_component(rays)
+    d = _by_component(pvs_rays(pose, params))
     t = scene.raycast(o, d.T)
     hit = np.isfinite(t)
     ok, exits = _volume_exit_points(o, np.compress(~hit, d, axis=1), volume)

@@ -22,11 +22,12 @@ Fail-closed rule: before its decoder, its twin layout or its atlas moves,
 the client checks the frame (`EncodedFrame.read`: its magic, its length
 against its header, its CRC and its layout), the ids' CRC, an even id
 length, every id inside the volume, no id twice, no more ids than slots,
-and the frame's kind and plane size against its own. A frame that passes these checks and decodes
-can still hold a colour element above 10 bits, so the frame is decoded
-into a copy of the decoder, which the client keeps only once the frame
-unpacks. Any bad message raises `CodecError` (`MessageError`, or the
-codec's own subclasses) and leaves the client as it was.
+and the frame's kind and plane size against its own. A frame that passes
+these checks and decodes can still hold a colour element above 10 bits,
+so the frame is decoded into a copy of the decoder, which the client
+keeps only once the frame unpacks. Any bad message raises `CodecError`
+(`MessageError`, or the codec's own subclasses) and leaves the client as
+it was.
 
 Every step runs through ``call(name, fn, *args)``, named after the
 benchmark metric it feeds; by default it calls straight through.

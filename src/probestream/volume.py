@@ -15,10 +15,10 @@ guard band is a deterministic function of the core (see `packing`).
 kind's texels pack into: uint16 for color, uint8 for visibility.
 
 `changed_blocks` is the one block-change reduction, shared by change
-detection and the codec's P-frames. It works on whole blocks only, which
-both callers pass: whole probe blocks and whole `BLOCK_SIDE` blocks. It
-reduces bands of whole block rows (`workers.row_bands`) concurrently into
-one output.
+detection and the codec's P-frames. It works on whole square blocks only,
+which both callers pass: whole probe blocks and whole `BLOCK_SIDE` blocks.
+It is one serial numpy reduction on the calling thread; the worker pool
+(`workers`) runs only the codec's deflate and inflate segments.
 
 `throughput_bps` is in bits per second. In the paper's binary units
 (1 Mb = 2**20 bits) a 2048-probe color volume's 10 Hz stream comes out at
@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from probestream import workers
 
 BLOCK_SIDE = 16  # side of the codec's square blocks, in plane elements
 
@@ -174,26 +172,22 @@ class ProbeAtlas:
         return np.divmod(ids, self.probes_per_row)
 
 
-def changed_blocks(cur: np.ndarray, ref: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Which ``rows x cols`` blocks of the last two axes of `cur` differ from
+def changed_blocks(cur: np.ndarray, ref: np.ndarray, side: int) -> np.ndarray:
+    """Which ``side x side`` blocks of the last two axes of `cur` differ from
     `ref`; shape (..., block rows, block columns). The last two axes must be
     whole blocks. The rows of each block are reduced first, then the
-    `cols`-wide column groups of that `rows` times smaller result. Bands of
-    whole block rows (`workers.row_bands`) are reduced concurrently into one
-    output."""
+    `side`-wide column groups of that `side` times smaller result, in one
+    serial pass."""
     *lead, height, width = cur.shape
-    if height % rows or width % cols:
-        raise ValueError(f"{height} x {width} elements are not whole {rows} x {cols} blocks")
-    out = np.empty((*lead, height // rows, width // cols), dtype=bool)
-
-    def band(span: slice) -> None:
-        by = (span.stop - span.start) // rows
-        differ = np.not_equal(cur[..., span, :], ref[..., span, :]).reshape(*lead, by, rows, width)
-        reduced = differ.any(axis=-2).reshape(*lead, by, width // cols, cols)
-        reduced.any(axis=-1, out=out[..., span.start // rows : span.stop // rows, :])
-
-    workers.run_pieces(band, workers.row_bands(height, math.prod(lead) * width * cur.itemsize, rows))
-    return out
+    if height % side or width % side:
+        raise ValueError(f"{height} x {width} elements are not whole {side} x {side} blocks")
+    differ = np.not_equal(cur, ref).reshape(*lead, height // side, side, width)
+    # the column groups are reduced in C order: in the visibility planes'
+    # transposed layout numpy would run that reduction with the 3-long plane
+    # axis innermost, which doubles the whole compare of 2048-slot planes
+    # (1.2-1.45 against 0.72 ms on a 2-vCPU host)
+    rows = np.ascontiguousarray(differ.any(axis=-2))
+    return rows.reshape(*lead, height // side, width // side, side).any(axis=-1)
 
 
 # --- octahedral direction mapping ------------------------------------------

@@ -17,15 +17,14 @@ raised by a piece on any thread reaches the caller; the first piece's
 exception in piece order wins when several raise.
 
 Pieces gain only where they run in native code that releases the
-interpreter lock. The library's callers are the codec's deflate and
-inflate segments (zlib) and the block-change reduction of
-`volume.changed_blocks` (numpy's compares and reductions on arrays of more
-than a few hundred elements); packing runs inline.
+interpreter lock. The library's only caller is the codec, for its
+deflate and inflate segments (zlib), which it cuts by frame size alone,
+so a result never depends on how many CPUs computed it. The block-change
+reduction (`volume.changed_blocks`) and packing run serially on the
+calling thread.
 numpy's running sums (`cumsum`) hold the lock: two threads, each taking
 20 running sums over a 184 x 184 ``uint16`` array, finish no sooner than
-one thread taking all 40 (3.9 against 3.6-3.8 ms on a 2-vCPU host). `row_bands`
-cuts rows into pieces by size alone, so a result never depends on how
-many CPUs computed it.
+one thread taking all 40 (3.9 against 3.6-3.8 ms on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from typing import TypeVar
 
 P = TypeVar("P")
 R = TypeVar("R")
-
-BAND_BYTES = 3 << 18  # smallest row band worth handing to another thread (768 KiB)
 
 _pool: ThreadPoolExecutor | None = None
 _helpers = 0  # threads in `_pool`
@@ -114,15 +111,3 @@ def run_pieces(fn: Callable[[P], R], pieces: Iterable[P]) -> list[R]:
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def row_bands(rows: int, row_bytes: int, step: int = 1) -> list[slice]:
-    """`rows` rows of `row_bytes` bytes each, cut into bands of at least
-    `BAND_BYTES` bytes with every boundary on a multiple of `step` rows;
-    one band when the rows hold less than two bands' worth."""
-    units = -(-rows // step)
-    count = min(units, rows * row_bytes // BAND_BYTES)
-    if count <= 1:
-        return [slice(0, rows)]
-    edges = [min(rows, step * (units * i // count)) for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]

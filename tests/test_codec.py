@@ -381,17 +381,6 @@ class TestFrameCodec:
         assert mean_ratio >= 20
         assert all(r >= 100 for r in ratios[1:])  # P-frames alone
 
-    def test_edge_blocks_clipped_not_padded(self):
-        # planes are whole blocks: the codec neither clips nor pads an edge
-        # block, and refuses planes that would need it
-        rng = np.random.default_rng(17)
-        enc, dec = stream_pair()
-        with pytest.raises(ValueError, match="not whole"):
-            encode_frame(color_planes(rng, BLOCK_SIDE + 5, BLOCK_SIDE + 3), enc)
-        assert enc.frame_count == 0 and enc.reference is None
-        planes = color_planes(rng, 2 * BLOCK_SIDE, 2 * BLOCK_SIDE)
-        assert decode_frame(encode_frame(planes, enc), dec).equals(planes)
-
 
 def _not_whole(h, w):
     return bool(h % BLOCK_SIDE or w % BLOCK_SIDE)
@@ -432,6 +421,23 @@ class TestWholeBlocks:
         assert isinstance(error, CorruptFrameError) and "unsupported layout" in str(error)
         assert dec.reference is reference and dec.frame_count == 1
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 7])
+    def test_8bit_key_frames_1_to_7_wide_refused(self, w):
+        # whatever the content: every byte clear, or one byte past the
+        # planes' 3w bytes per row set in the first row or the last
+        h, q = 3, -(-3 * w // 4)
+        for i, y in [(i, y) for i in range(3 * w, 4 * q) for y in (0, h - 1)] + [(None, None)]:
+            content = bytearray(4 * h * q)
+            if i is not None:
+                content[(i % 4) * h * q + y * q + i // 4] = 0x80
+            frame = EncodedFrame(1, 0, True, w, h, 3, 8, container(deflate(bytes(content))))
+            with pytest.raises(CorruptFrameError, match="unsupported layout"):
+                EncodedFrame.read(frame.to_bytes())
+            dec = CodecStreamState(1, "decoder")
+            error, _ = _decode_peak(frame, dec)
+            assert isinstance(error, CorruptFrameError) and "unsupported layout" in str(error)
+            assert dec.frame_count == 0 and dec.reference is None
 
 
 def _key_and_p_frames(kind, h, w, seed):
@@ -593,21 +599,6 @@ class TestFailClosed:
         assert bitmap == b"\xe0"
         for pad in (0x01, 0x10):
             self._rejects(like(frame, bytes([0xE0 | pad]) + frame.payload[1:]), dec)
-
-    @pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 7])
-    def test_lane_pad_byte_set_rejected(self, w):
-        # a row of w elements, w not a multiple of 16, would end its lanes in
-        # pad bytes: such a frame is refused whether a pad byte is set (in
-        # the first row or the last) or every one is clear
-        h, q = 3, -(-3 * w // 4)
-        for i, y in [(i, y) for i in range(3 * w, 4 * q) for y in (0, h - 1)] + [(None, None)]:
-            content = bytearray(4 * h * q)
-            if i is not None:
-                content[(i % 4) * h * q + y * q + i // 4] = 0x80
-            frame = EncodedFrame(1, 0, True, w, h, 3, 8, container(deflate(bytes(content))))
-            with pytest.raises(CorruptFrameError, match="unsupported layout"):
-                EncodedFrame.read(frame.to_bytes())
-            self._rejects(frame, CodecStreamState(1, "decoder"))
 
     def test_payload_shorter_than_bitmap(self):
         # 3 planes of 9 blocks need a 4-byte bitmap

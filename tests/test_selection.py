@@ -2,12 +2,14 @@ import copy
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probestream import selection
 from probestream.selection import (
     PAIR_BUDGET,
     RAY_EPS,
@@ -475,7 +477,8 @@ def _grid_wall_scene():
 
 @pytest.mark.parametrize("case", ["grid_walls", "random", "empty"])
 def test_pvs_matches_scalar_reference(case):
-    # one ray at a time, so that each ray's own cage is compared
+    # one ray at a time, so that each ray's own cage is compared: `pvs_rays`
+    # is patched to return the one ray
     if case == "random":
         volume, scene, poses = _pvs_scene(seed=3)
         active = np.random.default_rng(0).random(volume.probe_count) < 0.8
@@ -490,7 +493,8 @@ def test_pvs_matches_scalar_reference(case):
     for pose in poses:
         rays = pvs_rays(pose, params)
         for ray in rays:
-            got = pvs_probes(pose, scene, volume, params, rays=ray[None])
+            with mock.patch.object(selection, "pvs_rays", return_value=ray[None]):
+                got = pvs_probes(pose, scene, volume, params)
             assert got.tolist() == _reference_pvs(pose.position, ray[None], scene.boxes, volume)
         # exit points lie on the volume's faces, where a cage seldom moves, so
         # they are compared directly

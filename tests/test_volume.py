@@ -1,12 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probestream import workers
 from probestream.packing import pack_color, unpack_color
 from probestream.volume import (
     AtlasKind,
@@ -177,10 +175,10 @@ class TestAtlas:
         assert np.array_equal(unpack_color(planes), texels)
 
 
-def _reference_changed_blocks(cur, ref, rows, cols):
+def _reference_changed_blocks(cur, ref, side):
     """One block at a time, one element at a time, in Python integers."""
     *lead, h, w = cur.shape
-    by, bx = h // rows, w // cols
+    by, bx = h // side, w // side
     out = np.zeros((*lead, by, bx), dtype=bool)
     for plane in np.ndindex(*lead):
         a, b = cur[plane].tolist(), ref[plane].tolist()
@@ -188,33 +186,36 @@ def _reference_changed_blocks(cur, ref, rows, cols):
             for c in range(bx):
                 out[plane + (r, c)] = any(
                     a[y][x] != b[y][x]
-                    for y in range(r * rows, (r + 1) * rows)
-                    for x in range(c * cols, (c + 1) * cols)
+                    for y in range(r * side, (r + 1) * side)
+                    for x in range(c * side, (c + 1) * side)
                 )
     return out
+
+
+def _planes(rng, dtype, shape, transposed):
+    """Random elements; `transposed` lays a 3-D array's leading axis out
+    innermost, as `pack_visibility` lays out its planes."""
+    if transposed and len(shape) == 3:
+        return np.moveaxis(_planes(rng, dtype, (*shape[1:], shape[0]), False), -1, 0)
+    return rng.integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype, endpoint=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([(), (1,), (3,)]),
     st.sampled_from([np.uint8, np.uint16, np.uint32]),
-    st.sampled_from([(16, 16), (10, 10), (18, 36)]),
-    st.sampled_from([None, 1, 100, 2000]),
+    st.sampled_from([10, 16, 18]),
+    st.booleans(),
     st.data(),
 )
-def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, data):
-    rows, cols = block
-    # whole blocks; with `band_bytes` set, the rows are cut into bands of
-    # that many bytes instead of `workers.BAND_BYTES`, so that planes this
-    # small reach the banded path with band boundaries between any two
-    # block rows
-    by = data.draw(st.integers(1, 3 if band_bytes is None else 9))
+def test_changed_blocks_match_scalar_reference(lead, dtype, side, transposed, data):
+    by = data.draw(st.integers(1, 3))
     bx = data.draw(st.integers(1, 3))
-    h, w = by * rows, bx * cols
+    h, w = by * side, bx * side
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     bits = np.dtype(dtype).itemsize * 8
-    ref = rng.integers(0, 2**bits, size=(*lead, h, w), dtype=dtype)
-    cur = ref.copy()
+    ref = _planes(rng, dtype, (*lead, h, w), transposed)
+    cur = ref.copy(order="K")
     place = st.tuples(
         st.sampled_from(["first", "last", "any"]),
         st.integers(0, by - 1),
@@ -224,8 +225,8 @@ def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, d
     )
     for where, r, c, plane, bit in data.draw(st.lists(place, max_size=4)):
         # the block's first and last element
-        y0, x0 = r * rows, c * cols
-        y1, x1 = y0 + rows - 1, x0 + cols - 1
+        y0, x0 = r * side, c * side
+        y1, x1 = y0 + side - 1, x0 + side - 1
         y, x = {
             "first": (y0, x0),
             "last": (y1, x1),
@@ -233,53 +234,47 @@ def test_changed_blocks_match_scalar_reference(lead, dtype, block, band_bytes, d
         }[where]
         index = (y, x) if plane is None else (plane, y, x)
         cur[index] ^= dtype(1 << bit)
-    with mock.patch.object(workers, "BAND_BYTES", band_bytes or workers.BAND_BYTES):
-        got = changed_blocks(cur, ref, rows, cols)
+    got = changed_blocks(cur, ref, side)
     assert got.shape == (*lead, by, bx)
-    np.testing.assert_array_equal(got, _reference_changed_blocks(cur, ref, rows, cols))
+    np.testing.assert_array_equal(got, _reference_changed_blocks(cur, ref, side))
 
 
 @pytest.mark.parametrize(
-    "shape, dtype, block",
+    "shape, dtype, side, transposed",
     [
-        ((3, 736, 480), np.uint16, 16),  # the codec's compare
-        ((828, 828), np.uint32, 18),  # a 2048-probe visibility atlas, as `detect_changed` reads it
-        ((1100, 500), np.uint32, 10),
+        ((810, 828), np.uint32, 18, False),  # a 2048-probe visibility atlas, as `detect_changed` reads it
+        ((450, 460), np.uint32, 10, False),  # a 2048-probe colour atlas
+        ((3, 688, 1024), np.uint8, 16, True),  # the codec's compare of 2048-slot visibility planes
+        ((3, 352, 384), np.uint16, 16, False),  # and of 2048-slot colour planes
     ],
 )
-def test_changed_blocks_bands_match_scalar_reference(shape, dtype, block):
-    # planes above `workers.BAND_BYTES`, reduced in bands of whole block
-    # rows; bits flip on both sides of every band boundary, in the last
-    # block row and in the last element
-    height = shape[-2]
-    bands = workers.row_bands(height, math.prod(shape) // height * np.dtype(dtype).itemsize, block)
-    assert len(bands) >= 2 and all(band.start % block == 0 for band in bands)
+def test_changed_blocks_match_scalar_reference_at_call_sizes(shape, dtype, side, transposed):
+    # the benchmark's call sizes and plane layouts; bits flip in the first
+    # and the last block row and in the last element
+    height, width = shape[-2:]
     rng = np.random.default_rng(height)
-    ref = rng.integers(0, 2**16, size=shape, dtype=dtype)
-    cur = ref.copy()
+    ref = _planes(rng, dtype, shape, transposed)
+    cur = ref.copy(order="K")
     lead = (shape[0] - 1,) if len(shape) == 3 else ()
-    for band in bands[1:]:
-        cur[(*lead, band.start - 1, 0)] ^= 1
-        cur[(*lead, band.start, shape[-1] - 1)] ^= 1
-    cur[(*lead, height - 1, shape[-1] // 2)] ^= 2
+    cur[(*lead, 0, width // 3)] ^= 1
+    cur[(*lead, side - 1, width - 1)] ^= 2
+    cur[(*lead, height - side, 0)] ^= 1
+    cur[(*lead, height - 1, width // 2)] ^= 2
     cur[(..., -1, -1)] ^= 4
-    np.testing.assert_array_equal(
-        changed_blocks(cur, ref, block, block), _reference_changed_blocks(cur, ref, block, block)
-    )
+    np.testing.assert_array_equal(changed_blocks(cur, ref, side), _reference_changed_blocks(cur, ref, side))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([(), (3,)]),
-    st.sampled_from([(16, 16), (10, 10), (18, 36)]),
+    st.sampled_from([10, 16, 18]),
     st.integers(0, 40),
     st.integers(0, 80),
 )
-def test_changed_blocks_refuse_shapes_that_are_not_whole_blocks(lead, block, h, w):
-    rows, cols = block
+def test_changed_blocks_refuse_shapes_that_are_not_whole_blocks(lead, side, h, w):
     planes = np.zeros((*lead, h, w), np.uint16)
-    if h % rows or w % cols:
+    if h % side or w % side:
         with pytest.raises(ValueError, match="not whole"):
-            changed_blocks(planes, planes, rows, cols)
+            changed_blocks(planes, planes, side)
     else:
-        assert changed_blocks(planes, planes, rows, cols).shape == (*lead, h // rows, w // cols)
+        assert changed_blocks(planes, planes, side).shape == (*lead, h // side, w // side)

@@ -6,8 +6,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from probestream import workers
 from probestream.codec import CodecStreamState, decode_frame, encode_frame
@@ -84,24 +82,6 @@ def test_no_thread_at_import_or_for_one_piece():
         "assert threading.active_count() == 1 and workers._pool is None\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.integers(0, 5000),
-    row_bytes=st.integers(0, 1 << 16),
-    step=st.integers(1, 40),
-)
-def test_row_bands_cover_rows_on_step_boundaries(rows, row_bytes, step):
-    bands = workers.row_bands(rows, row_bytes, step)
-    assert bands[0].start == 0 and bands[-1].stop == rows
-    assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
-    assert all(band.start % step == 0 for band in bands)
-    if len(bands) > 1:
-        assert all(band.stop > band.start for band in bands)
-        assert len(bands) <= rows * row_bytes // workers.BAND_BYTES
-    else:
-        assert rows * row_bytes < 2 * workers.BAND_BYTES or rows <= step
 
 
 # --- many callers at once -----------------------------------------------------
