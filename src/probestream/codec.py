@@ -104,10 +104,11 @@ bitmap, so neither the frame bytes nor the decoded planes depend on how
 many CPUs coded them.
 
 P-frame residuals move as whole blocks, never element by element, through
-one copy-free (plane, block row, block column, y, x) view of the planes, as
-`volume.ProbeAtlas.blocks` reads an atlas. The encoder gathers the changed
-blocks of both planes from the views and subtracts them; the decoder adds
-the residual blocks into a copy of its reference through the same view.
+the copy-free (plane, block row, block column, y, x) view of the planes
+that `volume.block_grid` makes, the same view that reads an atlas. The
+encoder gathers the changed blocks of both planes from the views and
+subtracts them; the decoder adds the residual blocks into a copy of its
+reference through the same view.
 
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
@@ -129,7 +130,7 @@ import numpy as np
 
 from probestream import workers
 from probestream.packing import PlaneSet
-from probestream.volume import BLOCK_SIDE, AtlasKind, changed_blocks
+from probestream.volume import BLOCK_SIDE, AtlasKind, block_grid, changed_blocks
 
 DEFLATE_LEVEL = 1
 LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its own
@@ -259,17 +260,6 @@ class EncodedFrame:
 def _check_layout(planes: int, bits: int, height: int, width: int) -> None:
     if planes != PLANE_COUNT or bits not in (8, 16) or height % BLOCK_SIDE or width % BLOCK_SIDE:
         raise CorruptFrameError(f"unsupported layout: {planes} planes of {height} x {width} of {bits} bits")
-
-
-# --- block geometry ----------------------------------------------------------
-
-
-def _blocks(planes: np.ndarray) -> np.ndarray:
-    """Writable (plane, block row, block column, y, x) view of whole-block
-    planes."""
-    count, height, width = planes.shape
-    side = BLOCK_SIDE
-    return planes.reshape(count, height // side, side, width // side, side).swapaxes(2, 3)
 
 
 # --- residuals and their bytes -----------------------------------------------
@@ -446,8 +436,8 @@ def _key_segments(data: np.ndarray) -> _Segments:
 
 def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
     idx = np.nonzero(changed)
-    residuals = _blocks(cur)[idx]
-    residuals -= _blocks(ref)[idx]
+    residuals = block_grid(cur, BLOCK_SIDE, axis=1)[idx]
+    residuals -= block_grid(ref, BLOCK_SIDE, axis=1)[idx]
     if cur.dtype == np.uint8:
         return _cut(residuals.reshape(1, -1), 8)
     return _cut(_halves(_zigzag(residuals).reshape(1, -1)), 16)
@@ -537,7 +527,7 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     else:
         residuals = _unzigzag(_join_low_high(content))[0]
     recon = reference.copy(order="K")  # in the reference's memory layout
-    _blocks(recon)[idx] += residuals.reshape(-1, BLOCK_SIDE, BLOCK_SIDE)
+    block_grid(recon, BLOCK_SIDE, axis=1)[idx] += residuals.reshape(-1, BLOCK_SIDE, BLOCK_SIDE)
     return recon
 
 

@@ -27,12 +27,13 @@ so the entry axis rides along as one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas
+from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas, block_grid
 
 
 @dataclass
@@ -216,10 +217,11 @@ class UpdateAtlasLayout:
     yet handed out, lowest first in ascending probe-id order, so the taken
     slots are always ``0 ... len(probe_slot) - 1``. Once every slot is
     taken, an uncached probe takes the slot of the least recently selected
-    cached probe, which leaves the cache. The whole state machine is
-    deterministic in the sequence of selected probe sets, so a receiver
-    holding a twin layout reproduces identical assignments from probe ids
-    alone.
+    cached probe, which leaves the cache. `probe_slot` is kept in that
+    order: least recently selected first, probes selected together by slot.
+    That order and the grid geometry are the whole state, deterministic in
+    the sequence of selected probe sets, so a receiver holding a twin
+    layout reproduces identical assignments from probe ids alone.
 
     The grid starts ``ceil(sqrt(slot_count))`` slots wide with as many rows
     as the slots need; then its width in texels is rounded up to a multiple
@@ -238,8 +240,6 @@ class UpdateAtlasLayout:
         self.slots_per_row = math.ceil(math.ceil(math.sqrt(slot_count)) / across) * across
         self.slot_rows = math.ceil(math.ceil(slot_count / self.slots_per_row) / down) * down
         self.probe_slot: dict[int, int] = {}
-        self.last_selected: dict[int, int] = {}
-        self._tick = 0
 
     @property
     def width(self) -> int:
@@ -257,10 +257,7 @@ class UpdateAtlasLayout:
     def slots(self, texels: np.ndarray) -> np.ndarray:
         """Writable (slot row, slot column, y, x, ...) view of update texels;
         slot s is ``slots(texels)[divmod(s, slots_per_row)]``."""
-        s = self.core_side
-        return texels.reshape(
-            self.slot_rows, s, self.slots_per_row, s, *texels.shape[2:]
-        ).swapaxes(1, 2)
+        return block_grid(texels, self.core_side)
 
     def assign(self, probes) -> list[tuple[int, int]]:
         """Assign slots for a selected probe set; returns (slot, probe) pairs
@@ -271,23 +268,22 @@ class UpdateAtlasLayout:
                 f"{len(selected)} probes selected for {self.slot_count} slots; "
                 "budget the selection upstream"
             )
-        self._tick += 1
         new = [p for p in selected if p not in self.probe_slot]
         slots = list(range(len(self.probe_slot), self.slot_count)[: len(new)])
         if len(slots) < len(new):
-            # least recently selected first, ties by slot; the selection
-            # ticks change only after every eviction of the call. The
-            # budget check leaves at least as many victims as needed
+            # `probe_slot` runs least recently selected first, so the victims
+            # are its first unselected probes and need no sort. The budget
+            # check leaves at least as many victims as needed
             keep = set(selected)
-            victims = sorted(
-                (p for p in self.probe_slot if p not in keep),
-                key=lambda p: (self.last_selected[p], self.probe_slot[p]),
-            )
-            slots += [self.probe_slot.pop(p) for p in victims[: len(new) - len(slots)]]
+            unselected = (p for p in self.probe_slot if p not in keep)
+            victims = list(itertools.islice(unselected, len(new) - len(slots)))
+            slots += [self.probe_slot.pop(p) for p in victims]
         self.probe_slot.update(zip(new, slots))
-        for probe in selected:
-            self.last_selected[probe] = self._tick
-        return sorted((self.probe_slot[p], p) for p in selected)
+        entries = sorted((self.probe_slot[p], p) for p in selected)
+        # the selection is now the most recently selected, ties by slot
+        for _, probe in entries:
+            self.probe_slot[probe] = self.probe_slot.pop(probe)
+        return entries
 
 
 def _entry_index(entries, layout: UpdateAtlasLayout, atlas: ProbeAtlas):
@@ -334,6 +330,8 @@ def apply_update_entries(
     target: ProbeAtlas,
 ) -> None:
     """Copy slot cores into target probe blocks, rebuilding guard bands."""
+    if update_texels.shape != layout.texel_shape(target.kind):
+        raise ValueError(f"update texels {update_texels.shape} are not {layout.texel_shape(target.kind)}")
     (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, target)
     cores = layout.slots(update_texels)[slot_rows, slot_cols]
     blocks = reconstruct_guard_band(np.moveaxis(cores, 0, -1))

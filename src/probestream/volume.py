@@ -14,11 +14,14 @@ guard band is a deterministic function of the core (see `packing`).
 `AtlasKind.plane_dtype` is the element type of the three codec planes a
 kind's texels pack into: uint16 for color, uint8 for visibility.
 
-`changed_blocks` is the one block-change reduction, shared by change
-detection and the codec's P-frames. It works on whole square blocks only,
-which both callers pass: whole probe blocks and whole `BLOCK_SIDE` blocks.
-It is one serial numpy reduction on the calling thread; the worker pool
-(`workers`) runs only the codec's deflate and inflate segments.
+`block_grid` is the one (..., block row, block column, y, x, ...) view of
+whole square blocks: of a probe atlas, of the update atlas's slots and of
+the codec's planes. `changed_blocks` is the one block-change reduction,
+shared by change detection and the codec's P-frames. It works on whole
+square blocks only, which both callers pass: whole probe blocks and whole
+`BLOCK_SIDE` blocks. It is one serial numpy reduction on the calling
+thread; the worker pool (`workers`) runs only the codec's deflate and
+inflate segments.
 
 `throughput_bps` is in bits per second. In the paper's binary units
 (1 Mb = 2**20 bits) a 2048-probe color volume's 10 Hz stream comes out at
@@ -144,7 +147,11 @@ class ProbeAtlas:
             raise ValueError("probe_count must be >= 1")
         self.kind = kind
         self.probe_count = probe_count
-        self.probes_per_row = probes_per_row or default_probes_per_row(probe_count)
+        if probes_per_row is None:
+            probes_per_row = default_probes_per_row(probe_count)
+        elif probes_per_row < 1:
+            raise ValueError("probes_per_row must be >= 1")
+        self.probes_per_row = probes_per_row
         side = kind.block_side
         self.block_rows = math.ceil(probe_count / self.probes_per_row)
         shape = (self.block_rows * side, self.probes_per_row * side)
@@ -159,10 +166,7 @@ class ProbeAtlas:
 
     def blocks(self) -> np.ndarray:
         """Writable (block row, block column, y, x, ...) view of the texels."""
-        side = self.kind.block_side
-        return self.texels.reshape(
-            self.block_rows, side, self.probes_per_row, side, *self.texels.shape[2:]
-        ).swapaxes(1, 2)
+        return block_grid(self.texels, self.kind.block_side)
 
     def block_index(self, probes) -> tuple[np.ndarray, np.ndarray]:
         """(block rows, block columns) of probe ids, to index `blocks()` with."""
@@ -170,6 +174,16 @@ class ProbeAtlas:
         if ids.size and (ids.min() < 0 or ids.max() >= self.probe_count):
             raise IndexError(f"probe id outside [0, {self.probe_count})")
         return np.divmod(ids, self.probes_per_row)
+
+
+def block_grid(a: np.ndarray, side: int, axis: int = 0) -> np.ndarray:
+    """Writable (..., block row, block column, y, x, ...) view of the
+    ``side x side`` blocks of axes `axis` and `axis + 1` of `a`, which must
+    be whole blocks. Cutting an axis in two never copies, whatever `a`'s
+    memory layout."""
+    height, width = a.shape[axis : axis + 2]
+    grid = (height // side, side, width // side, side)
+    return a.reshape(*a.shape[:axis], *grid, *a.shape[axis + 2 :]).swapaxes(axis + 1, axis + 2)
 
 
 def changed_blocks(cur: np.ndarray, ref: np.ndarray, side: int) -> np.ndarray:

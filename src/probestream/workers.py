@@ -9,12 +9,13 @@ pool, and every piece runs inline in the same code.
 
 The calling thread and the pool threads pull pieces from one shared
 iterator until it is empty, so a thread that starts late takes fewer
-pieces rather than a fixed share. A piece never dispatches to the pool: a
-`run_pieces` call made inside a piece runs its own pieces inline, so a pool
-thread never waits for another queued task and the pool cannot deadlock.
-Every started helper is waited for and its result read, so an exception
-raised by a piece on any thread reaches the caller; the first piece's
-exception in piece order wins when several raise.
+pieces rather than a fixed share. A caller cancels its helpers that are
+still queued when the pieces run out and waits only for those already
+running, which only drain the iterator, so a `run_pieces` call made inside
+a piece cannot deadlock the pool. Every started helper is waited for and
+its result read, so an exception raised by a piece on any thread reaches
+the caller; the first piece's exception in piece order wins when several
+raise.
 
 Pieces gain only where they run in native code that releases the
 interpreter lock. The library's only caller is the codec, for its
@@ -41,7 +42,6 @@ R = TypeVar("R")
 _pool: ThreadPoolExecutor | None = None
 _helpers = 0  # threads in `_pool`
 _pool_lock = threading.Lock()
-_local = threading.local()  # .inside: this thread is running a piece
 
 
 def cpu_count() -> int:
@@ -73,9 +73,7 @@ if hasattr(os, "register_at_fork"):
 def run_pieces(fn: Callable[[P], R], pieces: Iterable[P]) -> list[R]:
     """``[fn(p) for p in pieces]``, the pieces spread over the pool."""
     pieces = list(pieces)
-    pool = None
-    if len(pieces) > 1 and not getattr(_local, "inside", False):
-        pool = _get_pool()
+    pool = _get_pool() if len(pieces) > 1 else None
     if pool is None:
         return [fn(p) for p in pieces]
 
@@ -85,20 +83,15 @@ def run_pieces(fn: Callable[[P], R], pieces: Iterable[P]) -> list[R]:
     todo_lock = threading.Lock()
 
     def drain() -> None:
-        was_inside = getattr(_local, "inside", False)
-        _local.inside = True
-        try:
-            while not errors:
-                with todo_lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(pieces[i])
-                except BaseException as err:  # re-raised by the caller below
-                    errors[i] = err
-        finally:
-            _local.inside = was_inside
+        while not errors:
+            with todo_lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(pieces[i])
+            except BaseException as err:  # re-raised by the caller below
+                errors[i] = err
 
     helpers = [pool.submit(drain) for _ in range(min(_helpers, len(pieces) - 1))]
     try:

@@ -437,6 +437,8 @@ class TestUpdateAtlas:
             expect = sorted((probe_slot[p], p) for p in selected)
             assert layout.assign(selected) == expect
             assert layout.probe_slot == probe_slot
+            # least recently selected first, ties by slot
+            assert list(layout.probe_slot) == sorted(probe_slot, key=lambda p: (last[p], probe_slot[p]))
             # slots are handed out in order and never freed
             assert sorted(layout.probe_slot.values()) == list(range(len(layout.probe_slot)))
 
@@ -494,6 +496,15 @@ class TestUpdateAtlas:
         assert layout_state(layout) == before
         assert texels is None or (texels == 7).all()
 
+    def test_apply_refuses_texels_of_another_grid(self):
+        # whole slots, but one slot row short of the layout's grid
+        layout = UpdateAtlasLayout(7, AtlasKind.COLOR.core_side)
+        texels = np.ones((layout.height - layout.core_side, layout.width), np.uint32)
+        target = ProbeAtlas(AtlasKind.COLOR, 7, probes_per_row=3)
+        with pytest.raises(ValueError):
+            apply_update_entries([(0, 2)], texels, layout, target)
+        assert not target.texels.any()
+
     @pytest.mark.parametrize("slot, probe", [(1, -1), (1, 7), (7, 3), (-1, 3)])
     def test_apply_out_of_range_leaves_target(self, slot, probe):
         # 7 probes in rows of 3 and 7 slots in a 3x3 grid: both end in padding
@@ -536,9 +547,9 @@ class TestSlotGrid:
 
 
 def layout_state(layout):
-    """The whole state of a layout: the taken slots are always
-    ``0 ... len(probe_slot) - 1``."""
-    return dict(layout.probe_slot), dict(layout.last_selected), layout._tick
+    """The whole state of a layout, its order included: the taken slots are
+    always ``0 ... len(probe_slot) - 1``."""
+    return list(layout.probe_slot.items())
 
 
 class TestPlaneSet:

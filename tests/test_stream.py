@@ -110,10 +110,7 @@ def test_client_atlas_matches_last_sent_on_every_update(case):
 def client_state(client: ClientStream):
     twin, decoder = client.twin, client.decoder
     reference = None if decoder.reference is None else decoder.reference.data.tobytes()
-    return (
-        dict(twin.probe_slot), dict(twin.last_selected), twin._tick,
-        reference, decoder.frame_count, client.atlas.texels.tobytes(),
-    )
+    return list(twin.probe_slot.items()), reference, decoder.frame_count, client.atlas.texels.tobytes()
 
 
 def with_ids(update, raw: bytes) -> bytes:

@@ -133,6 +133,12 @@ class TestAtlas:
         assert default_probes_per_row(256) == 16
         assert default_probes_per_row(128) == 16
         assert default_probes_per_row(2048) == math.ceil(math.sqrt(2048))
+        # the default stands in only for an unset row width
+        assert ProbeAtlas(AtlasKind.COLOR, 2048).probes_per_row == 46
+        assert ProbeAtlas(AtlasKind.COLOR, 2048, 1).probes_per_row == 1
+        for per_row in (0, -1):
+            with pytest.raises(ValueError):
+                ProbeAtlas(AtlasKind.COLOR, 2048, per_row)
 
     def test_block_extract_insert_identity(self):
         rng = np.random.default_rng(3)

@@ -35,20 +35,20 @@ def test_calling_thread_takes_its_share(cpus):
     assert 1 < len(set(ran_on)) <= 3
 
 
-def test_nested_call_runs_inline(cpus):
-    # two outer pieces keep at most one of the two pool threads busy; the
-    # inner pieces sleep, so an idle pool thread would take some of them if
-    # a piece could dispatch
+def test_nested_calls_return_in_order(cpus):
+    # more outer pieces than pool threads, each dispatching its own sleeping
+    # pieces: a nested call must never wait on a helper that cannot start
     cpus(3)
+    results = []
 
-    def outer(i):
-        inner = workers.run_pieces(
-            lambda j: time.sleep(0.01) or (threading.get_ident(), i * 10 + j), range(4)
-        )
-        assert {ident for ident, _ in inner} == {threading.get_ident()}
-        return [value for _, value in inner]
+    def piece(i):
+        return workers.run_pieces(lambda j: time.sleep(0.01) or i * 10 + j, range(4))
 
-    assert workers.run_pieces(outer, range(2)) == [[10 * i + j for j in range(4)] for i in range(2)]
+    caller = threading.Thread(target=lambda: results.append(workers.run_pieces(piece, range(6))), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert results == [[[10 * i + j for j in range(4)] for i in range(6)]]
 
 
 def test_first_exception_in_piece_order_reaches_caller(cpus):
@@ -133,7 +133,8 @@ def test_concurrent_callers_match_single_thread(cpus):
     def caller(i):
         try:
             if i == 0:
-                # a dispatch from inside pieces: each piece's own pieces run inline
+                # a dispatch from inside pieces: each piece's codec segments
+                # go to the same pool
                 nested.append(workers.run_pieces(_work, cases[:2]))
             results[i] = _work(cases[i])
         except BaseException as err:
