@@ -59,7 +59,10 @@ holds:
   streams, and the decoder joins them back into planes in
   `packing.pack_visibility`'s memory layout, whose (h, w, 3) transpose is
   the row streams themselves; planes in another layout code to the same
-  bytes through one more copy.
+  bytes through one more copy. The visibility update atlas is held as
+  big-endian texels whose bytes are those row streams, so
+  `packing.pack_texels` hands the encoder planes in that layout, and
+  `packing.unpack_texels` reads decoded planes as texels, copying nothing.
 * Key frame, 16-bit planes: per plane, one run holding the gradient
   residual r = x - left - up + up-left (mod 2**16, neighbours outside the
   plane read as 0) of every element in row order. The decoder inverts it
@@ -113,7 +116,8 @@ reference through the same view.
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
 block rows that hold a changed block, so the caller may reuse its planes
-after the call. Every reference copy, the encoder's and the decoder's,
+after the call: `packing.pack_texels`'s planes are a view of the update
+atlas, which the next update rewrites in place. Every reference copy, the encoder's and the decoder's,
 keeps the memory layout of the planes it copies (``order="K"``), so
 visibility planes stay in `packing.pack_visibility`'s layout from frame to
 frame and unpack without a copy.

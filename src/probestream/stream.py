@@ -5,7 +5,10 @@ client: `selection.detect_changed` -> `selection.select_for_client`, with
 the slot count as the budget -> `packing.build_update_atlas` ->
 `packing.pack_texels` -> `codec.encode_frame` -> `EncodedFrame.to_bytes`.
 It then copies the sent blocks into its last-sent atlas, records when each
-probe was sent, and appends the ids. `ClientStream` reverses this:
+probe was sent, and appends the ids. The update atlas persists across
+updates in the planes' own layout, so `pack_texels` is a read-only view of
+it: `ServerUpdate.planes` is valid until that stream's next update, which
+rewrites the slots of its entries in place. `ClientStream` reverses this:
 `EncodedFrame.read` -> `codec.decode_frame` -> `packing.unpack_texels` ->
 its twin `UpdateAtlasLayout.assign` -> `packing.apply_update_entries` into
 its atlas. The twin layout replays the server's slot assignments from the
@@ -25,7 +28,10 @@ length, every id inside the volume, no id twice, no more ids than slots,
 and the frame's kind and plane size against its own. A frame that passes
 these checks and decodes can still hold a colour element above 10 bits,
 so the frame is decoded into a copy of the decoder, which the client
-keeps only once the frame unpacks. Any bad message raises `CodecError`
+keeps only once the frame unpacks. That 10-bit check is
+`packing.unpack_texels`'s, over every element of the colour planes, slots
+that no entry reads included; otherwise the unpacked texels are a
+read-only view of the decoded planes. Any bad message raises `CodecError`
 (`MessageError`, or the codec's own subclasses) and leaves the client as
 it was.
 
@@ -74,7 +80,9 @@ def _check_probe_count(probe_count: int) -> None:
 
 @dataclass
 class ServerUpdate:
-    """One update of a `ServerStream`: the message and what went into it."""
+    """One update of a `ServerStream`: the message and what went into it.
+    `planes` views the stream's update atlas and is valid until the stream's
+    next update; copy it to keep it."""
 
     message: bytes
     changed: np.ndarray

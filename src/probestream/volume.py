@@ -15,8 +15,9 @@ guard band is a deterministic function of the core (see `packing`).
 kind's texels pack into: uint16 for color, uint8 for visibility.
 
 `block_grid` is the one (..., block row, block column, y, x, ...) view of
-whole square blocks: of a probe atlas, of the update atlas's slots and of
-the codec's planes. `changed_blocks` is the one block-change reduction,
+whole square blocks: of a probe atlas and of the codec's planes. The update
+atlas's slots are viewed a core row to an element instead
+(`packing.UpdateAtlasLayout.slots`). `changed_blocks` is the one block-change reduction,
 shared by change detection and the codec's P-frames. It works on whole
 square blocks only, which both callers pass: whole probe blocks and whole
 `BLOCK_SIDE` blocks. It is one serial numpy reduction on the calling

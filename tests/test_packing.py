@@ -18,6 +18,7 @@ from probestream.packing import (
     pack_visibility,
     reconstruct_guard_band,
     unpack_color,
+    unpack_texels,
     unpack_visibility,
     widened_width,
 )
@@ -230,6 +231,25 @@ def reference_slot(layout, texels, slot):
     return texels[y : y + s, x : x + s]
 
 
+def packed_the_old_way(texels, kind):
+    """Planes of an update atlas held as probe atlas texels: uint32 colour,
+    native visibility pairs."""
+    return pack_color(texels) if kind is AtlasKind.COLOR else pack_visibility(texels)
+
+
+def unpacked_the_old_way(planes, kind):
+    """Planes unpacked whole to probe atlas texels; colour's alpha bits,
+    which no plane holds, come back zero."""
+    if kind is AtlasKind.COLOR:
+        return unpack_color(planes)
+    return unpack_visibility(planes, planes.width * 3 // 4)
+
+
+def as_atlas_texels(update_texels, kind):
+    """An update atlas as probe atlas texels, unpacked whole."""
+    return unpacked_the_old_way(pack_texels(update_texels, kind), kind)
+
+
 def reference_build(selected, layout, source, update_texels):
     entries = layout.assign(selected)
     for slot, probe in entries:
@@ -267,8 +287,9 @@ def test_batched_slot_copies_match_per_probe_reference(
     expect_target = copy.deepcopy(target)
     layout = UpdateAtlasLayout(slot_count, kind.core_side)
     twin = UpdateAtlasLayout(slot_count, kind.core_side)
-    texels = np.zeros(layout.texel_shape(kind), source.texels.dtype)
-    expect_texels = texels.copy()
+    texels = np.zeros(layout.texel_shape(kind), layout.texel_dtype(kind))
+    # the reference holds its atlas the old way, as probe atlas texels
+    expect_texels = np.zeros((layout.height, layout.width, *source.texels.shape[2:]), source.texels.dtype)
     for ids in history:
         # ids folded into the volume, no more than the slots hold
         selected = sorted({i % probe_count for i in ids})[:slot_count]
@@ -277,9 +298,10 @@ def test_batched_slot_copies_match_per_probe_reference(
         )
         texels, entries = build_update_atlas(selected, layout, source, texels)
         assert entries == reference_build(selected, twin, source, expect_texels)
-        assert np.array_equal(texels, expect_texels)
+        planes = packed_the_old_way(expect_texels, kind)
+        assert pack_texels(texels, kind).equals(planes)
         apply_update_entries(entries, texels, layout, target)
-        reference_apply(entries, expect_texels, twin, expect_target)
+        reference_apply(entries, unpacked_the_old_way(planes, kind), twin, expect_target)
         assert np.array_equal(target.texels, expect_target.texels)
 
 
@@ -297,8 +319,8 @@ def test_client_atlas_stays_native_and_bit_exact_through_unpacked_views():
     for selected in ([0, 3, 19], [3, 4], [], [1, 2, 5, 6, 7, 8, 9, 10, 11]):
         source.texels[:] = rng.integers(0, 2**16, source.texels.shape, np.uint16)
         texels, entries = build_update_atlas(selected, layout, source, texels)
-        decoded = decode_frame(encode_frame(pack_visibility(texels), enc), dec)
-        unpacked = unpack_visibility(decoded, twin.width)
+        decoded = decode_frame(encode_frame(pack_texels(texels, kind), enc), dec)
+        unpacked = unpack_texels(decoded, kind, twin.width)
         assert unpacked.dtype == np.dtype(">u2") and not unpacked.flags.writeable
         assert np.shares_memory(unpacked, decoded.data)
         assert twin.assign(selected) == entries
@@ -307,6 +329,49 @@ def test_client_atlas_stays_native_and_bit_exact_through_unpacked_views():
         for probe in selected:
             expect = reconstruct_guard_band(reference_block(source, probe)[1:-1, 1:-1])
             assert np.array_equal(reference_block(target, probe), expect)
+
+
+def slot_mask(layout, slots):
+    """Which texels of the update atlas's grid lie in `slots`."""
+    mask = np.zeros((layout.height, layout.width), bool)
+    for slot in slots:
+        reference_slot(layout, mask, slot)[:] = True
+    return mask
+
+
+@pytest.mark.parametrize("kind", list(AtlasKind))
+def test_pack_and_unpack_are_views_and_a_build_writes_only_its_slots(kind):
+    """`pack_texels` is a read-only view of the update atlas and
+    `unpack_texels` one of the decoded planes, so the atlas's bytes are the
+    plane bytes; a build leaves every byte outside its entries' slots."""
+    rng = np.random.default_rng(41)
+    source = ProbeAtlas(kind, 20, probes_per_row=5)
+    layout = UpdateAtlasLayout(9, kind.core_side)
+    enc, dec = CodecStreamState(2, "encoder"), CodecStreamState(2, "decoder")
+    texels, _ = build_update_atlas(list(range(9)), layout, source)
+    for selected in ([0, 3, 19], [3, 4], [], [1, 2, 5, 6, 7, 8, 9, 10, 11]):
+        source.texels[:] = rng.integers(1, 2**16, source.texels.shape, source.texels.dtype)
+        before = texels.copy()
+        texels, entries = build_update_atlas(selected, layout, source, texels)
+        outside = ~slot_mask(layout, [slot for slot, _ in entries])
+        if kind is AtlasKind.COLOR:
+            assert np.array_equal(texels[:, outside], before[:, outside])
+        else:
+            assert np.array_equal(texels[outside], before[outside])
+        planes = pack_texels(texels, kind)
+        assert not planes.data.flags.writeable and np.shares_memory(planes.data, texels)
+        decoded = decode_frame(encode_frame(planes, enc), dec)
+        unpacked = unpack_texels(decoded, kind, layout.width)
+        assert not unpacked.flags.writeable and np.shares_memory(unpacked, decoded.data)
+        assert np.array_equal(unpacked, texels)
+
+
+def test_pack_texels_refuses_probe_atlas_texels():
+    # uint32 colour texels or native visibility pairs are no update atlas
+    with pytest.raises(ValueError):
+        pack_texels(np.zeros((16, 48), np.uint32), AtlasKind.COLOR)
+    with pytest.raises(ValueError):
+        pack_texels(np.zeros((16, 48, 2), np.uint16), AtlasKind.VISIBILITY)
 
 
 class TestGuardBand:
@@ -362,7 +427,8 @@ class TestUpdateAtlas:
         texels, entries = build_update_atlas([5], layout, source)
         assert entries == [(0, 5)]
         assert np.array_equal(
-            reference_slot(layout, texels, 0), reference_block(source, 5)[1:-1, 1:-1]
+            reference_slot(layout, as_atlas_texels(texels, AtlasKind.COLOR), 0),
+            reference_block(source, 5)[1:-1, 1:-1],
         )
 
     def test_cached_probe_keeps_slot(self):
@@ -383,9 +449,9 @@ class TestUpdateAtlas:
         source = self.make_source()
         layout = UpdateAtlasLayout(8, AtlasKind.COLOR.core_side)
         texels, _ = build_update_atlas([5], layout, source)
-        before = reference_slot(layout, texels, 0).copy()
+        before = reference_slot(layout, as_atlas_texels(texels, AtlasKind.COLOR), 0).copy()
         build_update_atlas([9], layout, source, texels)
-        assert np.array_equal(reference_slot(layout, texels, 0), before)
+        assert np.array_equal(reference_slot(layout, as_atlas_texels(texels, AtlasKind.COLOR), 0), before)
 
     def test_overflow_rejected(self):
         source = self.make_source()
@@ -457,7 +523,7 @@ class TestUpdateAtlas:
         # 7 probes in rows of 3: blocks 7 and 8 are padding
         source = self.make_source(probe_count=7, per_row=3)
         layout = UpdateAtlasLayout(4, AtlasKind.COLOR.core_side)
-        texels = np.zeros(layout.texel_shape(AtlasKind.COLOR), np.uint32)
+        texels = np.zeros(layout.texel_shape(AtlasKind.COLOR), layout.texel_dtype(AtlasKind.COLOR))
         with pytest.raises(IndexError):
             build_update_atlas([2, probe], layout, source, texels)
         assert not texels.any()
@@ -479,9 +545,12 @@ class TestUpdateAtlas:
         [
             (AtlasKind.VISIBILITY.core_side, None),  # a visibility layout for a colour atlas
             (AtlasKind.VISIBILITY.core_side, np.zeros((32, 32), np.uint32)),
-            (AtlasKind.COLOR.core_side, np.zeros((16, 16, 2), np.uint32)),  # visibility's shape
-            (AtlasKind.COLOR.core_side, np.zeros((16, 24), np.uint32)),
-            (AtlasKind.COLOR.core_side, np.zeros((16, 16), np.uint16)),
+            # the layout's grid is 16 x 48 texels, held as (3, 16, 48) uint16 planes
+            (AtlasKind.COLOR.core_side, np.zeros((16, 48, 2), ">u2")),  # visibility's layout
+            (AtlasKind.COLOR.core_side, np.zeros((3, 16, 24), np.uint16)),
+            (AtlasKind.COLOR.core_side, np.zeros((3, 16, 48), np.uint8)),
+            (AtlasKind.COLOR.core_side, np.zeros((16, 48), np.uint32)),  # probe atlas texels
+            (AtlasKind.COLOR.core_side, np.zeros((3, 48, 16), np.uint16).transpose(0, 2, 1)),  # not C order
         ],
     )
     def test_mismatched_layout_or_texels_leave_layout(self, core_side, texels):
@@ -499,7 +568,7 @@ class TestUpdateAtlas:
     def test_apply_refuses_texels_of_another_grid(self):
         # whole slots, but one slot row short of the layout's grid
         layout = UpdateAtlasLayout(7, AtlasKind.COLOR.core_side)
-        texels = np.ones((layout.height - layout.core_side, layout.width), np.uint32)
+        texels = np.ones((3, layout.height - layout.core_side, layout.width), np.uint16)
         target = ProbeAtlas(AtlasKind.COLOR, 7, probes_per_row=3)
         with pytest.raises(ValueError):
             apply_update_entries([(0, 2)], texels, layout, target)
@@ -507,7 +576,7 @@ class TestUpdateAtlas:
 
     @pytest.mark.parametrize("slot, probe", [(1, -1), (1, 7), (7, 3), (-1, 3)])
     def test_apply_out_of_range_leaves_target(self, slot, probe):
-        # 7 probes in rows of 3 and 7 slots in a 3x3 grid: both end in padding
+        # 7 probes in rows of 3 and 7 slots in a 6x2 grid: both end in padding
         source = self.make_source(probe_count=7, per_row=3)
         layout = UpdateAtlasLayout(7, AtlasKind.COLOR.core_side)
         texels, _ = build_update_atlas([2, 3], layout, source)
@@ -539,7 +608,7 @@ class TestSlotGrid:
     @example(2048, AtlasKind.VISIBILITY)
     def test_packed_update_atlas_is_whole_blocks(self, slot_count, kind):
         layout = UpdateAtlasLayout(slot_count, kind.core_side)
-        texels = np.zeros(layout.texel_shape(kind), np.uint32 if kind is AtlasKind.COLOR else np.uint16)
+        texels = np.zeros(layout.texel_shape(kind), layout.texel_dtype(kind))
         planes = pack_texels(texels, kind)
         assert planes.height % BLOCK_SIDE == 0 and planes.width % BLOCK_SIDE == 0
         if slot_count == 2048:

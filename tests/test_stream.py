@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from probestream.codec import BLOCK_SIDE, CodecError, encode_frame
 from probestream.packing import PlaneSet, reconstruct_guard_band
 from probestream.selection import CameraPose, SceneGeometry, SelectionParams, pvs_probes
-from probestream.stream import ClientStream, ServerStream
+from probestream.stream import ClientStream, MessageError, ServerStream
 from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
 
 PARAMS = SelectionParams(sphere_rays=64, raster_cols=8, raster_rows=8)
@@ -179,6 +179,28 @@ def test_client_rejects_a_bad_message_whole(case, data):
             client.receive(message)
         assert client_state(client) == before
         delivers(server, client, update)
+
+
+def test_client_refuses_colour_above_10_bits_where_no_entry_reads():
+    # 7 colour slots lie in a 6 x 2 grid, so slots 7 to 11 are padding that
+    # no entry reads: an element above 10 bits there must still be refused
+    volume = ProbeVolume((2, 2, 2))
+    source = ProbeAtlas(AtlasKind.COLOR, volume.probe_count)
+    render(source, np.arange(volume.probe_count), np.random.default_rng(3))
+    server = ServerStream(source, 7, 4, 0)
+    client = ClientStream(AtlasKind.COLOR, volume.probe_count, source.probes_per_row, 7, 0)
+    update = server.update(volume, np.arange(volume.probe_count), 0)
+    layout = server.layout
+    last = layout.slots_per_row * layout.slot_rows - 1
+    assert last >= layout.slot_count and max(slot for slot, _ in update.entries) < layout.slot_count
+    row, col = divmod(last, layout.slots_per_row)
+    planes = update.planes.copy()
+    planes.data[2, row * layout.core_side, col * layout.core_side] |= 1 << 10
+    before = client_state(client)
+    with pytest.raises(MessageError):
+        client.receive(with_frame(server, update, planes, 0))
+    assert client_state(client) == before
+    delivers(server, client, update)
 
 
 def test_client_rejects_a_message_cut_inside_the_id_checksum():
