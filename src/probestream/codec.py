@@ -18,8 +18,11 @@ for other planes, and `EncodedFrame.read` and `decode_frame` raise
 `CorruptFrameError` for a header that declares them.
 
 Wire format (`FRAME_MAGIC` ``LPF4``). A frame is a fixed header, the payload
-and a CRC-32 over both. The header gives the payload's length, so
-`EncodedFrame.read` finds where a frame ends in longer input;
+and a CRC-32 over both. The header's flags byte is 1 for a key frame and 0
+for a P-frame; `EncodedFrame.read` refuses any other. Its plane width and
+height are ``<u2``, so `encode_frame` refuses planes with a side above
+65535, and its stream id is ``<u4``. The header gives the payload's
+length, so `EncodedFrame.read` finds where a frame ends in longer input;
 `EncodedFrame.from_bytes` is the same read of input that holds the frame
 alone. A P-frame's payload starts with its changed-block bitmap (below).
 The rest of every payload is the frame's stream of bytes, cut into deflate
@@ -49,7 +52,7 @@ holds:
 * Key frame, 8-bit planes: the plane bytes in four texel-byte lanes. With
   planes of h rows and w columns, row y is read as the byte stream s of
   3w bytes with s[3p + c] = plane c at (y, p), the order in which
-  `packing.pack_visibility` distributes a row's bytes; since 16 divides w,
+  `packing.pack_texels` distributes a row's bytes; since 16 divides w,
   3w = 4q exactly. Lane k (0 <= k < 4) of the row is s[k], s[k + 4], ...,
   s[k + 4(q - 1)]. The stream holds lane 0 of every row in row order, then
   lanes 1, 2 and 3 the same way: its byte k*h*q + y*q + j is s[4j + k] of
@@ -57,7 +60,7 @@ holds:
   R-hi, R-lo, G-hi and G-lo bytes, so each part of the stream holds bytes
   of one kind. The encoder cuts the lanes as one 4-way split of the row
   streams, and the decoder joins them back into planes in
-  `packing.pack_visibility`'s memory layout, whose (h, w, 3) transpose is
+  `packing.pack_texels`'s memory layout, whose (h, w, 3) transpose is
   the row streams themselves; planes in another layout code to the same
   bytes through one more copy. The visibility update atlas is held as
   big-endian texels whose bytes are those row streams, so
@@ -117,10 +120,10 @@ The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
 block rows that hold a changed block, so the caller may reuse its planes
 after the call: `packing.pack_texels`'s planes are a view of the update
-atlas, which the next update rewrites in place. Every reference copy, the encoder's and the decoder's,
-keeps the memory layout of the planes it copies (``order="K"``), so
-visibility planes stay in `packing.pack_visibility`'s layout from frame to
-frame and unpack without a copy.
+atlas, which the next update rewrites in place. Every reference copy, the
+encoder's and the decoder's, keeps the memory layout of the planes it
+copies (``order="K"``), so visibility planes stay in `packing.pack_texels`'s
+layout from frame to frame and unpack without a copy.
 """
 
 from __future__ import annotations
@@ -192,6 +195,8 @@ class CodecStreamState:
             raise ValueError(f"role must be encoder or decoder, got {self.role!r}")
         if self.gop_length < 1:
             raise ValueError("GOP length must be >= 1")
+        if not 0 <= self.stream_id < 1 << 32:
+            raise ValueError(f"stream id {self.stream_id} does not fit the header's u32")
 
 
 @dataclass
@@ -248,9 +253,11 @@ class EncodedFrame:
         (stored,) = _CHECKSUM.unpack_from(view, end)
         if zlib.crc32(view[:end]) != stored:
             raise CorruptFrameError("frame checksum mismatch")
+        if flags not in (0, 1):
+            raise CorruptFrameError(f"unknown frame flags {flags:#04x}")
         _check_layout(planes, bits, height, width)
         payload = bytes(view[_FRAME_HEADER.size : end])
-        return cls(stream_id, seq, bool(flags & 1), width, height, planes, bits, payload)
+        return cls(stream_id, seq, flags == 1, width, height, planes, bits, payload)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodedFrame":
@@ -411,7 +418,7 @@ def _inflate(piece: tuple[memoryview, int]) -> np.ndarray:
 
 def _to_lanes(data: np.ndarray) -> np.ndarray:
     """(3, h, w) 8-bit planes -> their contiguous (4, h, 3w / 4) lanes: the
-    (h, 3w) row streams split 4 ways. Planes in `packing.pack_visibility`'s
+    (h, 3w) row streams split 4 ways. Planes in `packing.pack_texels`'s
     layout hold the row streams and are read in place; others are first
     copied into that layout."""
     _, height, width = data.shape
@@ -422,7 +429,7 @@ def _to_lanes(data: np.ndarray) -> np.ndarray:
 def _from_lanes(lanes: list[np.ndarray], width: int) -> np.ndarray:
     """Inverse of `_to_lanes` for planes `width` elements wide, from the
     four (h, 3w / 4) lanes: the joined row streams, as planes in
-    `packing.pack_visibility`'s layout."""
+    `packing.pack_texels`'s layout."""
     streams = np.stack(lanes, axis=-1).reshape(len(lanes[0]), width, 3)
     return streams.transpose(2, 0, 1)
 
@@ -455,6 +462,8 @@ def encode_frame(
         raise CodecError("encode_frame requires an encoder stream state")
     if planes.height % BLOCK_SIDE or planes.width % BLOCK_SIDE:
         raise ValueError(f"{planes.height} x {planes.width} planes are not whole blocks")
+    if max(planes.height, planes.width) > 0xFFFF:
+        raise ValueError(f"{planes.height} x {planes.width} planes do not fit the header's u16 sides")
     if state.reference is not None and (
         state.reference.data.shape != planes.data.shape
         or state.reference.kind != planes.kind

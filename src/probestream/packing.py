@@ -1,15 +1,14 @@
 """Bit-exact layout transforms between probe atlases and codec plane sets.
 
-Three families of transforms live here, all lossless by construction:
+The transforms here, all lossless by construction:
 
-* color texels <-> three 16-bit YUV planes carrying 10-bit values,
-* visibility texels (pairs of raw float16 halves) <-> three 8-bit YUV planes
-  via byte distribution: each row's big-endian byte stream s goes to the
-  planes every third byte to each, plane c at (y, p) = s[3p + c], so a row
-  of x texels is 4x/3 elements wide and x must be a multiple of 3. Held as
-  an (h, 4x/3, 3) byte array, those planes are exactly the byte-swapped
-  texels: `PlaneSet.data` is the copy-free (3, h, 4x/3) transposed view of
-  it, and unpacking planes in that layout copies nothing,
+* an update atlas <-> its codec planes (`pack_texels`, `unpack_texels`):
+  read-only views, since the update atlas is held in the planes' own layout
+  (`UpdateAtlasLayout.texel_shape` and `texel_dtype`): colour as its three
+  (3, H, W) ``uint16`` planes, visibility as big-endian ``>u2`` (H, W, 2)
+  texels, whose bytes are the planes' row streams;
+* colour texels <-> their three 16-bit YUV planes carrying 10-bit values
+  (`pack_color`, `unpack_color`), for the cores of an update's entries;
 * probe block <-> core block (guard band strip / reconstruct by the
   octahedral wrap rule).
 
@@ -18,20 +17,15 @@ grid is near square, its width in texels a multiple of 48 and its height of
 16, so its planes are whole 16x16 codec blocks of either kind: 48 texels
 pack to 48 colour or 64 visibility elements.
 
-The update atlas is held in the layout the codec codes
-(`UpdateAtlasLayout.texel_shape` and `texel_dtype`): colour as its three
-(3, H, W) ``uint16`` planes, visibility as big-endian ``>u2`` (H, W, 2)
-texels, whose bytes are `pack_visibility`'s row streams. So `pack_texels`
-is a copy-free, read-only view of the update atlas, and `unpack_texels` one
-of the decoded planes; colour's unpack still checks the whole planes for
-elements above 10 bits. Only the cores of the entries are converted:
-`build_update_atlas` gathers the selected cores from `ProbeAtlas.blocks()`,
-converts them (`pack_color` for colour, a byteswap for visibility) and
-scatters them, a core row at a time, into `UpdateAtlasLayout.slots()`.
-`apply_update_entries` gathers the entries' cores back, converts them
-(`unpack_color`, or a byteswap as the blocks are assigned) and rebuilds
-their guard bands with one `reconstruct_guard_band` call, whose axes after
-the first two are channels, so the entry axis rides along as one.
+Only the cores of the entries are converted: `build_update_atlas` gathers
+the selected cores from `ProbeAtlas.blocks()`, converts them (`pack_color`
+for colour, a byteswap for visibility) and scatters them, a core row at a
+time, into `UpdateAtlasLayout.slots()`. `apply_update_entries` gathers the
+entries' cores back, converts them (`unpack_color`, or a byteswap as the
+blocks are assigned) and rebuilds their guard bands with one
+`reconstruct_guard_band` call, whose axes after the first two are
+channels, so the entry axis rides along as one. Colour's 10-bit check is
+`unpack_texels`'s alone, over the whole planes.
 """
 
 from __future__ import annotations
@@ -81,39 +75,30 @@ class PlaneSet:
         return self.kind == other.kind and np.array_equal(self.data, other.data)
 
 
-# --- color packing -----------------------------------------------------------
+# --- color conversion --------------------------------------------------------
 
 
-def _ten_bit(planes: PlaneSet) -> np.ndarray:
-    """The data of color planes whose every element fits in 10 bits."""
-    if planes.kind is not AtlasKind.COLOR:
-        raise ValueError("expected color plane set")
-    if planes.data.max(initial=0) > 1023:
-        raise ValueError("color plane element exceeds 10-bit range")
-    return planes.data
-
-
-def pack_color(texels: np.ndarray) -> PlaneSet:
-    """Packed 32-bit color texels -> 16-bit YUV planes (R->Y, G->U, B->V).
+def pack_color(texels: np.ndarray) -> np.ndarray:
+    """Packed 32-bit colour texels of any shape -> their (3, ...) 16-bit
+    YUV planes (R->Y, G->U, B->V).
 
     The two alpha bits are dropped; every plane element stays < 1024 with the
     upper six bits zero.
     """
     t = np.asarray(texels, dtype=np.uint32)
-    if t.ndim != 2:
-        raise ValueError("color texel region must be 2-D")
     planes = np.empty((3, *t.shape), dtype=np.uint16)
     # assignment keeps each value's low 16 bits; the mask then keeps 10
     planes[0] = t
     planes[1] = t >> 10
     planes[2] = t >> 20
     planes &= 0x3FF
-    return PlaneSet(AtlasKind.COLOR, planes)
+    return planes
 
 
-def unpack_color(planes: PlaneSet) -> np.ndarray:
-    """Inverse of `pack_color`; alpha bits come back zero."""
-    y, u, v = _ten_bit(planes)
+def unpack_color(planes: np.ndarray) -> np.ndarray:
+    """Inverse of `pack_color`; alpha bits come back zero. Elements are not
+    range-checked: that is `unpack_texels`'s check."""
+    y, u, v = planes
     texels = v.astype(np.uint32)
     texels <<= 10
     texels |= u
@@ -122,7 +107,7 @@ def unpack_color(planes: PlaneSet) -> np.ndarray:
     return texels
 
 
-# --- visibility packing ------------------------------------------------------
+# --- the update atlas as planes ----------------------------------------------
 
 
 def widened_width(texel_width: int) -> int:
@@ -133,50 +118,6 @@ def widened_width(texel_width: int) -> int:
     return 4 * texel_width // 3
 
 
-def pack_visibility(texels: np.ndarray) -> PlaneSet:
-    """Visibility texels -> 8-bit YUV planes by row-wise byte distribution.
-
-    Each texel contributes four bytes (R-hi, R-lo, G-hi, G-lo; most
-    significant byte first). Per row the byte stream s is laid out as
-    Y[p] = s[3p], U[p] = s[3p+1], V[p] = s[3p+2]. The texel width must be
-    a multiple of 3. The planes are the (3, h, q) transposed view of one
-    contiguous (h, q, 3) array of the byte-swapped texels: a copy, or the
-    texels themselves if they already are big-endian (``>u2``) and
-    C-contiguous.
-    """
-    t = np.ascontiguousarray(texels, dtype=">u2")
-    if t.ndim != 3 or t.shape[2] != 2:
-        raise ValueError("visibility texel region must be (h, w, 2)")
-    h, w, _ = t.shape
-    stream = t.view(np.uint8).reshape(h, widened_width(w), 3)
-    return PlaneSet(AtlasKind.VISIBILITY, stream.transpose(2, 0, 1))
-
-
-def unpack_visibility(planes: PlaneSet, texel_width: int) -> np.ndarray:
-    """Inverse of `pack_visibility` for rows of `texel_width` texels.
-
-    Returns read-only big-endian (``>u2``) texels. For planes in
-    `pack_visibility`'s layout, which `codec.decode_frame` also returns,
-    they are a view of the planes and nothing is copied; planes in any
-    other layout are copied once.
-    """
-    if planes.kind is not AtlasKind.VISIBILITY:
-        raise ValueError("expected visibility plane set")
-    if widened_width(texel_width) != planes.width:
-        raise ValueError(
-            f"plane width {planes.width} does not match "
-            f"{texel_width} texels per row"
-        )
-    h = planes.height
-    stream = np.ascontiguousarray(planes.data.transpose(1, 2, 0)).reshape(h, 3 * planes.width)
-    texels = stream.view(">u2").reshape(h, texel_width, 2)
-    texels.flags.writeable = False
-    return texels
-
-
-# --- the update atlas as planes ----------------------------------------------
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -185,23 +126,51 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def pack_texels(update_texels: np.ndarray, kind: AtlasKind) -> PlaneSet:
     """The planes of an update atlas in `UpdateAtlasLayout`'s layout: a
-    read-only view of it, nothing converted or copied."""
+    read-only view of it, nothing converted or copied.
+
+    Colour's update atlas is its planes. Visibility's texels go to the
+    planes by row-wise byte distribution: each texel contributes four bytes
+    (R-hi, R-lo, G-hi, G-lo; most significant byte first), and per row the
+    byte stream s is laid out as Y[p] = s[3p], U[p] = s[3p+1],
+    V[p] = s[3p+2]. The texel width must be a multiple of 3. Big-endian
+    texels are their row streams already, so the planes are the (3, h, q)
+    transposed view of the texels' bytes as an (h, q, 3) array.
+    """
     if update_texels.dtype != UpdateAtlasLayout.texel_dtype(kind):
         raise ValueError(f"{update_texels.dtype} texels are no {kind.value} update atlas")
-    texels = _read_only(update_texels)
-    if kind is AtlasKind.COLOR:
-        return PlaneSet(kind, texels)
-    return pack_visibility(texels)
+    planes = update_texels
+    if kind is AtlasKind.VISIBILITY:
+        if planes.ndim != 3 or planes.shape[2] != 2:
+            raise ValueError(f"visibility texels must be (h, w, 2), got {planes.shape}")
+        h, w, _ = planes.shape
+        planes = planes.view(np.uint8).reshape(h, widened_width(w), 3).transpose(2, 0, 1)
+    return PlaneSet(kind, _read_only(planes))
 
 
 def unpack_texels(planes: PlaneSet, kind: AtlasKind, texel_width: int) -> np.ndarray:
-    """Decoded planes as update texels in `UpdateAtlasLayout`'s layout, for
-    `apply_update_entries`: a read-only view of them (see `unpack_visibility`
-    for visibility planes in another layout). Color planes are refused with
-    `ValueError` if any element, in a slot or not, exceeds 10 bits."""
+    """Inverse of `pack_texels` for rows of `texel_width` texels: decoded
+    planes as update texels, for `apply_update_entries`.
+
+    The texels are a read-only view of the planes. Visibility planes in
+    `pack_texels`'s layout, which `codec.decode_frame` also returns, are
+    read in place; planes in any other layout are copied once. Raises
+    `ValueError` for planes of another kind or of another width than
+    `texel_width` texels pack to, and for colour planes with any element,
+    in a slot or not, above 10 bits.
+    """
+    width = texel_width if kind is AtlasKind.COLOR else widened_width(texel_width)
+    if planes.kind is not kind or planes.width != width:
+        raise ValueError(
+            f"{planes.kind.value} planes {planes.width} wide are no {kind.value} "
+            f"update atlas of {texel_width} texels per row"
+        )
     if kind is AtlasKind.COLOR:
-        return _read_only(_ten_bit(planes))
-    return unpack_visibility(planes, texel_width)
+        if planes.data.max(initial=0) > 1023:
+            raise ValueError("color plane element exceeds 10-bit range")
+        return _read_only(planes.data)
+    h = planes.height
+    stream = np.ascontiguousarray(planes.data.transpose(1, 2, 0)).reshape(h, 3 * width)
+    return _read_only(stream.view(">u2").reshape(h, texel_width, 2))
 
 
 # --- guard bands -------------------------------------------------------------
@@ -381,8 +350,8 @@ def build_update_atlas(
     cores = source.blocks()[rows, cols, 1:-1, 1:-1]
     slots, side = layout.slots(update_texels, kind), layout.core_side
     if kind is AtlasKind.COLOR:
-        # `pack_color` of the cores as the rows of one region, a core a row
-        planes = pack_color(cores.reshape(-1, side * side)).data
+        # a core a row, so each core row of a plane is one slot element
+        planes = pack_color(cores.reshape(-1, side * side))
         slots[:, slot_rows, slot_cols] = planes.view(slots.dtype)
     else:
         texels = cores.astype(">u2").reshape(-1, 2 * side)
@@ -397,14 +366,18 @@ def apply_update_entries(
     target: ProbeAtlas,
 ) -> None:
     """Copy slot cores into target probe blocks, converted back to the
-    atlas's texels, rebuilding guard bands."""
+    atlas's texels, rebuilding guard bands.
+
+    `update_texels` are as `build_update_atlas` writes them or
+    `unpack_texels` returns them; colour elements above 10 bits are not
+    checked for here.
+    """
     kind = target.kind
     _check_texels(update_texels, layout, kind)
     (slot_rows, slot_cols), (rows, cols) = _entry_index(entries, layout, target)
     slots, side = layout.slots(update_texels, kind), layout.core_side
     if kind is AtlasKind.COLOR:
-        planes = slots[:, slot_rows, slot_cols].view(np.uint16)
-        cores = unpack_color(PlaneSet(kind, planes)).reshape(-1, side, side)
+        cores = unpack_color(slots[:, slot_rows, slot_cols].view(np.uint16)).reshape(-1, side, side)
     else:
         cores = slots[slot_rows, slot_cols].view(">u2").reshape(-1, side, side, 2)
     blocks = reconstruct_guard_band(np.moveaxis(cores, 0, -1))

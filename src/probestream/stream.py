@@ -23,15 +23,16 @@ where it ends (`EncodedFrame.read`). An id names one of at most
 
 Fail-closed rule: before its decoder, its twin layout or its atlas moves,
 the client checks the frame (`EncodedFrame.read`: its magic, its length
-against its header, its CRC and its layout), the ids' CRC, an even id
-length, every id inside the volume, no id twice, no more ids than slots,
-and the frame's kind and plane size against its own. A frame that passes
-these checks and decodes can still hold a colour element above 10 bits,
-so the frame is decoded into a copy of the decoder, which the client
+against its header, its CRC, its flags and its layout), the ids' CRC, an
+even id length, every id inside the volume, no id twice, no more ids than
+slots, and the frame's kind and plane size against its own. A frame that
+passes these checks and decodes can still hold a colour element above 10
+bits, so the frame is decoded into a copy of the decoder, which the client
 keeps only once the frame unpacks. That 10-bit check is
-`packing.unpack_texels`'s, over every element of the colour planes, slots
-that no entry reads included; otherwise the unpacked texels are a
-read-only view of the decoded planes. Any bad message raises `CodecError`
+`packing.unpack_texels`'s alone, over every element of the colour planes,
+slots that no entry reads included; otherwise the unpacked texels are a
+read-only view of the decoded planes, which `packing.apply_update_entries`
+converts without checking again. Any bad message raises `CodecError`
 (`MessageError`, or the codec's own subclasses) and leaves the client as
 it was.
 

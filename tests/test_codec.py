@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from probestream import codec
 from probestream.codec import (
     BLOCK_SIDE,
+    FRAME_MAGIC,
     CodecError,
     CodecStreamState,
     CorruptFrameError,
@@ -24,7 +25,7 @@ from probestream.codec import (
     decode_frame,
     encode_frame,
 )
-from probestream.packing import PlaneSet, pack_visibility, unpack_visibility
+from probestream.packing import PlaneSet, pack_texels, unpack_texels
 from probestream.volume import AtlasKind
 from test_codec_golden import _smooth, inflated_segments, read_segments, reference_decode, split_payload
 
@@ -44,7 +45,7 @@ def vis_planes(rng, h=48, w=48):
 
 
 def packed_layout(planes):
-    """The same planes in `pack_visibility`'s memory layout: the (3, h, w)
+    """The same planes in `pack_texels`'s memory layout: the (3, h, w)
     transposed view of a contiguous (h, w, 3) array."""
     return PlaneSet(planes.kind, np.ascontiguousarray(planes.data.transpose(1, 2, 0)).transpose(2, 0, 1))
 
@@ -300,6 +301,24 @@ class TestFrameCodec:
             planes = planes.copy()
             planes.data[:, 5:9, 20:30] ^= 1
 
+    def test_stream_id_must_fit_the_header(self):
+        # the header's stream id is u32: both ends of its range go through
+        for stream_id in (0, 2**32 - 1):
+            enc, dec = CodecStreamState(stream_id, "encoder"), CodecStreamState(stream_id, "decoder")
+            planes = vis_planes(np.random.default_rng(12), 16, 16)
+            frame = EncodedFrame.from_bytes(encode_frame(planes, enc).to_bytes())
+            assert frame.stream_id == stream_id and decode_frame(frame, dec).equals(planes)
+        enc = stream_pair()[0]
+        encode_frame(color_planes(np.random.default_rng(13), 16, 16), enc)
+        before = enc.stream_id, enc.frame_count, enc.reference.data.tobytes()
+        for stream_id in (-1, 2**32):
+            for role in ("encoder", "decoder"):
+                with pytest.raises(ValueError, match="stream id"):
+                    CodecStreamState(stream_id, role)
+            with pytest.raises(ValueError, match="stream id"):
+                dataclasses.replace(enc, stream_id=stream_id)
+        assert (enc.stream_id, enc.frame_count, enc.reference.data.tobytes()) == before
+
     def test_gop_boundary_forces_key(self):
         rng = np.random.default_rng(9)
         enc, _ = stream_pair(gop=4)
@@ -402,6 +421,22 @@ class TestWholeBlocks:
         with pytest.raises(ValueError, match="not whole"):
             encode_frame(PlaneSet(kind, np.zeros((3, h, w), kind.plane_dtype)), enc, force_key=primed)
         assert (enc.frame_count, None if enc.reference is None else enc.reference.data.tobytes()) == before
+
+    @pytest.mark.parametrize("kind", list(AtlasKind))
+    @pytest.mark.parametrize("h, w", [(BLOCK_SIDE, 1 << 16), (1 << 16, BLOCK_SIDE)])
+    def test_encoder_refuses_sides_the_header_cannot_hold(self, kind, h, w):
+        # 65536 is whole blocks, but the header's width and height are u16
+        enc = stream_pair()[0]
+        encode_frame(PlaneSet(kind, np.ones((3, BLOCK_SIDE, 2 * BLOCK_SIDE), kind.plane_dtype)), enc)
+        before = enc.frame_count, enc.reference.data.tobytes()
+        with pytest.raises(ValueError, match="u16"):
+            encode_frame(PlaneSet(kind, np.zeros((3, h, w), kind.plane_dtype)), enc, force_key=True)
+        assert (enc.frame_count, enc.reference.data.tobytes()) == before
+        # the widest whole-block side the header holds goes through
+        side = (0xFFFF // BLOCK_SIDE) * BLOCK_SIDE
+        widest = PlaneSet(kind, np.zeros((3, min(h, side), min(w, side)), kind.plane_dtype))
+        frame = encode_frame(widest, stream_pair()[0])
+        assert EncodedFrame.from_bytes(frame.to_bytes()) == frame
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([8, 16]), st.booleans(), st.integers(0, 65535), st.integers(0, 65535),
@@ -517,11 +552,11 @@ class TestLanes:
     def test_lanes_hold_texel_bytes(self):
         # twelve packed visibility texels a row, one block wide: lane k
         # holds byte k of every texel
-        texels = np.arange(16 * 12 * 2, dtype=np.uint16).reshape(16, 12, 2) * 0x0101 + 0x1020
-        frame = encode_frame(pack_visibility(texels), stream_pair()[0])
+        texels = (np.arange(16 * 12 * 2, dtype=np.uint16).reshape(16, 12, 2) * 0x0101 + 0x1020).astype(">u2")
+        frame = encode_frame(pack_texels(texels, AtlasKind.VISIBILITY), stream_pair()[0])
         content = np.frombuffer(split_payload(frame)[1], np.uint8).reshape(4, 16, -1)
         assert content.shape == (4, 16, 12)
-        wide = texels.astype(">u2").view(np.uint8).reshape(16, 12, 4)
+        wide = texels.view(np.uint8).reshape(16, 12, 4)
         for k in range(4):
             assert np.array_equal(content[k], wide[:, :, k])
 
@@ -591,6 +626,19 @@ class TestFailClosed:
     def test_stream_inflating_short(self, key):
         frame, dec, head, parts = _stream_case(key)
         self._rejects(_last_segment(frame, head, parts, deflate(parts[-1][:-1])), dec)
+
+    @pytest.mark.parametrize("flags", [2, 0x80, 0xFE, 0xFF])
+    @pytest.mark.parametrize("key", [True, False])
+    def test_unknown_frame_flags_rejected(self, flags, key):
+        # the encoder writes flags 0 and 1 only; with its CRC recomputed, a
+        # frame flagged 0xFF would otherwise read as a key frame
+        key_frame, p_frame, _ = _key_and_p_frames(AtlasKind.COLOR, BLOCK_SIDE, 2 * BLOCK_SIDE, 6)
+        data = bytearray((key_frame if key else p_frame).to_bytes())
+        data[len(FRAME_MAGIC)] = flags
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+        for read in (EncodedFrame.read, EncodedFrame.from_bytes):
+            with pytest.raises(CorruptFrameError, match="flags"):
+                read(bytes(data))
 
     def test_bitmap_pad_bits_rejected(self):
         # three blocks: the bitmap's last five bits are padding
@@ -909,12 +957,12 @@ class TestDecoderOwnership:
     def test_unpacked_texels_are_read_only_views_of_the_decoded_planes(self):
         rng = np.random.default_rng(35)
         enc, dec = stream_pair()
-        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16)
+        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16).astype(">u2")
         for step in range(3):  # key, changed P, unchanged P
             if step == 1:
                 texels[20:30, 3:40] ^= 0x0101
-            decoded = decode_frame(encode_frame(pack_visibility(texels), enc), dec)
-            out = unpack_visibility(decoded, 48)
+            decoded = decode_frame(encode_frame(pack_texels(texels, AtlasKind.VISIBILITY), enc), dec)
+            out = unpack_texels(decoded, AtlasKind.VISIBILITY, 48)
             assert np.shares_memory(out, decoded.data)
             assert not out.flags.writeable
             assert np.array_equal(out, texels)
@@ -922,17 +970,18 @@ class TestDecoderOwnership:
     def test_texels_unpacked_earlier_stay_across_later_frames(self):
         rng = np.random.default_rng(36)
         enc, dec = stream_pair()
-        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16)
-        earlier = unpack_visibility(decode_frame(encode_frame(pack_visibility(texels), enc), dec), 48)
+        texels = rng.integers(0, 2**16, size=(48, 48, 2), dtype=np.uint16).astype(">u2")
+        kind = AtlasKind.VISIBILITY
+        earlier = unpack_texels(decode_frame(encode_frame(pack_texels(texels, kind), enc), dec), kind, 48)
         kept = earlier.copy()
         # P-frames changing the first block row, a corner and everything,
         # then a key frame
         for rows, cols, key in ((slice(2, 9), slice(20, 30), False), (slice(38, 48), slice(40, 48), False),
                                 (slice(None), slice(None), False), (slice(None), slice(None), True)):
             texels[rows, cols] ^= 0x8001
-            frame = encode_frame(pack_visibility(texels), enc, force_key=key)
+            frame = encode_frame(pack_texels(texels, kind), enc, force_key=key)
             assert frame.key is key
-            later = unpack_visibility(decode_frame(frame, dec), 48)
+            later = unpack_texels(decode_frame(frame, dec), kind, 48)
             assert np.array_equal(later, texels)
             assert np.array_equal(earlier, kept)
             earlier, kept = later, later.copy()
@@ -1026,7 +1075,7 @@ class TestConcurrentSegments:
 # 8-bit lanes that reach `LANE_SEGMENT_BYTES`, deflated and inflated concurrently
 @example(kind=vis_planes, block_rows=18, block_columns=19, seed=3)
 def test_frames_do_not_depend_on_the_planes_memory_layout(cpus, kind, block_rows, block_columns, seed):
-    """Planes given planar-contiguous, given in `pack_visibility`'s layout,
+    """Planes given planar-contiguous, given in `pack_texels`'s layout,
     or switching between the two from frame to frame code to the same key
     and P-frame bytes and decode to the same values, at 1 and at 2 CPUs."""
     rng = np.random.default_rng(seed)

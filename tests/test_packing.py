@@ -15,11 +15,9 @@ from probestream.packing import (
     build_update_atlas,
     pack_color,
     pack_texels,
-    pack_visibility,
     reconstruct_guard_band,
     unpack_color,
     unpack_texels,
-    unpack_visibility,
     widened_width,
 )
 from probestream.volume import BLOCK_SIDE, AtlasKind, ProbeAtlas
@@ -30,16 +28,17 @@ def random_color_texels(rng, h, w):
 
 
 def random_visibility_texels(rng, h, w):
-    return rng.integers(0, 2**16, size=(h, w, 2), dtype=np.uint16)
+    """Visibility texels as the update atlas holds them: big-endian halves."""
+    return rng.integers(0, 2**16, size=(h, w, 2), dtype=np.uint16).astype(">u2")
 
 
 class TestColorPacking:
     def test_direct_channel_copy(self):
         texel = np.array([[1023 | (0 << 10) | (512 << 20)]], dtype=np.uint32)
         planes = pack_color(texel)
-        assert planes.data[0, 0, 0] == 1023
-        assert planes.data[1, 0, 0] == 0
-        assert planes.data[2, 0, 0] == 512
+        assert planes[0, 0, 0] == 1023
+        assert planes[1, 0, 0] == 0
+        assert planes[2, 0, 0] == 512
 
     def test_random_64x64_round_trip(self):
         rng = np.random.default_rng(5)
@@ -51,20 +50,31 @@ class TestColorPacking:
 
     def test_all_zero(self):
         planes = pack_color(np.zeros((8, 8), dtype=np.uint32))
-        assert not planes.data.any()
+        assert not planes.any()
 
     @pytest.mark.parametrize("plane", [0, 1, 2])
     def test_unpack_rejects_elements_past_10_bits(self, plane):
+        # the 10-bit check is `unpack_texels`'s, over the whole planes
         data = np.zeros((3, 2, 3), dtype=np.uint16)
         data[plane, 1, 2] = 1024
-        with pytest.raises(ValueError):
-            unpack_color(PlaneSet(AtlasKind.COLOR, data))
+        with pytest.raises(ValueError, match="10-bit"):
+            unpack_texels(PlaneSet(AtlasKind.COLOR, data), AtlasKind.COLOR, 3)
+        data[plane, 1, 2] = 1023
+        assert np.array_equal(unpack_texels(PlaneSet(AtlasKind.COLOR, data), AtlasKind.COLOR, 3), data)
 
     def test_elements_stay_below_1024(self):
         rng = np.random.default_rng(6)
         texels = rng.integers(0, 2**32, size=(32, 32), dtype=np.uint32)
         planes = pack_color(texels)
-        assert planes.data.max() < 1024
+        assert planes.max() < 1024
+
+    @pytest.mark.parametrize("shape", [(), (5,), (4, 8, 8), (2, 3, 4, 5)])
+    def test_texels_of_any_shape(self, shape):
+        # one plane axis in front of the texels' own, whatever they are
+        texels = np.random.default_rng(7).integers(0, 2**30, size=shape, dtype=np.uint32)
+        planes = pack_color(texels)
+        assert planes.shape == (3, *shape) and planes.dtype == np.uint16
+        assert np.array_equal(unpack_color(planes), texels)
 
     def test_alpha_bits_dropped(self):
         texel = np.array([[(3 << 30) | 7]], dtype=np.uint32)
@@ -98,8 +108,8 @@ class TestVisibilityPacking:
     def test_three_texels_fill_four_triples(self):
         texels = np.tile(
             np.array([[0x1234, 0xABCD]], dtype=np.uint16), (1, 3)
-        ).reshape(1, 3, 2)
-        planes = pack_visibility(texels)
+        ).reshape(1, 3, 2).astype(">u2")
+        planes = pack_texels(texels, AtlasKind.VISIBILITY)
         assert planes.data.shape == (3, 1, 4)
         stream = planes.data.transpose(1, 2, 0).reshape(-1)
         expected = bytes([0x12, 0x34, 0xAB, 0xCD] * 3)
@@ -107,13 +117,14 @@ class TestVisibilityPacking:
 
     def test_single_texel_row_layout(self):
         # a row of one texel is no whole 3-texel group: refused both ways
-        texels = np.array([[[0x0102, 0x0304]]], dtype=np.uint16)
+        kind = AtlasKind.VISIBILITY
+        texels = np.array([[[0x0102, 0x0304]]], dtype=">u2")
         with pytest.raises(ValueError):
-            pack_visibility(texels)
+            pack_texels(texels, kind)
         with pytest.raises(ValueError):
-            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, 1, 2), np.uint8)), 1)
+            unpack_texels(PlaneSet(kind, np.zeros((3, 1, 2), np.uint8)), kind, 1)
         # the same texel first in a row of three
-        planes = pack_visibility(np.concatenate([texels, np.zeros((1, 2, 2), np.uint16)], axis=1))
+        planes = pack_texels(np.concatenate([texels, np.zeros((1, 2, 2), ">u2")], axis=1, dtype=">u2"), kind)
         y, u, v = planes.data
         assert (y[0, 0], u[0, 0], v[0, 0], y[0, 1]) == (1, 2, 3, 4)
 
@@ -122,38 +133,49 @@ class TestVisibilityPacking:
         texels = random_visibility_texels(rng, 18, 18)
         texels[0, 0] = (0xFFFF, 0xFFFF)
         texels[1, 1] = (0x7FFF, 0x8000)  # NaN payload and signed zero patterns
-        planes = pack_visibility(texels)
-        out = unpack_visibility(planes, 18)
+        planes = pack_texels(texels, AtlasKind.VISIBILITY)
+        out = unpack_texels(planes, AtlasKind.VISIBILITY, 18)
         assert np.array_equal(out, texels)
 
     def test_pad_bytes_zero(self):
         # a row of 5 texels would need pad bytes: refused both ways
-        rng = np.random.default_rng(10)
+        rng, kind = np.random.default_rng(10), AtlasKind.VISIBILITY
         with pytest.raises(ValueError):
-            pack_visibility(random_visibility_texels(rng, 4, 5))
+            pack_texels(random_visibility_texels(rng, 4, 5), kind)
         with pytest.raises(ValueError):
-            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, 4, 7), np.uint8)), 5)
+            unpack_texels(PlaneSet(kind, np.zeros((3, 4, 7), np.uint8)), kind, 5)
         # a row of 6 holds no pad byte: its stream is the texel bytes alone
         texels = random_visibility_texels(rng, 4, 6)
-        stream = pack_visibility(texels).data.transpose(1, 2, 0).reshape(4, -1)
-        assert stream.tobytes() == texels.astype(">u2").tobytes()
+        stream = pack_texels(texels, kind).data.transpose(1, 2, 0).reshape(4, -1)
+        assert stream.tobytes() == texels.tobytes()
 
     def test_planes_in_any_layout_unpack(self):
-        # `pack_visibility`'s planes unpack to a view; planar-contiguous
+        # `pack_texels`'s planes unpack to a view; planar-contiguous
         # copies of them unpack to equal texels through one copy
+        kind = AtlasKind.VISIBILITY
         texels = random_visibility_texels(np.random.default_rng(11), 16, 48)
-        planes = pack_visibility(texels)
+        planes = pack_texels(texels, kind)
         assert planes.data.transpose(1, 2, 0).flags.c_contiguous
-        assert np.shares_memory(unpack_visibility(planes, 48), planes.data)
-        planar = PlaneSet(AtlasKind.VISIBILITY, np.ascontiguousarray(planes.data))
-        out = unpack_visibility(planar, 48)
+        assert np.shares_memory(unpack_texels(planes, kind, 48), planes.data)
+        planar = PlaneSet(kind, np.ascontiguousarray(planes.data))
+        out = unpack_texels(planar, kind, 48)
         assert not np.shares_memory(out, planar.data)
         assert np.array_equal(out, texels) and not out.flags.writeable
 
+    def test_planes_are_read_only_for_texels_in_any_layout(self):
+        # every other texel of a row: not C-contiguous, so packed through a
+        # copy, which is read-only as the view of contiguous texels is
+        kind = AtlasKind.VISIBILITY
+        texels = random_visibility_texels(np.random.default_rng(12), 16, 96)[:, ::2]
+        planes = pack_texels(texels, kind)
+        assert not planes.data.flags.writeable
+        assert np.array_equal(unpack_texels(planes, kind, 48), texels)
+
     def test_width_mismatch_rejected(self):
-        planes = pack_visibility(np.zeros((2, 3, 2), dtype=np.uint16))
-        with pytest.raises(ValueError):
-            unpack_visibility(planes, 4)
+        planes = pack_texels(np.zeros((2, 3, 2), dtype=">u2"), AtlasKind.VISIBILITY)
+        for width in (4, 6):
+            with pytest.raises(ValueError):
+                unpack_texels(planes, AtlasKind.VISIBILITY, width)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -164,11 +186,12 @@ class TestVisibilityPacking:
     def test_round_trip_property(self, h, w, seed):
         rng = np.random.default_rng(seed)
         texels = random_visibility_texels(rng, h, w)
+        kind = AtlasKind.VISIBILITY
         if w % 3:
             with pytest.raises(ValueError):
-                pack_visibility(texels)
+                pack_texels(texels, kind)
             return
-        assert np.array_equal(unpack_visibility(pack_visibility(texels), w), texels)
+        assert np.array_equal(unpack_texels(pack_texels(texels, kind), kind, w), texels)
 
 
 def _reference_visibility_planes(texels):
@@ -197,16 +220,17 @@ def _reference_visibility_planes(texels):
 def test_visibility_packing_matches_scalar_reference(h, w, seed):
     rng = np.random.default_rng(seed)
     values = np.array([0x0000, 0x00FF, 0xFF00, 0xFFFF], dtype=np.uint16)
-    texels = rng.choice(values, size=(h, w, 2))
+    texels = rng.choice(values, size=(h, w, 2)).astype(">u2")
+    kind = AtlasKind.VISIBILITY
     if w % 3:
         # a row that is not whole 3-texel groups is refused both ways
         with pytest.raises(ValueError):
-            pack_visibility(texels)
+            pack_texels(texels, kind)
         with pytest.raises(ValueError):
-            unpack_visibility(PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, h, -(-4 * w // 3)), np.uint8)), w)
+            unpack_texels(PlaneSet(kind, np.zeros((3, h, -(-4 * w // 3)), np.uint8)), kind, w)
         return
-    planes = pack_visibility(texels)
-    out = unpack_visibility(planes, w)
+    planes = pack_texels(texels, kind)
+    out = unpack_texels(planes, kind, w)
     assert planes.data.dtype == np.uint8
     assert np.array_equal(planes.data, _reference_visibility_planes(texels))
     assert out.dtype == np.dtype(">u2") and out.shape == (h, w, 2)
@@ -232,17 +256,19 @@ def reference_slot(layout, texels, slot):
 
 
 def packed_the_old_way(texels, kind):
-    """Planes of an update atlas held as probe atlas texels: uint32 colour,
-    native visibility pairs."""
-    return pack_color(texels) if kind is AtlasKind.COLOR else pack_visibility(texels)
+    """Planes of an update atlas held as probe atlas texels (uint32 colour,
+    native visibility pairs), converted whole."""
+    if kind is AtlasKind.COLOR:
+        return PlaneSet(kind, pack_color(texels))
+    return pack_texels(texels.astype(">u2"), kind)
 
 
 def unpacked_the_old_way(planes, kind):
     """Planes unpacked whole to probe atlas texels; colour's alpha bits,
     which no plane holds, come back zero."""
     if kind is AtlasKind.COLOR:
-        return unpack_color(planes)
-    return unpack_visibility(planes, planes.width * 3 // 4)
+        return unpack_color(unpack_texels(planes, kind, planes.width))
+    return unpack_texels(planes, kind, planes.width * 3 // 4)
 
 
 def as_atlas_texels(update_texels, kind):
@@ -364,6 +390,22 @@ def test_pack_and_unpack_are_views_and_a_build_writes_only_its_slots(kind):
         unpacked = unpack_texels(decoded, kind, layout.width)
         assert not unpacked.flags.writeable and np.shares_memory(unpacked, decoded.data)
         assert np.array_equal(unpacked, texels)
+
+
+@pytest.mark.parametrize("kind", list(AtlasKind))
+def test_unpack_texels_refuses_planes_of_another_width_or_kind(kind):
+    # one width check for both kinds: the texel width the planes pack from
+    layout = UpdateAtlasLayout(9, kind.core_side)
+    texels = np.zeros(layout.texel_shape(kind), layout.texel_dtype(kind))
+    planes = pack_texels(texels, kind)
+    assert np.array_equal(unpack_texels(planes, kind, layout.width), texels)
+    for width in (layout.width - 3, layout.width + 3, 2 * layout.width):
+        with pytest.raises(ValueError, match="texels per row"):
+            unpack_texels(planes, kind, width)
+    other = AtlasKind.VISIBILITY if kind is AtlasKind.COLOR else AtlasKind.COLOR
+    width = planes.width if other is AtlasKind.COLOR else planes.width * 3 // 4
+    with pytest.raises(ValueError, match="texels per row"):
+        unpack_texels(planes, other, width)
 
 
 def test_pack_texels_refuses_probe_atlas_texels():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probestream.codec import BLOCK_SIDE, CodecError, encode_frame
+from probestream.codec import BLOCK_SIDE, FRAME_MAGIC, CodecError, encode_frame
 from probestream.packing import PlaneSet, reconstruct_guard_band
 from probestream.selection import CameraPose, SceneGeometry, SelectionParams, pvs_probes
 from probestream.stream import ClientStream, MessageError, ServerStream
@@ -201,6 +201,23 @@ def test_client_refuses_colour_above_10_bits_where_no_entry_reads():
         client.receive(with_frame(server, update, planes, 0))
     assert client_state(client) == before
     delivers(server, client, update)
+
+
+@pytest.mark.parametrize("flags", [2, 0x80, 0xFF])
+def test_client_refuses_unknown_frame_flags(flags):
+    # the encoder writes flags 0 and 1 only; with the frame CRC recomputed,
+    # a key frame flagged 0xFF would otherwise decode and apply
+    case = dict(dims=(2, 2, 2), slots=4, gop=4, updates=3, boxes=0, seed=8)
+    for server, client, update in serve(case):
+        message = bytearray(update.message)
+        end = update.frame.encoded_size
+        message[len(FRAME_MAGIC)] = flags
+        message[end - 4 : end] = struct.pack("<I", zlib.crc32(message[: end - 4]))
+        before = client_state(client)
+        with pytest.raises(CodecError, match="flags"):
+            client.receive(bytes(message))
+        assert client_state(client) == before
+        delivers(server, client, update)
 
 
 def test_client_rejects_a_message_cut_inside_the_id_checksum():

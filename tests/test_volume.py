@@ -177,7 +177,7 @@ class TestAtlas:
         # R in bits 0..9, G in 10..19, B in 20..29, as the atlas stores them
         texels = np.array([[r | (g << 10) | (b << 20)]], dtype=np.uint32)
         planes = pack_color(texels)
-        assert tuple(planes.data[:, 0, 0]) == (r, g, b)
+        assert tuple(planes[:, 0, 0]) == (r, g, b)
         assert np.array_equal(unpack_color(planes), texels)
 
 
@@ -200,7 +200,7 @@ def _reference_changed_blocks(cur, ref, side):
 
 def _planes(rng, dtype, shape, transposed):
     """Random elements; `transposed` lays a 3-D array's leading axis out
-    innermost, as `pack_visibility` lays out its planes."""
+    innermost, as `pack_texels` lays out visibility planes."""
     if transposed and len(shape) == 3:
         return np.moveaxis(_planes(rng, dtype, (*shape[1:], shape[0]), False), -1, 0)
     return rng.integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype, endpoint=True)

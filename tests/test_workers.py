@@ -9,7 +9,7 @@ import pytest
 
 from probestream import workers
 from probestream.codec import CodecStreamState, decode_frame, encode_frame
-from probestream.packing import PlaneSet, pack_visibility, unpack_visibility
+from probestream.packing import PlaneSet, pack_texels, unpack_texels
 from probestream.volume import AtlasKind
 
 
@@ -96,7 +96,7 @@ def _case(seed):
     rng = np.random.default_rng(seed)
     vis = rng.integers(0, 8, size=(3, 256, 352), dtype=np.uint8)
     color = rng.integers(0, 1024, size=(3, 208, 208), dtype=np.uint16)
-    texels = rng.integers(0, 2**16, size=(688, 768, 2), dtype=np.uint16)
+    texels = rng.integers(0, 2**16, size=(688, 768, 2), dtype=np.uint16).astype(">u2")
     return vis, color, texels
 
 
@@ -115,9 +115,9 @@ def _work(case):
             decoded = decode_frame(frame, dec)
             out.append(hashlib.sha256(frame.to_bytes()).hexdigest())
             out.append(np.array_equal(decoded.data, planes))
-    packed = pack_visibility(texels)
+    packed = pack_texels(texels, AtlasKind.VISIBILITY)
     out.append(hashlib.sha256(packed.data.tobytes()).hexdigest())
-    out.append(np.array_equal(unpack_visibility(packed, texels.shape[1]), texels))
+    out.append(np.array_equal(unpack_texels(packed, AtlasKind.VISIBILITY, texels.shape[1]), texels))
     return out
 
 
