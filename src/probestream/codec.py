@@ -17,14 +17,14 @@ out so that its planes are whole blocks. `encode_frame` raises `ValueError`
 for other planes, and `EncodedFrame.read` and `decode_frame` raise
 `CorruptFrameError` for a header that declares them.
 
-Wire format (`FRAME_MAGIC` ``LPF4``). A frame is a fixed header, the payload
+Wire format (`FRAME_MAGIC` ``LPF5``). A frame is a fixed header, the payload
 and a CRC-32 over both. The header's flags byte is 1 for a key frame and 0
 for a P-frame; `EncodedFrame.read` refuses any other. Its plane width and
 height are ``<u2``, so `encode_frame` refuses planes with a side above
 65535, and its stream id is ``<u4``. The header gives the payload's
 length, so `EncodedFrame.read` finds where a frame ends in longer input;
 `EncodedFrame.from_bytes` is the same read of input that holds the frame
-alone. A P-frame's payload starts with its changed-block bitmap (below).
+alone. A P-frame's payload starts with its changed-position bitmap (below).
 The rest of every payload is the frame's stream of bytes, cut into deflate
 segments: a table of each segment's compressed length (``<u4``, in segment
 order), then the segments. Each segment is one complete raw deflate stream
@@ -70,21 +70,33 @@ holds:
   residual r = x - left - up + up-left (mod 2**16, neighbours outside the
   plane read as 0) of every element in row order. The decoder inverts it
   with two running sums mod 2**16, one along each axis.
-* P-frame: the payload starts with the changed-block bitmap and the
-  segment table follows it. The bitmap holds one bit per block over
-  (plane, block row, block column) in raster order, most significant bit
-  first, padded with zero bits to a whole byte. The stream holds the
-  residuals cur - ref (mod 2**bits) of the changed blocks in bitmap order,
-  each block's elements in row order; in 16-bit planes they form one run.
-  The bitmap's grid is `volume.changed_blocks`, the block-change reduction
-  that `selection.detect_changed` shares.
+* P-frame: the payload starts with the changed-position bitmap and the
+  segment table follows it. The bitmap holds one bit per block position
+  (block row, block column) in raster order, most significant bit first,
+  padded with zero bits to a whole byte; a set bit covers the blocks of
+  all three planes at that position. HEVC likewise codes its skip flag
+  once per coding unit, for luma and chroma together (Sullivan et al.
+  2012). Over 80 updates of the benchmark's `walk_static` and
+  `relight_local` (seed 1), every changed position changed in all three
+  planes, so per-plane bits would have carried nothing. The stream
+  holds the residuals cur - ref (mod 2**bits) of the changed positions'
+  blocks plane by plane, and within a plane in bitmap order, each block's
+  elements in row order; in 16-bit planes they form one run, so a
+  position changed in one plane codes zero residuals in the other two.
+  The bitmap is found by `volume.changed_blocks`, the block-change
+  reduction that `selection.detect_changed` shares, as one word-width
+  compare over the bytes of all three planes: 8-bit planes as their
+  (h, w, 3) row streams, where a position's three blocks are 16 rows of
+  48 bytes, and 16-bit planes as one (3h, w) array whose blocks are then
+  merged over the planes.
 
 The decoder knows each segment's inflated size before inflating: the
 stream is 4*h*q bytes for an 8-bit key frame, the header's plane bytes for
-a 16-bit one, and the changed blocks' elements for a P-frame. It first
-checks the table, and raises `CorruptFrameError` for a payload shorter than
-its table, a length of 0, or lengths that do not add up to the rest of the
-payload, before it inflates anything. Then it lets zlib produce at most one
+a 16-bit one, and the elements of the changed positions' blocks in all
+three planes for a P-frame. It first checks the table, and raises
+`CorruptFrameError` for a payload shorter than its table, a length of 0,
+or lengths that do not add up to the rest of the payload, before it
+inflates anything. Then it lets zlib produce at most one
 byte more than each segment's size, and raises `CorruptFrameError` for a
 segment that is not deflate, inflates past or short of its size, stops
 before its final block or has bytes after it, and for a bitmap with a pad
@@ -112,13 +124,13 @@ many CPUs coded them.
 P-frame residuals move as whole blocks, never element by element, through
 the copy-free (plane, block row, block column, y, x) view of the planes
 that `volume.block_grid` makes, the same view that reads an atlas. The
-encoder gathers the changed blocks of both planes from the views and
-subtracts them; the decoder adds the residual blocks into a copy of its
-reference through the same view.
+encoder gathers the changed positions' blocks of every plane from the
+views and subtracts them; the decoder adds the residual blocks into a copy
+of its reference through the same view.
 
 The encoder keeps its own copy of the last frame as the reference: a key
 frame copies the caller's planes, and a P-frame copies into it only the
-block rows that hold a changed block, so the caller may reuse its planes
+block rows that hold a changed position, so the caller may reuse its planes
 after the call: `packing.pack_texels`'s planes are a view of the update
 atlas, which the next update rewrites in place. Every reference copy, the
 encoder's and the decoder's, keeps the memory layout of the planes it
@@ -144,7 +156,7 @@ LANE_SEGMENT_BYTES = 1 << 16  # smallest lane an 8-bit key frame deflates on its
 CONCURRENT_DEFLATE_BYTES = 1 << 16  # below this, waking a pool thread costs more than it saves
 _RAW_DEFLATE = -15  # zlib window bits for a bare deflate stream
 
-FRAME_MAGIC = b"LPF4"
+FRAME_MAGIC = b"LPF5"
 _FRAME_HEADER = struct.Struct("<4sBIIHHBBI")
 _CHECKSUM = struct.Struct("<I")
 _SEGMENT_LENGTH = struct.Struct("<I")  # one entry of a payload's segment table
@@ -445,10 +457,26 @@ def _key_segments(data: np.ndarray) -> _Segments:
     return _cut(_halves(codes), 16)
 
 
+def _changed_positions(cur: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The (block rows, block columns) positions at which any plane of `cur`
+    differs from `ref`, by `volume.changed_blocks`: 8-bit planes as their
+    (h, w, 3) row streams, which planes in `packing.pack_texels`'s layout
+    are in place, 16-bit planes as one (3h, w) array, merged over the
+    planes on the block grid. Since 16 divides h, no block of the (3h, w)
+    array straddles two planes."""
+    planes, height, width = cur.shape
+    if cur.dtype == np.uint8:
+        return changed_blocks(cur.transpose(1, 2, 0), ref.transpose(1, 2, 0), BLOCK_SIDE)
+    stacked = changed_blocks(
+        cur.reshape(planes * height, width), ref.reshape(planes * height, width), BLOCK_SIDE
+    )
+    return stacked.reshape(planes, height // BLOCK_SIDE, width // BLOCK_SIDE).any(axis=0)
+
+
 def _p_segments(cur: np.ndarray, ref: np.ndarray, changed: np.ndarray) -> _Segments:
-    idx = np.nonzero(changed)
-    residuals = block_grid(cur, BLOCK_SIDE, axis=1)[idx]
-    residuals -= block_grid(ref, BLOCK_SIDE, axis=1)[idx]
+    rows, cols = np.nonzero(changed)
+    residuals = block_grid(cur, BLOCK_SIDE, axis=1)[:, rows, cols]
+    residuals -= block_grid(ref, BLOCK_SIDE, axis=1)[:, rows, cols]
     if cur.dtype == np.uint8:
         return _cut(residuals.reshape(1, -1), 8)
     return _cut(_halves(_zigzag(residuals).reshape(1, -1)), 16)
@@ -477,19 +505,19 @@ def encode_frame(
         payload = _deflate(_key_segments(cur))
     else:
         ref = state.reference.data
-        changed = changed_blocks(cur, ref, BLOCK_SIDE)
+        changed = _changed_positions(cur, ref)
         bitmap = np.packbits(changed.reshape(-1)).tobytes()
         payload = bitmap + _deflate(_p_segments(cur, ref, changed))
     seq = state.frame_count
     state.frame_count = seq + 1
     # lossless, so the reconstruction is the input itself. The reference is
     # the encoder's own copy; a P-frame changes it only in the block rows
-    # that hold a changed block, each copied as one slab (a scatter of the
+    # that hold a changed position, each copied as one slab (a scatter of the
     # changed elements alone costs more than copying the whole planes)
     if key:
         state.reference = planes.copy()
     else:
-        for r in np.flatnonzero(changed.any(axis=(0, 2))):
+        for r in np.flatnonzero(changed.any(axis=1)):
             rows = slice(r * BLOCK_SIDE, (r + 1) * BLOCK_SIDE)
             ref[:, rows] = cur[:, rows]
     return EncodedFrame(
@@ -519,16 +547,16 @@ def _decode_key(frame: EncodedFrame) -> np.ndarray:
 
 def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     planes, height, width = reference.shape
-    grid = (planes, height // BLOCK_SIDE, width // BLOCK_SIDE)
-    blocks = math.prod(grid)
-    bitmap_size = -(-blocks // 8)
+    grid = (height // BLOCK_SIDE, width // BLOCK_SIDE)
+    positions = math.prod(grid)
+    bitmap_size = -(-positions // 8)
     if len(frame.payload) < bitmap_size:
         raise CorruptFrameError("payload shorter than its bitmap")
     bitmap = np.frombuffer(frame.payload, np.uint8, count=bitmap_size)
-    if blocks % 8 and bitmap[-1] & (0xFF >> blocks % 8):
+    if positions % 8 and bitmap[-1] & (0xFF >> positions % 8):
         raise CorruptFrameError("bitmap pad bits set")
-    idx = np.nonzero(np.unpackbits(bitmap, count=blocks).view(bool).reshape(grid))
-    elements = idx[0].size * BLOCK_SIDE * BLOCK_SIDE
+    rows, cols = np.nonzero(np.unpackbits(bitmap, count=positions).view(bool).reshape(grid))
+    elements = planes * rows.size * BLOCK_SIDE * BLOCK_SIDE
     # a 16-bit run is two parts, its low and its high bytes
     content = _inflate_parts(
         memoryview(frame.payload)[bitmap_size:], frame.element_bits, reference.itemsize, elements
@@ -540,7 +568,8 @@ def _decode_p(frame: EncodedFrame, reference: np.ndarray) -> np.ndarray:
     else:
         residuals = _unzigzag(_join_low_high(content))[0]
     recon = reference.copy(order="K")  # in the reference's memory layout
-    block_grid(recon, BLOCK_SIDE, axis=1)[idx] += residuals.reshape(-1, BLOCK_SIDE, BLOCK_SIDE)
+    blocks = residuals.reshape(planes, rows.size, BLOCK_SIDE, BLOCK_SIDE)
+    block_grid(recon, BLOCK_SIDE, axis=1)[:, rows, cols] += blocks
     return recon
 
 

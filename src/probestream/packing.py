@@ -158,8 +158,8 @@ def unpack_texels(planes: PlaneSet, kind: AtlasKind, texel_width: int) -> np.nda
     `texel_width` texels pack to, and for colour planes with any element,
     in a slot or not, above 10 bits.
     """
-    width = texel_width if kind is AtlasKind.COLOR else widened_width(texel_width)
-    if planes.kind is not kind or planes.width != width:
+    shape = UpdateAtlasLayout.plane_shape(kind, planes.height, texel_width)
+    if planes.kind is not kind or planes.data.shape != shape:
         raise ValueError(
             f"{planes.kind.value} planes {planes.width} wide are no {kind.value} "
             f"update atlas of {texel_width} texels per row"
@@ -168,7 +168,7 @@ def unpack_texels(planes: PlaneSet, kind: AtlasKind, texel_width: int) -> np.nda
         if planes.data.max(initial=0) > 1023:
             raise ValueError("color plane element exceeds 10-bit range")
         return _read_only(planes.data)
-    h = planes.height
+    _, h, width = shape
     stream = np.ascontiguousarray(planes.data.transpose(1, 2, 0)).reshape(h, 3 * width)
     return _read_only(stream.view(">u2").reshape(h, texel_width, 2))
 
@@ -258,6 +258,14 @@ class UpdateAtlasLayout:
         if kind is AtlasKind.COLOR:
             return (3, self.height, self.width)
         return (self.height, self.width, 2)
+
+    @staticmethod
+    def plane_shape(kind: AtlasKind, height: int, texel_width: int) -> tuple[int, int, int]:
+        """Shape of the codec planes of an update atlas of `height` rows of
+        `texel_width` texels: colour's planes are its texels, visibility's
+        are `widened_width` wide."""
+        width = texel_width if kind is AtlasKind.COLOR else widened_width(texel_width)
+        return (3, height, width)
 
     @staticmethod
     def texel_dtype(kind: AtlasKind) -> np.dtype:

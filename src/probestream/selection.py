@@ -11,7 +11,8 @@ never produce an empty selection.
 
 Change detection finds the changed probe blocks with
 `volume.changed_blocks`, the block-change reduction the codec also uses,
-over the atlas texels read as one uint32 per texel.
+over the atlas texels as they are: a block row of a colour atlas is 40
+bytes and of a visibility atlas 72, five and nine 8-byte words.
 
 The ray cast is boxes only, from one origin, exact and culled, and returns
 the nearest t per ray; `pvs_probes` forms the hit points from it. Every box
@@ -315,13 +316,8 @@ def detect_changed(
         raise LayoutMismatchError("atlases do not share a layout")
     if rendered.probe_count != volume.probe_count:
         raise LayoutMismatchError("atlas probe count does not match volume")
-    # one uint32 per texel: a visibility texel's two halves compare as one
-    cur, ref = (
-        np.ascontiguousarray(a.texels).view(np.uint32).reshape(a.height, -1)
-        for a in (rendered, last_sent)
-    )
     side = rendered.kind.block_side
-    changed = changed_blocks(cur, ref, side).reshape(-1)
+    changed = changed_blocks(rendered.texels, last_sent.texels, side).reshape(-1)
     return np.flatnonzero(changed[: volume.probe_count] & volume.active)
 
 

@@ -56,7 +56,6 @@ from probestream.packing import (
     build_update_atlas,
     pack_texels,
     unpack_texels,
-    widened_width,
 )
 from probestream.selection import detect_changed, select_for_client
 from probestream.volume import AtlasKind, ProbeAtlas, ProbeVolume
@@ -148,8 +147,8 @@ class ClientStream:
         self.twin = UpdateAtlasLayout(slots, kind.core_side)
         self.decoder = CodecStreamState(stream_id, "decoder")
         self.atlas = ProbeAtlas(kind, probe_count, probes_per_row)
-        width = self.twin.width if kind is AtlasKind.COLOR else widened_width(self.twin.width)
-        self._frame_layout = (kind, self.twin.height, width)
+        planes = UpdateAtlasLayout.plane_shape(kind, self.twin.height, self.twin.width)
+        self._frame_layout = (kind, planes)
 
     def receive(self, message: bytes) -> tuple[PlaneSet, list[tuple[int, int]]]:
         """Apply one message; returns the decoded planes and the (slot, probe) entries."""
@@ -185,6 +184,6 @@ class ClientStream:
             raise MessageError("probe id sent twice")
         if len(ids) > self.twin.slot_count:
             raise MessageError(f"{len(ids)} ids for {self.twin.slot_count} slots")
-        if (frame.plane_kind, frame.height, frame.width) != self._frame_layout:
+        if (frame.plane_kind, (frame.plane_count, frame.height, frame.width)) != self._frame_layout:
             raise MessageError("frame layout does not match the stream")
         return frame, ids

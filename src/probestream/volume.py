@@ -17,10 +17,15 @@ kind's texels pack into: uint16 for color, uint8 for visibility.
 `block_grid` is the one (..., block row, block column, y, x, ...) view of
 whole square blocks: of a probe atlas and of the codec's planes. The update
 atlas's slots are viewed a core row to an element instead
-(`packing.UpdateAtlasLayout.slots`). `changed_blocks` is the one block-change reduction,
-shared by change detection and the codec's P-frames. It works on whole
-square blocks only, which both callers pass: whole probe blocks and whole
-`BLOCK_SIDE` blocks. It is one serial numpy reduction on the calling
+(`packing.UpdateAtlasLayout.slots`). `changed_blocks` is the one
+block-change reduction, shared by change detection and the codec's
+P-frames. It tells which square blocks of axes 0 and 1 differ; any further
+axes ride along inside the block, as in `packing.reconstruct_guard_band`.
+It reads both inputs in memory order as the widest unsigned words (8, 4, 2
+or 1 bytes) that divide a block row's bytes, so one compare of words, not
+of elements, finds every changed block: a visibility atlas's 18-texel block
+row is 72 bytes, nine 8-byte words. It works on whole square blocks only,
+which every caller passes. It is one serial numpy reduction on the calling
 thread; the worker pool (`workers`) runs only the codec's deflate and
 inflate segments.
 
@@ -188,21 +193,37 @@ def block_grid(a: np.ndarray, side: int, axis: int = 0) -> np.ndarray:
 
 
 def changed_blocks(cur: np.ndarray, ref: np.ndarray, side: int) -> np.ndarray:
-    """Which ``side x side`` blocks of the last two axes of `cur` differ from
-    `ref`; shape (..., block rows, block columns). The last two axes must be
-    whole blocks. The rows of each block are reduced first, then the
-    `side`-wide column groups of that `side` times smaller result, in one
-    serial pass."""
-    *lead, height, width = cur.shape
+    """Which ``side x side`` blocks of axes 0 and 1 of `cur` differ from
+    `ref`, in any bit; shape (block rows, block columns). Axes after the
+    first two ride along inside the block: each of its ``side x side``
+    entries holds all of them. Axes 0 and 1 must be whole blocks, and `cur`
+    and `ref` of one shape and dtype (a `ValueError` otherwise: both are
+    compared as their bytes).
+
+    Both are read in C order, and an input in another layout is first
+    copied into it. A block row's bytes are then compared as the widest
+    unsigned words that divide them; the rows of each block are reduced
+    first, then each block's words."""
+    if cur.shape != ref.shape or cur.dtype != ref.dtype:
+        raise ValueError(f"{cur.shape} {cur.dtype} compared with {ref.shape} {ref.dtype}")
+    height, width = cur.shape[:2]
     if height % side or width % side:
         raise ValueError(f"{height} x {width} elements are not whole {side} x {side} blocks")
-    differ = np.not_equal(cur, ref).reshape(*lead, height // side, side, width)
-    # the column groups are reduced in C order: in the visibility planes'
-    # transposed layout numpy would run that reduction with the 3-long plane
-    # axis innermost, which doubles the whole compare of 2048-slot planes
-    # (1.2-1.45 against 0.72 ms on a 2-vCPU host)
-    rows = np.ascontiguousarray(differ.any(axis=-2))
-    return rows.reshape(*lead, height // side, width // side, side).any(axis=-1)
+    rows, cols = height // side, width // side
+    row_bytes = side * cur.itemsize * math.prod(cur.shape[2:])
+    word = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)
+    words = row_bytes // word
+    # flattened in C order: a view of a C-contiguous input, else its copy
+    a, b = (x.reshape(-1).view(np.uint8).view(f"u{word}") for x in (cur, ref))
+    grid = (rows, side, cols * words)
+    by_word = np.not_equal(a.reshape(grid), b.reshape(grid)).any(axis=1).reshape(rows, cols, words)
+    # a reduction over the short innermost axis would run its inner loop once
+    # per block, a few words at a time: one OR per word position is 3-4 times
+    # faster (2048-slot colour planes: 0.007 against 0.028 ms on a 2-vCPU host)
+    changed = np.zeros((rows, cols), bool)
+    for k in range(words):
+        changed |= by_word[..., k]
+    return changed
 
 
 # --- octahedral direction mapping ------------------------------------------

@@ -76,9 +76,9 @@ def container(*segments):
 
 
 def bitmap_size(frame):
-    """Bytes of a P-frame's changed-block bitmap."""
-    blocks = frame.plane_count * -(-frame.height // BLOCK_SIDE) * -(-frame.width // BLOCK_SIDE)
-    return -(-blocks // 8)
+    """Bytes of a P-frame's changed-position bitmap: a bit per block position."""
+    positions = -(-frame.height // BLOCK_SIDE) * -(-frame.width // BLOCK_SIDE)
+    return -(-positions // 8)
 
 
 @functools.lru_cache(maxsize=4)
@@ -120,7 +120,7 @@ class TestEntropy:
         planes = color_planes(rng, 32, 32)
         decode_frame(encode_frame(planes, enc), dec)
         frame = encode_frame(planes.copy(), enc)
-        assert split_payload(frame) == (bytes(2), b"")
+        assert split_payload(frame) == (bytes(1), b"")
         assert decode_frame(frame, dec).equals(planes)
         for shape in ((3, 0, BLOCK_SIDE), (3, BLOCK_SIDE, 0)):
             enc, dec = stream_pair()
@@ -187,9 +187,10 @@ def first_block_p_frame(block, reference):
 
 
 class TestBlockModes:
-    """A P-frame's bitmap clears the bit of each unchanged block, and its
-    stream holds each changed block as its residual against the reference;
-    a key frame has no bitmap and its stream codes every element."""
+    """A P-frame's bitmap clears the bit of each block position unchanged in
+    every plane, and its stream holds the changed positions' blocks as their
+    residuals against the reference; a key frame has no bitmap and its
+    stream codes every element."""
 
     def test_identical_blocks_skip(self):
         rng = np.random.default_rng(1)
@@ -201,8 +202,9 @@ class TestBlockModes:
         rng = np.random.default_rng(2)
         ref = rng.integers(0, 512, size=(16, 16), dtype=np.uint16)
         p_frame, key = first_block_p_frame(ref + 3, ref)
-        # three changed blocks of residual 3: zig-zag code 6, low bytes first
-        assert split_payload(p_frame) == (b"\xe0", b"\x06" * 768 + b"\x00" * 768)
+        # one changed position, a block of residual 3 in each plane: zig-zag
+        # code 6, low bytes first
+        assert split_payload(p_frame) == (b"\x80", b"\x06" * 768 + b"\x00" * 768)
         assert len(p_frame.payload) * 10 < len(key.payload)
 
     def test_no_reference_never_skip(self):
@@ -229,8 +231,8 @@ class TestFrameCodec:
         decode_frame(encode_frame(planes, enc), dec)
         frame = encode_frame(planes.copy(), enc)
         assert not frame.key
-        # no block is marked changed, and the stream codes nothing
-        assert split_payload(frame) == (bytes(6), b"")
+        # no position is marked changed, and the stream codes nothing
+        assert split_payload(frame) == (bytes(2), b"")
         assert frame.encoded_size <= planes.data.nbytes / 100
         assert decode_frame(frame, dec).equals(planes)
 
@@ -641,16 +643,22 @@ class TestFailClosed:
                 read(bytes(data))
 
     def test_bitmap_pad_bits_rejected(self):
-        # three blocks: the bitmap's last five bits are padding
+        # one block position: the bitmap's last seven bits are padding
         frame, dec = _p_frame_case()
         bitmap, _ = split_payload(frame)
-        assert bitmap == b"\xe0"
+        assert bitmap == b"\x80"
+        for pad in (0x01, 0x40):
+            self._rejects(like(frame, bytes([0x80 | pad]) + frame.payload[1:]), dec)
+        # eleven positions: the last five bits of the second byte
+        frame, dec = _p_frame_case(BLOCK_SIDE, 11 * BLOCK_SIDE)
+        bitmap, _ = split_payload(frame)
+        assert bitmap == b"\xff\xe0"
         for pad in (0x01, 0x10):
-            self._rejects(like(frame, bytes([0xE0 | pad]) + frame.payload[1:]), dec)
+            self._rejects(like(frame, bytes([0xFF, 0xE0 | pad]) + frame.payload[2:]), dec)
 
     def test_payload_shorter_than_bitmap(self):
-        # 3 planes of 9 blocks need a 4-byte bitmap
-        frame, dec = _p_frame_case(BLOCK_SIDE, 9 * BLOCK_SIDE)
+        # 27 block positions need a 4-byte bitmap
+        frame, dec = _p_frame_case(BLOCK_SIDE, 27 * BLOCK_SIDE)
         assert bitmap_size(frame) == 4
         for size in range(4):
             self._rejects(like(frame, frame.payload[:size]), dec)
@@ -665,16 +673,16 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_huge_zero_run_rejected_before_allocation(self, blocks):
-        # a P-frame whose bitmap marks `blocks` blocks, with 10**8 zero bytes
-        # of residuals' low bytes in its first segment
+        # a P-frame whose bitmap marks `blocks` positions, with 10**8 zero
+        # bytes of residuals' low bytes in its first segment
         frame, dec = _p_frame_case(BLOCK_SIDE, 3 * BLOCK_SIDE)
-        bitmap = np.packbits(np.arange(9) < blocks).tobytes()
-        high = deflate(bytes(blocks * BLOCK_SIDE * BLOCK_SIDE))
+        bitmap = np.packbits(np.arange(3) < blocks).tobytes()
+        high = deflate(bytes(3 * blocks * BLOCK_SIDE * BLOCK_SIDE))
         peak = self._rejects(like(frame, bitmap + container(zero_bomb(10**8), high)), dec)
         assert peak < 1 << 20
 
     def test_dense_runs_parse_in_bounded_memory(self):
-        # every block of a large P-frame is marked changed, and its stream
+        # every position of a large P-frame is marked changed, and its stream
         # repeats a 3-byte pattern, one short match after another, far
         # past those blocks' bytes
         h, w = 688, 1024
@@ -682,7 +690,7 @@ class TestFailClosed:
         blank = PlaneSet(AtlasKind.VISIBILITY, np.zeros((3, h, w), np.uint8))
         decode_frame(encode_frame(blank, enc), dec)
         frame = EncodedFrame(1, 1, False, w, h, 3, 8, b"")
-        bitmap = np.packbits(np.ones(3 * 43 * 64, bool)).tobytes()
+        bitmap = np.packbits(np.ones(43 * 64, bool)).tobytes()
         stream = deflate(*[b"\x02\x07\x05" * (1 << 20)] * 3)
         peak = self._rejects(like(frame, bitmap + container(stream)), dec)
         assert peak <= 16 * _plane_bytes(frame) + (1 << 20)
@@ -720,10 +728,11 @@ class TestFailClosed:
 
 
 class TestHeaderWalk:
-    """A P-frame's payload starts with its changed-block bitmap, one bit per
-    block, clear for an unchanged block. The bitmap is as long as the frame's
-    block count needs and no longer, and the segments after it must inflate
-    to exactly the changed blocks' residuals."""
+    """A P-frame's payload starts with its changed-position bitmap, one bit
+    per block position, clear for a position unchanged in every plane. The
+    bitmap is as long as the frame's position count needs and no longer,
+    and the segments after it must inflate to exactly the residuals of the
+    changed positions' blocks."""
 
     def _p_frame(self, payload, h=BLOCK_SIDE, w=2 * BLOCK_SIDE):
         enc, dec = stream_pair()
@@ -731,8 +740,8 @@ class TestHeaderWalk:
         return like(EncodedFrame(1, 1, False, w, h, 3, 16, b""), payload), dec
 
     def test_bytes_past_bitmap_rejected(self):
-        # six blocks fit one bitmap byte; the bytes after it are read as the
-        # segment table
+        # two block positions fit one bitmap byte; the bytes after it are
+        # read as the segment table
         for extra in (1, 5):
             frame, dec = self._p_frame(bytes(1 + extra) + deflate(b""))
             with pytest.raises(CorruptFrameError):
@@ -746,11 +755,11 @@ class TestHeaderWalk:
             decode_frame(frame, dec)
 
     def test_payload_ends_inside_bitmap(self):
-        # 27 blocks need a 4-byte bitmap; only the first block is changed
+        # 27 positions need a 4-byte bitmap; only the first is changed
         bitmap = np.packbits(np.arange(27) == 0).tobytes()
-        payload = bitmap + deflate(bytes(2 * BLOCK_SIDE * BLOCK_SIDE))
+        payload = bitmap + deflate(bytes(2 * 3 * BLOCK_SIDE * BLOCK_SIDE))
         for size in (1, 2, 3):
-            frame, dec = self._p_frame(payload[:size], w=9 * BLOCK_SIDE)
+            frame, dec = self._p_frame(payload[:size], w=27 * BLOCK_SIDE)
             with pytest.raises(CorruptFrameError, match="shorter than its bitmap"):
                 decode_frame(frame, dec)
 
@@ -1104,6 +1113,65 @@ def test_frames_do_not_depend_on_the_planes_memory_layout(cpus, kind, block_rows
             runs[name] = coded
         assert [key for key, _ in runs["planar"]] == [True, False, False, True]
         assert runs["planar"] == runs["packed"] == runs["mixed"]
+
+
+@pytest.mark.parametrize("make", [color_planes, vis_planes])
+def test_switching_layouts_after_a_key_frame_codes_the_same_bytes(make):
+    """A key frame of C-order planes, then P-frames of planes in
+    `pack_texels`'s layout, then C-order ones again, code to the frame
+    bytes of either layout throughout: the encoder's reference keeps the
+    key frame's layout, and `changed_blocks` copies whichever side is not
+    in the layout it reads. Each P-frame changes one plane at a few
+    positions, or nothing."""
+    rng = np.random.default_rng(27)
+    first = make(rng, 3 * BLOCK_SIDE, 4 * BLOCK_SIDE)
+    sequence = [first]
+    for plane in (0, 2, None, 1, 0):
+        changed = sequence[-1].copy()
+        if plane is not None:
+            changed.data[plane, rng.integers(0, changed.height, 3), rng.integers(0, changed.width, 3)] ^= 1
+        sequence.append(changed)
+    switched = [p.copy() if i in (0, 4, 5) else packed_layout(p) for i, p in enumerate(sequence)]
+    assert switched[0].data.flags.c_contiguous and not switched[1].data.flags.c_contiguous
+    runs = []
+    for frames in ([p.copy() for p in sequence], [packed_layout(p) for p in sequence], switched):
+        enc, dec = stream_pair()
+        coded = []
+        for planes in frames:
+            frame = encode_frame(planes, enc)
+            assert decode_frame(EncodedFrame.from_bytes(frame.to_bytes()), dec).equals(planes)
+            coded.append(frame.to_bytes())
+        runs.append(coded)
+    assert runs[0] == runs[1] == runs[2]
+    assert [EncodedFrame.from_bytes(data).key for data in runs[0]] == [True] + [False] * 5
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_one_low_byte_of_a_visibility_texel_round_trips(half):
+    """Changing only the low byte of one half of one visibility texel
+    changes one byte of one plane, so one plane's block at one position.
+    The P-frame marks that position and codes its block in all three
+    planes, two of them as zero residuals, and the texels come back."""
+    rng = np.random.default_rng(28 + half)
+    h, w = 2 * BLOCK_SIDE, 6 * BLOCK_SIDE  # 72 texels a row, 96 plane elements
+    texels = rng.integers(0, 1 << 16, size=(h, 3 * w // 4, 2), dtype=np.uint16).astype(">u2")
+    enc, dec = stream_pair()
+    decode_frame(encode_frame(pack_texels(texels, AtlasKind.VISIBILITY), enc), dec)
+    y, t = 21, 50
+    changed = texels.copy()
+    changed[y, t, half] ^= 0x0001
+    planes = pack_texels(changed, AtlasKind.VISIBILITY)
+    moved = np.argwhere(planes.data != pack_texels(texels, AtlasKind.VISIBILITY).data)
+    # byte 4t + 2 * half + 1 of the row stream, planes take bytes in turn
+    byte = 4 * t + 2 * half + 1
+    assert moved.tolist() == [[byte % 3, y, byte // 3]]
+    frame = encode_frame(planes, enc)
+    bits = np.unpackbits(np.frombuffer(split_payload(frame)[0], np.uint8))[: 2 * 6].reshape(2, 6)
+    assert np.argwhere(bits).tolist() == [[y // BLOCK_SIDE, byte // 3 // BLOCK_SIDE]]
+    residuals = np.frombuffer(split_payload(frame)[1], np.uint8).reshape(3, BLOCK_SIDE, BLOCK_SIDE)
+    assert [int(np.count_nonzero(plane)) for plane in residuals] == [int(p == byte % 3) for p in range(3)]
+    out = decode_frame(EncodedFrame.from_bytes(frame.to_bytes()), dec)
+    assert np.array_equal(unpack_texels(out, AtlasKind.VISIBILITY, 3 * w // 4), changed)
 
 
 def _table_case(kind):

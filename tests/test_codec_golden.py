@@ -1,6 +1,6 @@
 """Wire-format pins for the frame codec.
 
-`reference_decode` is a plain scalar decoder of the ``LPF4`` payload,
+`reference_decode` is a plain scalar decoder of the ``LPF5`` payload,
 written from the format description in `probestream.codec`: it walks the
 bitmap, the segment table, the blocks, the lanes and the elements in Python
 loops and uses `zlib` only to inflate. Every golden sequence and every
@@ -58,7 +58,8 @@ def segment_sizes(frame, bitmap):
     header and bitmap alone: per 16-bit run its low half, then its high
     half; the four lanes of an 8-bit key frame once a lane reaches
     `LANE_SEGMENT_BYTES`, else its whole stream; an 8-bit P-frame's whole
-    stream; no segment of 0 bytes."""
+    stream; no segment of 0 bytes. A P-frame's marked position codes a
+    block in every plane."""
     height, width = frame.height, frame.width
     if frame.key and frame.element_bits == 8:
         lane = height * 3 * width // 4
@@ -66,9 +67,9 @@ def segment_sizes(frame, bitmap):
     elif frame.key:
         sizes = [height * width] * (2 * frame.plane_count)
     else:
-        blocks = frame.plane_count * (height // BLOCK_SIDE) * (width // BLOCK_SIDE)
-        marked = sum(bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(blocks))
-        elements = marked * BLOCK_SIDE * BLOCK_SIDE
+        positions = (height // BLOCK_SIDE) * (width // BLOCK_SIDE)
+        marked = sum(bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(positions))
+        elements = frame.plane_count * marked * BLOCK_SIDE * BLOCK_SIDE
         sizes = [elements] * (frame.element_bits // 8)
     return [size for size in sizes if size]
 
@@ -80,8 +81,8 @@ def read_segments(frame):
     if frame.key:
         bitmap = b""
     else:
-        blocks = frame.plane_count * (frame.height // BLOCK_SIDE) * (frame.width // BLOCK_SIDE)
-        bitmap = frame.payload[: (blocks + 7) // 8]
+        positions = (frame.height // BLOCK_SIDE) * (frame.width // BLOCK_SIDE)
+        bitmap = frame.payload[: (positions + 7) // 8]
     sizes = segment_sizes(frame, bitmap)
     rest = frame.payload[len(bitmap) :]
     at = 4 * len(sizes)
@@ -154,16 +155,19 @@ def reference_decode(frame, reference):
                     plane[y][x] = (r[y * width + x] + left + up - up_left) % mod
             out.append(plane)
         return np.array(out, dtype=np.uint16).reshape(planes, height, width)
+    # one bit per block position, for the blocks of every plane there:
+    # plane by plane, the marked positions in raster order
     by, bx = height // BLOCK_SIDE, width // BLOCK_SIDE
     marks = [bitmap[k // 8] >> (7 - k % 8) & 1 for k in range(8 * len(bitmap))]
-    assert not any(marks[planes * by * bx :]), "pad bits must be zero"
+    assert not any(marks[by * bx :]), "pad bits must be zero"
     cells = []
-    for k in range(planes * by * bx):
-        if marks[k]:
-            p, row, col = k // (by * bx), k // bx % by, k % bx
-            for y in range(row * BLOCK_SIDE, (row + 1) * BLOCK_SIDE):
-                for x in range(col * BLOCK_SIDE, (col + 1) * BLOCK_SIDE):
-                    cells.append((p, y, x))
+    for p in range(planes):
+        for k in range(by * bx):
+            if marks[k]:
+                row, col = k // bx, k % bx
+                for y in range(row * BLOCK_SIDE, (row + 1) * BLOCK_SIDE):
+                    for x in range(col * BLOCK_SIDE, (col + 1) * BLOCK_SIDE):
+                        cells.append((p, y, x))
     assert len(content) == len(cells) * size
     out = reference.copy()
     for (p, y, x), residual in zip(cells, _run(content, 0, len(cells), bits)):
@@ -233,18 +237,18 @@ def _sequence(name: str, seed: int):
 
 
 GOLDEN = {
-    "color_mutate": "1f69003587f4ccf360a63c952f63e6d8f752d9c7f89808361fcb85fad8c3ce5d",
-    "color_edge": "f0f61e2f0ac11a176d956f2fa76c7ac8f2eb997d2a101b29fd4e9614aa8db449",
-    "color_40x56": "e56b2d625693fa929bf4bb286cb0aac02e32eef318dae20d85064f0dae306266",
-    "color_narrow": "11d6a6ba86a322c128a6fca181e75158de2234e2da27e774a8e6845cd6c46af2",
-    "vis_mutate": "844b424d100334f8a456177fb101a4a064e311d90ddd4da63ad0aff2ed87d8ce",
-    "color_all_skip": "174b83438ea3db5eb4055575f4c8c5f80e0b596ff3cb2df89013f5c2cfd5ad86",
+    "color_mutate": "c5cf1c5daab201767f5427aeb6a4bafd648310b7aa78ca380104af8efa438301",
+    "color_edge": "356f3b016ee10ee0c6c72fb9785118569782f4fc7f95cf288b08b43e11c0317e",
+    "color_40x56": "9105784fc95be66abee39c32e610e7dd254ca4416112f278c3ffe24f5be7b09f",
+    "color_narrow": "2744d9d056a373af4d46ae9bf14437ea517f667d7587747e6f80ce72935c6f89",
+    "vis_mutate": "b077a44e04285aed997b974c59b99969cac687d0367c38f5971266189850d27b",
+    "color_all_skip": "7adbac407dd9cbe0474865d0f203499a1403f1256dc88a5f32b0b8e3da14a416",
     "color_noise_keys": "034572a1439b0ec599590b33d0e915e4913bba86abea45faa4645c55f673102b",
     "vis_noise_keys": "a3e2408a9bb4f5e66cc387b2ed8e9859fc8dd8c4a034ea471375c53859c5db7a",
-    "color_offset": "d91eb7378e484f0ecf0656c6215975a2f33ea8e03897fd86410b5b3bb4361ce0",
-    "vis_offset": "18ef4d5387ebbfbdf695e5398c0f3b0eb4de77f87ee56d5b1e98d99eda6b287b",
-    "color_sparse": "dc4057a3e13ab35e301f27bdc2ed5fb085bc1c8216fd4ff14e239bfd3bc15185",
-    "vis_sparse": "522664db1043d5643e94405dfeb789134abc2772283eb52014ebeeb41cc97fd8",
+    "color_offset": "66dc7cec6a052f8fff5056934d9bf84abf3fdc029a26022b2d7cf8251969f0db",
+    "vis_offset": "8de1f9a10c1ea1b23c3207e1c29d544284f7739abd9eab29b99c964ebce73707",
+    "color_sparse": "ebf679396ef94cc86d96ddbadb81da917bcd9a6c22d21234aabf800dffd14fcb",
+    "vis_sparse": "89da53d96610b4b23b74edd9d40f25c887b0e7ba9bd435c8e94c62416826dfff",
 }
 
 
@@ -276,14 +280,14 @@ def test_wire_bytes_pinned(name):
 
 
 def test_frame_magic_pinned():
-    assert FRAME_MAGIC == b"LPF4"
+    assert FRAME_MAGIC == b"LPF5"
 
 
 def _marks(frame):
-    """The changed-block bits of a P-frame, shape (planes, block rows, block columns)."""
+    """The changed-position bits of a P-frame, shape (block rows, block columns)."""
     by, bx = frame.height // BLOCK_SIDE, frame.width // BLOCK_SIDE
     bits = np.unpackbits(np.frombuffer(split_payload(frame)[0], np.uint8))
-    return bits[: frame.plane_count * by * bx].reshape(frame.plane_count, by, bx)
+    return bits[: by * bx].reshape(by, bx)
 
 
 def test_recipes_cover_every_mode():
@@ -344,28 +348,29 @@ def test_encoder_matches_per_block_reference(case):
         previous = data
 
 
-# --- sparse P-frames: the changed-block bitmap -------------------------------
+# --- sparse P-frames: the changed-position bitmap -----------------------------
 
 
 @st.composite
 def sparse_p_frames(draw):
-    """A plane set, a copy with a few blocks changed, placed by one rule,
-    and those blocks as (plane, block row, block column)."""
+    """A plane set, a copy with a few blocks changed, each in one plane,
+    placed by one rule, and those blocks as (plane, block row, block
+    column)."""
     kind = draw(st.sampled_from([AtlasKind.COLOR, AtlasKind.VISIBILITY]))
     # a few block rows, or many
     by = draw(st.one_of(st.integers(1, 3), st.integers(9, 19)))
     bx = draw(st.integers(1, 4))
     h, w = by * BLOCK_SIDE, bx * BLOCK_SIDE
-    count = 3 * by * bx
+    count = by * bx
     where = draw(st.sampled_from(["anywhere", "right_edge", "bottom_edge", "plane_edge", "byte_edge"]))
     blocks = set()
     for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(0, count - 1))
+        plane, k = draw(st.integers(0, 2)), draw(st.integers(0, count - 1))
         if where == "plane_edge":  # the first or last block of a plane
-            k = k // (by * bx) * (by * bx) + draw(st.sampled_from([0, by * bx - 1]))
+            k = draw(st.sampled_from([0, count - 1]))
         elif where == "byte_edge":  # either side of a bitmap byte boundary
             k = min(k // 8 * 8 + draw(st.sampled_from([-1, 0])), count - 1) if k >= 8 else k
-        plane, row, col = k // (by * bx), k // bx % by, k % bx
+        row, col = divmod(k, bx)
         if where == "right_edge":
             col = bx - 1
         elif where == "bottom_edge":
@@ -394,7 +399,7 @@ def test_sparse_p_frames_match_per_block_reference(case):
     planes = PlaneSet(kind, after)
     frame = encode_frame(planes, enc)
     assert not frame.key
-    assert {tuple(b) for b in np.argwhere(_marks(frame))} == blocks
+    assert {tuple(b) for b in np.argwhere(_marks(frame))} == {(row, col) for _, row, col in blocks}
     assert np.array_equal(reference_decode(frame, before), after)
     assert decode_frame(frame, dec).equals(planes)
 
@@ -414,8 +419,8 @@ def test_all_skip_p_frame(kind, shape):
     dec = CodecStreamState(1, role="decoder")
     decode_frame(encode_frame(planes, enc), dec)
     frame = encode_frame(planes.copy(), enc)
-    blocks = 3 * (shape[0] // BLOCK_SIDE) * (shape[1] // BLOCK_SIDE)
-    assert split_payload(frame) == (bytes(-(-blocks // 8)), b"")
+    positions = (shape[0] // BLOCK_SIDE) * (shape[1] // BLOCK_SIDE)
+    assert split_payload(frame) == (bytes(-(-positions // 8)), b"")
     assert np.array_equal(reference_decode(frame, planes.data), planes.data)
     assert decode_frame(frame, dec).equals(planes)
 
@@ -423,7 +428,8 @@ def test_all_skip_p_frame(kind, shape):
 # --- residual order ------------------------------------------------------------
 # The codec moves P-frame residuals as whole blocks through one view of the
 # planes. The stream must hold them in the order of the flat-index walk
-# below: changed blocks in bitmap order, each block's elements in row order.
+# below: plane by plane, the blocks of the changed positions in bitmap
+# order, each block's elements in row order.
 
 
 def flat_block_order(height, width):
@@ -436,12 +442,10 @@ def flat_block_order(height, width):
 
 def flat_residual_stream(cur, ref, changed):
     """The inflated stream of a P-frame from cur, ref and its changed
-    blocks, gathered one flat element index at a time."""
-    order = flat_block_order(*cur.shape[1:])
-    runs = []
-    for p, blocks in enumerate(changed.reshape(len(changed), -1)):
-        idx = order[np.flatnonzero(blocks)]
-        runs.append(cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx])
+    (block row, block column) positions, gathered one flat element index
+    at a time."""
+    idx = flat_block_order(*cur.shape[1:])[np.flatnonzero(changed)]
+    runs = [cur[p].reshape(-1)[idx] - ref[p].reshape(-1)[idx] for p in range(len(cur))]
     residuals = np.concatenate(runs)
     if residuals.dtype == np.uint8:
         return residuals.tobytes()
@@ -453,8 +457,9 @@ def flat_residual_stream(cur, ref, changed):
 def _pattern(name, shape, rng):
     """Changed blocks of a (planes, block rows, block columns) grid: every
     block, none, the bottom-right corner block of the last plane, one block
-    of the right block column (else of the bottom block row) that is not a
-    corner, or a random quarter."""
+    of the right block column (else of the bottom block row) of the middle
+    plane that is not a corner, or a random quarter. The corner and the
+    edge change one plane of their position."""
     changed = np.zeros(shape, bool)
     planes, by, bx = shape
     if not changed.size or name == "none":
@@ -520,8 +525,9 @@ def test_residuals_in_flat_index_order(kind, height, width, pattern):
     decode_frame(encode_frame(PlaneSet(kind, ref), enc), dec)
     frame = encode_frame(PlaneSet(kind, cur), enc)
     assert not frame.key
-    assert np.array_equal(_marks(frame), changed)
-    assert split_payload(frame)[1] == flat_residual_stream(cur, ref, changed)
+    positions = changed.any(axis=0)
+    assert np.array_equal(_marks(frame), positions)
+    assert split_payload(frame)[1] == flat_residual_stream(cur, ref, positions)
     assert np.array_equal(reference_decode(frame, ref), cur)
     assert np.array_equal(decode_frame(frame, dec).data, cur)
 

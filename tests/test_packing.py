@@ -408,6 +408,18 @@ def test_unpack_texels_refuses_planes_of_another_width_or_kind(kind):
         unpack_texels(planes, other, width)
 
 
+@pytest.mark.parametrize("kind", list(AtlasKind))
+@pytest.mark.parametrize("slots", [1, 9, 512, 2048])
+def test_plane_shape_is_what_the_update_atlas_packs_to(kind, slots):
+    # the one rule for a kind's plane width, which `ClientStream` reads
+    # before it decodes and `unpack_texels` checks against
+    layout = UpdateAtlasLayout(slots, kind.core_side)
+    texels = np.zeros(layout.texel_shape(kind), layout.texel_dtype(kind))
+    shape = UpdateAtlasLayout.plane_shape(kind, layout.height, layout.width)
+    assert pack_texels(texels, kind).data.shape == shape
+    assert shape[2] == (layout.width if kind is AtlasKind.COLOR else 4 * layout.width // 3)
+
+
 def test_pack_texels_refuses_probe_atlas_texels():
     # uint32 colour texels or native visibility pairs are no update atlas
     with pytest.raises(ValueError):

@@ -182,91 +182,108 @@ class TestAtlas:
 
 
 def _reference_changed_blocks(cur, ref, side):
-    """One block at a time, one element at a time, in Python integers."""
-    *lead, h, w = cur.shape
-    by, bx = h // side, w // side
-    out = np.zeros((*lead, by, bx), dtype=bool)
-    for plane in np.ndindex(*lead):
-        a, b = cur[plane].tolist(), ref[plane].tolist()
-        for r in range(by):
-            for c in range(bx):
-                out[plane + (r, c)] = any(
-                    a[y][x] != b[y][x]
-                    for y in range(r * side, (r + 1) * side)
-                    for x in range(c * side, (c + 1) * side)
-                )
+    """One block at a time, one (row, column) entry at a time, in Python
+    integers: a block differs where any of its entries, with every trailing
+    axis, does."""
+    by, bx = cur.shape[0] // side, cur.shape[1] // side
+    a, b = cur.tolist(), ref.tolist()
+    out = np.zeros((by, bx), dtype=bool)
+    for r in range(by):
+        for c in range(bx):
+            out[r, c] = any(
+                a[y][x] != b[y][x]
+                for y in range(r * side, (r + 1) * side)
+                for x in range(c * side, (c + 1) * side)
+            )
     return out
 
 
 def _planes(rng, dtype, shape, transposed):
-    """Random elements; `transposed` lays a 3-D array's leading axis out
-    innermost, as `pack_texels` lays out visibility planes."""
-    if transposed and len(shape) == 3:
-        return np.moveaxis(_planes(rng, dtype, (*shape[1:], shape[0]), False), -1, 0)
+    """Random elements; `transposed` lays the last axis out outermost, as
+    C-order (3, h, w) planes lie under their (h, w, 3) view, and a 2-D
+    array column by column."""
+    if transposed:
+        return np.moveaxis(_planes(rng, dtype, (shape[-1], *shape[:-1]), False), 0, -1)
     return rng.integers(0, np.iinfo(dtype).max, size=shape, dtype=dtype, endpoint=True)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([(), (1,), (3,)]),
-    st.sampled_from([np.uint8, np.uint16, np.uint32]),
+    st.sampled_from([(), (1,), (2,), (3,), (2, 3)]),
+    st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
     st.sampled_from([10, 16, 18]),
     st.booleans(),
     st.data(),
 )
-def test_changed_blocks_match_scalar_reference(lead, dtype, side, transposed, data):
+def test_changed_blocks_match_scalar_reference(trailing, dtype, side, transposed, data):
+    # trailing axes ride along inside the block; block rows of side x entry
+    # bytes, whole words or not (side 10 of uint8 is five 2-byte words).
+    # Bits flip in C-order bytes: in the block's first or last entry, in any
+    # byte, at either side of a word boundary, and at the first and last
+    # byte of a block row
     by = data.draw(st.integers(1, 3))
     bx = data.draw(st.integers(1, 3))
     h, w = by * side, bx * side
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    bits = np.dtype(dtype).itemsize * 8
-    ref = _planes(rng, dtype, (*lead, h, w), transposed)
-    cur = ref.copy(order="K")
+    ref = _planes(rng, dtype, (h, w, *trailing), transposed)
+    entry = math.prod(trailing) * np.dtype(dtype).itemsize
+    row_bytes = side * entry
+    word = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)  # the words compared
+    flipped = np.ascontiguousarray(ref).copy()
+    flat = flipped.reshape(-1).view(np.uint8)
     place = st.tuples(
-        st.sampled_from(["first", "last", "any"]),
+        st.sampled_from(["first", "last", "any", "word_edge", "row_first", "row_last"]),
         st.integers(0, by - 1),
         st.integers(0, bx - 1),
-        st.integers(0, lead[0] - 1) if lead else st.just(None),
-        st.integers(0, bits - 1),
+        st.integers(0, side - 1),
+        st.integers(0, 7),
     )
-    for where, r, c, plane, bit in data.draw(st.lists(place, max_size=4)):
-        # the block's first and last element
-        y0, x0 = r * side, c * side
-        y1, x1 = y0 + side - 1, x0 + side - 1
-        y, x = {
-            "first": (y0, x0),
-            "last": (y1, x1),
-            "any": (data.draw(st.integers(y0, y1)), data.draw(st.integers(x0, x1))),
-        }[where]
-        index = (y, x) if plane is None else (plane, y, x)
-        cur[index] ^= dtype(1 << bit)
+    for where, r, c, y, bit in data.draw(st.lists(place, max_size=4)):
+        if where in ("first", "last"):
+            y = 0 if where == "first" else side - 1
+        if where == "first":
+            offset = data.draw(st.integers(0, entry - 1))
+        elif where == "last":
+            offset = data.draw(st.integers(row_bytes - entry, row_bytes - 1))
+        elif where == "any":
+            offset = data.draw(st.integers(0, row_bytes - 1))
+        elif where == "word_edge":
+            boundary = word * data.draw(st.integers(1, row_bytes // word))
+            offset = min(boundary + data.draw(st.sampled_from([-1, 0])), row_bytes - 1)
+        else:
+            offset = 0 if where == "row_first" else row_bytes - 1
+        flat[((r * side + y) * w + c * side) * entry + offset] ^= 1 << bit
+    cur = ref.copy(order="K")
+    cur[...] = flipped
     got = changed_blocks(cur, ref, side)
-    assert got.shape == (*lead, by, bx)
+    assert got.shape == (by, bx)
     np.testing.assert_array_equal(got, _reference_changed_blocks(cur, ref, side))
 
 
 @pytest.mark.parametrize(
     "shape, dtype, side, transposed",
     [
-        ((810, 828), np.uint32, 18, False),  # a 2048-probe visibility atlas, as `detect_changed` reads it
-        ((450, 460), np.uint32, 10, False),  # a 2048-probe colour atlas
-        ((3, 688, 1024), np.uint8, 16, True),  # the codec's compare of 2048-slot visibility planes
-        ((3, 352, 384), np.uint16, 16, False),  # and of 2048-slot colour planes
+        ((810, 828), np.uint32, 18, False),  # a 2048-probe visibility atlas, a texel read as one uint32
+        ((450, 460), np.uint32, 10, False),  # a 2048-probe colour atlas, as `detect_changed` reads it
+        ((688, 1024, 3), np.uint8, 16, True),  # 2048-slot visibility planes in C order, copied to their row streams
+        ((1056, 384), np.uint16, 16, False),  # 2048-slot colour planes as one (3h, w) array, as the codec reads them
+        ((810, 828, 2), np.uint16, 18, False),  # a 2048-probe visibility atlas, as `detect_changed` reads it
+        ((688, 1024, 3), np.uint8, 16, False),  # 2048-slot visibility row streams, as the codec reads them
     ],
 )
 def test_changed_blocks_match_scalar_reference_at_call_sizes(shape, dtype, side, transposed):
-    # the benchmark's call sizes and plane layouts; bits flip in the first
-    # and the last block row and in the last element
-    height, width = shape[-2:]
+    # the benchmark's call sizes and layouts; bits flip in the first and the
+    # last block row and in the last element
+    height, width, *trailing = shape
     rng = np.random.default_rng(height)
     ref = _planes(rng, dtype, shape, transposed)
     cur = ref.copy(order="K")
-    lead = (shape[0] - 1,) if len(shape) == 3 else ()
-    cur[(*lead, 0, width // 3)] ^= 1
-    cur[(*lead, side - 1, width - 1)] ^= 2
-    cur[(*lead, height - side, 0)] ^= 1
-    cur[(*lead, height - 1, width // 2)] ^= 2
-    cur[(..., -1, -1)] ^= 4
+    last = tuple(n - 1 for n in trailing)
+    cur[(0, width // 3, *last)] ^= 1
+    cur[(side - 1, width - 1, *last)] ^= 2
+    cur[(height - side, 0, *last)] ^= 1
+    cur[(height - 1, width // 2, *last)] ^= 2
+    cur[(-1, -1, ...)] ^= 4
     np.testing.assert_array_equal(changed_blocks(cur, ref, side), _reference_changed_blocks(cur, ref, side))
 
 
@@ -277,10 +294,34 @@ def test_changed_blocks_match_scalar_reference_at_call_sizes(shape, dtype, side,
     st.integers(0, 40),
     st.integers(0, 80),
 )
-def test_changed_blocks_refuse_shapes_that_are_not_whole_blocks(lead, side, h, w):
-    planes = np.zeros((*lead, h, w), np.uint16)
+def test_changed_blocks_refuse_shapes_that_are_not_whole_blocks(trailing, side, h, w):
+    planes = np.zeros((h, w, *trailing), np.uint16)
     if h % side or w % side:
         with pytest.raises(ValueError, match="not whole"):
             changed_blocks(planes, planes, side)
     else:
-        assert changed_blocks(planes, planes, side).shape == (*lead, h // side, w // side)
+        assert changed_blocks(planes, planes, side).shape == (h // side, w // side)
+
+
+@pytest.mark.parametrize(
+    "cur, ref",
+    [
+        # a broadcast would compare each plane with the one array
+        (np.zeros((3, 16, 16), np.uint16), np.zeros((16, 16), np.uint16)),
+        (np.zeros((16, 16), np.uint16), np.zeros((16, 16, 1), np.uint16)),
+        # equal values of other element types, or of another byte order
+        (np.zeros((16, 16), np.uint16), np.zeros((16, 16), np.uint8)),
+        (np.zeros((16, 16), np.uint16), np.zeros((16, 16), ">u2")),
+        (np.zeros((16, 16), np.uint32), np.zeros((16, 16), np.int32)),
+    ],
+    ids=["broadcast", "trailing-axis", "itemsize", "byte-order", "signedness"],
+)
+def test_changed_blocks_refuse_unequal_shapes_and_dtypes(cur, ref):
+    for a, b in ((cur, ref), (ref, cur)):
+        with pytest.raises(ValueError):
+            changed_blocks(a, b, 16)
+
+
+def test_changed_blocks_need_two_axes():
+    with pytest.raises(ValueError):
+        changed_blocks(np.zeros(16, np.uint8), np.zeros(16, np.uint8), 16)
